@@ -1,0 +1,155 @@
+"""Frozen SHA-256 digests of CLI reports.
+
+Reports are byte-identical for fixed inputs and flags, and that is part of
+the contract. Each case below runs one CLI command from inside its input
+directory (so the relative paths echoed in the report's config block do not
+depend on where the checkout lives) and compares the digest of what the
+command writes to stdout against the value frozen here.
+
+A refactor or speed-up must leave every digest unchanged. A deliberate
+numeric change refreshes them once, and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from rocqe.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+SYNTH_SIZE = 2000
+SYNTH_SEED = 20260517
+
+
+def _write_synthetic(directory: str) -> None:
+    """A seeded 2k-segment canonical set with two metrics.
+
+    ``qe`` is higher-better and rounded to 2 decimals, so ties are common and
+    a handful of segments score exactly 0.0 or -0.0 (one tie group). ``rank``
+    is higher-worse on integers 0..100, so ties are heavy.
+    """
+    rng = np.random.default_rng(SYNTH_SEED)
+    penalties = np.array([0.0, 0.0, 0.0, -0.1, -1.0, -2.0, -5.0, -10.0, -25.0])
+    gold = rng.choice(penalties, size=SYNTH_SIZE)
+    positive = gold < 0
+    qe = np.round(rng.normal(0.0, 1.0, size=SYNTH_SIZE) - 0.8 * positive, 2)
+    zeros = rng.choice(SYNTH_SIZE, size=12, replace=False)
+    qe[zeros[:6]] = 0.0
+    qe[zeros[6:]] = -0.0
+    rank = np.clip(np.round(rng.normal(50.0, 15.0, size=SYNTH_SIZE) + 12.0 * positive), 0, 100)
+    files = {
+        "gold.tsv": ("mqm_score", gold),
+        "qe.tsv": ("score", qe),
+        "rank.tsv": ("score", rank),
+    }
+    for name, (header, values) in files.items():
+        lines = [f"segment_id\t{header}"]
+        lines += [f"seg{i:05d}\t{float(v)!r}" for i, v in enumerate(values)]
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def synthetic_dir(tmp_path_factory) -> str:
+    directory = str(tmp_path_factory.mktemp("synth2k"))
+    _write_synthetic(directory)
+    return directory
+
+
+BOOT = ["--bootstrap", "200", "--seed", "7"]
+
+SAMPLE10 = [
+    "--gold", "sample10.gold.tsv",
+    "--scores", "metric=sample10.scores.tsv",
+    "--orientation", "metric=higher-better",
+]
+SAMPLE10_HULL = SAMPLE10 + ["--scores", "riskb=sample10.riskb.tsv"]
+
+WMT = [
+    "--wmt-root", "wmt_mini", "--lang-pair", "zh-en", "--testset", "wmt23",
+    "--system", "sysY", "--orientation", "metricA=higher-better",
+]
+WMT_ONE = WMT + ["--scores", "metricA"]
+WMT_HULL = WMT + ["--scores", "metricA", "--scores", "metricB"]
+
+SYNTH = [
+    "--gold", "gold.tsv",
+    "--scores", "qe=qe.tsv",
+    "--orientation", "qe=higher-better",
+]
+SYNTH_HULL = SYNTH + ["--scores", "rank=rank.tsv"]
+
+
+def _cases(prefix: str, one: list[str], hull: list[str]) -> dict[str, list[str]]:
+    return {
+        f"{prefix}/roc-b200-w1": ["roc", *one, *BOOT, "--workers", "1"],
+        f"{prefix}/roc-b200-w2": ["roc", *one, *BOOT, "--workers", "2"],
+        f"{prefix}/scenario1-replicate": [
+            "scenario", *one, "--scenario", "1", "--x", "0.3", *BOOT,
+            "--ci-method", "replicate", "--trade-off", "1:10",
+        ],
+        f"{prefix}/scenario1-band": [
+            "scenario", *one, "--scenario", "1", "--x", "0.3", *BOOT,
+            "--ci-method", "band",
+        ],
+        f"{prefix}/scenario2": [
+            "scenario", *one, "--scenario", "2", "--y", "10", *BOOT,
+            "--review-efficacy", "0.9",
+        ],
+        f"{prefix}/table": ["table", *one],
+        f"{prefix}/hull": ["hull", *hull],
+        f"{prefix}/diagnose": ["diagnose", *hull, *BOOT],
+    }
+
+
+CASES = {
+    **_cases("sample10", SAMPLE10, SAMPLE10_HULL),
+    **_cases("wmt_mini", WMT_ONE, WMT_HULL),
+    **_cases("synth2k", SYNTH, SYNTH_HULL),
+}
+
+DIGESTS = {
+    "sample10/diagnose": "be99009cfccb907f6e97cea5643da746035aa6d849a717b3fde79f38366660e7",
+    "sample10/hull": "e91a033f763242b7784f22e247be8633f6b542b9f38f018ce706f8e2091d5999",
+    "sample10/roc-b200-w1": "073037f82d23188586033b9e03ef34ddcbc0ed0dd3e2fbba939999edc17cbba3",
+    "sample10/roc-b200-w2": "073037f82d23188586033b9e03ef34ddcbc0ed0dd3e2fbba939999edc17cbba3",
+    "sample10/scenario1-band": "5e4a6b8d8acf61538ac855ba5cba393efd327f8dfc6421c1af332af419d376fd",
+    "sample10/scenario1-replicate": "15d84fd13bbf20b36d493b8ee372b9b771b1a7003fc0ed37c3cb3d3a32ee340f",
+    "sample10/scenario2": "b65af6bad0ae7d29c4981b63829e1640687ffa5ba215e0475b2919025a105e04",
+    "sample10/table": "1d3280657f92b3f6649fb52e8fac53d40d539f5d48514d736100a59db40d37ab",
+    "synth2k/diagnose": "59cd4dc62675603da5e1bc438b5b4d71ecf0dec4149d270251af0fe58690d4e3",
+    "synth2k/hull": "e386a0b8594cf9e22424cf6b3dfc276ceedacb317ce271747dc83d9533c4549a",
+    "synth2k/roc-b200-w1": "22426e9f334b9dce57a1dc411d68b59b4292a0932743aa8a3048ed130f053f7b",
+    "synth2k/roc-b200-w2": "22426e9f334b9dce57a1dc411d68b59b4292a0932743aa8a3048ed130f053f7b",
+    "synth2k/scenario1-band": "c6a4e4fb018ddd1feaa084dc1415a75eb35f4abe3a8215ac837d83765e9b2682",
+    "synth2k/scenario1-replicate": "44d0ecded3b21e90ca689a5e91c59d08c9e66f72519e40e3959c2233ef729c1d",
+    "synth2k/scenario2": "71420bc14b1fb14f4653aeab3b01c5e420c29b8c1bceefcce4b736ff777f3b34",
+    "synth2k/table": "2dad83885520445afe6d441cfe7845275dec2a6a1c7b14a1af19abfe6fa554ed",
+    "wmt_mini/diagnose": "778ba1a05224508fc6e8fb6aac8febd673fd84ab57ccf98473492432675a7c4a",
+    "wmt_mini/hull": "793eabb512c52991de59c91431561605dfe89b8aac96aeeee33ec22380d70fa8",
+    "wmt_mini/roc-b200-w1": "095a9b04e222324cc3569b915cfd0c6e4180ed63328f7f1f62b6f36b72e4ca17",
+    "wmt_mini/roc-b200-w2": "095a9b04e222324cc3569b915cfd0c6e4180ed63328f7f1f62b6f36b72e4ca17",
+    "wmt_mini/scenario1-band": "47056d159a150bb5dcb2b25118a925309d8cd63a2fcd91dffa2bf8b5ffb3c7f3",
+    "wmt_mini/scenario1-replicate": "2a7253c85619d8e53a3c801a7f0ea225b9a58139a770da0d2497969a6bd531d3",
+    "wmt_mini/scenario2": "be9dca6bc1d7f9a7d8979abd2c884c21bdac3ed3dd5383932184eb1af7342dbe",
+    "wmt_mini/table": "8c6e82e8e208df5cecb5b509a9cceffc5320183a85dbc40b70b091de25c5cbcb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest_is_frozen(name, synthetic_dir, monkeypatch, capsys):
+    monkeypatch.chdir(synthetic_dir if name.startswith("synth2k/") else FIXTURES)
+    monkeypatch.delenv("ROCQE_SEED", raising=False)
+    code = main(CASES[name])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[name]
+
+
+def test_every_case_has_a_digest():
+    assert sorted(DIGESTS) == sorted(CASES)
