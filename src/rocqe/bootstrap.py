@@ -6,11 +6,17 @@ original class sizes and class imbalance. Every replicate owns an
 independent RNG substream derived from (seed, replicate index), and results
 are aggregated in index order, so output is byte-identical regardless of
 worker count or execution order.
+
+A replicate is never re-sorted. The dataset's distinct scores are ranked
+once into tie groups; a replicate is a multiplicity vector over the original
+sample, so its tie-group sweep is a bincount of the drawn members' groups
+followed by a cumulative sum.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,8 +41,9 @@ class BootstrapConfig:
     ``grid_points`` is the number of FPR grid intervals (granularity
     1/grid_points); when None it defaults to max(N, 100) so the grid tracks
     the empirical fpr resolution of the dataset without getting coarse on
-    small samples. ``workers`` > 1 runs replicates on a thread pool; the
-    result is identical either way.
+    small samples. ``workers`` > 1 runs replicates on a thread pool of at
+    most min(workers, iterations, CPU count) threads; the result is
+    identical either way.
     """
 
     iterations: int = DEFAULT_ITERATIONS
@@ -78,11 +85,14 @@ def resample_arrays(
     the original stratum size. Draw order is part of the determinism
     contract: changing it changes every downstream number.
     """
-    p = pos_risk.size
-    n = neg_risk.size
+    pos_idx, neg_idx = _draw(pos_risk.size, neg_risk.size, rng)
+    return pos_risk[pos_idx], neg_risk[neg_idx]
+
+
+def _draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     pos_idx = rng.integers(0, p, size=p)
     neg_idx = rng.integers(0, n, size=n)
-    return pos_risk[pos_idx], neg_risk[neg_idx]
+    return pos_idx, neg_idx
 
 
 def resample_stratified(dataset: Dataset, rng: np.random.Generator) -> Dataset:
@@ -91,8 +101,7 @@ def resample_stratified(dataset: Dataset, rng: np.random.Generator) -> Dataset:
     segments = dataset.segments
     pos = [i for i in range(len(segments)) if dataset.is_positive[i]]
     neg = [i for i in range(len(segments)) if not dataset.is_positive[i]]
-    pos_idx = rng.integers(0, len(pos), size=len(pos))
-    neg_idx = rng.integers(0, len(neg), size=len(neg))
+    pos_idx, neg_idx = _draw(len(pos), len(neg), rng)
     chosen = [segments[pos[i]] for i in pos_idx]
     chosen += [segments[neg[i]] for i in neg_idx]
     return Dataset(tuple(chosen), dataset.p_count, dataset.n_count, dataset.orientation)
@@ -106,6 +115,40 @@ def _require_both_classes(dataset: Dataset) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class TieGroups:
+    """The tie group of every positive and negative, ranked once per dataset.
+
+    Group 0 holds the largest canonical risk. Scores tie when they are
+    value-equal, so 0.0 and -0.0 share a group, as in ``tie_group_counts``.
+    """
+
+    pos_group: np.ndarray
+    neg_group: np.ndarray
+    count: int
+
+    @classmethod
+    def of(cls, pos_risk: np.ndarray, neg_risk: np.ndarray) -> "TieGroups":
+        distinct, inverse = np.unique(
+            np.concatenate([pos_risk, neg_risk]), return_inverse=True
+        )
+        group = distinct.size - 1 - inverse
+        return cls(group[: pos_risk.size], group[pos_risk.size :], distinct.size)
+
+    def resample_counts(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative (tp, fp) at every tie group present in one resample.
+
+        Makes the same draws as ``resample_arrays`` and returns exactly the
+        tp and fp arrays ``tie_group_counts`` gives on the resampled scores,
+        without sorting them.
+        """
+        pos_idx, neg_idx = _draw(self.pos_group.size, self.neg_group.size, rng)
+        tp = np.bincount(self.pos_group[pos_idx], minlength=self.count)
+        fp = np.bincount(self.neg_group[neg_idx], minlength=self.count)
+        present = np.flatnonzero(tp + fp)
+        return np.cumsum(tp)[present], np.cumsum(fp)[present]
+
+
 def map_replicates(
     dataset: Dataset,
     config: BootstrapConfig,
@@ -113,24 +156,32 @@ def map_replicates(
 ) -> list[T]:
     """Evaluate a statistic on every bootstrap replicate, in index order.
 
-    ``stat_fn(pos_sample, neg_sample)`` receives the resampled canonical risk
-    arrays. The returned list is ordered by replicate index whether or not
-    worker threads are used, so any statistic layered on the same seed sees
-    the same resamples as the confidence band does.
+    ``stat_fn(tp, fp)`` receives one replicate's cumulative tie-group
+    counts: for each distinct canonical score present in the resample,
+    worst first, the number of resampled positives (``tp``) and negatives
+    (``fp``) scoring at or above it. Both are integer arrays of equal length,
+    non-decreasing, ending at (P, N); they equal the tp and fp arrays of
+    ``tie_group_counts`` on the resampled scores. The returned list is
+    ordered by replicate index whether or not worker threads are used, so
+    any statistic layered on the same seed sees the same resamples as the
+    confidence band does.
     """
     _require_both_classes(dataset)
-    pos = dataset.positive_risks
-    neg = dataset.negative_risks
+    groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
 
     def run(index: int) -> T:
-        rng = replicate_rng(config.seed, index)
-        pos_sample, neg_sample = resample_arrays(pos, neg, rng)
-        return stat_fn(pos_sample, neg_sample)
+        return stat_fn(*groups.resample_counts(replicate_rng(config.seed, index)))
 
+    return _in_index_order(config, run)
+
+
+def _in_index_order(config: BootstrapConfig, run: Callable[[int], T]) -> list[T]:
+    """``run(i)`` for every replicate index, on at most one thread per CPU."""
     indices = range(config.iterations)
-    if config.workers == 1:
+    workers = min(config.workers, config.iterations, os.cpu_count() or 1)
+    if workers == 1:
         return [run(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, indices))
 
 
@@ -146,8 +197,14 @@ def curve_arrays(
     is_positive = np.zeros(risk.size, dtype=bool)
     is_positive[: pos_risk.size] = True
     _, tp, fp = tie_group_counts(risk, is_positive)
-    fpr = np.concatenate([[0.0], fp / neg_risk.size])
-    tpr = np.concatenate([[0.0], tp / pos_risk.size])
+    return _curve_from_counts(tp, fp, pos_risk.size, neg_risk.size)
+
+
+def _curve_from_counts(
+    tp: np.ndarray, fp: np.ndarray, p: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    fpr = np.concatenate([[0.0], fp / n])
+    tpr = np.concatenate([[0.0], tp / p])
     return fpr, tpr
 
 
@@ -220,7 +277,8 @@ def confidence_band(
     Each replicate's curve is evaluated on the shared FPR grid (vertical
     segments read at their top) and its AUC recorded; grid columns and AUC
     values are sorted across replicates and cut at nearest-rank percentiles
-    (1 - confidence) / 2 and 1 - (1 - confidence) / 2.
+    (1 - confidence) / 2 and 1 - (1 - confidence) / 2. Rows are written in
+    place into one B x (grid + 1) matrix, the only copy held.
     """
     config = config or BootstrapConfig()
     _require_both_classes(dataset)
@@ -231,19 +289,19 @@ def confidence_band(
             stacklevel=2,
         )
     grid = config.fpr_grid(dataset.n_count)
+    groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
+    matrix = np.empty((config.iterations, grid.size))
 
-    def one_replicate(
-        pos: np.ndarray, neg: np.ndarray
-    ) -> tuple[np.ndarray, float, bool]:
-        fpr, tpr = curve_arrays(pos, neg)
-        grid_tpr = np.asarray(interp_tpr(fpr, tpr, grid))
+    def one_replicate(index: int) -> tuple[float, bool]:
+        tp, fp = groups.resample_counts(replicate_rng(config.seed, index))
+        fpr, tpr = _curve_from_counts(tp, fp, dataset.p_count, dataset.n_count)
+        matrix[index] = interp_tpr(fpr, tpr, grid)
         degenerate = fpr.size == 2  # origin plus a single tie group: all scores tied
-        return grid_tpr, trapezoid_auc(fpr, tpr), degenerate
+        return trapezoid_auc(fpr, tpr), degenerate
 
-    results = map_replicates(dataset, config, one_replicate)
-    matrix = np.vstack([r[0] for r in results])
-    aucs = np.sort(np.array([r[1] for r in results]))
-    degenerate_count = sum(1 for r in results if r[2])
+    results = _in_index_order(config, one_replicate)
+    aucs = np.sort(np.array([r[0] for r in results]))
+    degenerate_count = sum(1 for r in results if r[1])
 
     matrix.sort(axis=0)
     alpha = 1.0 - config.confidence

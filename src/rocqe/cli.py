@@ -514,7 +514,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--confidence", type=float, default=0.95)
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (fallback: ROCQE_SEED env var, then 0)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="bootstrap threads, capped at the CPU count (default: 1)")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--svg", default=None, help="SVG plot path")
     parser.add_argument("--wmt-root", default=None, help="root of a WMT-style score tree")

@@ -210,13 +210,15 @@ class DecisionReport:
             raise ValueError(f"inverted ci {self.ci}")
 
 
-def _group_stats(
-    pos_risk: np.ndarray, neg_risk: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    risk = np.concatenate([pos_risk, neg_risk])
-    is_positive = np.zeros(risk.size, dtype=bool)
+def _group_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie-group sweep of the positives followed by the negatives.
+
+    That order fixes which member's score names a group mixing 0.0 and -0.0.
+    """
+    pos_risk, neg_risk = dataset.positive_risks, dataset.negative_risks
+    is_positive = np.zeros(dataset.total, dtype=bool)
     is_positive[: pos_risk.size] = True
-    return tie_group_counts(risk, is_positive)
+    return tie_group_counts(np.concatenate([pos_risk, neg_risk]), is_positive)
 
 
 def _pick_largest_within_capacity(
@@ -276,16 +278,12 @@ def scenario1_residual_risk(
     p = dataset.p_count
     capacity = math.floor(review_fraction_x * total + EPS)
 
-    def run(pos: np.ndarray, neg: np.ndarray) -> tuple[Optional[int], float, float]:
-        thresholds, tp, fp = _group_stats(pos, neg)
+    def run(tp: np.ndarray, fp: np.ndarray) -> float:
         idx = _pick_largest_within_capacity(tp, fp, capacity)
-        if idx is None:
-            return None, 0.0, _residual_per_100(0, p, total, review_efficacy)
-        flagged = float(tp[idx] + fp[idx])
-        residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
-        return idx, flagged / total, residual
+        reviewed_tp = 0 if idx is None else int(tp[idx])
+        return _residual_per_100(reviewed_tp, p, total, review_efficacy)
 
-    thresholds, tp, fp = _group_stats(dataset.positive_risks, dataset.negative_risks)
+    thresholds, tp, fp = _group_stats(dataset)
     idx = _pick_largest_within_capacity(tp, fp, capacity)
     notes = [f"review capacity: {capacity} of {total} segments"]
     if idx is None:
@@ -304,9 +302,7 @@ def scenario1_residual_risk(
     ci = None
     if bootstrap is not None:
         if ci_method == "replicate":
-            values = np.sort(
-                np.array([r[2] for r in map_replicates(dataset, bootstrap, run)])
-            )
+            values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
             ci = _percentile_ci(values, bootstrap.confidence)
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
         elif ci_method == "band":
@@ -361,13 +357,11 @@ def scenario2_required_effort(
     p = dataset.p_count
     budget = tolerable_fn_per_100_y / 100.0 * total
 
-    def run(pos: np.ndarray, neg: np.ndarray) -> tuple[Optional[int], bool, float]:
-        thresholds, tp, fp = _group_stats(pos, neg)
-        idx, attained = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
-        fraction = 0.0 if idx is None else float(tp[idx] + fp[idx]) / total
-        return idx, attained, fraction
+    def run(tp: np.ndarray, fp: np.ndarray) -> float:
+        idx, _ = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
+        return 0.0 if idx is None else float(tp[idx] + fp[idx]) / total
 
-    thresholds, tp, fp = _group_stats(dataset.positive_risks, dataset.negative_risks)
+    thresholds, tp, fp = _group_stats(dataset)
     idx, attained = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
     notes = [f"error budget: {budget!r} missed errors in {total} segments"]
     if idx is None:
@@ -386,9 +380,7 @@ def scenario2_required_effort(
 
     ci = None
     if bootstrap is not None:
-        values = np.sort(
-            np.array([r[2] for r in map_replicates(dataset, bootstrap, run)])
-        )
+        values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
         ci = _percentile_ci(values, bootstrap.confidence)
         notes.append("ci covers review_fraction (replicate percentile method)")
     if review_efficacy < 1.0:

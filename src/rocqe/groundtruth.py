@@ -7,6 +7,7 @@ severity cutoff turns the score into a binary label: error-containing
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -61,8 +62,10 @@ class SeverityCutoff:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.threshold > 0:
-            raise ValueError(f"cutoff threshold must be <= 0, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold <= 0):
+            raise ValueError(
+                f"cutoff threshold must be finite and <= 0, got {self.threshold}"
+            )
 
     @classmethod
     def strict_any_error(cls) -> "SeverityCutoff":

@@ -2,7 +2,7 @@
 
 Everything in this module is immutable after construction and safe to share
 across threads. Score comparisons are exact (no epsilon): two segments tie
-if and only if their canonical scores are bit-equal.
+if and only if their canonical scores are value-equal, so 0.0 and -0.0 tie.
 """
 
 from __future__ import annotations

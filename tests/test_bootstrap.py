@@ -13,8 +13,15 @@ from rocqe import (
     replicate_rng,
     resample_stratified,
 )
-from rocqe.bootstrap import curve_arrays, nearest_rank, resample_arrays, trapezoid_auc
-from rocqe.roc import auc
+import rocqe.bootstrap as bootstrap_module
+from rocqe.bootstrap import (
+    TieGroups,
+    curve_arrays,
+    nearest_rank,
+    resample_arrays,
+    trapezoid_auc,
+)
+from rocqe.roc import auc, tie_group_counts
 from helpers import assert_close, make_dataset, random_dataset
 
 
@@ -115,21 +122,128 @@ class TestResampling:
             resample_stratified(ds, replicate_rng(0, 0))
 
 
+def _resampled_counts(pos, neg, seed, index):
+    """Reference replicate: draw by hand, then sort the resample and sweep it."""
+    rng = replicate_rng(seed, index)
+    pos_idx = rng.integers(0, pos.size, size=pos.size)
+    neg_idx = rng.integers(0, neg.size, size=neg.size)
+    is_positive = np.zeros(pos.size + neg.size, dtype=bool)
+    is_positive[: pos.size] = True
+    risk = np.concatenate([pos[pos_idx], neg[neg_idx]])
+    return tie_group_counts(risk, is_positive)[1:]
+
+
+def _counts_as_lists(tp, fp):
+    return tp.tolist(), fp.tolist()
+
+
 class TestMapReplicates:
     def test_results_in_index_order(self, sample10):
         cfg = BootstrapConfig(iterations=16, seed=5)
-        ids = map_replicates(sample10, cfg, lambda p, n: (p.sum(), n.sum()))
-        again = map_replicates(sample10, cfg, lambda p, n: (p.sum(), n.sum()))
-        assert ids == again
+        got = map_replicates(sample10, cfg, _counts_as_lists)
+        assert got == map_replicates(sample10, cfg, _counts_as_lists)
+        pos, neg = sample10.positive_risks, sample10.negative_risks
+        expected = [
+            _counts_as_lists(*_resampled_counts(pos, neg, 5, i)) for i in range(16)
+        ]
+        assert got == expected
 
     def test_parallel_matches_serial(self, sample10):
         serial = map_replicates(
-            sample10, BootstrapConfig(iterations=32, seed=5, workers=1), lambda p, n: p.tolist()
+            sample10, BootstrapConfig(iterations=32, seed=5, workers=1), _counts_as_lists
         )
         parallel = map_replicates(
-            sample10, BootstrapConfig(iterations=32, seed=5, workers=4), lambda p, n: p.tolist()
+            sample10, BootstrapConfig(iterations=32, seed=5, workers=4), _counts_as_lists
         )
         assert serial == parallel
+
+    def test_pool_is_bounded_by_iterations_and_cpus(self, sample10, monkeypatch):
+        # The executor is replaced by a recorder that runs the work inline,
+        # so no thread is ever started whatever the requested worker count.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bootstrap_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bootstrap_module.os, "cpu_count", lambda: 3)
+        serial = map_replicates(sample10, BootstrapConfig(iterations=8, seed=5), _counts_as_lists)
+        assert sizes == []
+        wide = BootstrapConfig(iterations=8, seed=5, workers=10**9)
+        assert map_replicates(sample10, wide, _counts_as_lists) == serial
+        assert confidence_band(sample10, wide) == confidence_band(
+            sample10, BootstrapConfig(iterations=8, seed=5)
+        )
+        few = BootstrapConfig(iterations=2, seed=5, workers=64)
+        map_replicates(sample10, few, _counts_as_lists)
+        monkeypatch.setattr(bootstrap_module.os, "cpu_count", lambda: None)
+        map_replicates(sample10, wide, _counts_as_lists)
+        assert sizes == [3, 3, 2]
+
+
+def _kernel_case(kind, rng):
+    """(positives, negatives) canonical risk arrays of one stress shape."""
+    p = int(rng.integers(1, 25))
+    n = int(rng.integers(1, 25))
+    if kind == "heavy_ties":
+        return rng.integers(0, 4, size=p).astype(float), rng.integers(0, 4, size=n).astype(float)
+    if kind == "signed_zeros":
+        values = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -1.5])
+        return rng.choice(values, size=p), rng.choice(values, size=n)
+    if kind == "single_positive":
+        return rng.normal(size=1), rng.integers(0, 3, size=n).astype(float)
+    if kind == "single_negative":
+        return rng.integers(0, 3, size=p).astype(float), rng.normal(size=1)
+    if kind == "all_tied":
+        return np.full(p, 2.5), np.full(n, 2.5)
+    return rng.normal(size=p), rng.normal(size=n)
+
+
+class TestTieGroups:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "heavy_ties",
+            "signed_zeros",
+            "single_positive",
+            "single_negative",
+            "all_tied",
+            "continuous",
+        ],
+    )
+    def test_counts_equal_a_sorted_sweep_of_the_resample(self, kind):
+        rng = np.random.default_rng(41)
+        for seed in range(40):
+            pos, neg = _kernel_case(kind, rng)
+            groups = TieGroups.of(pos, neg)
+            for index in range(6):
+                tp, fp = groups.resample_counts(replicate_rng(seed, index))
+                ref_tp, ref_fp = _resampled_counts(pos, neg, seed, index)
+                assert tp.dtype == ref_tp.dtype and fp.dtype == ref_fp.dtype
+                assert np.array_equal(tp, ref_tp), (kind, seed, index)
+                assert np.array_equal(fp, ref_fp), (kind, seed, index)
+                assert (tp[-1], fp[-1]) == (pos.size, neg.size)
+
+    def test_signed_zeros_share_one_group(self):
+        groups = TieGroups.of(np.array([0.0, 1.0]), np.array([-0.0, 0.0]))
+        assert groups.count == 2
+        assert groups.pos_group.tolist() == [1, 0]
+        assert groups.neg_group.tolist() == [1, 1]
+
+    def test_all_tied_replicate_is_one_group(self):
+        groups = TieGroups.of(np.full(3, 1.0), np.full(4, 1.0))
+        tp, fp = groups.resample_counts(replicate_rng(0, 0))
+        assert tp.tolist() == [3] and fp.tolist() == [4]
 
 
 class TestCurveArrays:

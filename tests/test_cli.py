@@ -70,6 +70,13 @@ class TestExitCodes:
         assert code == 4
         assert "config error" in err
 
+    @pytest.mark.parametrize("cutoff", ["custom:nan", "custom:-inf"])
+    def test_non_finite_custom_cutoff_returns_four(self, cutoff, capsys):
+        code, out, err = run_cli(["diagnose", *BASE, "--cutoff", cutoff], capsys)
+        assert code == 4
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_flag_returns_four(self, capsys):
         code, _, _ = run_cli(["roc", *BASE, "--frobnicate"], capsys)
         assert code == 4

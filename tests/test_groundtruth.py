@@ -83,6 +83,11 @@ class TestCutoffs:
         with pytest.raises(ValueError, match="threshold"):
             SeverityCutoff.custom(0.5)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -float("inf"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            SeverityCutoff.custom(threshold)
+
     def test_positive_score_warns_but_labels_negative(self):
         with pytest.warns(UserWarning, match="positive"):
             assert label(2.0, STRICT_ANY_ERROR) is Label.NEGATIVE

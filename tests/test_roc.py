@@ -81,6 +81,16 @@ class TestBuildRoc:
         assert [(v.fpr, v.tpr) for v in curve.vertices] == [(0.0, 0.0), (1.0, 1.0)]
         assert curve.vertices[-1].threshold == 1.0
 
+    def test_signed_zeros_tie(self):
+        # Ties are value-equal, not bit-equal: 0.0 and -0.0 form one group.
+        ds = make_dataset([0.0, -0.0, 1.0, -0.0], [True, False, True, False])
+        curve = build_roc(ds)
+        assert [(v.fpr, v.tpr) for v in curve.vertices] == [
+            (0.0, 0.0),
+            (0.0, 0.5),
+            (1.0, 1.0),
+        ]
+
     def test_degenerate_raises(self):
         ds = make_dataset([1.0, 2.0], [True, True])
         with pytest.raises(DegenerateClassError):
@@ -221,6 +231,20 @@ class TestInterpTpr:
         tpr = np.array([0.0, 0.6, 0.8, 1.0])
         assert interp_tpr(fpr, tpr, 0.0) == 0.6
         assert_close(float(interp_tpr(fpr, tpr, 0.25)), 0.7)
+
+    def test_dense_grid_matches_pointwise_reading(self):
+        # A grid denser than the curve takes the counting search; every value
+        # must equal, bit for bit, a plain per-point reading of the polyline.
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            curve = build_roc(random_dataset(rng, max_size=60))
+            fpr, tpr = curve.fpr, curve.tpr
+            grid = np.linspace(0.0, 1.0, int(rng.integers(2, 200)))
+            expected = [_read_polyline(fpr.tolist(), tpr.tolist(), q) for q in grid.tolist()]
+            assert np.asarray(interp_tpr(fpr, tpr, grid)).tolist() == expected
+            shuffled = rng.permutation(grid)
+            got = np.asarray(interp_tpr(fpr, tpr, shuffled)).tolist()
+            assert got == [_read_polyline(fpr.tolist(), tpr.tolist(), q) for q in shuffled]
 
     def test_on_curve_vertices(self, sample10):
         curve = build_roc(sample10)
@@ -385,3 +409,13 @@ def riskb_dataset(sample10_paths, riskb_path):
 
     records, _ = parse_canonical_tsv(sample10_paths[0], riskb_path, "riskb")
     return to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "riskb")
+
+
+def _read_polyline(fpr, tpr, q):
+    """TPR at one fpr: top of a vertical there, else on the segment across it."""
+    q = min(max(q, fpr[0]), fpr[-1])
+    i = max(j for j, f in enumerate(fpr) if f <= q)  # top of the vertical at fpr[i]
+    if fpr[i] == q:
+        return tpr[i]
+    j = i + 1  # bottom of the next vertical
+    return tpr[i] + (q - fpr[i]) / (fpr[j] - fpr[i]) * (tpr[j] - tpr[i])
