@@ -123,14 +123,11 @@ class TestResampling:
 
 
 def _resampled_counts(pos, neg, seed, index):
-    """Reference replicate: draw by hand, then sort the resample and sweep it."""
-    rng = replicate_rng(seed, index)
-    pos_idx = rng.integers(0, pos.size, size=pos.size)
-    neg_idx = rng.integers(0, neg.size, size=neg.size)
+    """Reference replicate: resample the scores, then sort and sweep them."""
+    pos_sample, neg_sample = resample_arrays(pos, neg, replicate_rng(seed, index))
     is_positive = np.zeros(pos.size + neg.size, dtype=bool)
     is_positive[: pos.size] = True
-    risk = np.concatenate([pos[pos_idx], neg[neg_idx]])
-    return tie_group_counts(risk, is_positive)[1:]
+    return tie_group_counts(np.concatenate([pos_sample, neg_sample]), is_positive)[1:]
 
 
 def _counts_as_lists(tp, fp):
@@ -196,7 +193,7 @@ def _kernel_case(kind, rng):
     p = int(rng.integers(1, 25))
     n = int(rng.integers(1, 25))
     if kind == "heavy_ties":
-        return rng.integers(0, 4, size=p).astype(float), rng.integers(0, 4, size=n).astype(float)
+        return rng.integers(0, 4, size=p) * 1.0, rng.integers(0, 4, size=n) * 1.0
     if kind == "signed_zeros":
         values = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -1.5])
         return rng.choice(values, size=p), rng.choice(values, size=n)
@@ -233,17 +230,6 @@ class TestTieGroups:
                 assert np.array_equal(tp, ref_tp), (kind, seed, index)
                 assert np.array_equal(fp, ref_fp), (kind, seed, index)
                 assert (tp[-1], fp[-1]) == (pos.size, neg.size)
-
-    def test_signed_zeros_share_one_group(self):
-        groups = TieGroups.of(np.array([0.0, 1.0]), np.array([-0.0, 0.0]))
-        assert groups.count == 2
-        assert groups.pos_group.tolist() == [1, 0]
-        assert groups.neg_group.tolist() == [1, 1]
-
-    def test_all_tied_replicate_is_one_group(self):
-        groups = TieGroups.of(np.full(3, 1.0), np.full(4, 1.0))
-        tp, fp = groups.resample_counts(replicate_rng(0, 0))
-        assert tp.tolist() == [3] and fp.tolist() == [4]
 
 
 class TestCurveArrays:
