@@ -166,17 +166,25 @@ def map_replicates(
     any statistic layered on the same seed sees the same resamples as the
     confidence band does.
     """
+    return _map_indexed(dataset, config, lambda _, tp, fp: stat_fn(tp, fp))
+
+
+def _map_indexed(
+    dataset: Dataset,
+    config: BootstrapConfig,
+    fn: Callable[[int, np.ndarray, np.ndarray], T],
+) -> list[T]:
+    """``fn(index, tp, fp)`` for every replicate, in index order.
+
+    The one place a replicate is drawn and counted; runs on a thread pool
+    of at most min(workers, iterations, CPU count) threads.
+    """
     _require_both_classes(dataset)
     groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
 
     def run(index: int) -> T:
-        return stat_fn(*groups.resample_counts(replicate_rng(config.seed, index)))
+        return fn(index, *groups.resample_counts(replicate_rng(config.seed, index)))
 
-    return _in_index_order(config, run)
-
-
-def _in_index_order(config: BootstrapConfig, run: Callable[[int], T]) -> list[T]:
-    """``run(i)`` for every replicate index, on at most one thread per CPU."""
     indices = range(config.iterations)
     workers = min(config.workers, config.iterations, os.cpu_count() or 1)
     if workers == 1:
@@ -289,17 +297,17 @@ def confidence_band(
             stacklevel=2,
         )
     grid = config.fpr_grid(dataset.n_count)
-    groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
     matrix = np.empty((config.iterations, grid.size))
 
-    def one_replicate(index: int) -> tuple[float, bool]:
-        tp, fp = groups.resample_counts(replicate_rng(config.seed, index))
+    def one_replicate(
+        index: int, tp: np.ndarray, fp: np.ndarray
+    ) -> tuple[float, bool]:
         fpr, tpr = _curve_from_counts(tp, fp, dataset.p_count, dataset.n_count)
         matrix[index] = interp_tpr(fpr, tpr, grid)
         degenerate = fpr.size == 2  # origin plus a single tie group: all scores tied
         return trapezoid_auc(fpr, tpr), degenerate
 
-    results = _in_index_order(config, one_replicate)
+    results = _map_indexed(dataset, config, one_replicate)
     aucs = np.sort(np.array([r[0] for r in results]))
     degenerate_count = sum(1 for r in results if r[1])
 

@@ -213,28 +213,14 @@ def interp_tpr(
     q = np.asarray(at, dtype=np.float64)
     scalar = q.ndim == 0
     q1 = np.clip(np.atleast_1d(q), x[0], x[-1])
-    k = _last_at_or_below(x, q1)
-    k_next = np.minimum(k + 1, x.size - 1)
-    x_k = x[k]
-    top_k = top[k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Only read where q1 > x_k, where k_next is the next vertex.
-        between = top_k + (q1 - x_k) / (x[k_next] - x_k) * (bottom[k_next] - top_k)
-    out = np.where(q1 > x_k, between, top_k)
+    k = np.clip(np.searchsorted(x, q1, side="right") - 1, 0, x.size - 1)
+    out = top[k].copy()
+    inside = q1 > x[k]
+    if np.any(inside):
+        ki = k[inside]
+        frac = (q1[inside] - x[ki]) / (x[ki + 1] - x[ki])
+        out[inside] = top[ki] + frac * (bottom[ki + 1] - top[ki])
     return float(out[0]) if scalar else out
-
-
-def _last_at_or_below(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Index of the last x <= q, for strictly increasing x and every q >= x[0].
-
-    A dense ascending grid (a bootstrap band's) is answered by searching the
-    few vertices in the grid and counting, instead of one search per query;
-    both give the same indices.
-    """
-    if q.size > x.size and np.all(q[1:] >= q[:-1]):
-        at_or_below = np.bincount(np.searchsorted(q, x), minlength=q.size + 1)
-        return np.cumsum(at_or_below[: q.size]) - 1
-    return np.searchsorted(x, q, side="right") - 1
 
 
 def curve_tpr_at(curve: RocCurve, at: np.ndarray | float) -> np.ndarray | float:
