@@ -233,7 +233,7 @@ class TestInterpTpr:
         assert_close(float(interp_tpr(fpr, tpr, 0.25)), 0.7)
 
     def test_dense_grid_matches_pointwise_reading(self):
-        # A grid denser than the curve takes the counting search; every value
+        # On a grid denser than the curve, ascending or shuffled, every value
         # must equal, bit for bit, a plain per-point reading of the polyline.
         rng = np.random.default_rng(77)
         for _ in range(60):
