@@ -11,13 +11,13 @@ Exit codes: 0 success, 2 input error, 3 degenerate data, 4 config error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,38 +204,134 @@ def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
             loaded.datasets[metric] = Dataset.from_segments(kept, ds.orientation)
 
 
-def _sanitize(obj):
-    """Make an object JSON-safe and deterministic (no NaN/inf, no numpy)."""
+_INDENT = "  "
+_ROWS_PER_BLOCK = 4096
+
+
+class _Rows:
+    """A list of same-keyed dicts handed to the encoder as columns.
+
+    Encodes exactly like ``[{key: column[i] for key in columns} for i ...]``
+    but formats each numeric column once instead of visiting every cell.
+    """
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        self.columns = {key: np.asarray(col) for key, col in columns.items()}
+        shapes = {col.shape for col in self.columns.values()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError("row columns must be 1-d arrays of one length")
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return f'"{value!r}"'  # "nan", "inf" or "-inf"
+
+
+def _array_texts(values: np.ndarray) -> list[str]:
+    """JSON text of every element of a 1-d numeric array."""
+    if values.dtype.kind in "iu":
+        return list(map(int.__repr__, values.tolist()))
+    if values.dtype.kind != "f":
+        raise TypeError(f"cannot encode a {values.dtype} column")
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _float_text(float(values[i]))
+    return texts
+
+
+def _encode(obj, level: int) -> Iterator[str]:
+    """JSON text of ``obj`` in pieces, nested ``level`` deep in the report.
+
+    The text matches ``json.dumps(..., sort_keys=True, indent=2)`` with
+    enums given by value, numpy scalars and arrays as Python numbers and
+    lists, tuples as lists, dict keys through ``str``, and NaN/+-inf
+    written as the strings "nan", "inf" and "-inf".
+    """
     if isinstance(obj, Enum):
-        return obj.value
+        obj = obj.value
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+        items = {str(key): value for key, value in obj.items()}
+        separator = "{"
+        for key in sorted(items):
+            yield separator + _newline(level + 1) + encode_basestring_ascii(key) + ": "
+            yield from _encode(items[key], level + 1)
+            separator = ","
+        yield "{}" if not items else _newline(level) + "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iuf":
+        yield _bracket("[", _array_texts(obj), "]", level)
+    elif isinstance(obj, np.ndarray):
+        yield from _encode(obj.tolist(), level)
+    elif isinstance(obj, (list, tuple)):
+        separator = "["
+        for value in obj:
+            yield separator + _newline(level + 1)
+            yield from _encode(value, level + 1)
+            separator = ","
+        yield "[]" if not obj else _newline(level) + "]"
+    elif isinstance(obj, _Rows):
+        # One %-template per row: the dict text with every value left open.
+        keys = sorted(obj.columns)
+        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+        template = _bracket("{", fields, "}", level + 1)
+        size = len(next(iter(obj.columns.values()), ()))
+        separator = "["
+        # Rows go out in blocks, so only one block's cell texts are alive.
+        for start in range(0, size, _ROWS_PER_BLOCK):
+            block = slice(start, start + _ROWS_PER_BLOCK)
+            columns = [_array_texts(obj.columns[key][block]) for key in keys]
+            rows = map(template.__mod__, zip(*columns))
+            yield separator + _newline(level + 1) + ("," + _newline(level + 1)).join(rows)
+            separator = ","
+        yield "[]" if not size else _newline(level) + "]"
+    else:
+        yield _leaf_text(obj)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _leaf_text(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(float(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _newline(level: int) -> str:
+    return "\n" + _INDENT * level
+
+
+def _bracket(opening: str, items: list[str], closing: str, level: int) -> str:
+    """A JSON list or object around already-encoded items."""
+    if not items:
+        return opening + closing
+    inner = "," + _newline(level + 1)
+    return opening + _newline(level + 1) + inner.join(items) + _newline(level) + closing
+
+
+def _json_chunks(document) -> Iterator[str]:
+    """The report text of ``document`` in pieces, newline-terminated."""
+    yield from _encode(document, 0)
+    yield "\n"
+
+
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
-                 seed: Optional[int], results: dict, findings: dict) -> str:
+                 seed: Optional[int], results: dict, findings: dict) -> Iterator[str]:
     config = {
         "command": command,
         "cutoff": loaded.cutoff.describe(),
@@ -268,23 +364,20 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
         "notes": list(loaded.notes),
         "results": results,
     }
-    return json.dumps(_sanitize(document), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_chunks(document)
 
 
-def _vertex_dict(curve: RocCurve) -> list[dict]:
-    return [
-        {
-            "fpr": v.fpr,
-            "tpr": v.tpr,
-            "threshold": v.threshold,
-            "threshold_raw": v.threshold_raw,
-            "tp": v.counts.tp,
-            "fn": v.counts.fn,
-            "fp": v.counts.fp,
-            "tn": v.counts.tn,
-        }
-        for v in curve.vertices
-    ]
+def _vertex_rows(curve: RocCurve) -> _Rows:
+    return _Rows(
+        fpr=curve.fpr,
+        tpr=curve.tpr,
+        threshold=curve.thresholds,
+        threshold_raw=curve.thresholds_raw,
+        tp=curve.tp,
+        fn=curve.p_count - curve.tp,
+        fp=curve.fp,
+        tn=curve.n_count - curve.fp,
+    )
 
 
 def _band_dict(band: ConfidenceBand) -> dict:
@@ -335,18 +428,15 @@ def cmd_roc(args: argparse.Namespace) -> int:
             metric_findings.extend(check_band(band))
         results["metrics"][metric] = {
             "auc": auc(curve),
-            "vertices": _vertex_dict(curve),
-            "pr_points": [
-                {"recall": p.recall, "precision": p.precision, "threshold": p.threshold}
-                for p in pr_points(curve)
-            ],
+            "vertices": _vertex_rows(curve),
+            "pr_points": _Rows(**pr_points(curve)._asdict()),
             "band": _band_dict(band) if band is not None else None,
         }
         findings[metric] = [asdict(f) for f in metric_findings]
         series.append(SvgSeries(metric, curve, band))
 
     if args.svg:
-        _emit(render_roc_svg(series), args.svg)
+        _emit([render_roc_svg(series)], args.svg)
     _emit(_report_json("roc", args, loaded, seed, results, findings), args.out)
     return 0
 
@@ -372,7 +462,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines.append(row_line(top))
     lines.extend(row_line(row) for row in table.rows)
     lines.append(row_line(bottom))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -441,14 +531,14 @@ def cmd_hull(args: argparse.Namespace) -> int:
                 for v in hull.vertices
             ],
         },
-        "metrics": {m: {"auc": auc(c), "vertices": _vertex_dict(c)} for m, c in curves},
+        "metrics": {m: {"auc": auc(c), "vertices": _vertex_rows(c)} for m, c in curves},
     }
     findings = {
         m: [asdict(f) for f in check_sample(loaded.datasets[m])] for m in loaded.metrics
     }
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
-        _emit(render_roc_svg(series, hull=hull), args.svg)
+        _emit([render_roc_svg(series, hull=hull)], args.svg)
     _emit(_report_json("hull", args, loaded, _resolve_seed(args), results, findings), args.out)
     return 0
 
@@ -574,16 +664,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IngestError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteScoreError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except GroundTruthMismatchError as exc:
+    except (
+        IngestError, FileNotFoundError, NonFiniteScoreError, GroundTruthMismatchError
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DegenerateClassError as exc:

@@ -415,26 +415,24 @@ def optimal_threshold(
         ratio = ClassRatio(float(curve.p_count), float(curve.n_count))
     m = (trade_off.fp_unit_cost * ratio.n) / (trade_off.fn_unit_cost * ratio.p)
 
-    best = curve.vertices[0]
-    best_objective = best.tpr - m * best.fpr
-    for vertex in curve.vertices[1:]:
-        objective = vertex.tpr - m * vertex.fpr
-        if objective > best_objective:
-            best, best_objective = vertex, objective
+    # argmax takes the first maximum: exact ties go to the lower-fpr vertex.
+    objective = curve.tpr - m * curve.fpr
+    best = int(np.argmax(objective))
+    tp, fp = int(curve.tp[best]), int(curve.fp[best])
+    threshold = float(curve.thresholds[best])
 
     total = curve.p_count + curve.n_count
-    flagged = best.counts.tp + best.counts.fp
     return DecisionReport(
         scenario=Scenario.OPTIMAL_THRESHOLD,
-        threshold_raw=best.threshold_raw,
-        threshold_canonical=best.threshold,
-        review_fraction=flagged / total,
-        residual_fn_per_100=100.0 * best.counts.fn / total,
+        threshold_raw=raw_threshold(threshold, curve.orientation),
+        threshold_canonical=threshold,
+        review_fraction=(tp + fp) / total,
+        residual_fn_per_100=100.0 * (curve.p_count - tp) / total,
         ci=None,
         notes=(
             f"iso-performance slope m = {m!r}",
-            f"objective tpr - m*fpr = {best_objective!r} at "
-            f"(fpr={best.fpr!r}, tpr={best.tpr!r})",
+            f"objective tpr - m*fpr = {float(objective[best])!r} at "
+            f"(fpr={float(curve.fpr[best])!r}, tpr={float(curve.tpr[best])!r})",
         ),
     )
 

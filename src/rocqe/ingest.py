@@ -21,6 +21,10 @@ from .model import Dataset, Label, Orientation, ScoredSegment
 # numerics. Conventions vary across metric dumps; these are the observed ones.
 MISSING_MARKERS = frozenset({"", "None", "NA"})
 
+# Malformed lines named one by one in an ingest report; the rest are only
+# counted, in one closing warning. The skip counters stay exact.
+MAX_WARNINGS = 20
+
 
 class IngestError(ValueError):
     """Raised for unrecoverable input problems (structure, duplicates)."""
@@ -92,14 +96,15 @@ def _read_two_column(
     """Read a `key<TAB>value` file: (rows, malformed_count, warnings).
 
     Line 1 is treated as a header when its second field is neither numeric
-    nor a missing marker. Blank lines are ignored. Duplicate keys are always
-    a hard error; malformed lines are skipped with a warning, or raised in
-    strict mode.
+    nor a missing marker. Blank lines are ignored, and so is a leading UTF-8
+    byte order mark. Duplicate keys are always a hard error; malformed lines
+    are skipped, or raised in strict mode. Only the first ``MAX_WARNINGS``
+    of them get a warning; ``malformed_count`` counts them all.
     """
     rows: dict[str, Optional[float]] = {}
     malformed = 0
     notes: list[str] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw_line in enumerate(handle, 1):
             line = raw_line.rstrip("\r\n")
             if not line.strip():
@@ -128,7 +133,8 @@ def _read_two_column(
                 if strict:
                     raise IngestError(message)
                 malformed += 1
-                notes.append(message)
+                if len(notes) < MAX_WARNINGS:
+                    notes.append(message)
     return rows, malformed, notes
 
 
@@ -170,9 +176,17 @@ def parse_canonical_tsv(
         skipped_missing_gold=missing_gold,
         skipped_missing_score=missing_score,
         skipped_malformed=gold_bad + score_bad,
-        warnings=tuple(gold_notes + score_notes),
+        warnings=_capped_warnings(gold_notes + score_notes, gold_bad + score_bad),
     )
     return records, report
+
+
+def _capped_warnings(notes: list[str], malformed: int) -> tuple[str, ...]:
+    """The first ``MAX_WARNINGS`` notes, then a count of the malformed lines left."""
+    shown = notes[:MAX_WARNINGS]
+    if malformed > len(shown):
+        shown.append(f"... and {malformed - len(shown)} more malformed lines")
+    return tuple(shown)
 
 
 def _read_system_column(path: str) -> dict[str, list[Optional[float]]]:
@@ -180,10 +194,10 @@ def _read_system_column(path: str) -> dict[str, list[Optional[float]]]:
 
     Line order within a system is the segment order; any structural problem
     is a hard error because positional alignment cannot survive dropped
-    lines.
+    lines. A leading UTF-8 byte order mark is ignored.
     """
     sequences: dict[str, list[Optional[float]]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw_line in enumerate(handle, 1):
             line = raw_line.rstrip("\r\n")
             if not line.strip():

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,45 +76,102 @@ class RocVertex:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """Ordered ROC vertices for one score column over one ground truth.
 
-    The first vertex is (0, 0) with a +inf threshold (nothing flagged); the
-    last is (1, 1), reached at the best score present since flagging is
-    inclusive. Thresholds strictly decrease, fpr and tpr never decrease, and
-    consecutive vertices never coincide.
+    Held as parallel arrays, one entry per vertex: canonical ``thresholds``
+    and cumulative ``tp``/``fp`` counts. The first vertex is (0, 0) with a
+    +inf threshold (nothing flagged); the last is (1, 1), reached at the best
+    score present since flagging is inclusive. Thresholds strictly decrease,
+    fpr and tpr never decrease, and consecutive vertices never coincide.
+    ``vertices`` builds the per-vertex objects on first access.
     """
 
-    vertices: tuple[RocVertex, ...]
+    thresholds: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
     p_count: int
     n_count: int
     fingerprint: str
     orientation: Orientation = Orientation.HIGHER_IS_WORSE
 
     def __post_init__(self) -> None:
-        v = self.vertices
-        if len(v) < 2:
+        thresholds = _frozen(np.array(self.thresholds, dtype=np.float64))
+        tp = _frozen(np.array(self.tp))
+        fp = _frozen(np.array(self.fp))
+        for name, counts in (("tp", tp), ("fp", fp)):
+            if counts.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integer counts, got {counts.dtype}")
+        if not (thresholds.ndim == 1 and thresholds.shape == tp.shape == fp.shape):
+            raise ValueError("thresholds, tp and fp must be 1-d arrays of one length")
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "tp", tp)
+        object.__setattr__(self, "fp", fp)
+        if self.p_count <= 0 or self.n_count <= 0:
+            raise DegenerateClassError(
+                f"a curve needs both classes, got P={self.p_count}, N={self.n_count}"
+            )
+        if thresholds.size < 2:
             raise ValueError("a curve needs at least the two endpoint vertices")
-        if (v[0].fpr, v[0].tpr) != (0.0, 0.0) or v[0].threshold != math.inf:
+        if (tp[0], fp[0]) != (0, 0) or thresholds[0] != math.inf:
             raise ValueError("curve must start at (0, 0) with a +inf threshold")
-        if (v[-1].fpr, v[-1].tpr) != (1.0, 1.0):
+        if (tp[-1], fp[-1]) != (self.p_count, self.n_count):
             raise ValueError("curve must end at (1, 1)")
-        for a, b in zip(v, v[1:]):
-            if b.fpr < a.fpr or b.tpr < a.tpr:
-                raise ValueError("fpr and tpr must be non-decreasing along the curve")
-            if b.fpr == a.fpr and b.tpr == a.tpr:
-                raise ValueError("coincident consecutive vertices")
-            if not b.threshold < a.threshold:
-                raise ValueError("thresholds must strictly decrease along the curve")
+        d_tp, d_fp = np.diff(tp), np.diff(fp)
+        bad = np.stack(
+            [
+                (d_tp < 0) | (d_fp < 0),
+                (d_tp == 0) & (d_fp == 0),
+                ~(thresholds[1:] < thresholds[:-1]),
+            ]
+        )
+        if bad.any():
+            # Report the first offending pair, and its first broken rule.
+            pair = int(np.argmax(bad.any(axis=0)))
+            raise ValueError(_CURVE_RULES[int(np.argmax(bad[:, pair]))])
 
-    @property
+    @cached_property
     def fpr(self) -> np.ndarray:
-        return np.array([v.fpr for v in self.vertices])
+        return _frozen(self.fp / self.n_count)
 
-    @property
+    @cached_property
     def tpr(self) -> np.ndarray:
-        return np.array([v.tpr for v in self.vertices])
+        return _frozen(self.tp / self.p_count)
+
+    @cached_property
+    def thresholds_raw(self) -> np.ndarray:
+        """Thresholds on the raw score scale, vertex for vertex."""
+        if self.orientation is Orientation.HIGHER_IS_BETTER:
+            return _frozen(-self.thresholds)
+        return self.thresholds
+
+    @cached_property
+    def vertices(self) -> tuple[RocVertex, ...]:
+        p, n = self.p_count, self.n_count
+        return tuple(
+            RocVertex(fpr, tpr, t, raw, ConfusionCounts(tp, p - tp, fp, n - fp))
+            for fpr, tpr, t, raw, tp, fp in zip(
+                self.fpr.tolist(),
+                self.tpr.tolist(),
+                self.thresholds.tolist(),
+                self.thresholds_raw.tolist(),
+                self.tp.tolist(),
+                self.fp.tolist(),
+            )
+        )
+
+
+_CURVE_RULES = (
+    "fpr and tpr must be non-decreasing along the curve",
+    "coincident consecutive vertices",
+    "thresholds must strictly decrease along the curve",
+)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def build_roc(dataset: Dataset) -> RocCurve:
@@ -131,36 +189,23 @@ def build_roc(dataset: Dataset) -> RocCurve:
             "dataset"
         )
     thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
-    vertices = [
-        RocVertex(
-            0.0,
-            0.0,
-            math.inf,
-            raw_threshold(math.inf, dataset.orientation),
-            ConfusionCounts(0, p, 0, n),
-        )
-    ]
-    for t, tp_i, fp_i in zip(thresholds, tp, fp):
-        counts = ConfusionCounts(int(tp_i), p - int(tp_i), int(fp_i), n - int(fp_i))
-        vertices.append(
-            RocVertex(
-                counts.fp / n,
-                counts.tp / p,
-                float(t),
-                raw_threshold(float(t), dataset.orientation),
-                counts,
-            )
-        )
     return RocCurve(
-        tuple(vertices), p, n, dataset.fingerprint, dataset.orientation
+        np.concatenate(([math.inf], thresholds)),
+        np.concatenate(([0], tp)),
+        np.concatenate(([0], fp)),
+        p,
+        n,
+        dataset.fingerprint,
+        dataset.orientation,
     )
 
 
 def auc(curve: RocCurve) -> float:
     """Trapezoidal area under the curve, in [0, 1]."""
+    fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
     total = 0.0
-    for a, b in zip(curve.vertices, curve.vertices[1:]):
-        total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
+    for f0, f1, t0, t1 in zip(fpr, fpr[1:], tpr, tpr[1:]):
+        total += (f1 - f0) * (t0 + t1) / 2.0
     return total
 
 
@@ -177,17 +222,18 @@ def partial_auc(
         raise ValueError(
             f"need 0 <= fpr_lo < fpr_hi <= 1, got ({fpr_lo}, {fpr_hi})"
         )
+    fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
     raw = 0.0
-    for a, b in zip(curve.vertices, curve.vertices[1:]):
-        if b.fpr <= fpr_lo or a.fpr >= fpr_hi:
+    for a_fpr, b_fpr, a_tpr, b_tpr in zip(fpr, fpr[1:], tpr, tpr[1:]):
+        if b_fpr <= fpr_lo or a_fpr >= fpr_hi:
             continue
-        x0 = max(a.fpr, fpr_lo)
-        x1 = min(b.fpr, fpr_hi)
+        x0 = max(a_fpr, fpr_lo)
+        x1 = min(b_fpr, fpr_hi)
         if x1 <= x0:
             continue
-        span = b.fpr - a.fpr
-        t0 = a.tpr + (b.tpr - a.tpr) * (x0 - a.fpr) / span
-        t1 = a.tpr + (b.tpr - a.tpr) * (x1 - a.fpr) / span
+        span = b_fpr - a_fpr
+        t0 = a_tpr + (b_tpr - a_tpr) * (x0 - a_fpr) / span
+        t1 = a_tpr + (b_tpr - a_tpr) * (x1 - a_fpr) / span
         raw += (x1 - x0) * (t0 + t1) / 2.0
     return raw, raw / (fpr_hi - fpr_lo)
 
@@ -293,16 +339,20 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
             )
 
     rank = {
-        name: (len(curve.vertices), name) for name, curve in curves
+        name: (curve.thresholds.size, name) for name, curve in curves
     }
     best_at_point: dict[tuple[float, float], HullVertex] = {}
     for name, curve in curves:
-        for v in curve.vertices:
-            key = (v.fpr, v.tpr)
-            candidate = HullVertex(v.fpr, v.tpr, name, v.threshold, v.threshold_raw)
+        for fpr, tpr, t, raw in zip(
+            curve.fpr.tolist(),
+            curve.tpr.tolist(),
+            curve.thresholds.tolist(),
+            curve.thresholds_raw.tolist(),
+        ):
+            key = (fpr, tpr)
             held = best_at_point.get(key)
             if held is None or rank[name] < rank[held.source_system]:
-                best_at_point[key] = candidate
+                best_at_point[key] = HullVertex(fpr, tpr, name, t, raw)
 
     origin = best_at_point[(0.0, 0.0)]
     # Only the highest point at each fpr can lie on the upper envelope.
@@ -321,46 +371,46 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
     return RocHull(tuple(hull), first.p_count, first.n_count, first.fingerprint)
 
 
-@dataclass(frozen=True)
-class PrPoint:
-    recall: float
-    precision: float
-    threshold: float
+class PrPoints(NamedTuple):
+    """Precision/recall at the curve's vertices, as parallel arrays."""
+
+    recall: np.ndarray
+    precision: np.ndarray
+    threshold: np.ndarray
 
 
-def pr_points(curve: RocCurve) -> list[PrPoint]:
+def pr_points(curve: RocCurve) -> PrPoints:
     """Precision/recall at every vertex where precision is defined.
 
     The (0, 0) origin flags nothing, leaving precision undefined; that point
     is skipped rather than given a made-up value.
     """
-    points = []
-    for v in curve.vertices:
-        flagged = v.counts.tp + v.counts.fp
-        if flagged == 0:
-            continue
-        points.append(PrPoint(v.tpr, v.counts.tp / flagged, v.threshold))
-    return points
+    flagged = curve.tp + curve.fp
+    keep = flagged > 0
+    return PrPoints(
+        curve.tpr[keep], curve.tp[keep] / flagged[keep], curve.thresholds[keep]
+    )
 
 
 def f1_at(curve: RocCurve, threshold: float) -> float:
     """F1 score at the vertex whose canonical threshold matches exactly."""
-    for v in curve.vertices:
-        if v.threshold == threshold:
-            flagged = v.counts.tp + v.counts.fp
-            if flagged == 0:
-                raise ValueError(
-                    f"F1 undefined at threshold {threshold!r}: nothing is flagged"
-                )
-            precision = v.counts.tp / flagged
-            recall = v.tpr
-            if precision + recall == 0:
-                raise ValueError(
-                    f"F1 undefined at threshold {threshold!r}: precision and "
-                    "recall are both zero"
-                )
-            return 2.0 * precision * recall / (precision + recall)
-    available = [v.threshold for v in curve.vertices]
-    raise ValueError(
-        f"no vertex at canonical threshold {threshold!r}; thresholds: {available}"
-    )
+    hits = np.flatnonzero(curve.thresholds == threshold)
+    if hits.size == 0:
+        raise ValueError(
+            f"no vertex at canonical threshold {threshold!r}; thresholds: "
+            f"{curve.thresholds.tolist()}"
+        )
+    i = int(hits[0])
+    tp, flagged = int(curve.tp[i]), int(curve.tp[i] + curve.fp[i])
+    if flagged == 0:
+        raise ValueError(
+            f"F1 undefined at threshold {threshold!r}: nothing is flagged"
+        )
+    precision = tp / flagged
+    recall = tp / curve.p_count
+    if precision + recall == 0:
+        raise ValueError(
+            f"F1 undefined at threshold {threshold!r}: precision and "
+            "recall are both zero"
+        )
+    return 2.0 * precision * recall / (precision + recall)

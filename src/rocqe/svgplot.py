@@ -44,7 +44,10 @@ def _fmt(value: float) -> str:
 
 
 def _polyline(fprs: Sequence[float], tprs: Sequence[float]) -> str:
-    return " ".join(f"{_fmt(_x(f))},{_fmt(_y(t))}" for f, t in zip(fprs, tprs))
+    # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
+    xs = MARGIN + np.asarray(fprs, dtype=np.float64) * (WIDTH - 2 * MARGIN)
+    ys = HEIGHT - MARGIN - np.asarray(tprs, dtype=np.float64) * (HEIGHT - 2 * MARGIN)
+    return " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def _band_polygon(band: ConfidenceBand) -> str:
@@ -113,16 +116,14 @@ def render_roc_svg(
                 f'<polygon points="{_band_polygon(item.band)}" fill="{color}" '
                 'fill-opacity="0.15" stroke="none"/>'
             )
-        fprs = [v.fpr for v in item.curve.vertices]
-        tprs = [v.tpr for v in item.curve.vertices]
         parts.append(
-            f'<polyline points="{_polyline(fprs, tprs)}" fill="none" '
+            f'<polyline points="{_polyline(item.curve.fpr, item.curve.tpr)}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'
         )
 
     if hull is not None:
         parts.append(
-            f'<polyline points="{_polyline(list(hull.fpr), list(hull.tpr))}" '
+            f'<polyline points="{_polyline(hull.fpr, hull.tpr)}" '
             f'fill="none" stroke="{HULL_COLOR}" stroke-width="2" '
             'stroke-dasharray="2,3"/>'
         )

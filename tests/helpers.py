@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -99,3 +101,34 @@ def brute_force_counts(dataset: Dataset, threshold: float) -> tuple[int, int]:
 
 def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
     assert math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol, (a, b)
+
+
+def sanitize(obj):
+    """Make an object JSON-safe and deterministic (no NaN/inf, no numpy)."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        value = float(obj)
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+def reference_json(document) -> str:
+    """Report text oracle: the stdlib encoder over a sanitized copy.
+
+    This is how CLI reports were written before the one-pass encoder, and
+    the report bytes are a contract, so the encoder must match it exactly.
+    """
+    return json.dumps(sanitize(document), sort_keys=True, indent=2, allow_nan=False) + "\n"

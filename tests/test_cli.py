@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rocqe.cli import main
@@ -291,6 +292,17 @@ class TestRocCommand:
         code, out, _ = run_cli(["roc", *BASE], capsys)
         assert "Infinity" not in out
         json.loads(out)  # must stay strictly valid
+
+    def test_svg_polyline_matches_per_point_formatting(self):
+        from rocqe.svgplot import _fmt, _polyline, _x, _y
+
+        rng = np.random.default_rng(11)
+        fpr = np.concatenate(([0.0, 1.0, 0.5, 1 / 3], rng.random(500)))
+        tpr = np.concatenate(([0.0, 1.0, 2 / 3, 0.005], rng.random(500)))
+        expected = " ".join(
+            f"{_fmt(_x(f))},{_fmt(_y(t))}" for f, t in zip(fpr.tolist(), tpr.tolist())
+        )
+        assert _polyline(fpr, tpr) == expected
 
 
 class TestTableCommand:

@@ -18,6 +18,7 @@ from rocqe import (
     to_dataset,
     write_dataset_tsv,
 )
+from rocqe.ingest import MAX_WARNINGS
 from helpers import random_dataset
 
 
@@ -154,6 +155,39 @@ class TestParseCanonicalTsv:
         with pytest.raises(FileNotFoundError):
             parse_canonical_tsv(str(tmp_path / "nope.tsv"), str(tmp_path / "x.tsv"), "m")
 
+    def test_byte_order_mark_on_headerless_file_is_ignored(self, tmp_path):
+        gold = _write(tmp_path / "g.tsv", ["\ufeff1\t-5.0", "2\t0.0"])
+        scores = _write(tmp_path / "s.tsv", ["1\t0.3", "2\t0.1"])
+        records, report = parse_canonical_tsv(gold, scores, "m")
+        assert [r.segment_id for r in records] == ["1", "2"]
+        assert records[0].mqm_score == -5.0
+        assert report.accepted == 2
+        assert report.total_lines == 2
+        assert report.skipped_missing_gold == 0
+        assert report.skipped_missing_score == 0
+
+    def test_warnings_are_capped_and_counted(self, tmp_path):
+        gold_lines = ["a\t-1.0"] + [f"bad line {i}" for i in range(600)]
+        score_lines = ["a\t0.9"] + [f"b{i}\tbogus" for i in range(400)]
+        gold = _write(tmp_path / "g.tsv", gold_lines)
+        scores = _write(tmp_path / "s.tsv", score_lines)
+        records, report = parse_canonical_tsv(gold, scores, "m")
+        assert len(records) == 1
+        assert report.skipped_malformed == 1000
+        assert report.total_lines == 1001
+        assert len(report.warnings) == MAX_WARNINGS + 1
+        assert report.warnings[0].endswith("line 2: expected 2 tab-separated fields, got 1")
+        assert all("g.tsv line" in w for w in report.warnings[:MAX_WARNINGS])
+        assert report.warnings[-1] == f"... and {1000 - MAX_WARNINGS} more malformed lines"
+
+    def test_warnings_under_the_cap_are_all_listed(self, tmp_path):
+        gold = _write(tmp_path / "g.tsv", ["a\t-1.0"] + ["x"] * MAX_WARNINGS)
+        scores = _write(tmp_path / "s.tsv", ["a\t0.9"])
+        _, report = parse_canonical_tsv(gold, scores, "m")
+        assert report.skipped_malformed == MAX_WARNINGS
+        assert len(report.warnings) == MAX_WARNINGS
+        assert not any("more malformed" in w for w in report.warnings)
+
 
 class TestWmtLayout:
     def test_mini_tree(self, wmt_root):
@@ -183,6 +217,18 @@ class TestWmtLayout:
     def test_unknown_language_pair_raises(self, wmt_root):
         with pytest.raises((IngestError, FileNotFoundError)):
             parse_wmt_layout(wmt_root, "xx-yy", "wmt23", "sysX", "metricA")
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        root = tmp_path / "tree"
+        hs = root / "wmt23" / "human-scores"
+        ms = root / "wmt23" / "metric-scores" / "zh-en"
+        os.makedirs(hs)
+        os.makedirs(ms)
+        _write(hs / "zh-en.mqm.seg.score", ["\ufeffsysA\t-1.0", "sysA\t0.0"])
+        _write(ms / "m.seg.score", ["\ufeffsysA\t0.5", "sysA\t0.2"])
+        records, report = parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
+        assert report.accepted == 2
+        assert [r.segment_id for r in records] == ["wmt23:sysA:0", "wmt23:sysA:1"]
 
     def test_length_mismatch_is_a_hard_error(self, tmp_path):
         root = tmp_path / "tree"

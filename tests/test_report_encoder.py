@@ -1,0 +1,157 @@
+"""The CLI's one-pass report encoder against the stdlib-encoder oracle."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from rocqe import Label, Orientation
+from rocqe import cli
+from rocqe.cli import _json_chunks, _Rows
+from helpers import reference_json
+
+LEAVES = [
+    0.0, -0.0, 1.0, 0.1, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 123456789.0,
+    math.nan, math.inf, -math.inf,
+    0, -1, 7, 2**53 + 1, -(2**70),
+    True, False, None,
+    "", "plain", "quote \" backslash \\ slash /", "tab\tnewline\ncr\r",
+    "\x00\x01\x1f\x7f", "café", "日本", "\U0001f600", "  ",
+    np.float64(0.3), np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0),
+    np.float32(0.1), np.float32(math.inf), np.float16(1.5),
+    np.int64(-5), np.int32(12), np.uint8(255), np.uint64(2**63),
+    Orientation.HIGHER_IS_BETTER, Label.POSITIVE,
+]
+
+
+def _to_json(document) -> str:
+    return "".join(_json_chunks(document))
+
+
+def _same(document) -> None:
+    assert _to_json(document) == reference_json(document)
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("leaf", LEAVES, ids=repr)
+    def test_leaf_alone_and_nested(self, leaf):
+        _same(leaf)
+        _same([leaf])
+        _same({"k": leaf, "list": [leaf, [leaf]], "tuple": (leaf,)})
+
+
+class TestContainers:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [], {}, (), [[]], [{}], {"a": []}, {"a": {}},
+            np.array([]), np.array([], dtype=np.int64), {"a": np.zeros(0)},
+            [(), ((),)], (1, (2, (3, "x"))),
+            {3: "int key", 1: "one", "2": "two", -1.5: "float key"},
+            {Orientation.HIGHER_IS_WORSE: 1},
+            {1: "int key first", "1": "str key wins"},
+            {"z": 1, "a": 2, "é": 3, "A": 4, "": 5},
+            np.array([1.0, math.nan, -math.inf, math.inf, -0.0]),
+            np.array([[1.0, math.nan], [math.inf, 2.5]]),
+            np.array([1, -2, 3], dtype=np.int16),
+            np.array([0.1, 0.2], dtype=np.float32),
+            np.array([True, False]),
+            {"nested": {"deeper": {"deepest": [1, {"x": np.array([0.5])}]}}},
+        ],
+        ids=repr,
+    )
+    def test_container(self, document):
+        _same(document)
+
+    def test_seeded_random_documents(self):
+        rng = np.random.default_rng(2026)
+
+        def make(depth):
+            kind = int(rng.integers(0, 6 if depth < 4 else 1))
+            if kind == 0:
+                return LEAVES[int(rng.integers(0, len(LEAVES)))]
+            if kind == 1:
+                return [make(depth + 1) for _ in range(int(rng.integers(0, 4)))]
+            if kind == 2:
+                return tuple(make(depth + 1) for _ in range(int(rng.integers(0, 3))))
+            if kind == 3:
+                return np.round(rng.normal(size=int(rng.integers(0, 5))), 3)
+            keys = ["a", "b", "c", 1, 2, "é"]
+            return {
+                keys[int(i)]: make(depth + 1)
+                for i in rng.choice(len(keys), size=int(rng.integers(0, 4)), replace=False)
+            }
+
+        for _ in range(300):
+            _same(make(0))
+
+    def test_unsupported_object_raises_like_the_oracle(self):
+        for document in (object(), {"a": [1, {2, 3}]}, np.bool_(True)):
+            with pytest.raises(TypeError):
+                reference_json(document)
+            with pytest.raises(TypeError):
+                _to_json(document)
+
+
+def _row_dicts(columns: dict) -> list[dict]:
+    size = len(next(iter(columns.values())))
+    return [{key: col[i] for key, col in columns.items()} for i in range(size)]
+
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"fpr": np.zeros(0), "tp": np.zeros(0, dtype=np.int64)},
+            {
+                "threshold": np.array([math.inf, 2.0, -0.0]),
+                "threshold_raw": np.array([-math.inf, -2.0, 0.0]),
+                "tp": np.array([0, 1, 2]),
+            },
+            {"x": np.array([math.nan, 1e-7, 1e22]), "%s": np.array([1, 2, 3])},
+            {"b": np.array([0.1, 0.2], dtype=np.float32), "a": np.array([3, 4], dtype=np.uint8)},
+            {"only": np.array([5])},
+        ],
+        ids=lambda c: ",".join(c),
+    )
+    def test_rows_match_list_of_dicts(self, columns):
+        for level_wrap in (lambda x: x, lambda x: {"outer": {"inner": x}}, lambda x: [x, 1]):
+            assert _to_json(level_wrap(_Rows(**columns))) == reference_json(
+                level_wrap(_row_dicts(columns))
+            )
+
+    def test_seeded_random_columns(self):
+        rng = np.random.default_rng(7)
+        specials = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0])
+        for _ in range(100):
+            size = int(rng.integers(0, 30))
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-5, 6)
+            hit = rng.random(size) < 0.2
+            values[hit] = rng.choice(specials, size=int(hit.sum()))
+            columns = {"v": values, "n": rng.integers(-(2**40), 2**40, size=size)}
+            assert _to_json({"rows": _Rows(**columns)}) == reference_json(
+                {"rows": _row_dicts(columns)}
+            )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_rows_split_across_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+        columns = {
+            "v": np.array([math.inf, 0.5, -0.0, math.nan, 2.0, 3.5, -math.inf]),
+            "n": np.arange(7),
+        }
+        for size in (0, 1, 6, 7):
+            part = {key: col[:size] for key, col in columns.items()}
+            assert _to_json({"rows": _Rows(**part), "after": 1}) == reference_json(
+                {"rows": _row_dicts(part), "after": 1}
+            )
+
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            _Rows(a=np.zeros(2), b=np.zeros(3))
+
+    def test_non_numeric_column_rejected(self):
+        with pytest.raises(TypeError):
+            _to_json(_Rows(name=np.array(["a", "b"])))

@@ -142,6 +142,66 @@ class TestBuildRoc:
         assert build_roc(sample10).orientation is Orientation.HIGHER_IS_BETTER
 
 
+def _adversarial_dataset(rng, kind: str) -> Dataset:
+    """Small datasets built to stress the tie-group sweep."""
+    n = int(rng.integers(2, 40))
+    labels = rng.random(n) < rng.uniform(0.1, 0.9)
+    if kind == "single-positive" or kind == "single-negative":
+        labels[:] = kind == "single-negative"
+        labels[int(rng.integers(0, n))] = kind == "single-positive"
+    else:
+        labels[0], labels[-1] = True, False  # both classes present
+    if kind == "heavy-ties":
+        risks = rng.integers(0, 3, size=n).astype(float)
+    elif kind == "signed-zeros":
+        risks = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=n)
+    elif kind == "all-tied":
+        risks = np.full(n, rng.normal())
+    else:
+        risks = np.round(rng.normal(size=n), 1)
+    orientation = (
+        Orientation.HIGHER_IS_BETTER if rng.random() < 0.5 else Orientation.HIGHER_IS_WORSE
+    )
+    return make_dataset(risks, labels, orientation)
+
+
+def _vertex_loop_auc(curve) -> float:
+    """AUC summed over vertex objects, the way the curve was first read."""
+    total = 0.0
+    for a, b in zip(curve.vertices, curve.vertices[1:]):
+        total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
+    return total
+
+
+class TestArrayCurveDifferential:
+    KINDS = ("heavy-ties", "signed-zeros", "single-positive", "single-negative",
+             "all-tied", "rounded")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_brute_force_and_pairwise_oracles(self, kind):
+        rng = np.random.default_rng(81 + self.KINDS.index(kind))
+        for _ in range(60):
+            ds = _adversarial_dataset(rng, kind)
+            curve = build_roc(ds)
+            assert curve.thresholds.size == np.unique(ds.risk_scores).size + 1
+            assert (curve.tp[0], curve.fp[0]) == (0, 0)
+            for thr, tp, fp in zip(
+                curve.thresholds[1:].tolist(), curve.tp[1:].tolist(), curve.fp[1:].tolist()
+            ):
+                assert (tp, fp) == brute_force_counts(ds, thr)
+            assert curve.thresholds_raw.tolist() == [
+                raw_threshold(t, ds.orientation) for t in curve.thresholds.tolist()
+            ]
+            assert_close(auc(curve), pairwise_auc(ds), tol=1e-12)
+            assert auc(curve) == _vertex_loop_auc(curve)
+
+    def test_all_tied_is_the_diagonal(self):
+        ds = make_dataset([-0.0, 0.0, 0.0, -0.0], [True, False, False, True])
+        curve = build_roc(ds)
+        assert curve.tp.tolist() == [0, 2] and curve.fp.tolist() == [0, 2]
+        assert auc(curve) == 0.5 == pairwise_auc(ds)
+
+
 class TestInvariances:
     def test_duplicating_negatives_leaves_curve_unchanged(self):
         rng = np.random.default_rng(51)
@@ -327,16 +387,15 @@ class TestConvexHull:
 class TestPrPoints:
     def test_sample10_point_at_93(self, sample10):
         pts = pr_points(build_roc(sample10))
-        by_thr = {p.threshold: p for p in pts}
-        p = by_thr[-93.0]
-        assert_close(p.recall, 1 / 3)
-        assert_close(p.precision, 2 / 3)
+        (i,) = np.flatnonzero(pts.threshold == -93.0)
+        assert_close(pts.recall[i], 1 / 3)
+        assert_close(pts.precision[i], 2 / 3)
 
     def test_origin_vertex_skipped(self, sample10):
         pts = pr_points(build_roc(sample10))
-        assert all(p.precision is not None for p in pts)
-        assert len(pts) == 6
-
+        assert np.isfinite(pts.precision).all()
+        assert np.isfinite(pts.threshold).all()
+        assert len(pts.recall) == len(pts.precision) == len(pts.threshold) == 6
 
 class TestF1At:
     def test_sample10_value(self, sample10):
@@ -345,11 +404,6 @@ class TestF1At:
     def test_unknown_threshold_rejected(self, sample10):
         with pytest.raises(ValueError, match="threshold"):
             f1_at(build_roc(sample10), -93.0001)
-
-
-def _vertex(fpr, tpr, thr, p=10, n=10):
-    tp, fp = round(tpr * p), round(fpr * n)
-    return RocVertex(fpr, tpr, thr, thr, ConfusionCounts(tp, p - tp, fp, n - fp))
 
 
 class TestRocVertexValidation:
@@ -362,35 +416,80 @@ class TestRocVertexValidation:
             RocVertex(1.5, 0.5, 1.0, 1.0, ConfusionCounts(tp=1, fn=1, fp=1, tn=1))
 
 
+def _curve(points, p=10, n=10):
+    """Curve from (fpr, tpr, threshold) triples, counts rounded from the rates."""
+    fpr, tpr, thr = (np.array(col, dtype=np.float64) for col in zip(*points))
+    tp, fp = np.round(tpr * p).astype(np.int64), np.round(fpr * n).astype(np.int64)
+    return RocCurve(thr, tp, fp, p, n, "fp", Orientation.HIGHER_IS_WORSE)
+
+
 class TestRocCurveValidation:
     def test_must_start_at_origin(self):
-        vs = (_vertex(0.1, 0.0, math.inf), _vertex(1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="start"):
-            RocCurve(vs, 10, 10, "fp", Orientation.HIGHER_IS_WORSE)
+            _curve([(0.1, 0.0, math.inf), (1.0, 1.0, 0.0)])
 
     def test_must_end_at_one_one(self):
-        vs = (_vertex(0.0, 0.0, math.inf), _vertex(1.0, 0.9, 0.0))
         with pytest.raises(ValueError, match="end"):
-            RocCurve(vs, 10, 10, "fp", Orientation.HIGHER_IS_WORSE)
+            _curve([(0.0, 0.0, math.inf), (1.0, 0.9, 0.0)])
 
     def test_rejects_decreasing_tpr(self):
-        vs = (
-            _vertex(0.0, 0.0, math.inf),
-            _vertex(0.5, 0.5, 1.0),
-            _vertex(0.5, 0.4, 0.5),
-            _vertex(1.0, 1.0, 0.0),
-        )
         with pytest.raises(ValueError, match="non-decreasing"):
-            RocCurve(vs, 10, 10, "fp", Orientation.HIGHER_IS_WORSE)
+            _curve([(0.0, 0.0, math.inf), (0.5, 0.5, 1.0), (0.5, 0.4, 0.5), (1.0, 1.0, 0.0)])
 
     def test_rejects_non_decreasing_thresholds(self):
-        vs = (
-            _vertex(0.0, 0.0, math.inf),
-            _vertex(0.5, 0.5, 1.0),
-            _vertex(1.0, 1.0, 1.0),
-        )
         with pytest.raises(ValueError, match="strictly decrease"):
-            RocCurve(vs, 10, 10, "fp", Orientation.HIGHER_IS_WORSE)
+            _curve([(0.0, 0.0, math.inf), (0.5, 0.5, 1.0), (1.0, 1.0, 1.0)])
+
+    def test_rejects_coincident_vertices(self):
+        with pytest.raises(ValueError, match="coincident"):
+            _curve([(0.0, 0.0, math.inf), (0.5, 0.5, 1.0), (0.5, 0.5, 0.5), (1.0, 1.0, 0.0)])
+
+    def test_first_offending_pair_is_reported(self):
+        # Pair 1 repeats a threshold, pair 2 steps tpr down: pair 1 is named.
+        points = [(0.0, 0.0, math.inf), (0.5, 0.5, 1.0), (0.6, 0.6, 1.0),
+                  (0.7, 0.5, 0.5), (1.0, 1.0, 0.0)]
+        with pytest.raises(ValueError, match="strictly decrease"):
+            _curve(points)
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="two endpoint"):
+            RocCurve(np.array([math.inf]), np.array([0]), np.array([0]), 1, 1, "fp")
+
+    def test_needs_both_classes(self):
+        with pytest.raises(DegenerateClassError):
+            RocCurve(np.array([math.inf, 0.0]), np.array([0, 0]), np.array([0, 3]), 0, 3, "fp")
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            RocCurve(np.array([math.inf, 0.0]), np.array([0.0, 1.0]), np.array([0, 1]), 1, 1, "fp")
+
+    def test_arrays_are_read_only(self, sample10):
+        curve = build_roc(sample10)
+        for column in (curve.thresholds, curve.tp, curve.fp, curve.fpr, curve.tpr):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+
+class TestLazyVertices:
+    def test_vertices_match_arrays(self, sample10):
+        curve = build_roc(sample10)
+        assert [
+            (v.fpr, v.tpr, v.threshold, v.threshold_raw, v.counts.tp, v.counts.fp)
+            for v in curve.vertices
+        ] == list(zip(
+            curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist(),
+            curve.thresholds_raw.tolist(), curve.tp.tolist(), curve.fp.tolist(),
+        ))
+        assert all(type(v.counts.tp) is int for v in curve.vertices)
+        assert curve.vertices is curve.vertices
+
+    def test_rates_equal_python_int_division(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ds = random_dataset(rng, max_size=60)
+            curve = build_roc(ds)
+            assert curve.fpr.tolist() == [fp / ds.n_count for fp in curve.fp.tolist()]
+            assert curve.tpr.tolist() == [tp / ds.p_count for tp in curve.tp.tolist()]
 
 
 def base_to_hw(dataset: Dataset) -> Dataset:
