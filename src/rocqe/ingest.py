@@ -170,23 +170,18 @@ def parse_canonical_tsv(
             continue
         records.append(CanonicalRecord(sid, gold, {metric: score}))
 
+    warnings = (gold_notes + score_notes)[:MAX_WARNINGS]
+    if gold_bad + score_bad > len(warnings):
+        warnings.append(f"... and {gold_bad + score_bad - len(warnings)} more malformed lines")
     report = IngestReport(
         total_lines=len(ids) + gold_bad + score_bad,
         accepted=len(records),
         skipped_missing_gold=missing_gold,
         skipped_missing_score=missing_score,
         skipped_malformed=gold_bad + score_bad,
-        warnings=_capped_warnings(gold_notes + score_notes, gold_bad + score_bad),
+        warnings=tuple(warnings),
     )
     return records, report
-
-
-def _capped_warnings(notes: list[str], malformed: int) -> tuple[str, ...]:
-    """The first ``MAX_WARNINGS`` notes, then a count of the malformed lines left."""
-    shown = notes[:MAX_WARNINGS]
-    if malformed > len(shown):
-        shown.append(f"... and {malformed - len(shown)} more malformed lines")
-    return tuple(shown)
 
 
 def _read_system_column(path: str) -> dict[str, list[Optional[float]]]:
