@@ -24,7 +24,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .model import Dataset, DegenerateClassError
+from .model import Dataset, require_both_classes
 from .roc import interp_tpr, tie_group_counts
 
 T = TypeVar("T")
@@ -95,26 +95,6 @@ def _draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
     return pos_idx, neg_idx
 
 
-def resample_stratified(dataset: Dataset, rng: np.random.Generator) -> Dataset:
-    """One stratified resample as a full Dataset (segment ids may repeat)."""
-    _require_both_classes(dataset)
-    segments = dataset.segments
-    pos = [i for i in range(len(segments)) if dataset.is_positive[i]]
-    neg = [i for i in range(len(segments)) if not dataset.is_positive[i]]
-    pos_idx, neg_idx = _draw(len(pos), len(neg), rng)
-    chosen = [segments[pos[i]] for i in pos_idx]
-    chosen += [segments[neg[i]] for i in neg_idx]
-    return Dataset(tuple(chosen), dataset.p_count, dataset.n_count, dataset.orientation)
-
-
-def _require_both_classes(dataset: Dataset) -> None:
-    if dataset.p_count == 0 or dataset.n_count == 0:
-        empty = "positive" if dataset.p_count == 0 else "negative"
-        raise DegenerateClassError(
-            f"no {empty} segments: stratified resampling is undefined"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class TieGroups:
     """The tie group of every positive and negative, ranked once per dataset.
@@ -179,7 +159,9 @@ def _map_indexed(
     The one place a replicate is drawn and counted; runs on a thread pool
     of at most min(workers, iterations, CPU count) threads.
     """
-    _require_both_classes(dataset)
+    require_both_classes(
+        dataset.p_count, dataset.n_count, "stratified resampling is undefined"
+    )
     groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
 
     def run(index: int) -> T:
@@ -289,7 +271,9 @@ def confidence_band(
     place into one B x (grid + 1) matrix, the only copy held.
     """
     config = config or BootstrapConfig()
-    _require_both_classes(dataset)
+    require_both_classes(
+        dataset.p_count, dataset.n_count, "stratified resampling is undefined"
+    )
     if dataset.p_count < 2 or dataset.n_count < 2:
         warnings.warn(
             f"resampling a stratum of size 1 (P={dataset.p_count}, "

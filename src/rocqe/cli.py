@@ -26,6 +26,7 @@ from .bootstrap import BootstrapConfig, ConfidenceBand, band_width_summary, conf
 from .decision import (
     ClassRatio,
     DecisionReport,
+    QeRocTable,
     TradeOff,
     optimal_threshold,
     qe_roc_table,
@@ -44,6 +45,7 @@ from .ingest import (
 from .model import (
     Dataset,
     DegenerateClassError,
+    Label,
     NonFiniteScoreError,
     Orientation,
 )
@@ -187,21 +189,21 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
 
 def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
     """Re-join datasets onto the ids every metric scored (hull needs one ground truth)."""
-    id_sets = [
-        {seg.segment_id for seg in ds.segments} for ds in loaded.datasets.values()
-    ]
-    common = set.intersection(*id_sets)
+    common = set.intersection(*(set(ds.ids.tolist()) for ds in loaded.datasets.values()))
     if not common:
         raise IngestError("no segment ids are shared by every metric")
     for metric in loaded.metrics:
         ds = loaded.datasets[metric]
-        kept = [seg for seg in ds.segments if seg.segment_id in common]
-        if len(kept) != len(ds.segments):
+        kept = np.fromiter(map(common.__contains__, ds.ids.tolist()), bool, ds.total)
+        dropped = ds.total - int(kept.sum())
+        if dropped:
             loaded.notes.append(
-                f"{metric}: {len(ds.segments) - len(kept)} segments without "
+                f"{metric}: {dropped} segments without "
                 "scores from every metric were dropped for comparability"
             )
-            loaded.datasets[metric] = Dataset.from_segments(kept, ds.orientation)
+            loaded.datasets[metric] = Dataset.from_columns(
+                ds.ids[kept], ds.raw_scores[kept], ds.is_positive[kept], ds.orientation
+            )
 
 
 _INDENT = "  "
@@ -447,23 +449,42 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("the table command takes exactly one --scores metric")
     metric = loaded.metrics[0]
     table = qe_roc_table(loaded.datasets[metric])
-
-    lines = ["segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr"]
-
-    def row_line(row) -> str:
-        sid = row.segment_id if row.segment_id is not None else "-"
-        truth = row.ground_truth.value if row.ground_truth is not None else "-"
-        return (
-            f"{sid}\t{truth}\t{row.raw_score!r}\t{row.tp}\t{row.fn}\t{row.fp}"
-            f"\t{row.tn}\t{row.tpr:.2f}\t{row.fpr:.2f}"
-        )
-
-    top, bottom = table.endpoints
-    lines.append(row_line(top))
-    lines.extend(row_line(row) for row in table.rows)
-    lines.append(row_line(bottom))
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit(_table_chunks(table), args.out)
     return 0
+
+
+def _table_chunks(table: QeRocTable) -> Iterator[str]:
+    """The TSV text of a QE-ROC table in pieces, endpoint rows included.
+
+    Rows of one tie group share their counts and rates, so that part of
+    the line is formatted once per group. Lines go out in blocks, so only
+    one block's text is alive at a time.
+    """
+    p, n = table.p_count, table.n_count
+    top, bottom = table.endpoints
+    tp = np.concatenate(([top.tp], table.tp, [bottom.tp]))
+    fp = np.concatenate(([top.fp], table.fp, [bottom.fp]))
+    # A row starts a new group exactly where its counts change.
+    starts = np.flatnonzero(np.diff(tp, prepend=-1) | np.diff(fp, prepend=-1))
+    sizes = np.diff(starts, append=tp.size)
+    tp, fp = tp[starts], fp[starts]
+    group_texts = map(
+        "\t%d\t%d\t%d\t%d\t%.2f\t%.2f\n".__mod__,
+        zip(tp.tolist(), (p - tp).tolist(), fp.tolist(), (n - fp).tolist(),
+            (tp / p).tolist(), (fp / n).tolist()),
+    )
+    counts = np.repeat(np.array(list(group_texts), dtype=object), sizes).tolist()
+    truths = (Label.NEGATIVE.value, Label.POSITIVE.value)
+    ids = ["-", *table.segment_ids.tolist(), "-"]
+    labels = ["-", *map(truths.__getitem__, table.is_positive.tolist()), "-"]
+    scores = [top.raw_score, *table.raw_scores.tolist(), bottom.raw_score]
+    yield "segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr\n"
+    for start in range(0, len(ids), _ROWS_PER_BLOCK):
+        block = slice(start, start + _ROWS_PER_BLOCK)
+        yield "".join(map(
+            "%s\t%s\t%s%s".__mod__,
+            zip(ids[block], labels[block], map(float.__repr__, scores[block]), counts[block]),
+        ))
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:

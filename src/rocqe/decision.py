@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank
-from .model import Dataset, DegenerateClassError, Label
+from .model import Dataset, Label, require_both_classes
 from .roc import RocCurve, raw_threshold, tie_group_counts
 
 # Budget comparisons tolerate this much float dust; adjacent candidate sizes
@@ -45,21 +46,49 @@ class TableRow:
     fpr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QeRocTable:
-    """Per-segment ROC bookkeeping, sorted from the worst score to the best."""
+    """Per-segment ROC bookkeeping, sorted from the worst score to the best.
 
-    rows: tuple[TableRow, ...]
+    Held as read-only row columns: ``segment_ids``, ``is_positive`` and
+    ``raw_scores`` per segment, and each row's tie-group counts ``tp`` and
+    ``fp``. ``rows`` builds the ``TableRow`` objects on first access.
+    """
+
+    segment_ids: np.ndarray
+    is_positive: np.ndarray
+    raw_scores: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
     endpoints: tuple[TableRow, TableRow]
     p_count: int
     n_count: int
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        for name in ("segment_ids", "is_positive", "raw_scores", "tp", "fp"):
+            dtype = object if name == "segment_ids" else None
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.tp.size == 0:
             raise ValueError("a table needs at least one data row")
-        last = self.rows[-1]
-        if (last.tpr, last.fpr) != (1.0, 1.0):
+        if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
             raise ValueError("the last data row must sit at tpr = fpr = 1")
+
+    @cached_property
+    def rows(self) -> tuple[TableRow, ...]:
+        p, n = self.p_count, self.n_count
+        truths = (Label.NEGATIVE, Label.POSITIVE)
+        return tuple(
+            TableRow(sid, truths[positive], raw, tp, p - tp, fp, n - fp, tp / p, fp / n)
+            for sid, positive, raw, tp, fp in zip(
+                self.segment_ids.tolist(),
+                self.is_positive.tolist(),
+                self.raw_scores.tolist(),
+                self.tp.tolist(),
+                self.fp.tolist(),
+            )
+        )
 
 
 def qe_roc_table(dataset: Dataset) -> QeRocTable:
@@ -71,33 +100,19 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     ground truth?
     """
     p, n = dataset.p_count, dataset.n_count
-    if p == 0 or n == 0:
-        empty = "positive" if p == 0 else "negative"
-        raise DegenerateClassError(
-            f"no {empty} segments: the QE-ROC table is undefined"
-        )
-    segments = sorted(dataset.segments, key=lambda s: (-s.risk_score, s.segment_id))
-    thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
-
-    rows = []
-    group = 0
-    for seg in segments:
-        if seg.risk_score != thresholds[group]:
-            group += 1
-        tp_g, fp_g = int(tp[group]), int(fp[group])
-        rows.append(
-            TableRow(
-                segment_id=seg.segment_id,
-                ground_truth=seg.label,
-                raw_score=seg.raw_score,
-                tp=tp_g,
-                fn=p - tp_g,
-                fp=fp_g,
-                tn=n - fp_g,
-                tpr=tp_g / p,
-                fpr=fp_g / n,
-            )
-        )
+    require_both_classes(p, n, "the QE-ROC table is undefined")
+    ids = dataset.ids
+    by_id = sorted(range(ids.size), key=ids.tolist().__getitem__)
+    sorted_ids = ids[by_id]
+    # Equal ids share a rank, so the stable sort below keeps their order.
+    id_rank = np.empty(ids.size, dtype=np.intp)
+    id_rank[by_id] = np.cumsum(np.concatenate(([0], sorted_ids[1:] != sorted_ids[:-1])))
+    order = np.lexsort((id_rank, -dataset.risk_scores))
+    risk = dataset.risk_scores[order]
+    positive = dataset.is_positive[order]
+    _, tp, fp = tie_group_counts(risk, positive)
+    # Value-equal risks (0.0 and -0.0 too) form one group; group 0 is the worst.
+    group = np.concatenate(([0], np.cumsum(risk[1:] != risk[:-1])))
 
     top = TableRow(
         segment_id=None,
@@ -121,7 +136,10 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         tpr=1.0,
         fpr=1.0,
     )
-    return QeRocTable(tuple(rows), (top, bottom), p, n)
+    return QeRocTable(
+        ids[order], positive, dataset.raw_scores[order], tp[group], fp[group],
+        (top, bottom), p, n,
+    )
 
 
 @dataclass(frozen=True)
@@ -272,7 +290,9 @@ def scenario1_residual_risk(
     if not 0.0 < review_fraction_x <= 1.0:
         raise ValueError(f"review fraction must be in (0, 1], got {review_fraction_x}")
     _check_efficacy(review_efficacy)
-    _require_both_classes(dataset, "review-budget analysis")
+    require_both_classes(
+        dataset.p_count, dataset.n_count, "review-budget analysis is undefined"
+    )
 
     total = dataset.total
     p = dataset.p_count
@@ -351,7 +371,9 @@ def scenario2_required_effort(
             f"tolerable fn per 100 must be in [0, 100], got {tolerable_fn_per_100_y}"
         )
     _check_efficacy(review_efficacy)
-    _require_both_classes(dataset, "risk-target analysis")
+    require_both_classes(
+        dataset.p_count, dataset.n_count, "risk-target analysis is undefined"
+    )
 
     total = dataset.total
     p = dataset.p_count
@@ -455,9 +477,3 @@ def _check_efficacy(review_efficacy: float) -> None:
         raise ValueError(
             f"review efficacy must be in (0, 1], got {review_efficacy}"
         )
-
-
-def _require_both_classes(dataset: Dataset, what: str) -> None:
-    if dataset.p_count == 0 or dataset.n_count == 0:
-        empty = "positive" if dataset.p_count == 0 else "negative"
-        raise DegenerateClassError(f"no {empty} segments: {what} is undefined")

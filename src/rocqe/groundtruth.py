@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .model import Label
 
 
@@ -115,6 +117,18 @@ def label(mqm_score: float, cutoff: SeverityCutoff) -> Label:
     if cutoff.inclusive and mqm_score == cutoff.threshold:
         return Label.POSITIVE
     return Label.NEGATIVE
+
+
+def label_positive(mqm_scores: np.ndarray, cutoff: SeverityCutoff) -> np.ndarray:
+    """Where ``label(score, cutoff)`` is positive, for a whole array at once.
+
+    Never warns; callers that must flag positive MQM scores call ``label``
+    on those scores.
+    """
+    positive = mqm_scores < cutoff.threshold
+    if cutoff.inclusive:
+        positive |= mqm_scores == cutoff.threshold
+    return positive
 
 
 def label_dataset(

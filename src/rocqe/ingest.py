@@ -11,15 +11,23 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Optional
 
-from .groundtruth import SeverityCutoff, label
-from .model import Dataset, Label, Orientation, ScoredSegment
+import numpy as np
+
+from .groundtruth import SeverityCutoff, label, label_positive
+from .model import Dataset, Label, Orientation, _frozen, canonicalize
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
 MISSING_MARKERS = frozenset({"", "None", "NA"})
+
+# Characters read per block by the whole-column reader.
+_BLOCK_CHARS = 1 << 16
 
 # Malformed lines named one by one in an ingest report; the rest are only
 # counted, in one closing warning. The skip counters stay exact.
@@ -45,6 +53,49 @@ class CanonicalRecord:
     def __post_init__(self) -> None:
         if not self.segment_id:
             raise ValueError("segment_id must be non-empty")
+
+
+@dataclass(frozen=True, eq=False)
+class CanonicalRecords(Sequence):
+    """Joined records for one metric, held as columns.
+
+    ``ids``, ``mqm_scores`` and ``scores`` are read-only arrays, one entry
+    per record, every value present and finite. As a sequence it is
+    read-only: ``len``, iteration and indexing build ``CanonicalRecord``
+    objects on demand.
+    """
+
+    metric: str
+    ids: np.ndarray
+    mqm_scores: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", _frozen(np.array(self.ids, dtype=object)))
+        for name in ("mqm_scores", "scores"):
+            object.__setattr__(
+                self, name, _frozen(np.array(getattr(self, name), dtype=np.float64))
+            )
+        if not self.ids.ndim == 1 or not self.ids.shape == self.mqm_scores.shape == self.scores.shape:
+            raise ValueError("ids, mqm_scores and scores must be 1-d arrays of one length")
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return CanonicalRecord(
+            self.ids[index],
+            self.mqm_scores[index].item(),
+            {self.metric: self.scores[index].item()},
+        )
+
+    def __iter__(self):
+        for sid, mqm, score in zip(
+            self.ids.tolist(), self.mqm_scores.tolist(), self.scores.tolist()
+        ):
+            yield CanonicalRecord(sid, mqm, {self.metric: score})
 
 
 @dataclass(frozen=True)
@@ -77,31 +128,71 @@ class IngestReport:
             )
 
 
-def _parse_value(text: str) -> tuple[Optional[float], bool]:
-    """(value, ok): value None for missing markers and non-finite numbers."""
+def _parse_value(text: str) -> tuple[float, bool]:
+    """(value, ok): value NaN for missing markers and non-finite numbers."""
     if text in MISSING_MARKERS:
-        return None, True
+        return math.nan, True
     try:
         value = float(text)
     except ValueError:
-        return None, False
+        return math.nan, False
     if not math.isfinite(value):
-        return None, True
+        return math.nan, True
     return value, True
+
+
+def _clean_columns(path: str, header: bool) -> Optional[tuple[list[str], np.ndarray]]:
+    """(keys, values) of a file with nothing to report, read a block of lines at a time.
+
+    Applies when every line is ``key<TAB>value`` with a non-empty key and a
+    value ``_parse_value`` accepts (NaN when missing); with ``header``,
+    line 1 may instead be a header. Returns None for any other file, which
+    the caller then reads line by line. Keys come in line order.
+    """
+    keys: list[str] = []
+    values = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for block in iter(partial(handle.readlines, _BLOCK_CHARS), []):
+            if set(map(str.count, block, repeat("\t"))) != {1}:
+                return None  # a blank line, or one with other than two fields
+            fields = "".join(block).replace("\n", "\t").split("\t")
+            if len(fields) % 2:
+                fields.pop()  # after the last line end
+            block_keys = list(map(str.strip, fields[0::2]))
+            texts = list(map(str.strip, fields[1::2]))
+            if header and not keys and not values and not _parse_value(texts[0])[1]:
+                del block_keys[0], texts[0]  # header row
+            try:
+                parsed = np.array(
+                    [float("nan" if t in MISSING_MARKERS else t) for t in texts],
+                    dtype=np.float64,
+                )
+            except ValueError:
+                return None
+            if "" in block_keys:
+                return None
+            parsed[~np.isfinite(parsed)] = math.nan
+            keys += block_keys
+            values.append(parsed)
+    return keys, np.concatenate(values) if values else np.empty(0)
 
 
 def _read_two_column(
     path: str, strict: bool
-) -> tuple[dict[str, Optional[float]], int, list[str]]:
-    """Read a `key<TAB>value` file: (rows, malformed_count, warnings).
+) -> tuple[list[str], np.ndarray, int, list[str]]:
+    """Read a `key<TAB>value` file: (keys, values, malformed_count, warnings).
 
     Line 1 is treated as a header when its second field is neither numeric
     nor a missing marker. Blank lines are ignored, and so is a leading UTF-8
     byte order mark. Duplicate keys are always a hard error; malformed lines
     are skipped, or raised in strict mode. Only the first ``MAX_WARNINGS``
-    of them get a warning; ``malformed_count`` counts them all.
+    of them get a warning; ``malformed_count`` counts them all. Keys come
+    in line order; a missing value is NaN.
     """
-    rows: dict[str, Optional[float]] = {}
+    clean = _clean_columns(path, header=True)
+    if clean is not None and len(set(clean[0])) == len(clean[0]):
+        return *clean, 0, []
+    rows: dict[str, float] = {}
     malformed = 0
     notes: list[str] = []
     with open(path, encoding="utf-8-sig") as handle:
@@ -135,7 +226,7 @@ def _read_two_column(
                 malformed += 1
                 if len(notes) < MAX_WARNINGS:
                     notes.append(message)
-    return rows, malformed, notes
+    return list(rows), np.fromiter(rows.values(), np.float64, len(rows)), malformed, notes
 
 
 def parse_canonical_tsv(
@@ -144,7 +235,7 @@ def parse_canonical_tsv(
     metric: str,
     *,
     strict: bool = False,
-) -> tuple[list[CanonicalRecord], IngestReport]:
+) -> tuple[CanonicalRecords, IngestReport]:
     """Join a gold TSV with a score TSV into complete records.
 
     The join is inner: a record is accepted only when both sides carry a
@@ -152,23 +243,19 @@ def parse_canonical_tsv(
     accounting when both are absent. Output is sorted by segment id, so the
     result does not depend on input line order.
     """
-    gold_rows, gold_bad, gold_notes = _read_two_column(gold_path, strict)
-    score_rows, score_bad, score_notes = _read_two_column(scores_path, strict)
-
-    records: list[CanonicalRecord] = []
-    missing_gold = 0
-    missing_score = 0
-    ids = sorted(set(gold_rows) | set(score_rows))
-    for sid in ids:
-        gold = gold_rows.get(sid)
-        score = score_rows.get(sid)
-        if gold is None:
-            missing_gold += 1
-            continue
-        if score is None:
-            missing_score += 1
-            continue
-        records.append(CanonicalRecord(sid, gold, {metric: score}))
+    gold_ids, gold, gold_bad, gold_notes = _read_two_column(gold_path, strict)
+    score_ids, score, score_bad, score_notes = _read_two_column(scores_path, strict)
+    if gold_ids == score_ids:
+        ids = gold_ids
+        if not _strictly_increasing(ids):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, gold, score = [ids[i] for i in order], gold[order], score[order]
+    else:
+        ids = sorted(set(gold_ids).union(score_ids))
+        gold = _values_at(ids, gold_ids, gold)
+        score = _values_at(ids, score_ids, score)
+    del gold_ids, score_ids
+    records, missing_gold, missing_score = _join(metric, ids, gold, score)
 
     warnings = (gold_notes + score_notes)[:MAX_WARNINGS]
     if gold_bad + score_bad > len(warnings):
@@ -184,14 +271,44 @@ def parse_canonical_tsv(
     return records, report
 
 
-def _read_system_column(path: str) -> dict[str, list[Optional[float]]]:
+def _strictly_increasing(keys: list[str]) -> bool:
+    column = np.array(keys, dtype=object)
+    return bool((column[1:] > column[:-1]).all())
+
+
+def _values_at(ids: list[str], keys: list[str], values: np.ndarray) -> np.ndarray:
+    """``values`` (one per key) read at ``ids``; NaN where a key is absent."""
+    lookup = dict(zip(keys, values.tolist()))
+    return np.fromiter(map(lookup.get, ids, repeat(math.nan)), np.float64, len(ids))
+
+
+def _join(
+    metric: str, ids: list[str], gold: np.ndarray, score: np.ndarray
+) -> tuple[CanonicalRecords, int, int]:
+    """(records, missing gold, missing score) of aligned columns; NaN is missing."""
+    missing_gold = np.isnan(gold)
+    missing_score = np.isnan(score) & ~missing_gold
+    kept = np.flatnonzero(~(missing_gold | missing_score))
+    records = CanonicalRecords(
+        metric, np.array(ids, dtype=object)[kept], gold[kept], score[kept]
+    )
+    return records, int(missing_gold.sum()), int(missing_score.sum())
+
+
+def _read_system_column(path: str) -> dict[str, list[float]]:
     """Read a `system<TAB>score` file into per-system score sequences.
 
     Line order within a system is the segment order; any structural problem
     is a hard error because positional alignment cannot survive dropped
-    lines. A leading UTF-8 byte order mark is ignored.
+    lines. A leading UTF-8 byte order mark is ignored. A missing value is
+    stored as NaN.
     """
-    sequences: dict[str, list[Optional[float]]] = {}
+    sequences: dict[str, list[float]] = {}
+    clean = _clean_columns(path, header=False)
+    if clean is not None:
+        for system, value in zip(clean[0], clean[1].tolist()):
+            sequences.setdefault(system, []).append(value)
+        return sequences
     with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw_line in enumerate(handle, 1):
             line = raw_line.rstrip("\r\n")
@@ -234,7 +351,7 @@ def parse_wmt_layout(
     testset: str,
     system: str,
     metric: str,
-) -> tuple[list[CanonicalRecord], IngestReport]:
+) -> tuple[CanonicalRecords, IngestReport]:
     """Extract one (system, metric) slice from a WMT-style score tree.
 
     Expected layout relative to ``root_dir``:
@@ -278,19 +395,10 @@ def parse_wmt_layout(
             f"scores vs {len(score_seq)} {metric} scores"
         )
 
-    records: list[CanonicalRecord] = []
-    missing_gold = 0
-    missing_score = 0
-    for i, (gold, score) in enumerate(zip(gold_seq, score_seq)):
-        if gold is None:
-            missing_gold += 1
-            continue
-        if score is None:
-            missing_score += 1
-            continue
-        records.append(
-            CanonicalRecord(f"{testset}:{system}:{i}", gold, {metric: score})
-        )
+    ids = [f"{testset}:{system}:{i}" for i in range(len(gold_seq))]
+    records, missing_gold, missing_score = _join(
+        metric, ids, np.array(gold_seq), np.array(score_seq)
+    )
     report = IngestReport(
         total_lines=len(gold_seq),
         accepted=len(records),
@@ -302,7 +410,7 @@ def parse_wmt_layout(
 
 
 def to_dataset(
-    records: list[CanonicalRecord],
+    records: Iterable[CanonicalRecord],
     cutoff: SeverityCutoff,
     orientation: Orientation,
     metric: str,
@@ -312,31 +420,57 @@ def to_dataset(
     Records are sorted by segment id first, so datasets are identical no
     matter how the input files were ordered. A single-class outcome is not
     an error here; downstream analyses decide whether they can proceed.
+    Records are checked in id order: the first repeated id or non-finite
+    score raises, and every positive MQM score before it warns.
     """
-    usable = [
-        r
-        for r in records
-        if r.mqm_score is not None and r.qe_scores.get(metric) is not None
-    ]
-    if not usable:
+    if isinstance(records, CanonicalRecords) and records.metric == metric:
+        ids = records.ids.tolist()
+        mqm = records.mqm_scores.tolist()
+        scores = records.scores.tolist()
+    else:
+        usable = [
+            r
+            for r in records
+            if r.mqm_score is not None and r.qe_scores.get(metric) is not None
+        ]
+        ids = [r.segment_id for r in usable]
+        mqm = [r.mqm_score for r in usable]
+        scores = [r.qe_scores[metric] for r in usable]
+        del usable
+    if not ids:
         raise IngestError(
             f"no usable records for metric {metric!r} after skips"
         )
-    seen: set[str] = set()
-    segments = []
-    for record in sorted(usable, key=lambda r: r.segment_id):
-        if record.segment_id in seen:
-            raise IngestError(f"duplicate segment id {record.segment_id!r}")
-        seen.add(record.segment_id)
-        segments.append(
-            ScoredSegment.from_raw(
-                record.segment_id,
-                label(record.mqm_score, cutoff),
-                record.qe_scores[metric],
-                orientation,
-            )
-        )
-    return Dataset.from_segments(segments, orientation)
+    if not _strictly_increasing(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = [ids[i] for i in order]
+        mqm = [mqm[i] for i in order]
+        scores = [scores[i] for i in order]
+    id_column = np.array(ids, dtype=object)
+    mqm_column = np.array(mqm, dtype=np.float64)
+    score_column = np.array(scores, dtype=np.float64)
+
+    size = len(ids)
+    repeated = _first(id_column[1:] == id_column[:-1], size - 1) + 1
+    non_finite = _first(~np.isfinite(score_column), size)
+    # The record at a repeated id is rejected before it is labelled; a
+    # record with a non-finite score is labelled first.
+    labelled = repeated if repeated <= non_finite else non_finite + 1
+    for i in np.flatnonzero(mqm_column[:labelled] > 0).tolist():
+        label(mqm[i], cutoff)  # warns about the positive MQM score
+    if repeated < size and repeated <= non_finite:
+        raise IngestError(f"duplicate segment id {ids[repeated]!r}")
+    if non_finite < size:
+        canonicalize(scores[non_finite], orientation, ids[non_finite])  # raises
+    return Dataset.from_columns(
+        id_column, score_column, label_positive(mqm_column, cutoff), orientation
+    )
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first True in ``mask``, or ``default`` when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
 
 
 def write_dataset_tsv(
@@ -357,13 +491,13 @@ def write_dataset_tsv(
             f"cutoff {cutoff.describe()} labels a zero MQM score positive; "
             "negatives cannot be encoded"
         )
-    positive_code = cutoff.threshold - 1.0
+    ids = dataset.ids.tolist()
+    codes = np.where(dataset.is_positive, cutoff.threshold - 1.0, 0.0).tolist()
     with open(gold_path, "w", encoding="utf-8") as gold:
         gold.write("segment_id\tmqm_score\n")
-        for seg in dataset.segments:
-            code = positive_code if seg.label is Label.POSITIVE else 0.0
-            gold.write(f"{seg.segment_id}\t{code!r}\n")
+        gold.writelines(f"{sid}\t{code!r}\n" for sid, code in zip(ids, codes))
     with open(scores_path, "w", encoding="utf-8") as scores:
         scores.write("segment_id\tscore\n")
-        for seg in dataset.segments:
-            scores.write(f"{seg.segment_id}\t{seg.raw_score!r}\n")
+        scores.writelines(
+            f"{sid}\t{raw!r}\n" for sid, raw in zip(ids, dataset.raw_scores.tolist())
+        )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,37 +98,55 @@ class ScoredSegment:
         return cls(segment_id, label, float(raw_score), risk)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered collection of scored segments for one QE score column.
+def require_both_classes(p_count: int, n_count: int, what: str) -> None:
+    """Raise ``DegenerateClassError`` unless both classes are present.
 
-    ``p_count``/``n_count`` must match the label tallies. Segment ids are
+    The message reads "no positive segments: <what>" (or negative), so
+    every caller keeps its own wording.
+    """
+    if p_count == 0 or n_count == 0:
+        empty = "positive" if p_count == 0 else "negative"
+        raise DegenerateClassError(f"no {empty} segments: {what}")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class Dataset:
+    """Scored segments for one QE score column, held as columns.
+
+    ``ids``, ``raw_scores``, ``risk_scores`` and ``is_positive`` are
+    read-only arrays with one entry per segment, in dataset order;
+    ``p_count``/``n_count`` match the label tallies. Segment ids are
     opaque; uniqueness is an ingestion concern, and resampled datasets may
-    legitimately repeat ids.
+    legitimately repeat ids. ``segments`` builds the per-segment objects on
+    first access.
+
+    ``Dataset(segments, p_count, n_count, orientation)`` and
+    ``from_segments`` build a dataset from ``ScoredSegment`` objects,
+    ``from_columns`` from arrays; both run the same checks.
     """
 
-    segments: tuple[ScoredSegment, ...]
-    p_count: int
-    n_count: int
-    orientation: Orientation = Orientation.HIGHER_IS_WORSE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        p = sum(1 for s in self.segments if s.label is Label.POSITIVE)
-        n = len(self.segments) - p
-        if (p, n) != (self.p_count, self.n_count):
-            raise ValueError(
-                f"class counts (P={self.p_count}, N={self.n_count}) do not match "
-                f"labels (P={p}, N={n})"
-            )
-        for s in self.segments:
-            expected = canonicalize(s.raw_score, self.orientation, s.segment_id)
-            if expected != s.risk_score:
-                raise ValueError(
-                    f"segment {s.segment_id!r}: risk score {s.risk_score!r} is not "
-                    f"the canonical form of raw score {s.raw_score!r} under "
-                    f"{self.orientation.value}"
-                )
+    def __init__(
+        self,
+        segments: Iterable[ScoredSegment],
+        p_count: int,
+        n_count: int,
+        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
+    ) -> None:
+        segs = tuple(segments)
+        self._set_columns(
+            [s.segment_id for s in segs],
+            [s.raw_score for s in segs],
+            [s.risk_score for s in segs],
+            [s.label is Label.POSITIVE for s in segs],
+            p_count,
+            n_count,
+            orientation,
+        )
+        self.__dict__["segments"] = segs
 
     @classmethod
     def from_segments(
@@ -140,56 +158,125 @@ class Dataset:
         p = sum(1 for s in segs if s.label is Label.POSITIVE)
         return cls(segs, p, len(segs) - p, orientation)
 
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        raw_scores: Sequence[float],
+        is_positive: Sequence[bool],
+        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
+    ) -> "Dataset":
+        """A dataset from parallel columns; risk scores and class counts are derived."""
+        raw = np.array(raw_scores, dtype=np.float64)
+        risk = -raw if orientation is Orientation.HIGHER_IS_BETTER else raw
+        positive = np.array(is_positive, dtype=bool)
+        p = int(np.count_nonzero(positive))
+        dataset = cls.__new__(cls)
+        dataset._set_columns(ids, raw, risk, positive, p, positive.size - p, orientation)
+        return dataset
+
+    def _set_columns(self, ids, raw_scores, risk_scores, is_positive,
+                     p_count: int, n_count: int, orientation: Orientation) -> None:
+        """Store the columns read-only after checking them, as one vectorised pass."""
+        ids = _frozen(np.array(ids, dtype=object))
+        raw = _frozen(np.array(raw_scores, dtype=np.float64))
+        risk = _frozen(np.array(risk_scores, dtype=np.float64))
+        positive = _frozen(np.array(is_positive, dtype=bool))
+        if not (ids.ndim == 1 and ids.shape == raw.shape == risk.shape == positive.shape):
+            raise ValueError(
+                "ids, raw_scores, risk_scores and is_positive must be 1-d arrays of one length"
+            )
+        finite = np.isfinite(raw) & np.isfinite(risk)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise NonFiniteScoreError(f"non-finite score for segment {ids[first]!r}")
+        p = int(np.count_nonzero(positive))
+        n = positive.size - p
+        if (p, n) != (p_count, n_count):
+            raise ValueError(
+                f"class counts (P={p_count}, N={n_count}) do not match "
+                f"labels (P={p}, N={n})"
+            )
+        expected = -raw if orientation is Orientation.HIGHER_IS_BETTER else raw
+        canonical = expected == risk
+        if not canonical.all():
+            first = int(np.argmin(canonical))
+            raise ValueError(
+                f"segment {ids[first]!r}: risk score {risk[first].item()!r} is not "
+                f"the canonical form of raw score {raw[first].item()!r} under "
+                f"{orientation.value}"
+            )
+        self.__dict__.update(
+            ids=ids,
+            raw_scores=raw,
+            risk_scores=risk,
+            is_positive=positive,
+            p_count=p,
+            n_count=n,
+            orientation=orientation,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.p_count, self.n_count, self.orientation)
+            == (other.p_count, other.n_count, other.orientation)
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.raw_scores, other.raw_scores)
+            and np.array_equal(self.risk_scores, other.risk_scores)
+            and np.array_equal(self.is_positive, other.is_positive)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(total={self.total}, p_count={self.p_count}, "
+            f"n_count={self.n_count}, orientation={self.orientation})"
+        )
+
     @property
     def total(self) -> int:
         return self.p_count + self.n_count
 
     @cached_property
-    def risk_scores(self) -> np.ndarray:
-        arr = np.array([s.risk_score for s in self.segments], dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def raw_scores(self) -> np.ndarray:
-        arr = np.array([s.raw_score for s in self.segments], dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def is_positive(self) -> np.ndarray:
-        arr = np.array(
-            [s.label is Label.POSITIVE for s in self.segments], dtype=bool
+    def segments(self) -> tuple[ScoredSegment, ...]:
+        """Per-segment objects, built on first access."""
+        labels = (Label.NEGATIVE, Label.POSITIVE)
+        return tuple(
+            ScoredSegment(sid, labels[positive], raw, risk)
+            for sid, positive, raw, risk in zip(
+                self.ids.tolist(),
+                self.is_positive.tolist(),
+                self.raw_scores.tolist(),
+                self.risk_scores.tolist(),
+            )
         )
-        arr.flags.writeable = False
-        return arr
 
     @cached_property
     def positive_risks(self) -> np.ndarray:
-        arr = self.risk_scores[self.is_positive]
-        arr.flags.writeable = False
-        return arr
+        return _frozen(self.risk_scores[self.is_positive])
 
     @cached_property
     def negative_risks(self) -> np.ndarray:
-        arr = self.risk_scores[~self.is_positive]
-        arr.flags.writeable = False
-        return arr
+        return _frozen(self.risk_scores[~self.is_positive])
 
     @cached_property
     def fingerprint(self) -> str:
         """Digest of the sorted (segment_id, label) pairs.
 
         Two datasets with equal fingerprints share the same ground-truth
-        labeling, which is what multi-system comparisons require.
+        labeling, which is what multi-system comparisons require. Each pair
+        is hashed as id, 0x1F, label value, 0x1E, in UTF-8.
         """
-        h = hashlib.sha256()
-        for sid, label in sorted((s.segment_id, s.label.value) for s in self.segments):
-            h.update(sid.encode("utf-8"))
-            h.update(b"\x1f")
-            h.update(label.encode("utf-8"))
-            h.update(b"\x1e")
-        return h.hexdigest()
+        texts = (Label.NEGATIVE.value, Label.POSITIVE.value)
+        pairs = sorted(zip(self.ids.tolist(), map(texts.__getitem__, self.is_positive.tolist())))
+        stream = "\x1e".join(map("\x1f".join, pairs)) + ("\x1e" if pairs else "")
+        return hashlib.sha256(stream.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from .model import (
     Dataset,
     DegenerateClassError,
     Orientation,
+    _frozen,
     rates,
+    require_both_classes,
 )
 
 
@@ -169,11 +171,6 @@ _CURVE_RULES = (
 )
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def build_roc(dataset: Dataset) -> RocCurve:
     """Build the tie-aware ROC curve of a dataset.
 
@@ -182,12 +179,9 @@ def build_roc(dataset: Dataset) -> RocCurve:
     vertex count equals the number of distinct scores plus the (0, 0) origin.
     """
     p, n = dataset.p_count, dataset.n_count
-    if p == 0 or n == 0:
-        empty = "positive" if p == 0 else "negative"
-        raise DegenerateClassError(
-            f"no {empty} segments: the ROC curve is undefined for a single-class "
-            "dataset"
-        )
+    require_both_classes(
+        p, n, "the ROC curve is undefined for a single-class dataset"
+    )
     thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
     return RocCurve(
         np.concatenate(([math.inf], thresholds)),

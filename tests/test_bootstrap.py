@@ -11,7 +11,6 @@ from rocqe import (
     confidence_band,
     map_replicates,
     replicate_rng,
-    resample_stratified,
 )
 import rocqe.bootstrap as bootstrap_module
 from rocqe.bootstrap import (
@@ -96,30 +95,6 @@ class TestResampling:
         rpos, _ = resample_arrays(pos, neg, replicate_rng(0, 0))
         expected = pos[replicate_rng(0, 0).integers(0, 5, size=5)]
         assert np.array_equal(rpos, expected)
-
-    def test_stratified_dataset_roundtrip(self, sample10):
-        out = resample_stratified(sample10, replicate_rng(3, 0))
-        assert isinstance(out, Dataset)
-        assert out.p_count == sample10.p_count
-        assert out.n_count == sample10.n_count
-        assert out.orientation is sample10.orientation
-        originals = {s.segment_id for s in sample10.segments}
-        assert {s.segment_id for s in out.segments} <= originals
-
-    def test_stratified_is_deterministic(self, sample10):
-        a = resample_stratified(sample10, replicate_rng(3, 5))
-        b = resample_stratified(sample10, replicate_rng(3, 5))
-        assert [s.segment_id for s in a.segments] == [s.segment_id for s in b.segments]
-
-    def test_single_member_strata_resample_to_themselves(self):
-        ds = make_dataset([1.0, 0.0], [True, False])
-        out = resample_stratified(ds, replicate_rng(0, 0))
-        assert sorted(s.risk_score for s in out.segments) == [0.0, 1.0]
-
-    def test_degenerate_rejected(self):
-        ds = make_dataset([1.0, 2.0], [True, True])
-        with pytest.raises(DegenerateClassError):
-            resample_stratified(ds, replicate_rng(0, 0))
 
 
 def _resampled_counts(pos, neg, seed, index):
