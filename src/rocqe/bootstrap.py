@@ -32,6 +32,8 @@ T = TypeVar("T")
 DEFAULT_ITERATIONS = 1000
 DEFAULT_CONFIDENCE = 0.95
 MIN_GRID_INTERVALS = 100
+# Largest replicate matrix (iterations x grid points, float64) a band may allocate.
+MAX_BAND_MATRIX_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,8 @@ def confidence_band(
     segments read at their top) and its AUC recorded; grid columns and AUC
     values are sorted across replicates and cut at nearest-rank percentiles
     (1 - confidence) / 2 and 1 - (1 - confidence) / 2. Rows are written in
-    place into one B x (grid + 1) matrix, the only copy held.
+    place into one B x (grid + 1) matrix, the only copy held; a matrix over
+    ``MAX_BAND_MATRIX_BYTES`` is refused with a ValueError before allocation.
     """
     config = config or BootstrapConfig()
     require_both_classes(
@@ -281,6 +284,13 @@ def confidence_band(
             stacklevel=2,
         )
     grid = config.fpr_grid(dataset.n_count)
+    matrix_bytes = config.iterations * grid.size * 8
+    if matrix_bytes > MAX_BAND_MATRIX_BYTES:
+        raise ValueError(
+            f"the confidence band needs an estimated {matrix_bytes / 2**20:.0f} MB "
+            f"({config.iterations} replicates x {grid.size} grid points), above "
+            f"the {MAX_BAND_MATRIX_BYTES / 2**20:.0f} MB limit; lower --bootstrap"
+        )
     matrix = np.empty((config.iterations, grid.size))
 
     def one_replicate(

@@ -76,8 +76,10 @@ class CanonicalRecords(Sequence):
             object.__setattr__(
                 self, name, _frozen(np.array(getattr(self, name), dtype=np.float64))
             )
-        if not self.ids.ndim == 1 or not self.ids.shape == self.mqm_scores.shape == self.scores.shape:
+        if not (self.ids.ndim == 1 and self.ids.shape == self.mqm_scores.shape == self.scores.shape):
             raise ValueError("ids, mqm_scores and scores must be 1-d arrays of one length")
+        if not (np.isfinite(self.mqm_scores).all() and np.isfinite(self.scores).all()):
+            raise ValueError("canonical records hold finite values only")
 
     def __len__(self) -> int:
         return self.ids.size
@@ -152,7 +154,8 @@ def _clean_columns(path: str, header: bool) -> Optional[tuple[list[str], np.ndar
     keys: list[str] = []
     values = []
     with open(path, encoding="utf-8-sig") as handle:
-        for block in iter(partial(handle.readlines, _BLOCK_CHARS), []):
+        blocks = iter(partial(handle.readlines, _BLOCK_CHARS), [])
+        for index, block in enumerate(blocks):
             if set(map(str.count, block, repeat("\t"))) != {1}:
                 return None  # a blank line, or one with other than two fields
             fields = "".join(block).replace("\n", "\t").split("\t")
@@ -160,7 +163,7 @@ def _clean_columns(path: str, header: bool) -> Optional[tuple[list[str], np.ndar
                 fields.pop()  # after the last line end
             block_keys = list(map(str.strip, fields[0::2]))
             texts = list(map(str.strip, fields[1::2]))
-            if header and not keys and not values and not _parse_value(texts[0])[1]:
+            if header and index == 0 and not _parse_value(texts[0])[1]:
                 del block_keys[0], texts[0]  # header row
             try:
                 parsed = np.array(
@@ -272,6 +275,7 @@ def parse_canonical_tsv(
 
 
 def _strictly_increasing(keys: list[str]) -> bool:
+    """Whether ``keys`` are sorted and free of repeats."""
     column = np.array(keys, dtype=object)
     return bool((column[1:] > column[:-1]).all())
 

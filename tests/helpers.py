@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
-from rocqe import Dataset, Label, Orientation, ScoredSegment
+from rocqe import (
+    CanonicalRecord,
+    Dataset,
+    IngestError,
+    IngestReport,
+    Label,
+    Orientation,
+    ScoredSegment,
+    label,
+)
+from rocqe.ingest import MAX_WARNINGS
+from rocqe.roc import raw_threshold, tie_group_counts
 
 # The worked 10-segment example: (segment_id, raw QE score, has_error).
 # Scores are higher-is-better; six segments carry errors.
@@ -132,3 +145,187 @@ def reference_json(document) -> str:
     the report bytes are a contract, so the encoder must match it exactly.
     """
     return json.dumps(sanitize(document), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# Object-based oracles: how ingest, labelling, the fingerprint and the
+# table text were computed before the data path became columnar. The
+# columnar code must agree with them exactly.
+
+
+def parse_value(text: str) -> tuple[Optional[float], bool]:
+    """(value, ok): value None for missing markers and non-finite numbers."""
+    if text in ("", "None", "NA"):
+        return None, True
+    try:
+        value = float(text)
+    except ValueError:
+        return None, False
+    if not math.isfinite(value):
+        return None, True
+    return value, True
+
+
+def read_two_column(
+    path: str, strict: bool
+) -> tuple[dict[str, Optional[float]], int, list[str]]:
+    """The line-by-line reader: (rows, malformed_count, warnings), None for missing."""
+    rows: dict[str, Optional[float]] = {}
+    malformed = 0
+    notes: list[str] = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, raw_line in enumerate(handle, 1):
+            line = raw_line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            problem = None
+            if len(parts) != 2:
+                problem = f"expected 2 tab-separated fields, got {len(parts)}"
+            else:
+                sid, text = parts[0].strip(), parts[1].strip()
+                value, ok = parse_value(text)
+                if lineno == 1 and not ok:
+                    continue  # header row
+                if not sid:
+                    problem = "empty segment id"
+                elif not ok:
+                    problem = f"unparsable value {text!r}"
+                elif sid in rows:
+                    raise IngestError(
+                        f"{path} line {lineno}: duplicate segment id {sid!r}"
+                    )
+                else:
+                    rows[sid] = value
+            if problem is not None:
+                message = f"{path} line {lineno}: {problem}"
+                if strict:
+                    raise IngestError(message)
+                malformed += 1
+                if len(notes) < MAX_WARNINGS:
+                    notes.append(message)
+    return rows, malformed, notes
+
+
+def parse_canonical_tsv(
+    gold_path: str, scores_path: str, metric: str, *, strict: bool = False
+) -> tuple[list[CanonicalRecord], IngestReport]:
+    """The record-by-record join of two canonical TSVs."""
+    gold_rows, gold_bad, gold_notes = read_two_column(gold_path, strict)
+    score_rows, score_bad, score_notes = read_two_column(scores_path, strict)
+
+    records: list[CanonicalRecord] = []
+    missing_gold = 0
+    missing_score = 0
+    ids = sorted(set(gold_rows) | set(score_rows))
+    for sid in ids:
+        gold = gold_rows.get(sid)
+        score = score_rows.get(sid)
+        if gold is None:
+            missing_gold += 1
+            continue
+        if score is None:
+            missing_score += 1
+            continue
+        records.append(CanonicalRecord(sid, gold, {metric: score}))
+
+    warnings = (gold_notes + score_notes)[:MAX_WARNINGS]
+    if gold_bad + score_bad > len(warnings):
+        warnings.append(f"... and {gold_bad + score_bad - len(warnings)} more malformed lines")
+    report = IngestReport(
+        total_lines=len(ids) + gold_bad + score_bad,
+        accepted=len(records),
+        skipped_missing_gold=missing_gold,
+        skipped_missing_score=missing_score,
+        skipped_malformed=gold_bad + score_bad,
+        warnings=tuple(warnings),
+    )
+    return records, report
+
+
+def read_system_column(path: str) -> dict[str, list[Optional[float]]]:
+    """The line-by-line WMT reader: per-system sequences, None for missing."""
+    sequences: dict[str, list[Optional[float]]] = {}
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, raw_line in enumerate(handle, 1):
+            line = raw_line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise IngestError(
+                    f"{path} line {lineno}: expected 2 tab-separated fields, "
+                    f"got {len(parts)}"
+                )
+            system, text = parts[0].strip(), parts[1].strip()
+            value, ok = parse_value(text)
+            if not system or not ok:
+                raise IngestError(
+                    f"{path} line {lineno}: unparsable row {line!r}"
+                )
+            sequences.setdefault(system, []).append(value)
+    return sequences
+
+
+def to_dataset(records, cutoff, orientation: Orientation, metric: str) -> Dataset:
+    """Label records one by one into ScoredSegment objects."""
+    usable = [
+        r
+        for r in records
+        if r.mqm_score is not None and r.qe_scores.get(metric) is not None
+    ]
+    if not usable:
+        raise IngestError(
+            f"no usable records for metric {metric!r} after skips"
+        )
+    seen: set[str] = set()
+    segments = []
+    for record in sorted(usable, key=lambda r: r.segment_id):
+        if record.segment_id in seen:
+            raise IngestError(f"duplicate segment id {record.segment_id!r}")
+        seen.add(record.segment_id)
+        segments.append(
+            ScoredSegment.from_raw(
+                record.segment_id,
+                label(record.mqm_score, cutoff),
+                record.qe_scores[metric],
+                orientation,
+            )
+        )
+    return Dataset.from_segments(segments, orientation)
+
+
+def fingerprint(dataset: Dataset) -> str:
+    """SHA-256 over the sorted (segment_id, label) pairs, fed pair by pair."""
+    h = hashlib.sha256()
+    for sid, value in sorted((s.segment_id, s.label.value) for s in dataset.segments):
+        h.update(sid.encode("utf-8"))
+        h.update(b"\x1f")
+        h.update(value.encode("utf-8"))
+        h.update(b"\x1e")
+    return h.hexdigest()
+
+
+def table_tsv(dataset: Dataset) -> str:
+    """The QE-ROC table text, sorted with a Python key and formatted row by row."""
+    p, n = dataset.p_count, dataset.n_count
+    segments = sorted(dataset.segments, key=lambda s: (-s.risk_score, s.segment_id))
+    thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
+    lines = ["segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr"]
+
+    def row_line(sid, truth, raw, tp_g, fp_g) -> str:
+        return (
+            f"{sid}\t{truth}\t{raw!r}\t{tp_g}\t{p - tp_g}\t{fp_g}"
+            f"\t{n - fp_g}\t{tp_g / p:.2f}\t{fp_g / n:.2f}"
+        )
+
+    lines.append(row_line("-", "-", raw_threshold(math.inf, dataset.orientation), 0, 0))
+    group = 0
+    for seg in segments:
+        if seg.risk_score != thresholds[group]:
+            group += 1
+        lines.append(
+            row_line(seg.segment_id, seg.label.value, seg.raw_score,
+                     int(tp[group]), int(fp[group]))
+        )
+    lines.append(row_line("-", "-", raw_threshold(-math.inf, dataset.orientation), p, n))
+    return "\n".join(lines) + "\n"

@@ -314,6 +314,30 @@ class TestConfidenceBand:
         with pytest.raises(ValueError):
             band.lower_tpr[0] = 0.5
 
+    def test_matrix_over_the_memory_limit_is_refused_before_allocating(
+        self, sample10, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the band matrix was allocated")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        # 101 grid points: 2.7M replicates need 2,081 MiB, above the 2 GiB limit.
+        config = BootstrapConfig(iterations=2_700_000)
+        with pytest.raises(ValueError) as info:
+            confidence_band(sample10, config)
+        assert str(info.value) == (
+            "the confidence band needs an estimated 2081 MB (2700000 replicates x "
+            "101 grid points), above the 2048 MB limit; lower --bootstrap"
+        )
+
+    def test_matrix_at_the_memory_limit_is_allowed(self, sample10, monkeypatch):
+        # Exactly at the limit passes the guard and reaches the allocation.
+        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", 20 * 101 * 8)
+        confidence_band(sample10, BootstrapConfig(iterations=20))
+        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", 20 * 101 * 8 - 1)
+        with pytest.raises(ValueError, match="lower --bootstrap"):
+            confidence_band(sample10, BootstrapConfig(iterations=20))
+
     def test_degenerate_dataset_rejected(self):
         ds = make_dataset([1.0, 2.0], [True, True])
         with pytest.raises(DegenerateClassError):

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from rocqe.cli import main
+from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation
+from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
@@ -491,3 +492,88 @@ class TestWmtMode:
         ]
         doc = run_json(args, capsys)
         assert set(doc["results"]["metrics"]) == {"metricA", "metricB"}
+
+
+def _loaded(datasets):
+    return LoadedInputs(
+        metrics=list(datasets), datasets=dict(datasets), ingest_reports={},
+        orientations={m: ds.orientation for m, ds in datasets.items()},
+        cutoff=STRICT_ANY_ERROR, notes=[],
+    )
+
+
+class TestRestrictToCommonIds:
+    def test_partial_overlap_drops_and_notes(self):
+        first = Dataset.from_columns(["d", "a", "b", "c"], [4.0, 1.0, 2.0, 3.0],
+                                     [True, False, True, False])
+        second = Dataset.from_columns(["c", "b", "e"], [0.3, 0.2, 0.5], [False, True, True],
+                                      Orientation.HIGHER_IS_BETTER)
+        loaded = _loaded({"m1": first, "m2": second})
+        _restrict_to_common_ids(loaded)
+        kept1, kept2 = loaded.datasets["m1"], loaded.datasets["m2"]
+        assert kept1.ids.tolist() == ["b", "c"] and kept1.raw_scores.tolist() == [2.0, 3.0]
+        assert kept2.ids.tolist() == ["c", "b"] and kept2.risk_scores.tolist() == [-0.3, -0.2]
+        assert kept2.orientation is Orientation.HIGHER_IS_BETTER
+        assert kept1.fingerprint == kept2.fingerprint
+        assert loaded.notes == [
+            "m1: 2 segments without scores from every metric were dropped for comparability",
+            "m2: 1 segments without scores from every metric were dropped for comparability",
+        ]
+
+    def test_full_overlap_keeps_datasets(self, sample10):
+        loaded = _loaded({"m1": sample10, "m2": sample10})
+        _restrict_to_common_ids(loaded)
+        assert loaded.datasets["m1"] is sample10 and loaded.notes == []
+
+    def test_disjoint_ids_raise_input_error(self):
+        first = Dataset.from_columns(["a"], [1.0], [True])
+        second = Dataset.from_columns(["b"], [1.0], [True])
+        with pytest.raises(IngestError, match="no segment ids are shared"):
+            _restrict_to_common_ids(_loaded({"m1": first, "m2": second}))
+
+    def test_hull_report_notes_dropped_segments(self, tmp_path, capsys):
+        gold = tmp_path / "g.tsv"
+        gold.write_text("a\t-1.0\nb\t0.0\nc\t-2.0\nd\t0.0\n")
+        first = tmp_path / "m1.tsv"
+        first.write_text("a\t0.5\nb\t0.1\nc\t0.7\nd\t0.2\n")
+        second = tmp_path / "m2.tsv"
+        second.write_text("a\t0.7\nb\t0.2\nc\t0.1\n")
+        doc = run_json(
+            ["hull", "--gold", str(gold), "--scores", f"m1={first}", "--scores", f"m2={second}"],
+            capsys,
+        )
+        assert doc["notes"] == [
+            "m1: 1 segments without scores from every metric were dropped for comparability"
+        ]
+
+
+class TestColumnarPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roc", *BASE, "--bootstrap", "20"],
+            ["table", *BASE],
+            ["scenario", *BASE, "--scenario", "1", "--x", "0.3", "--bootstrap", "20",
+             "--trade-off", "1:10"],
+            ["scenario", *BASE, "--scenario", "2", "--y", "10", "--bootstrap", "20"],
+            ["hull", *BASE, "--scores", "riskb=tests/fixtures/sample10.riskb.tsv"],
+            ["diagnose", *BASE, "--bootstrap", "20"],
+        ],
+    )
+    def test_commands_never_build_segment_objects(self, argv, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Dataset.segments was built")
+
+        monkeypatch.setattr(Dataset, "segments", property(refuse))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+
+    def test_oversized_band_is_a_config_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the band matrix was allocated")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        code, out, err = run_cli(["roc", *BASE, "--bootstrap", "3000000"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "MB" in err and "lower --bootstrap" in err

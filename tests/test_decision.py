@@ -6,10 +6,14 @@ import pytest
 from rocqe import (
     BootstrapConfig,
     ClassRatio,
+    Dataset,
     DecisionReport,
     DegenerateClassError,
     Label,
+    Orientation,
+    QeRocTable,
     Scenario,
+    ScoredSegment,
     TradeOff,
     build_roc,
     optimal_threshold,
@@ -17,6 +21,8 @@ from rocqe import (
     scenario1_residual_risk,
     scenario2_required_effort,
 )
+import rocqe.cli as cli_module
+import helpers
 from helpers import assert_close, make_dataset, random_dataset
 
 # Golden table for the 10-segment example, worst score first. Ties share
@@ -95,6 +101,57 @@ class TestQeRocTable:
             table = qe_roc_table(ds)
             assert len(table.rows) == ds.total
             assert (table.rows[-1].tpr, table.rows[-1].fpr) == (1.0, 1.0)
+
+
+    def test_rows_are_built_on_first_access(self, sample10):
+        table = qe_roc_table(sample10)
+        assert "rows" not in vars(table)
+        assert len(table.rows) == 10 and table.rows is table.rows
+
+    def test_table_needs_rows_ending_in_the_corner(self, sample10):
+        table = qe_roc_table(sample10)
+        with pytest.raises(ValueError, match="at least one data row"):
+            QeRocTable([], [], [], [], [], table.endpoints, 6, 4)
+        with pytest.raises(ValueError, match="tpr = fpr = 1"):
+            QeRocTable(["a"], [True], [1.0], [6], [3], table.endpoints, 6, 4)
+
+    def test_degenerate_message(self):
+        with pytest.raises(DegenerateClassError) as info:
+            qe_roc_table(make_dataset([1.0, 2.0], [True, True]))
+        assert str(info.value) == "no negative segments: the QE-ROC table is undefined"
+
+
+def _shuffled_dataset(rng: np.random.Generator) -> Dataset:
+    """Both classes, in shuffled order, with heavy ties, +-0.0 or repeated ids."""
+    size = int(rng.integers(2, 40))
+    labels = rng.permutation(np.arange(size) < int(rng.integers(1, size)))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        raw = rng.integers(0, 4, size=size).astype(float)
+    elif kind == 1:
+        raw = rng.choice([0.0, -0.0, 1.5, -2.0], size=size)
+    else:
+        raw = rng.normal(size=size).round(2)
+    pool = size if rng.random() < 0.5 else max(size // 3, 1)
+    ids = [f"id{int(i)}" for i in rng.integers(0, pool, size=size)]
+    orientation = list(Orientation)[int(rng.integers(2))]
+    segments = [
+        ScoredSegment.from_raw(sid, Label.POSITIVE if pos else Label.NEGATIVE, float(x), orientation)
+        for sid, pos, x in zip(ids, labels, raw)
+    ]
+    return Dataset.from_segments(segments, orientation)
+
+
+class TestTableTextDifferential:
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_matches_row_by_row_formatting(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(cli_module, "_ROWS_PER_BLOCK", block)
+        rng = np.random.default_rng(413)
+        for trial in range(200):
+            ds = _shuffled_dataset(rng)
+            got = "".join(cli_module._table_chunks(qe_roc_table(ds)))
+            assert got == helpers.table_tsv(ds), trial
 
 
 class TestTradeOffParsing:

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rocqe import (
     LENIENT,
     STRICT_ANY_ERROR,
     CanonicalRecord,
+    CanonicalRecords,
     IngestError,
     IngestReport,
     Label,
@@ -18,7 +20,9 @@ from rocqe import (
     to_dataset,
     write_dataset_tsv,
 )
-from rocqe.ingest import MAX_WARNINGS
+import rocqe.ingest as ingest_module
+from rocqe.ingest import MAX_WARNINGS, _read_system_column
+import helpers
 from helpers import random_dataset
 
 
@@ -348,3 +352,206 @@ class TestRecordAndReportValidation:
                 skipped_malformed=1,
                 warnings=(),
             )
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call did: its result, or the type and text of what it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return "raised", (type(exc), str(exc))
+
+
+def _record_rows(records):
+    return [(r.segment_id, repr(r.mqm_score), repr(r.qe_scores)) for r in records]
+
+
+def _dataset_columns(ds):
+    return (
+        ds.ids.tolist(),
+        ds.raw_scores.tolist(),
+        [repr(x) for x in ds.risk_scores.tolist()],
+        ds.is_positive.tolist(),
+        (ds.p_count, ds.n_count, ds.orientation),
+    )
+
+
+def _labelled(fn, *args):
+    """_outcome of fn(*args) plus the text of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(fn, *args)
+    texts = [(w.category, str(w.message)) for w in caught]
+    if outcome[0] == "ok":
+        ds = outcome[1]
+        outcome = ("ok", (_dataset_columns(ds), ds.fingerprint))
+    return outcome, texts
+
+
+# Values every reader accepts (missing and non-finite ones included), then
+# values that make a line malformed.
+_CLEAN_VALUES = (
+    "0.5", "-1.0", "0", "-0.0", "1e-3", " 2.25 ", "-5", "3_0.5",
+    "None", "NA", "", "nan", "inf", "-Infinity",
+)
+_VALUES = _CLEAN_VALUES + ("abc", "1,5", "0.125\t")
+
+
+def _random_tsv(rng, path, ids, clean):
+    """A small key<TAB>value file with the quirks the reader must handle."""
+    lines = []
+    if rng.random() < 0.4:
+        lines.append(["segment_id\tscore", "id\tvalue", "segment_id\tmqm"][int(rng.integers(3))])
+    for sid in ids:
+        kind = rng.random()
+        values = _CLEAN_VALUES if clean else _VALUES
+        value = values[int(rng.integers(len(values)))]
+        if clean or kind < 0.7:
+            lines.append(f"{sid}\t{value}")
+        elif kind < 0.76:
+            lines.append(["", "   ", "\t", " \t "][int(rng.integers(4))])  # blank
+        elif kind < 0.82:
+            lines.append(["only-one-field", f"{sid}\t1\t2", "\t\t"][int(rng.integers(3))])
+        elif kind < 0.88:
+            lines.append(f"  \t{value}")  # empty id
+        elif kind < 0.92:
+            lines.append(f"{ids[int(rng.integers(len(ids)))]}\t{value}")  # maybe a duplicate
+        else:
+            lines.append(f" {sid} \t {value}")
+    if not clean and rng.random() < 0.3:
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    ends = ["\n", "\r\n", "\r"]
+    text = "".join(line + ends[int(rng.integers(3))] for line in lines)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    if rng.random() < 0.3:
+        text = "\ufeff" + text
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestColumnarIngestDifferential:
+    """The columnar reader and join against the line-by-line oracle."""
+
+    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_random_files_match_the_oracle(self, tmp_path, monkeypatch, block_chars, strict):
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(401 + 2 * strict + (block_chars or 0))
+        outcomes = set()
+        for trial in range(120):
+            pool = [f"s{i}" for i in range(int(rng.integers(1, 12)))] + ["é9"]
+            clean = rng.random() < 0.5
+            gold_ids = list(rng.permutation(pool))[: int(rng.integers(1, len(pool) + 1))]
+            score_ids = gold_ids if rng.random() < 0.5 else list(rng.permutation(pool))
+            gold = _random_tsv(rng, tmp_path / f"g{trial}.tsv", gold_ids, clean)
+            scores = _random_tsv(rng, tmp_path / f"s{trial}.tsv", score_ids, clean)
+            got = _outcome(parse_canonical_tsv, gold, scores, "m", strict=strict)
+            want = _outcome(helpers.parse_canonical_tsv, gold, scores, "m", strict=strict)
+            assert got[0] == want[0], (trial, got, want)
+            outcomes.add(got[0] if got[0] == "raised" else ("ok", got[1][1].skipped_malformed > 0))
+            if got[0] == "raised":
+                assert got[1] == want[1], trial
+                continue
+            (records, report), (ref_records, ref_report) = got[1], want[1]
+            assert _record_rows(records) == _record_rows(ref_records), trial
+            assert report == ref_report, trial
+            for cutoff in (STRICT_ANY_ERROR, LENIENT):
+                for orientation in Orientation:
+                    assert _labelled(to_dataset, records, cutoff, orientation, "m") == _labelled(
+                        helpers.to_dataset, ref_records, cutoff, orientation, "m"
+                    ), trial
+        # Both readers, a raise and a report with skipped lines all occurred.
+        assert {"raised", ("ok", False)} <= outcomes
+        assert strict or ("ok", True) in outcomes
+
+    @pytest.mark.parametrize("block_chars", [None, 7])
+    def test_clean_files_are_read_in_whole_columns(self, tmp_path, monkeypatch, block_chars):
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        path = tmp_path / "f.tsv"
+        for text in ("id\tscore\na\t1.5\nb\tNone\n", "\ufeffa\t1.5\r\nb\tnan", "a\t 1.5 \rb\t\n"):
+            path.write_text(text, encoding="utf-8", newline="")
+            keys, values = ingest_module._clean_columns(str(path), header=True)
+            assert keys == ["a", "b"]
+            assert values[0] == 1.5 and math.isnan(values[1])
+        for text in ("a\t1\n\nb\t2\n", "a\t1\nb\t2\t3\n", "a\t1\n \t2\n", "a\t1\nb\tx\n"):
+            path.write_text(text, encoding="utf-8")
+            assert ingest_module._clean_columns(str(path), header=True) is None
+
+    def test_wmt_reader_matches_the_oracle(self, tmp_path):
+        rng = np.random.default_rng(409)
+        for trial in range(150):
+            systems = ["sysA", "sysB", " sysC "][: int(rng.integers(1, 4))]
+            clean = rng.random() < 0.5
+            lines = []
+            for _ in range(int(rng.integers(1, 15))):
+                system = systems[int(rng.integers(len(systems)))]
+                values = _CLEAN_VALUES if clean else _VALUES
+                lines.append(f"{system}\t{values[int(rng.integers(len(values)))]}")
+                if not clean and rng.random() < 0.1:
+                    lines.append(["", "x", "\tx", "a\tb\tc"][int(rng.integers(4))])
+            text = "\ufeff" * (rng.random() < 0.3) + "\r\n".join(lines) + "\n" * (rng.random() < 0.7)
+            path = tmp_path / f"w{trial}.score"
+            path.write_text(text, encoding="utf-8")
+            got = _outcome(_read_system_column, str(path))
+            want = _outcome(helpers.read_system_column, str(path))
+            if got[0] == "ok":
+                got = ("ok", {k: [None if math.isnan(v) else v for v in seq] for k, seq in got[1].items()})
+            assert got == want, trial
+
+    def test_to_dataset_over_shuffled_records_matches_the_oracle(self):
+        rng = np.random.default_rng(410)
+        mqm_values = (-5.0, -1.0, 0.0, -0.0, 0.5, None, 2.0)
+        score_values = (0.5, -0.0, 0.0, 1.0, 0.25, None, math.nan, math.inf)
+        seen = set()
+        for trial in range(300):
+            size = int(rng.integers(1, 12))
+            pool = [f"r{i}" for i in range(int(rng.integers(1, 2 * size + 1)))]
+            records = []
+            for _ in range(size):
+                scores = {}
+                if rng.random() < 0.9:
+                    scores["m"] = score_values[int(rng.integers(5 if rng.random() < 0.8 else 8))]
+                if rng.random() < 0.2:
+                    scores["other"] = 1.0
+                mqm = mqm_values[int(rng.integers(4 if rng.random() < 0.8 else 7))]
+                records.append(CanonicalRecord(pool[int(rng.integers(len(pool)))], mqm, scores))
+            orientation = list(Orientation)[int(rng.integers(2))]
+            got = _labelled(to_dataset, records, LENIENT, orientation, "m")
+            want = _labelled(helpers.to_dataset, records, LENIENT, orientation, "m")
+            assert got == want, (trial, records)
+            seen.add(got[0][0] if got[0][0] == "ok" else got[0][1][0])
+        assert {"ok", IngestError} <= seen and len(seen) == 3
+
+
+class TestCanonicalRecords:
+    def test_sequence_builds_records_on_demand(self, sample10_paths):
+        records, _ = parse_canonical_tsv(*sample10_paths, "metric")
+        assert isinstance(records, CanonicalRecords)
+        assert records[0] == CanonicalRecord("1", -5.0, {"metric": 95.0})
+        assert records[-1].segment_id == "9"
+        assert [r.segment_id for r in records[1:3]] == ["10", "2"]
+        assert list(records) == [records[i] for i in range(len(records))]
+        with pytest.raises(IndexError):
+            records[len(records)]
+
+    def test_columns_are_read_only(self, sample10_paths):
+        records, _ = parse_canonical_tsv(*sample10_paths, "metric")
+        assert records.ids.tolist() == sorted(records.ids.tolist())
+        for column in (records.ids, records.mqm_scores, records.scores):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_other_metric_has_no_usable_records(self, sample10_paths):
+        records, _ = parse_canonical_tsv(*sample10_paths, "metric")
+        with pytest.raises(IngestError, match="no usable records"):
+            to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "other")
+
+    def test_wmt_records_keep_file_order(self, wmt_root):
+        records, _ = parse_wmt_layout(wmt_root, "zh-en", "wmt23", "sysX", "metricA")
+        assert isinstance(records, CanonicalRecords)
+        ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "metricA")
+        assert ds.ids.tolist() == sorted(records.ids.tolist())

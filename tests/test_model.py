@@ -15,6 +15,8 @@ from rocqe import (
     counts_from_rates,
     rates,
 )
+from rocqe.model import require_both_classes
+import helpers
 
 
 class TestOrientation:
@@ -108,6 +110,83 @@ class TestDataset:
         a = Dataset.from_segments([ScoredSegment("x", Label.POSITIVE, 1.0, 1.0)])
         b = Dataset.from_segments([ScoredSegment("x", Label.POSITIVE, 9.0, 9.0)])
         assert a.fingerprint == b.fingerprint
+
+
+class TestColumnarDataset:
+    def test_from_columns_derives_risk_and_counts(self):
+        ds = Dataset.from_columns(
+            ["a", "b", "c"], [1.0, -0.0, 2.5], [True, False, True],
+            Orientation.HIGHER_IS_BETTER,
+        )
+        assert ds.ids.tolist() == ["a", "b", "c"]
+        assert ds.risk_scores.tolist() == [-1.0, 0.0, -2.5]
+        assert (ds.p_count, ds.n_count, ds.total) == (2, 1, 3)
+        for column in (ds.ids, ds.raw_scores, ds.risk_scores, ds.is_positive):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_columns_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteScoreError, match="segment 'b'"):
+            Dataset.from_columns(["a", "b"], [1.0, bad], [True, False])
+
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            Dataset.from_columns(["a", "b"], [1.0], [True, False])
+
+    def test_segments_built_lazily_and_kept(self):
+        ds = Dataset.from_columns(["x", "y"], [3.0, 4.0], [False, True])
+        assert "segments" not in vars(ds)
+        assert ds.segments == (
+            ScoredSegment("x", Label.NEGATIVE, 3.0, 3.0),
+            ScoredSegment("y", Label.POSITIVE, 4.0, 4.0),
+        )
+        segs = (ScoredSegment("x", Label.NEGATIVE, 3.0, 3.0),)
+        assert Dataset(segs, 0, 1).segments is segs
+
+    def test_equal_columns_make_equal_datasets(self, sample10):
+        again = Dataset.from_columns(
+            sample10.ids, sample10.raw_scores, sample10.is_positive, sample10.orientation
+        )
+        assert again == sample10
+        assert again != Dataset.from_segments(sample10.segments[1:], sample10.orientation)
+
+    def test_immutable(self, sample10):
+        with pytest.raises(AttributeError):
+            sample10.p_count = 3
+
+    def test_risk_must_be_canonical_names_the_first_bad_segment(self):
+        segs = [
+            ScoredSegment("a", Label.POSITIVE, 1.0, 1.0),
+            ScoredSegment("b", Label.NEGATIVE, 2.0, 3.0),
+            ScoredSegment("c", Label.NEGATIVE, 2.0, 4.0),
+        ]
+        with pytest.raises(ValueError, match="segment 'b': risk score 3.0 is not"):
+            Dataset.from_segments(segs)
+
+    def test_fingerprint_matches_pairwise_hash(self):
+        rng = np.random.default_rng(412)
+        for _ in range(100):
+            size = int(rng.integers(0, 20))
+            ids = [f"id{int(i)}" for i in rng.integers(0, max(size, 1), size=size)]
+            ids = [sid + "é" if rng.random() < 0.1 else sid for sid in ids]
+            ds = Dataset.from_columns(ids, rng.normal(size=size), rng.random(size) < 0.5)
+            assert ds.fingerprint == helpers.fingerprint(ds)
+
+    def test_fingerprint_of_nothing(self):
+        empty = Dataset.from_columns([], [], [])
+        assert empty.fingerprint == helpers.fingerprint(empty)
+
+
+class TestRequireBothClasses:
+    def test_passes_with_both(self):
+        require_both_classes(1, 1, "anything is undefined")
+
+    @pytest.mark.parametrize("p,n,empty", [(0, 3, "positive"), (3, 0, "negative"), (0, 0, "positive")])
+    def test_message_names_the_empty_class(self, p, n, empty):
+        with pytest.raises(DegenerateClassError) as info:
+            require_both_classes(p, n, "the thing is undefined")
+        assert str(info.value) == f"no {empty} segments: the thing is undefined"
 
 
 class TestConfusionCounts:
