@@ -55,7 +55,6 @@ class CanonicalRecord:
             raise ValueError("segment_id must be non-empty")
 
 
-@dataclass(frozen=True, eq=False)
 class CanonicalRecords(Sequence):
     """Joined records for one metric, held as columns.
 
@@ -65,21 +64,18 @@ class CanonicalRecords(Sequence):
     objects on demand.
     """
 
-    metric: str
-    ids: np.ndarray
-    mqm_scores: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", _frozen(np.array(self.ids, dtype=object)))
-        for name in ("mqm_scores", "scores"):
-            object.__setattr__(
-                self, name, _frozen(np.array(getattr(self, name), dtype=np.float64))
-            )
-        if not (self.ids.ndim == 1 and self.ids.shape == self.mqm_scores.shape == self.scores.shape):
+    def __init__(self, metric: str, ids, mqm_scores, scores) -> None:
+        ids = _frozen(np.array(ids, dtype=object))
+        mqm_scores = _frozen(np.array(mqm_scores, dtype=np.float64))
+        scores = _frozen(np.array(scores, dtype=np.float64))
+        if not (ids.ndim == 1 and ids.shape == mqm_scores.shape == scores.shape):
             raise ValueError("ids, mqm_scores and scores must be 1-d arrays of one length")
-        if not (np.isfinite(self.mqm_scores).all() and np.isfinite(self.scores).all()):
+        if not (np.isfinite(mqm_scores).all() and np.isfinite(scores).all()):
             raise ValueError("canonical records hold finite values only")
+        self.__dict__.update(metric=metric, ids=ids, mqm_scores=mqm_scores, scores=scores)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"CanonicalRecords is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
         return self.ids.size

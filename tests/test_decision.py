@@ -136,7 +136,9 @@ def _shuffled_dataset(rng: np.random.Generator) -> Dataset:
     ids = [f"id{int(i)}" for i in rng.integers(0, pool, size=size)]
     orientation = list(Orientation)[int(rng.integers(2))]
     segments = [
-        ScoredSegment.from_raw(sid, Label.POSITIVE if pos else Label.NEGATIVE, float(x), orientation)
+        ScoredSegment.from_raw(
+            sid, Label.POSITIVE if pos else Label.NEGATIVE, float(x), orientation
+        )
         for sid, pos, x in zip(ids, labels, raw)
     ]
     return Dataset.from_segments(segments, orientation)

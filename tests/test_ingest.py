@@ -493,13 +493,16 @@ class TestColumnarIngestDifferential:
                 lines.append(f"{system}\t{values[int(rng.integers(len(values)))]}")
                 if not clean and rng.random() < 0.1:
                     lines.append(["", "x", "\tx", "a\tb\tc"][int(rng.integers(4))])
-            text = "\ufeff" * (rng.random() < 0.3) + "\r\n".join(lines) + "\n" * (rng.random() < 0.7)
+            text = "\r\n".join(lines) + "\n" * (rng.random() < 0.7)
+            text = "\ufeff" * (rng.random() < 0.3) + text
             path = tmp_path / f"w{trial}.score"
             path.write_text(text, encoding="utf-8")
             got = _outcome(_read_system_column, str(path))
             want = _outcome(helpers.read_system_column, str(path))
             if got[0] == "ok":
-                got = ("ok", {k: [None if math.isnan(v) else v for v in seq] for k, seq in got[1].items()})
+                got = ("ok", {
+                    k: [None if math.isnan(v) else v for v in seq] for k, seq in got[1].items()
+                })
             assert got == want, trial
 
     def test_to_dataset_over_shuffled_records_matches_the_oracle(self):
@@ -544,6 +547,15 @@ class TestCanonicalRecords:
         for column in (records.ids, records.mqm_scores, records.scores):
             with pytest.raises(ValueError):
                 column[0] = column[1]
+
+    def test_immutable_and_validated(self):
+        records = CanonicalRecords("m", ["a", "b"], [-1.0, 0.0], [0.5, 0.25])
+        with pytest.raises(AttributeError):
+            records.metric = "other"
+        with pytest.raises(ValueError, match="one length"):
+            CanonicalRecords("m", ["a", "b"], [-1.0], [0.5, 0.25])
+        with pytest.raises(ValueError, match="finite"):
+            CanonicalRecords("m", ["a"], [-1.0], [math.nan])
 
     def test_other_metric_has_no_usable_records(self, sample10_paths):
         records, _ = parse_canonical_tsv(*sample10_paths, "metric")

@@ -182,7 +182,9 @@ class TestRequireBothClasses:
     def test_passes_with_both(self):
         require_both_classes(1, 1, "anything is undefined")
 
-    @pytest.mark.parametrize("p,n,empty", [(0, 3, "positive"), (3, 0, "negative"), (0, 0, "positive")])
+    @pytest.mark.parametrize(
+        "p,n,empty", [(0, 3, "positive"), (3, 0, "negative"), (0, 0, "positive")]
+    )
     def test_message_names_the_empty_class(self, p, n, empty):
         with pytest.raises(DegenerateClassError) as info:
             require_both_classes(p, n, "the thing is undefined")
