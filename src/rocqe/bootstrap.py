@@ -10,7 +10,9 @@ worker count or execution order.
 A replicate is never re-sorted. The dataset's distinct scores are ranked
 once into tie groups; a replicate is a multiplicity vector over the original
 sample, so its tie-group sweep is a bincount of the drawn members' groups
-followed by a cumulative sum.
+followed by a cumulative sum. Nor is its curve searched: every fpr is an
+integer count over N, so the segment holding each FPR grid point is found
+by counting the replicate's distinct counts up to a per-band index.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Optional, TypeVar
 import numpy as np
 
 from .model import Dataset, require_both_classes
-from .roc import interp_tpr, tie_group_counts
+from .roc import tie_group_counts
 
 T = TypeVar("T")
 
@@ -177,27 +179,53 @@ def _map_indexed(
         return list(pool.map(run, indices))
 
 
-def curve_arrays(
-    pos_risk: np.ndarray, neg_risk: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fpr, tpr) vertex arrays, origin included, for raw risk arrays.
-
-    Fast-path equivalent of build_roc for code that only needs coordinates:
-    same tie-group collapsing, no vertex objects.
-    """
-    risk = np.concatenate([pos_risk, neg_risk])
-    is_positive = np.zeros(risk.size, dtype=bool)
-    is_positive[: pos_risk.size] = True
-    _, tp, fp = tie_group_counts(risk, is_positive)
-    return _curve_from_counts(tp, fp, pos_risk.size, neg_risk.size)
-
-
 def _curve_from_counts(
     tp: np.ndarray, fp: np.ndarray, p: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    fpr = np.concatenate([[0.0], fp / n])
-    tpr = np.concatenate([[0.0], tp / p])
-    return fpr, tpr
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fp, fpr, tpr) vertex arrays, origin included, of cumulative group counts."""
+    fp = np.concatenate(([0], fp))
+    return fp, fp / n, np.concatenate(([0.0], tp / p))
+
+
+def _fp_at(grid: np.ndarray, n: int) -> np.ndarray:
+    """For every grid point, the largest count c with c / n at or below it."""
+    return np.searchsorted(np.arange(n + 1) / n, grid, side="right") - 1
+
+
+def _grid_tpr(
+    fp: np.ndarray,
+    fpr: np.ndarray,
+    tpr: np.ndarray,
+    grid: np.ndarray,
+    fp_at: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``interp_tpr(fpr, tpr, grid)``, bit for bit, found by counting.
+
+    ``fp`` holds the curve's integer counts (origin first, ending at N) and
+    ``fpr = fp / N``; ``grid`` lies in [0, 1] and ``fp_at = _fp_at(grid, N)``.
+    Correctly rounded c / N grows with c, so a vertex lies at or left of a
+    grid point exactly when its count is at most that point's ``fp_at``: the
+    segment holding each point is the number of distinct counts up to it,
+    less one. The last segment gets an infinite width and zero rise, and a
+    point on a vertex adds +0.0 to its top (rises are never negative), so no
+    point needs a mask.
+    """
+    change = np.flatnonzero(np.diff(fp))
+    first = np.concatenate(([0], change + 1))
+    last = np.append(change, fp.size - 1)
+    x = fpr[first]
+    top = tpr[last]
+    dx = np.append(np.diff(x), np.inf)
+    dy = np.append(tpr[first[1:]] - top[:-1], 0.0)
+    present = np.zeros(fp[-1] + 1, dtype=np.intp)
+    present[fp] = 1
+    k = np.cumsum(present)[fp_at] - 1
+    row = np.subtract(grid, x[k], out=out)
+    row /= dx[k]
+    row *= dy[k]
+    row += top[k]
+    return row
 
 
 def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
@@ -292,12 +320,14 @@ def confidence_band(
             f"the {MAX_BAND_MATRIX_BYTES / 2**20:.0f} MB limit; lower --bootstrap"
         )
     matrix = np.empty((config.iterations, grid.size))
+    p, n = dataset.p_count, dataset.n_count
+    fp_at = _fp_at(grid, n)
 
     def one_replicate(
         index: int, tp: np.ndarray, fp: np.ndarray
     ) -> tuple[float, bool]:
-        fpr, tpr = _curve_from_counts(tp, fp, dataset.p_count, dataset.n_count)
-        matrix[index] = interp_tpr(fpr, tpr, grid)
+        fp, fpr, tpr = _curve_from_counts(tp, fp, p, n)
+        _grid_tpr(fp, fpr, tpr, grid, fp_at, out=matrix[index])
         degenerate = fpr.size == 2  # origin plus a single tie group: all scores tied
         return trapezoid_auc(fpr, tpr), degenerate
 
@@ -310,12 +340,13 @@ def confidence_band(
     lower = nearest_rank(matrix, alpha / 2.0).copy()
     upper = nearest_rank(matrix, 1.0 - alpha / 2.0).copy()
 
-    point_fpr, point_tpr = curve_arrays(dataset.positive_risks, dataset.negative_risks)
+    _, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
+    point_fp, point_fpr, point_tpr = _curve_from_counts(tp, fp, p, n)
     return ConfidenceBand(
         fpr_grid=grid.copy(),
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=np.asarray(interp_tpr(point_fpr, point_tpr, grid)),
+        point_tpr=_grid_tpr(point_fp, point_fpr, point_tpr, grid, fp_at),
         auc_point=trapezoid_auc(point_fpr, point_tpr),
         auc_interval=(
             float(nearest_rank(aucs, alpha / 2.0)),

@@ -263,10 +263,6 @@ def interp_tpr(
     return float(out[0]) if scalar else out
 
 
-def curve_tpr_at(curve: RocCurve, at: np.ndarray | float) -> np.ndarray | float:
-    return interp_tpr(curve.fpr, curve.tpr, at)
-
-
 @dataclass(frozen=True)
 class HullVertex:
     fpr: float
@@ -297,10 +293,6 @@ class RocHull:
     @property
     def tpr(self) -> np.ndarray:
         return np.array([v.tpr for v in self.vertices])
-
-
-def hull_tpr_at(hull: RocHull, at: np.ndarray | float) -> np.ndarray | float:
-    return interp_tpr(hull.fpr, hull.tpr, at)
 
 
 def _cross(o: HullVertex, a: HullVertex, b: HullVertex) -> float:

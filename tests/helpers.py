@@ -11,17 +11,22 @@ from typing import Optional
 import numpy as np
 
 from rocqe import (
+    BootstrapConfig,
     CanonicalRecord,
+    ConfidenceBand,
     Dataset,
     IngestError,
     IngestReport,
     Label,
     Orientation,
     ScoredSegment,
+    build_roc,
     label,
+    map_replicates,
 )
+from rocqe.bootstrap import nearest_rank, trapezoid_auc
 from rocqe.ingest import MAX_WARNINGS
-from rocqe.roc import raw_threshold, tie_group_counts
+from rocqe.roc import interp_tpr, raw_threshold, tie_group_counts
 
 # The worked 10-segment example: (segment_id, raw QE score, has_error).
 # Scores are higher-is-better; six segments carry errors.
@@ -329,3 +334,40 @@ def table_tsv(dataset: Dataset) -> str:
         )
     lines.append(row_line("-", "-", raw_threshold(-math.inf, dataset.orientation), p, n))
     return "\n".join(lines) + "\n"
+
+
+def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
+    """The band with every curve read off the grid by ``interp_tpr``.
+
+    This is how the band was computed before the count-indexed grid read:
+    each replicate's vertex arrays searched for every grid point, rows
+    stacked, then cut at the same nearest ranks.
+    """
+    p, n = dataset.p_count, dataset.n_count
+    grid = config.fpr_grid(n)
+
+    def replicate(tp: np.ndarray, fp: np.ndarray):
+        fpr = np.concatenate([[0.0], fp / n])
+        tpr = np.concatenate([[0.0], tp / p])
+        return interp_tpr(fpr, tpr, grid), trapezoid_auc(fpr, tpr), fpr.size == 2
+
+    rows, aucs, degenerate = zip(*map_replicates(dataset, config, replicate))
+    matrix = np.sort(np.vstack(rows), axis=0)
+    aucs = np.sort(np.array(aucs))
+    alpha = 1.0 - config.confidence
+    curve = build_roc(dataset)
+    return ConfidenceBand(
+        fpr_grid=grid,
+        lower_tpr=nearest_rank(matrix, alpha / 2.0).copy(),
+        upper_tpr=nearest_rank(matrix, 1.0 - alpha / 2.0).copy(),
+        point_tpr=interp_tpr(curve.fpr, curve.tpr, grid),
+        auc_point=trapezoid_auc(curve.fpr, curve.tpr),
+        auc_interval=(
+            float(nearest_rank(aucs, alpha / 2.0)),
+            float(nearest_rank(aucs, 1.0 - alpha / 2.0)),
+        ),
+        confidence=config.confidence,
+        iterations=config.iterations,
+        seed=config.seed,
+        degenerate_replicates=sum(degenerate),
+    )

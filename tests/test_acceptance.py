@@ -37,7 +37,7 @@ from rocqe import (
 )
 from rocqe.bootstrap import ConfidenceBand
 from rocqe.cli import main
-from rocqe.roc import auc, convex_hull, hull_tpr_at, curve_tpr_at, rates
+from rocqe.roc import auc, convex_hull, interp_tpr, rates
 from helpers import make_dataset, pairwise_auc, random_dataset
 
 TABLE_ARGS = [
@@ -353,9 +353,9 @@ def test_geometry_and_decision_properties():
         rival_curve = build_roc(rival)
         hull = convex_hull([("a", base), ("b", rival_curve)])
         grid = np.linspace(0.0, 1.0, 21)
-        hull_t = np.asarray(hull_tpr_at(hull, grid))
+        hull_t = np.asarray(interp_tpr(hull.fpr, hull.tpr, grid))
         for member in (base, rival_curve):
-            assert np.all(hull_t >= np.asarray(curve_tpr_at(member, grid)) - 1e-12)
+            assert np.all(hull_t >= np.asarray(interp_tpr(member.fpr, member.tpr, grid)) - 1e-12)
 
         # More budget never hurts; looser risk targets never cost more.
         x_lo, x_hi = sorted(rng.uniform(0.05, 1.0, size=2))

@@ -15,13 +15,15 @@ from rocqe import (
 import rocqe.bootstrap as bootstrap_module
 from rocqe.bootstrap import (
     TieGroups,
-    curve_arrays,
+    _curve_from_counts,
+    _fp_at,
+    _grid_tpr,
     nearest_rank,
     resample_arrays,
     trapezoid_auc,
 )
-from rocqe.roc import auc, tie_group_counts
-from helpers import assert_close, make_dataset, random_dataset
+from rocqe.roc import auc, interp_tpr, tie_group_counts
+from helpers import assert_close, make_dataset, random_dataset, reference_band
 
 
 class TestBootstrapConfig:
@@ -209,20 +211,96 @@ class TestTieGroups:
 
 class TestCurveArrays:
     def test_matches_build_roc_coordinates(self):
+        # The band's vertex arrays, from tie-group counts, are build_roc's.
         rng = np.random.default_rng(21)
         for _ in range(100):
             ds = random_dataset(rng)
-            fpr, tpr = curve_arrays(ds.positive_risks, ds.negative_risks)
+            _, tp, fp = tie_group_counts(ds.risk_scores, ds.is_positive)
+            counts, fpr, tpr = _curve_from_counts(tp, fp, ds.p_count, ds.n_count)
             curve = build_roc(ds)
+            assert np.array_equal(counts, curve.fp)
             assert np.array_equal(fpr, curve.fpr)
             assert np.array_equal(tpr, curve.tpr)
 
     def test_trapezoid_matches_vertex_auc(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            ds = random_dataset(rng)
-            fpr, tpr = curve_arrays(ds.positive_risks, ds.negative_risks)
-            assert_close(trapezoid_auc(fpr, tpr), auc(build_roc(ds)))
+            curve = build_roc(random_dataset(rng))
+            assert_close(trapezoid_auc(curve.fpr, curve.tpr), auc(curve))
+
+
+def _scores(rng: np.random.Generator, kind: str, size: int) -> np.ndarray:
+    if kind == "continuous":
+        return rng.normal(size=size)
+    if kind == "heavy ties":
+        return rng.integers(0, 4, size=size).astype(float)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=size)
+    return np.full(size, 2.0)  # all tied: every replicate is degenerate
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestGridRead:
+    """The count-indexed grid read against ``interp_tpr``, bit for bit."""
+
+    KINDS = ("continuous", "heavy ties", "signed zeros", "all tied")
+
+    def test_matches_interp_tpr_on_replicates_and_point_curve(self):
+        rng = np.random.default_rng(91)
+        reads = degenerate = 0
+        for trial in range(48):
+            kind = self.KINDS[trial % 4]
+            p = 1 if trial % 3 == 0 else int(rng.integers(2, 40))
+            n = (1, int(rng.integers(2, 100)), int(rng.integers(100, 400)))[trial % 3]
+            pos, neg = _scores(rng, kind, p), _scores(rng, kind, n)
+            groups = TieGroups.of(pos, neg)
+            is_positive = np.arange(p + n) < p
+            point = tie_group_counts(np.concatenate([pos, neg]), is_positive)[1:]
+            counts = [point] + [
+                groups.resample_counts(replicate_rng(trial, i)) for i in range(4)
+            ]
+            for grid_points in (None, 1, 7, n, 3 * n + 1):
+                grid = BootstrapConfig(grid_points=grid_points).fpr_grid(n)
+                fp_at = _fp_at(grid, n)
+                for tp, fp in counts:
+                    fp_full, fpr, tpr = _curve_from_counts(tp, fp, p, n)
+                    got = _grid_tpr(fp_full, fpr, tpr, grid, fp_at)
+                    assert _same_bits(got, interp_tpr(fpr, tpr, grid)), (
+                        kind, p, n, grid_points,
+                    )
+                    reads += 1
+                    degenerate += fpr.size == 2
+        assert reads == 48 * 5 * 5 and degenerate > 0
+
+    def test_count_index_is_the_last_vertex_at_or_left(self):
+        for n in (1, 3, 7, 100, 11079):
+            grid = np.linspace(0.0, 1.0, 3 * n + 2)
+            fp_at = _fp_at(grid, n)
+            assert np.all(fp_at / n <= grid)
+            below = fp_at < n
+            assert np.all((fp_at[below] + 1) / n > grid[below])
+            assert fp_at[0] == 0 and fp_at[-1] == n
+
+
+class TestBandMatchesInterpOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_aligned_custom_grid(self, workers):
+        # 997 intervals over N = 283 negatives: almost no grid point is a k/N.
+        rng = np.random.default_rng(93)
+        labels = np.arange(500) < 217
+        risks = rng.integers(0, 40, size=500) / 8.0 + labels * rng.normal(size=500)
+        ds = make_dataset(risks.tolist(), labels.tolist())
+        assert ds.n_count == 283
+        config = BootstrapConfig(iterations=60, seed=4, grid_points=997, workers=workers)
+        band, oracle = confidence_band(ds, config), reference_band(ds, config)
+        assert band == oracle
+        for got, want in ((band.lower_tpr, oracle.lower_tpr),
+                          (band.upper_tpr, oracle.upper_tpr),
+                          (band.point_tpr, oracle.point_tpr)):
+            assert _same_bits(got, want)
 
 
 class TestNearestRank:
@@ -289,11 +367,9 @@ class TestConfidenceBand:
         assert narrow.auc_interval[1] <= wide.auc_interval[1]
 
     def test_point_curve_is_empirical_curve_on_grid(self, sample10):
-        from rocqe.roc import curve_tpr_at
-
         band = confidence_band(sample10, BootstrapConfig(iterations=10, seed=0))
         curve = build_roc(sample10)
-        assert np.allclose(band.point_tpr, np.asarray(curve_tpr_at(curve, band.fpr_grid)))
+        assert np.array_equal(band.point_tpr, interp_tpr(curve.fpr, curve.tpr, band.fpr_grid))
         assert_close(band.auc_point, auc(curve))
 
     def test_all_tied_scores_degenerate_every_replicate(self):

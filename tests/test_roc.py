@@ -16,9 +16,7 @@ from rocqe import (
     auc,
     build_roc,
     convex_hull,
-    curve_tpr_at,
     f1_at,
-    hull_tpr_at,
     partial_auc,
     pr_points,
 )
@@ -308,13 +306,13 @@ class TestInterpTpr:
 
     def test_on_curve_vertices(self, sample10):
         curve = build_roc(sample10)
-        assert curve_tpr_at(curve, 0.25) == 1 / 3
-        assert curve_tpr_at(curve, 1.0) == 1.0
-        assert_close(float(curve_tpr_at(curve, 0.5)), (1 / 3 + 1 / 2) / 2)
+        assert interp_tpr(curve.fpr, curve.tpr, 0.25) == 1 / 3
+        assert interp_tpr(curve.fpr, curve.tpr, 1.0) == 1.0
+        assert_close(float(interp_tpr(curve.fpr, curve.tpr, 0.5)), (1 / 3 + 1 / 2) / 2)
 
     def test_vector_input(self, sample10):
         curve = build_roc(sample10)
-        out = curve_tpr_at(curve, np.array([0.0, 0.25, 1.0]))
+        out = interp_tpr(curve.fpr, curve.tpr, np.array([0.0, 0.25, 1.0]))
         assert np.allclose(out, [1 / 6, 1 / 3, 1.0])
 
 
@@ -346,9 +344,9 @@ class TestConvexHull:
             a, b = build_roc(base_to_hw(base)), build_roc(other)
             hull = convex_hull([("a", a), ("b", b)])
             grid = np.linspace(0, 1, 41)
-            hull_t = hull_tpr_at(hull, grid)
+            hull_t = interp_tpr(hull.fpr, hull.tpr, grid)
             for curve in (a, b):
-                assert np.all(hull_t >= np.asarray(curve_tpr_at(curve, grid)) - 1e-12)
+                assert np.all(hull_t >= np.asarray(interp_tpr(curve.fpr, curve.tpr, grid)) - 1e-12)
 
     def test_hull_is_concave(self):
         rng = np.random.default_rng(72)
@@ -367,7 +365,7 @@ class TestConvexHull:
         at_zero = [v for v in hull.vertices if v.fpr == 0.0 and v.tpr > 0]
         assert at_zero and at_zero[0].source_system == "metricB"
         assert hull.vertices[-1].source_system == "metricA"
-        assert hull_tpr_at(hull, 0.0) == 1 / 3
+        assert interp_tpr(hull.fpr, hull.tpr, 0.0) == 1 / 3
 
     def test_mismatched_ground_truth_rejected(self, sample10):
         other = make_dataset([1.0, 0.0], [True, False])
