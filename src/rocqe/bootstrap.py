@@ -4,30 +4,28 @@ Resampling is stratified: each replicate redraws the positives and the
 negatives separately, with replacement, so every replicate keeps the
 original class sizes and class imbalance. Every replicate owns an
 independent RNG substream derived from (seed, replicate index), and results
-are aggregated in index order, so output is byte-identical regardless of
-worker count or execution order.
+are aggregated in index order, so output is byte-identical for a fixed seed.
 
 A replicate is never re-sorted. The dataset's distinct scores are ranked
 once into tie groups; a replicate is a multiplicity vector over the original
 sample, so its tie-group sweep is a bincount of the drawn members' groups
 followed by a cumulative sum. Nor is its curve searched: every fpr is an
 integer count over N, so the segment holding each FPR grid point is found
-by counting the replicate's distinct counts up to a per-band index.
+by counting the replicate's distinct counts up to a per-band index. Its AUC
+is read off the same integer counts by ``roc.count_auc``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from .model import Dataset, require_both_classes
-from .roc import tie_group_counts
+from .roc import count_auc, tie_group_counts
 
 T = TypeVar("T")
 
@@ -45,16 +43,13 @@ class BootstrapConfig:
     ``grid_points`` is the number of FPR grid intervals (granularity
     1/grid_points); when None it defaults to max(N, 100) so the grid tracks
     the empirical fpr resolution of the dataset without getting coarse on
-    small samples. ``workers`` > 1 runs replicates on a thread pool of at
-    most min(workers, iterations, CPU count) threads; the result is
-    identical either way.
+    small samples.
     """
 
     iterations: int = DEFAULT_ITERATIONS
     confidence: float = DEFAULT_CONFIDENCE
     seed: int = 0
     grid_points: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
@@ -67,8 +62,6 @@ class BootstrapConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.grid_points is not None and self.grid_points < 1:
             raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def fpr_grid(self, n_count: int) -> np.ndarray:
         intervals = self.grid_points or max(n_count, MIN_GRID_INTERVALS)
@@ -80,20 +73,13 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def resample_arrays(
-    pos_risk: np.ndarray, neg_risk: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stratified resample of the canonical risk arrays.
+def _draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Member indices of one stratified resample.
 
     Positives are drawn first, then negatives, each with replacement and at
     the original stratum size. Draw order is part of the determinism
     contract: changing it changes every downstream number.
     """
-    pos_idx, neg_idx = _draw(pos_risk.size, neg_risk.size, rng)
-    return pos_risk[pos_idx], neg_risk[neg_idx]
-
-
-def _draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     pos_idx = rng.integers(0, p, size=p)
     neg_idx = rng.integers(0, n, size=n)
     return pos_idx, neg_idx
@@ -122,9 +108,8 @@ class TieGroups:
     def resample_counts(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative (tp, fp) at every tie group present in one resample.
 
-        Makes the same draws as ``resample_arrays`` and returns exactly the
-        tp and fp arrays ``tie_group_counts`` gives on the resampled scores,
-        without sorting them.
+        Returns exactly the tp and fp arrays ``tie_group_counts`` gives on
+        the resampled scores, without sorting them.
         """
         pos_idx, neg_idx = _draw(self.pos_group.size, self.neg_group.size, rng)
         tp = np.bincount(self.pos_group[pos_idx], minlength=self.count)
@@ -146,9 +131,8 @@ def map_replicates(
     (``fp``) scoring at or above it. Both are integer arrays of equal length,
     non-decreasing, ending at (P, N); they equal the tp and fp arrays of
     ``tie_group_counts`` on the resampled scores. The returned list is
-    ordered by replicate index whether or not worker threads are used, so
-    any statistic layered on the same seed sees the same resamples as the
-    confidence band does.
+    ordered by replicate index, so any statistic layered on the same seed
+    sees the same resamples as the confidence band does.
     """
     return _map_indexed(dataset, config, lambda _, tp, fp: stat_fn(tp, fp))
 
@@ -160,31 +144,21 @@ def _map_indexed(
 ) -> list[T]:
     """``fn(index, tp, fp)`` for every replicate, in index order.
 
-    The one place a replicate is drawn and counted; runs on a thread pool
-    of at most min(workers, iterations, CPU count) threads.
+    The one place a replicate is drawn and counted.
     """
     require_both_classes(
         dataset.p_count, dataset.n_count, "stratified resampling is undefined"
     )
     groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
-
-    def run(index: int) -> T:
-        return fn(index, *groups.resample_counts(replicate_rng(config.seed, index)))
-
-    indices = range(config.iterations)
-    workers = min(config.workers, config.iterations, os.cpu_count() or 1)
-    if workers == 1:
-        return [run(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, indices))
+    return [
+        fn(index, *groups.resample_counts(replicate_rng(config.seed, index)))
+        for index in range(config.iterations)
+    ]
 
 
-def _curve_from_counts(
-    tp: np.ndarray, fp: np.ndarray, p: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fp, fpr, tpr) vertex arrays, origin included, of cumulative group counts."""
-    fp = np.concatenate(([0], fp))
-    return fp, fp / n, np.concatenate(([0.0], tp / p))
+def _curve_from_counts(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tp, fp) vertex counts, origin included, of cumulative group counts."""
+    return np.concatenate(([0], tp)), np.concatenate(([0], fp))
 
 
 def _fp_at(grid: np.ndarray, n: int) -> np.ndarray:
@@ -193,17 +167,18 @@ def _fp_at(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def _grid_tpr(
+    tp: np.ndarray,
     fp: np.ndarray,
-    fpr: np.ndarray,
-    tpr: np.ndarray,
+    p: int,
+    n: int,
     grid: np.ndarray,
     fp_at: np.ndarray,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``interp_tpr(fpr, tpr, grid)``, bit for bit, found by counting.
+    """``interp_tpr(fp / n, tp / p, grid)``, bit for bit, found by counting.
 
-    ``fp`` holds the curve's integer counts (origin first, ending at N) and
-    ``fpr = fp / N``; ``grid`` lies in [0, 1] and ``fp_at = _fp_at(grid, N)``.
+    ``tp`` and ``fp`` hold the curve's integer counts (origin first, ending
+    at (P, N)); ``grid`` lies in [0, 1] and ``fp_at = _fp_at(grid, N)``.
     Correctly rounded c / N grows with c, so a vertex lies at or left of a
     grid point exactly when its count is at most that point's ``fp_at``: the
     segment holding each point is the number of distinct counts up to it,
@@ -214,10 +189,10 @@ def _grid_tpr(
     change = np.flatnonzero(np.diff(fp))
     first = np.concatenate(([0], change + 1))
     last = np.append(change, fp.size - 1)
-    x = fpr[first]
-    top = tpr[last]
+    x = fp[first] / n
+    top = tp[last] / p
     dx = np.append(np.diff(x), np.inf)
-    dy = np.append(tpr[first[1:]] - top[:-1], 0.0)
+    dy = np.append(tp[first[1:]] / p - top[:-1], 0.0)
     present = np.zeros(fp[-1] + 1, dtype=np.intp)
     present[fp] = 1
     k = np.cumsum(present)[fp_at] - 1
@@ -226,10 +201,6 @@ def _grid_tpr(
     row *= dy[k]
     row += top[k]
     return row
-
-
-def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
-    return float(np.trapezoid(tpr, fpr))
 
 
 def nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
@@ -326,10 +297,10 @@ def confidence_band(
     def one_replicate(
         index: int, tp: np.ndarray, fp: np.ndarray
     ) -> tuple[float, bool]:
-        fp, fpr, tpr = _curve_from_counts(tp, fp, p, n)
-        _grid_tpr(fp, fpr, tpr, grid, fp_at, out=matrix[index])
-        degenerate = fpr.size == 2  # origin plus a single tie group: all scores tied
-        return trapezoid_auc(fpr, tpr), degenerate
+        tp, fp = _curve_from_counts(tp, fp)
+        _grid_tpr(tp, fp, p, n, grid, fp_at, out=matrix[index])
+        degenerate = fp.size == 2  # origin plus a single tie group: all scores tied
+        return count_auc(tp, fp), degenerate
 
     results = _map_indexed(dataset, config, one_replicate)
     aucs = np.sort(np.array([r[0] for r in results]))
@@ -341,13 +312,13 @@ def confidence_band(
     upper = nearest_rank(matrix, 1.0 - alpha / 2.0).copy()
 
     _, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
-    point_fp, point_fpr, point_tpr = _curve_from_counts(tp, fp, p, n)
+    tp, fp = _curve_from_counts(tp, fp)
     return ConfidenceBand(
         fpr_grid=grid.copy(),
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=_grid_tpr(point_fp, point_fpr, point_tpr, grid, fp_at),
-        auc_point=trapezoid_auc(point_fpr, point_tpr),
+        point_tpr=_grid_tpr(tp, fp, p, n, grid, fp_at),
+        auc_point=count_auc(tp, fp),
         auc_interval=(
             float(nearest_rank(aucs, alpha / 2.0)),
             float(nearest_rank(aucs, 1.0 - alpha / 2.0)),

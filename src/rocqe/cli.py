@@ -108,12 +108,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _bootstrap_config(args: argparse.Namespace, seed: int) -> Optional[BootstrapConfig]:
     if args.bootstrap is None:
         return None
-    return BootstrapConfig(
-        iterations=args.bootstrap,
-        confidence=args.confidence,
-        seed=seed,
-        workers=args.workers,
-    )
+    config = BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    return config
 
 
 @dataclass
@@ -626,7 +624,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (fallback: ROCQE_SEED env var, then 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="bootstrap threads, capped at the CPU count (default: 1)")
+                        help="has no effect; kept for compatibility (must be >= 1)")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--svg", default=None, help="SVG plot path")
     parser.add_argument("--wmt-root", default=None, help="root of a WMT-style score tree")

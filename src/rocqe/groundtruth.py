@@ -10,42 +10,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .model import Label
-
-
-class Severity(Enum):
-    MAJOR_NON_TRANSLATION = "major/non-translation"
-    MAJOR = "major"
-    MINOR_FLUENCY_OR_PUNCTUATION = "minor/fluency-punctuation"
-    MINOR_OTHER = "minor/other"
-    NEUTRAL = "neutral"
-
-
-# Penalty points per error, in the WMT23 weighting. Not scaled by word count.
-SEVERITY_WEIGHTS: dict[Severity, float] = {
-    Severity.MAJOR_NON_TRANSLATION: 25.0,
-    Severity.MAJOR: 5.0,
-    Severity.MINOR_FLUENCY_OR_PUNCTUATION: 0.1,
-    Severity.MINOR_OTHER: 1.0,
-    Severity.NEUTRAL: 0.0,
-}
-
-
-@dataclass(frozen=True)
-class MqmErrorMark:
-    """A batch of identical error annotations on one segment."""
-
-    severity: Severity
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +58,6 @@ STRICT_ANY_ERROR = SeverityCutoff.strict_any_error()
 LENIENT = SeverityCutoff.lenient()
 
 
-def mqm_segment_score(marks: Iterable[MqmErrorMark]) -> float:
-    """Aggregate error marks into one negative segment score.
-
-    An empty mark list scores 0 (clean segment). Aggregation is a plain
-    weighted sum, so it is additive over concatenated mark lists.
-    """
-    return -sum(SEVERITY_WEIGHTS[m.severity] * m.count for m in marks)
-
-
 def label(mqm_score: float, cutoff: SeverityCutoff) -> Label:
     """Binary label for one MQM score under a severity cutoff.
 
@@ -130,13 +89,3 @@ def label_positive(mqm_scores: np.ndarray, cutoff: SeverityCutoff) -> np.ndarray
         positive |= mqm_scores == cutoff.threshold
     return positive
 
-
-def label_dataset(
-    scores: Mapping[str, float], cutoff: SeverityCutoff
-) -> tuple[dict[str, Label], int, int]:
-    """Label every segment and tally class sizes (labels, P, N)."""
-    if not scores:
-        raise ValueError("cannot label an empty score map")
-    labels = {sid: label(score, cutoff) for sid, score in scores.items()}
-    p = sum(1 for lab in labels.values() if lab is Label.POSITIVE)
-    return labels, p, len(labels) - p

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
-from .model import Dataset, Label, Orientation, _frozen, canonicalize
+from .model import Dataset, Orientation, _frozen, canonicalize
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
@@ -472,32 +472,3 @@ def _first(mask: np.ndarray, default: int) -> int:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else default
 
-
-def write_dataset_tsv(
-    dataset: Dataset,
-    gold_path: str,
-    scores_path: str,
-    cutoff: SeverityCutoff,
-) -> None:
-    """Write a dataset back to canonical TSVs (labels encoded as MQM scores).
-
-    Positives are written as ``cutoff.threshold - 1`` and negatives as 0, so
-    re-labeling under the same cutoff reproduces the labels exactly. The one
-    cutoff that classifies 0 as positive (custom threshold 0, inclusive)
-    cannot encode a negative and is rejected.
-    """
-    if label(0.0, cutoff) is not Label.NEGATIVE:
-        raise ValueError(
-            f"cutoff {cutoff.describe()} labels a zero MQM score positive; "
-            "negatives cannot be encoded"
-        )
-    ids = dataset.ids.tolist()
-    codes = np.where(dataset.is_positive, cutoff.threshold - 1.0, 0.0).tolist()
-    with open(gold_path, "w", encoding="utf-8") as gold:
-        gold.write("segment_id\tmqm_score\n")
-        gold.writelines(f"{sid}\t{code!r}\n" for sid, code in zip(ids, codes))
-    with open(scores_path, "w", encoding="utf-8") as scores:
-        scores.write("segment_id\tscore\n")
-        scores.writelines(
-            f"{sid}\t{raw!r}\n" for sid, raw in zip(ids, dataset.raw_scores.tolist())
-        )

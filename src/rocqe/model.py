@@ -333,19 +333,3 @@ def rates(c: ConfusionCounts) -> Rates:
     precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
     return Rates(tpr, fpr, fnr, precision, tpr)
 
-
-def counts_from_rates(
-    fnr: float, fpr: float, p: float, n: float
-) -> tuple[float, float]:
-    """Convert error rates back into expected absolute counts (fn, fp).
-
-    Results are real-valued expectations; rounding, if any, is a display
-    concern for the caller.
-    """
-    if p < 0 or n < 0:
-        raise ValueError(f"class sizes must be non-negative, got p={p}, n={n}")
-    if not 0.0 <= fnr <= 1.0:
-        raise ValueError(f"fnr must be within [0, 1], got {fnr}")
-    if not 0.0 <= fpr <= 1.0:
-        raise ValueError(f"fpr must be within [0, 1], got {fpr}")
-    return fnr * p, fpr * n

@@ -1,4 +1,4 @@
-"""Tie-aware ROC curves, AUC, partial AUC, convex hulls and PR points.
+"""Tie-aware ROC curves, AUC, convex hulls and PR points.
 
 Curves are built by sweeping the canonical risk score from worst to best.
 Segments sharing a value-equal canonical score (0.0 and -0.0 tie) form one
@@ -194,42 +194,25 @@ def build_roc(dataset: Dataset) -> RocCurve:
     )
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve, in [0, 1]."""
-    fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
-    total = 0.0
-    for f0, f1, t0, t1 in zip(fpr, fpr[1:], tpr, tpr[1:]):
-        total += (f1 - f0) * (t0 + t1) / 2.0
-    return total
+def count_auc(tp: np.ndarray, fp: np.ndarray) -> float:
+    """Area under the curve through cumulative counts, origin first, rounded once.
 
-
-def partial_auc(
-    curve: RocCurve, fpr_lo: float, fpr_hi: float
-) -> tuple[float, float]:
-    """Trapezoidal area restricted to an FPR window.
-
-    Returns (raw, normalized) where normalized divides by the window width,
-    so a curve pinned at tpr = 1 over the window scores 1.0. Cut points that
-    fall inside a curve segment are linearly interpolated.
+    ``tp`` and ``fp`` are the integer counts at every vertex, starting at
+    (0, 0) and ending at (P, N). Twice the trapezoidal area in count units,
+    sum of dfp * (tp_a + tp_b), is the Mann-Whitney count 2U with tied pairs
+    counted half: an integer, summed exactly in int64 (2PN must stay below
+    2**63). True division of Python ints is correctly rounded, so the result
+    is the exact U / (PN) rounded once.
     """
-    if not (0.0 <= fpr_lo < fpr_hi <= 1.0):
-        raise ValueError(
-            f"need 0 <= fpr_lo < fpr_hi <= 1, got ({fpr_lo}, {fpr_hi})"
-        )
-    fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
-    raw = 0.0
-    for a_fpr, b_fpr, a_tpr, b_tpr in zip(fpr, fpr[1:], tpr, tpr[1:]):
-        if b_fpr <= fpr_lo or a_fpr >= fpr_hi:
-            continue
-        x0 = max(a_fpr, fpr_lo)
-        x1 = min(b_fpr, fpr_hi)
-        if x1 <= x0:
-            continue
-        span = b_fpr - a_fpr
-        t0 = a_tpr + (b_tpr - a_tpr) * (x0 - a_fpr) / span
-        t1 = a_tpr + (b_tpr - a_tpr) * (x1 - a_fpr) / span
-        raw += (x1 - x0) * (t0 + t1) / 2.0
-    return raw, raw / (fpr_hi - fpr_lo)
+    tp = np.asarray(tp, dtype=np.int64)
+    fp = np.asarray(fp, dtype=np.int64)
+    twice = np.dot(np.diff(fp), tp[1:] + tp[:-1])
+    return int(twice) / (2 * int(tp[-1]) * int(fp[-1]))
+
+
+def auc(curve: RocCurve) -> float:
+    """Area under the curve, in [0, 1]: the exact Mann-Whitney AUC rounded once."""
+    return count_auc(curve.tp, curve.fp)
 
 
 def interp_tpr(
@@ -376,27 +359,3 @@ def pr_points(curve: RocCurve) -> PrPoints:
     return PrPoints(
         curve.tpr[keep], curve.tp[keep] / flagged[keep], curve.thresholds[keep]
     )
-
-
-def f1_at(curve: RocCurve, threshold: float) -> float:
-    """F1 score at the vertex whose canonical threshold matches exactly."""
-    hits = np.flatnonzero(curve.thresholds == threshold)
-    if hits.size == 0:
-        raise ValueError(
-            f"no vertex at canonical threshold {threshold!r}; thresholds: "
-            f"{curve.thresholds.tolist()}"
-        )
-    i = int(hits[0])
-    tp, flagged = int(curve.tp[i]), int(curve.tp[i] + curve.fp[i])
-    if flagged == 0:
-        raise ValueError(
-            f"F1 undefined at threshold {threshold!r}: nothing is flagged"
-        )
-    precision = tp / flagged
-    recall = tp / curve.p_count
-    if precision + recall == 0:
-        raise ValueError(
-            f"F1 undefined at threshold {threshold!r}: precision and "
-            "recall are both zero"
-        )
-    return 2.0 * precision * recall / (precision + recall)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from rocqe import (
     label,
     map_replicates,
 )
-from rocqe.bootstrap import nearest_rank, trapezoid_auc
+from rocqe.bootstrap import nearest_rank
 from rocqe.ingest import MAX_WARNINGS
 from rocqe.roc import interp_tpr, raw_threshold, tie_group_counts
 
@@ -92,17 +93,50 @@ def random_dataset(
 
 
 def pairwise_auc(dataset: Dataset) -> float:
-    """Rank-based AUC oracle: P(positive riskier than negative), ties 1/2."""
-    pos = dataset.positive_risks
-    neg = dataset.negative_risks
-    wins = 0.0
+    """Rank-based AUC oracle: P(positive riskier than negative), ties 1/2.
+
+    Counts twice the wins in integers (a win 2, a tie 1) and divides once.
+    """
+    pos = dataset.positive_risks.tolist()
+    neg = dataset.negative_risks.tolist()
+    twice_wins = 0
     for p in pos:
         for q in neg:
             if p > q:
-                wins += 1.0
+                twice_wins += 2
             elif p == q:
-                wins += 0.5
-    return wins / (pos.size * neg.size)
+                twice_wins += 1
+    return twice_wins / (2 * len(pos) * len(neg))
+
+
+def exact_auc(tp, fp) -> Fraction:
+    """Trapezoidal area in exact rationals over cumulative vertex counts.
+
+    ``tp`` and ``fp`` start at the (0, 0) origin and end at (P, N); each
+    segment adds its fpr step times its mean tpr, with no rounding anywhere.
+    """
+    tp, fp = [int(v) for v in tp], [int(v) for v in fp]
+    p, n = tp[-1], fp[-1]
+    return sum(
+        (
+            Fraction(fp_b - fp_a, n) * (Fraction(tp_a, p) + Fraction(tp_b, p)) / 2
+            for tp_a, tp_b, fp_a, fp_b in zip(tp, tp[1:], fp, fp[1:])
+        ),
+        Fraction(0),
+    )
+
+
+def resample_arrays(
+    pos_risk: np.ndarray, neg_risk: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stratified resample of the canonical risk arrays.
+
+    Positives are drawn first, then negatives, each with replacement and at
+    the original stratum size, as every bootstrap replicate draws them.
+    """
+    pos_idx = rng.integers(0, pos_risk.size, size=pos_risk.size)
+    neg_idx = rng.integers(0, neg_risk.size, size=neg_risk.size)
+    return pos_risk[pos_idx], neg_risk[neg_idx]
 
 
 def brute_force_counts(dataset: Dataset, threshold: float) -> tuple[int, int]:
@@ -341,7 +375,8 @@ def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
 
     This is how the band was computed before the count-indexed grid read:
     each replicate's vertex arrays searched for every grid point, rows
-    stacked, then cut at the same nearest ranks.
+    stacked, then cut at the same nearest ranks. Every AUC is the exact
+    rational area rounded once.
     """
     p, n = dataset.p_count, dataset.n_count
     grid = config.fpr_grid(n)
@@ -349,7 +384,8 @@ def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
     def replicate(tp: np.ndarray, fp: np.ndarray):
         fpr = np.concatenate([[0.0], fp / n])
         tpr = np.concatenate([[0.0], tp / p])
-        return interp_tpr(fpr, tpr, grid), trapezoid_auc(fpr, tpr), fpr.size == 2
+        area = float(exact_auc([0, *tp.tolist()], [0, *fp.tolist()]))
+        return interp_tpr(fpr, tpr, grid), area, fpr.size == 2
 
     rows, aucs, degenerate = zip(*map_replicates(dataset, config, replicate))
     matrix = np.sort(np.vstack(rows), axis=0)
@@ -361,7 +397,7 @@ def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
         lower_tpr=nearest_rank(matrix, alpha / 2.0).copy(),
         upper_tpr=nearest_rank(matrix, 1.0 - alpha / 2.0).copy(),
         point_tpr=interp_tpr(curve.fpr, curve.tpr, grid),
-        auc_point=trapezoid_auc(curve.fpr, curve.tpr),
+        auc_point=float(exact_auc(curve.tp, curve.fp)),
         auc_interval=(
             float(nearest_rank(aucs, alpha / 2.0)),
             float(nearest_rank(aucs, 1.0 - alpha / 2.0)),

@@ -1,11 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
+from helpers import exact_auc
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
@@ -78,6 +80,17 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "finite" in err
+
+    def test_workers_below_one_returns_four_with_bootstrap(self, capsys):
+        code, out, err = run_cli(["roc", *BASE, "--bootstrap", "10", "--workers", "0"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "workers must be >= 1" in err
+
+    def test_workers_ignored_without_bootstrap(self, capsys):
+        _, plain, _ = run_cli(["roc", *BASE], capsys)
+        code, out, _ = run_cli(["roc", *BASE, "--workers", "0"], capsys)
+        assert code == 0 and out == plain
 
     def test_unknown_flag_returns_four(self, capsys):
         code, _, _ = run_cli(["roc", *BASE, "--frobnicate"], capsys)
@@ -432,6 +445,58 @@ class TestHullCommand:
         assert code == 0
         svg = path.read_text()
         assert "stroke-dasharray" in svg  # hull drawn dashed
+
+
+class TestExactAuc:
+    """Every AUC a report prints is the exact Mann-Whitney fraction, rounded once."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        # Seeded rounded scores on which a float trapezoid sum over the rates
+        # misses the exact AUC 84/125, in different last bits depending on
+        # the summation order.
+        rng = np.random.default_rng(173)
+        positive = rng.random(40) < 0.4
+        columns = {
+            "a": np.round(rng.normal(size=40) + positive, 1),
+            "b": np.round(rng.normal(size=40) + 0.5 * positive, 1),
+        }
+        ids = [f"s{i:02d}" for i in range(40)]
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("".join(
+            f"{sid}\t{-1.0 if pos else 0.0}\n" for sid, pos in zip(ids, positive)
+        ))
+        args = ["--gold", str(gold)]
+        for name, risk in columns.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_text("".join(f"{sid}\t{r!r}\n" for sid, r in zip(ids, risk.tolist())))
+            args += ["--scores", f"{name}={path}"]
+        return args
+
+    @staticmethod
+    def _exact(entry) -> float:
+        rows = entry["vertices"]
+        return float(exact_auc([r["tp"] for r in rows], [r["fp"] for r in rows]))
+
+    def test_roc_auc_equals_band_auc_point(self, paths, capsys):
+        doc = run_json(["roc", *paths, "--bootstrap", "50", "--seed", "3"], capsys)
+        metrics = doc["results"]["metrics"]
+        assert metrics["a"]["auc"] == 0.672 == float(Fraction(84, 125))
+        for entry in metrics.values():
+            assert entry["auc"] == entry["band"]["auc_point"] == self._exact(entry)
+
+    def test_hull_auc_is_the_exact_fraction(self, paths, capsys):
+        doc = run_json(["hull", *paths], capsys)
+        metrics = doc["results"]["metrics"]
+        assert metrics["a"]["auc"] == 0.672
+        for entry in metrics.values():
+            assert entry["auc"] == self._exact(entry)
+
+    def test_diagnose_auc_point_matches_roc(self, paths, capsys):
+        roc = run_json(["roc", *paths], capsys)["results"]["metrics"]
+        doc = run_json(["diagnose", *paths, "--bootstrap", "50"], capsys)
+        for name, entry in doc["results"]["metrics"].items():
+            assert entry["band"]["auc_point"] == roc[name]["auc"]
 
 
 class TestDiagnoseCommand:

@@ -14,16 +14,13 @@ from rocqe import (
     IngestReport,
     Label,
     Orientation,
-    SeverityCutoff,
     parse_canonical_tsv,
     parse_wmt_layout,
     to_dataset,
-    write_dataset_tsv,
 )
 import rocqe.ingest as ingest_module
 from rocqe.ingest import MAX_WARNINGS, _read_system_column
 import helpers
-from helpers import random_dataset
 
 
 def _write(path, lines):
@@ -311,30 +308,6 @@ class TestToDataset:
         records = [CanonicalRecord("a", None, {"m": 0.5})]
         with pytest.raises(IngestError, match="no usable records"):
             to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
-
-
-class TestWriteDatasetTsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(72)
-        for trial in range(20):
-            ds = random_dataset(rng)
-            gold = str(tmp_path / f"g{trial}.tsv")
-            scores = str(tmp_path / f"s{trial}.tsv")
-            write_dataset_tsv(ds, gold, scores, STRICT_ANY_ERROR)
-            records, report = parse_canonical_tsv(gold, scores, "m")
-            assert report.accepted == ds.total
-            back = to_dataset(records, STRICT_ANY_ERROR, ds.orientation, "m")
-            assert back.fingerprint == ds.fingerprint
-            got = {s.segment_id: s.risk_score for s in back.segments}
-            want = {s.segment_id: s.risk_score for s in ds.segments}
-            assert got == want
-
-    def test_inclusive_zero_cutoff_rejected(self, tmp_path, sample10):
-        # A cutoff that labels score 0 positive cannot be encoded with the
-        # clean-segment sentinel 0.0.
-        bad = SeverityCutoff.custom(0.0, inclusive=True)
-        with pytest.raises(ValueError, match="cutoff"):
-            write_dataset_tsv(sample10, str(tmp_path / "g"), str(tmp_path / "s"), bad)
 
 
 class TestRecordAndReportValidation:

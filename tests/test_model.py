@@ -12,7 +12,6 @@ from rocqe import (
     Orientation,
     ScoredSegment,
     canonicalize,
-    counts_from_rates,
     rates,
 )
 from rocqe.model import require_both_classes
@@ -235,24 +234,6 @@ class TestRates:
     def test_degenerate_negative_class(self):
         with pytest.raises(DegenerateClassError, match="negative"):
             rates(ConfusionCounts(tp=1, fn=1, fp=0, tn=0))
-
-
-class TestCountsFromRates:
-    def test_roundtrip_with_rates(self):
-        c = ConfusionCounts(tp=5, fn=3, fp=2, tn=6)
-        r = rates(c)
-        fn, fp = counts_from_rates(r.fnr, r.fpr, c.p, c.n)
-        assert fn == pytest.approx(c.fn)
-        assert fp == pytest.approx(c.fp)
-
-    def test_fractional_expectations_allowed(self):
-        fn, fp = counts_from_rates(0.25, 0.5, 10, 7)
-        assert (fn, fp) == (2.5, 3.5)
-
-    @pytest.mark.parametrize("fnr,fpr", [(-0.1, 0.5), (0.5, 1.5)])
-    def test_rates_out_of_range_rejected(self, fnr, fpr):
-        with pytest.raises(ValueError):
-            counts_from_rates(fnr, fpr, 10, 10)
 
 
 class TestTieSemantics:

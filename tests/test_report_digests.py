@@ -114,18 +114,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "sample10/diagnose": "be99009cfccb907f6e97cea5643da746035aa6d849a717b3fde79f38366660e7",
-    "sample10/hull": "e91a033f763242b7784f22e247be8633f6b542b9f38f018ce706f8e2091d5999",
-    "sample10/roc-b200-w1": "073037f82d23188586033b9e03ef34ddcbc0ed0dd3e2fbba939999edc17cbba3",
-    "sample10/roc-b200-w2": "073037f82d23188586033b9e03ef34ddcbc0ed0dd3e2fbba939999edc17cbba3",
+    "sample10/diagnose": "950a24145a7b31d6509938d773b60726c4baf99cd0a2480368b8a2d7d49cf577",
+    "sample10/hull": "d41e6d5dbd0515e428c02e5c052567275be6dd9dead9eb8f04393408311451ab",
+    "sample10/roc-b200-w1": "6d67c114b98696f407f6a73e265c23ce03b6da2df484639e67c86b2006963bd1",
+    "sample10/roc-b200-w2": "6d67c114b98696f407f6a73e265c23ce03b6da2df484639e67c86b2006963bd1",
     "sample10/scenario1-band": "5e4a6b8d8acf61538ac855ba5cba393efd327f8dfc6421c1af332af419d376fd",
     "sample10/scenario1-replicate": "15d84fd13bbf20b36d493b8ee372b9b771b1a7003fc0ed37c3cb3d3a32ee340f",
     "sample10/scenario2": "b65af6bad0ae7d29c4981b63829e1640687ffa5ba215e0475b2919025a105e04",
     "sample10/table": "1d3280657f92b3f6649fb52e8fac53d40d539f5d48514d736100a59db40d37ab",
-    "synth2k/diagnose": "59cd4dc62675603da5e1bc438b5b4d71ecf0dec4149d270251af0fe58690d4e3",
-    "synth2k/hull": "e386a0b8594cf9e22424cf6b3dfc276ceedacb317ce271747dc83d9533c4549a",
-    "synth2k/roc-b200-w1": "22426e9f334b9dce57a1dc411d68b59b4292a0932743aa8a3048ed130f053f7b",
-    "synth2k/roc-b200-w2": "22426e9f334b9dce57a1dc411d68b59b4292a0932743aa8a3048ed130f053f7b",
+    "synth2k/diagnose": "88445124b1fe070fd8ffc6a5402cf88e2fde63d65fd5e02580d583ce3ea2a7c3",
+    "synth2k/hull": "635a7eb8d42f3dac6d6d6529ad03fb3021cfbf2c9e1c1f53d11b1dea591635fe",
+    "synth2k/roc-b200-w1": "e028952268cf9eb0bdc039e900451b08e3014560d6d6fd137e07a60038bf74cf",
+    "synth2k/roc-b200-w2": "e028952268cf9eb0bdc039e900451b08e3014560d6d6fd137e07a60038bf74cf",
     "synth2k/scenario1-band": "c6a4e4fb018ddd1feaa084dc1415a75eb35f4abe3a8215ac837d83765e9b2682",
     "synth2k/scenario1-replicate": "44d0ecded3b21e90ca689a5e91c59d08c9e66f72519e40e3959c2233ef729c1d",
     "synth2k/scenario2": "71420bc14b1fb14f4653aeab3b01c5e420c29b8c1bceefcce4b736ff777f3b34",

@@ -16,14 +16,13 @@ from rocqe import (
     auc,
     build_roc,
     convex_hull,
-    f1_at,
-    partial_auc,
     pr_points,
 )
 from rocqe.roc import interp_tpr, raw_threshold
 from helpers import (
     assert_close,
     brute_force_counts,
+    exact_auc,
     make_dataset,
     pairwise_auc,
     random_dataset,
@@ -163,14 +162,6 @@ def _adversarial_dataset(rng, kind: str) -> Dataset:
     return make_dataset(risks, labels, orientation)
 
 
-def _vertex_loop_auc(curve) -> float:
-    """AUC summed over vertex objects, the way the curve was first read."""
-    total = 0.0
-    for a, b in zip(curve.vertices, curve.vertices[1:]):
-        total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
-    return total
-
-
 class TestArrayCurveDifferential:
     KINDS = ("heavy-ties", "signed-zeros", "single-positive", "single-negative",
              "all-tied", "rounded")
@@ -190,8 +181,9 @@ class TestArrayCurveDifferential:
             assert curve.thresholds_raw.tolist() == [
                 raw_threshold(t, ds.orientation) for t in curve.thresholds.tolist()
             ]
-            assert_close(auc(curve), pairwise_auc(ds), tol=1e-12)
-            assert auc(curve) == _vertex_loop_auc(curve)
+            assert auc(curve) == pairwise_auc(ds)
+            counts = [(v.counts.tp, v.counts.fp) for v in curve.vertices]
+            assert auc(curve) == float(exact_auc(*zip(*counts)))
 
     def test_all_tied_is_the_diagonal(self):
         ds = make_dataset([-0.0, 0.0, 0.0, -0.0], [True, False, False, True])
@@ -216,7 +208,7 @@ class TestInvariances:
             assert [(v.fpr, v.tpr, v.threshold) for v in a.vertices] == [
                 (v.fpr, v.tpr, v.threshold) for v in b.vertices
             ]
-            assert_close(auc(a), auc(b))
+            assert auc(a) == auc(b)
 
     def test_monotone_transform_leaves_geometry_unchanged(self):
         rng = np.random.default_rng(52)
@@ -238,49 +230,40 @@ class TestInvariances:
                 assert [(v.fpr, v.tpr) for v in a.vertices] == [
                     (v.fpr, v.tpr) for v in b.vertices
                 ]
-                assert_close(auc(a), auc(b))
+                assert auc(a) == auc(b)
 
 
 class TestAuc:
     def test_sample10_value(self, sample10):
-        assert_close(auc(build_roc(sample10)), 11.5 / 24)
+        assert auc(build_roc(sample10)) == 11.5 / 24
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(300):
             ds = random_dataset(rng)
-            assert_close(auc(build_roc(ds)), pairwise_auc(ds))
+            assert auc(build_roc(ds)) == pairwise_auc(ds)
 
     def test_perfect_and_inverted(self):
         assert auc(build_roc(make_dataset([3.0, 2.0, 1.0, 0.0], [True, True, False, False]))) == 1.0
         assert auc(build_roc(make_dataset([0.0, 1.0, 2.0, 3.0], [True, True, False, False]))) == 0.0
 
+    def test_exact_third_is_rounded_once(self):
+        # A trapezoid sum over the rounded rates gives 0.33333333333333337 here.
+        ds = make_dataset([0.0, 1.0, 2.0, 3.0], [False, True, False, False])
+        assert auc(build_roc(ds)) == 1 / 3
 
-class TestPartialAuc:
-    def test_full_range_equals_auc(self, sample10):
-        curve = build_roc(sample10)
-        raw, normalized = partial_auc(curve, 0.0, 1.0)
-        assert_close(raw, auc(curve))
-        assert_close(normalized, auc(curve))
-
-    def test_low_fpr_region(self, sample10):
-        raw, normalized = partial_auc(build_roc(sample10), 0.0, 0.25)
-        assert_close(raw, 1 / 24)
-        assert_close(normalized, 1 / 6)
-
-    def test_additive_in_fpr(self):
-        rng = np.random.default_rng(62)
-        for _ in range(100):
-            curve = build_roc(random_dataset(rng))
-            cut = float(rng.uniform(0.1, 0.9))
-            left, _ = partial_auc(curve, 0.0, cut)
-            right, _ = partial_auc(curve, cut, 1.0)
-            assert_close(left + right, auc(curve))
-
-    @pytest.mark.parametrize("lo,hi", [(-0.1, 0.5), (0.5, 1.1), (0.6, 0.4), (0.5, 0.5)])
-    def test_bad_bounds_rejected(self, sample10, lo, hi):
-        with pytest.raises(ValueError):
-            partial_auc(build_roc(sample10), lo, hi)
+    def test_narrow_count_dtypes_are_widened(self):
+        # Doubled tp sums and their products with fp steps overflow int8/uint8.
+        rng = np.random.default_rng(63)
+        ds = make_dataset(rng.normal(size=200), rng.random(200) < 0.5)
+        curve = build_roc(ds)
+        assert max(curve.p_count, curve.n_count) <= np.iinfo(np.int8).max
+        for dtype in (np.int8, np.uint8, np.int16, np.uint32):
+            narrow = RocCurve(
+                curve.thresholds, curve.tp.astype(dtype), curve.fp.astype(dtype),
+                curve.p_count, curve.n_count, curve.fingerprint,
+            )
+            assert auc(narrow) == auc(curve) == pairwise_auc(ds)
 
 
 class TestInterpTpr:
@@ -394,15 +377,6 @@ class TestPrPoints:
         assert np.isfinite(pts.precision).all()
         assert np.isfinite(pts.threshold).all()
         assert len(pts.recall) == len(pts.precision) == len(pts.threshold) == 6
-
-class TestF1At:
-    def test_sample10_value(self, sample10):
-        assert_close(f1_at(build_roc(sample10), -93.0), 4 / 9)
-
-    def test_unknown_threshold_rejected(self, sample10):
-        with pytest.raises(ValueError, match="threshold"):
-            f1_at(build_roc(sample10), -93.0001)
-
 
 class TestRocVertexValidation:
     def test_rates_must_match_counts(self):
