@@ -6,13 +6,14 @@ original class sizes and class imbalance. Every replicate owns an
 independent RNG substream derived from (seed, replicate index), and results
 are aggregated in index order, so output is byte-identical for a fixed seed.
 
-A replicate is never re-sorted. The dataset's distinct scores are ranked
-once into tie groups; a replicate is a multiplicity vector over the original
-sample, so its tie-group sweep is a bincount of the drawn members' groups
-followed by a cumulative sum. Nor is its curve searched: every fpr is an
-integer count over N, so the segment holding each FPR grid point is found
-by counting the replicate's distinct counts up to a per-band index. Its AUC
-is read off the same integer counts by ``roc.count_auc``.
+A replicate is never re-sorted. It draws members of the original sample,
+so ``Dataset.ranking`` already knows their tie groups, and
+``Ranking.counts`` turns the drawn members' groups into the replicate's
+curve counts, exactly as it does the whole sample's for the point curve.
+Nor is a curve searched: every fpr is an integer count over N, so the
+segment holding each FPR grid point is found by counting the curve's
+distinct counts up to a per-band index. Its AUC is read off the same
+integer counts by ``roc.count_auc``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional, TypeVar
 import numpy as np
 
 from .model import Dataset, require_both_classes
-from .roc import count_auc, tie_group_counts
+from .roc import count_auc
 
 T = TypeVar("T")
 
@@ -38,18 +39,11 @@ MAX_BAND_MATRIX_BYTES = 2 * 2**30
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Resampling parameters.
-
-    ``grid_points`` is the number of FPR grid intervals (granularity
-    1/grid_points); when None it defaults to max(N, 100) so the grid tracks
-    the empirical fpr resolution of the dataset without getting coarse on
-    small samples.
-    """
+    """Resampling parameters."""
 
     iterations: int = DEFAULT_ITERATIONS
     confidence: float = DEFAULT_CONFIDENCE
     seed: int = 0
-    grid_points: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
@@ -60,12 +54,15 @@ class BootstrapConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.grid_points is not None and self.grid_points < 1:
-            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
 
-    def fpr_grid(self, n_count: int) -> np.ndarray:
-        intervals = self.grid_points or max(n_count, MIN_GRID_INTERVALS)
-        return np.linspace(0.0, 1.0, intervals + 1)
+
+def fpr_grid(n_count: int) -> np.ndarray:
+    """The band's FPR grid: max(N, 100) equal intervals over [0, 1].
+
+    It tracks the dataset's fpr resolution 1/N without getting coarse on
+    small samples.
+    """
+    return np.linspace(0.0, 1.0, max(n_count, MIN_GRID_INTERVALS) + 1)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -73,49 +70,18 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices of one stratified resample.
+def _draw(
+    pos: np.ndarray, neg: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stratified resample of the per-member arrays ``pos`` and ``neg``.
 
     Positives are drawn first, then negatives, each with replacement and at
     the original stratum size. Draw order is part of the determinism
     contract: changing it changes every downstream number.
     """
-    pos_idx = rng.integers(0, p, size=p)
-    neg_idx = rng.integers(0, n, size=n)
-    return pos_idx, neg_idx
-
-
-@dataclass(frozen=True, eq=False)
-class TieGroups:
-    """The tie group of every positive and negative, ranked once per dataset.
-
-    Group 0 holds the largest canonical risk. Scores tie when they are
-    value-equal, so 0.0 and -0.0 share a group, as in ``tie_group_counts``.
-    """
-
-    pos_group: np.ndarray
-    neg_group: np.ndarray
-    count: int
-
-    @classmethod
-    def of(cls, pos_risk: np.ndarray, neg_risk: np.ndarray) -> "TieGroups":
-        distinct, inverse = np.unique(
-            np.concatenate([pos_risk, neg_risk]), return_inverse=True
-        )
-        group = distinct.size - 1 - inverse
-        return cls(group[: pos_risk.size], group[pos_risk.size :], distinct.size)
-
-    def resample_counts(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative (tp, fp) at every tie group present in one resample.
-
-        Returns exactly the tp and fp arrays ``tie_group_counts`` gives on
-        the resampled scores, without sorting them.
-        """
-        pos_idx, neg_idx = _draw(self.pos_group.size, self.neg_group.size, rng)
-        tp = np.bincount(self.pos_group[pos_idx], minlength=self.count)
-        fp = np.bincount(self.neg_group[neg_idx], minlength=self.count)
-        present = np.flatnonzero(tp + fp)
-        return np.cumsum(tp)[present], np.cumsum(fp)[present]
+    pos_idx = rng.integers(0, pos.size, size=pos.size)
+    neg_idx = rng.integers(0, neg.size, size=neg.size)
+    return pos[pos_idx], neg[neg_idx]
 
 
 def map_replicates(
@@ -125,40 +91,24 @@ def map_replicates(
 ) -> list[T]:
     """Evaluate a statistic on every bootstrap replicate, in index order.
 
-    ``stat_fn(tp, fp)`` receives one replicate's cumulative tie-group
-    counts: for each distinct canonical score present in the resample,
-    worst first, the number of resampled positives (``tp``) and negatives
-    (``fp``) scoring at or above it. Both are integer arrays of equal length,
-    non-decreasing, ending at (P, N); they equal the tp and fp arrays of
-    ``tie_group_counts`` on the resampled scores. The returned list is
-    ordered by replicate index, so any statistic layered on the same seed
-    sees the same resamples as the confidence band does.
-    """
-    return _map_indexed(dataset, config, lambda _, tp, fp: stat_fn(tp, fp))
-
-
-def _map_indexed(
-    dataset: Dataset,
-    config: BootstrapConfig,
-    fn: Callable[[int, np.ndarray, np.ndarray], T],
-) -> list[T]:
-    """``fn(index, tp, fp)`` for every replicate, in index order.
-
-    The one place a replicate is drawn and counted.
+    ``stat_fn(tp, fp)`` receives one replicate's ROC curve counts from
+    ``Ranking.counts``: the origin (0, 0), then for each distinct canonical
+    score present in the resample, worst first, the number of resampled
+    positives (``tp``) and negatives (``fp``) scoring at or above it. Both
+    are int64 arrays of equal length, non-decreasing, ending at (P, N). The
+    returned list is ordered by replicate index, so any statistic layered on
+    the same seed sees the same resamples as the confidence band does. This
+    is the one place a replicate is drawn and counted.
     """
     require_both_classes(
         dataset.p_count, dataset.n_count, "stratified resampling is undefined"
     )
-    groups = TieGroups.of(dataset.positive_risks, dataset.negative_risks)
+    ranking = dataset.ranking
+    pos, neg = ranking.pos_group, ranking.neg_group
     return [
-        fn(index, *groups.resample_counts(replicate_rng(config.seed, index)))
+        stat_fn(*ranking.counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
         for index in range(config.iterations)
     ]
-
-
-def _curve_from_counts(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tp, fp) vertex counts, origin included, of cumulative group counts."""
-    return np.concatenate(([0], tp)), np.concatenate(([0], fp))
 
 
 def _fp_at(grid: np.ndarray, n: int) -> np.ndarray:
@@ -175,7 +125,11 @@ def _grid_tpr(
     fp_at: np.ndarray,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``interp_tpr(fp / n, tp / p, grid)``, bit for bit, found by counting.
+    """TPR on ``grid`` read off the curve polyline through ``(fp / n, tp / p)``.
+
+    A vertical run is read at its top; strictly between distinct fprs the
+    value lies on the segment from the top of the left run to the bottom of
+    the right one. Found by counting, not searching.
 
     ``tp`` and ``fp`` hold the curve's integer counts (origin first, ending
     at (P, N)); ``grid`` lies in [0, 1] and ``fp_at = _fp_at(grid, N)``.
@@ -282,7 +236,7 @@ def confidence_band(
             f"N={dataset.n_count}) cannot express sampling variation",
             stacklevel=2,
         )
-    grid = config.fpr_grid(dataset.n_count)
+    grid = fpr_grid(dataset.n_count)
     matrix_bytes = config.iterations * grid.size * 8
     if matrix_bytes > MAX_BAND_MATRIX_BYTES:
         raise ValueError(
@@ -294,15 +248,14 @@ def confidence_band(
     p, n = dataset.p_count, dataset.n_count
     fp_at = _fp_at(grid, n)
 
-    def one_replicate(
-        index: int, tp: np.ndarray, fp: np.ndarray
-    ) -> tuple[float, bool]:
-        tp, fp = _curve_from_counts(tp, fp)
-        _grid_tpr(tp, fp, p, n, grid, fp_at, out=matrix[index])
+    rows = iter(matrix)
+
+    def one_replicate(tp: np.ndarray, fp: np.ndarray) -> tuple[float, bool]:
+        _grid_tpr(tp, fp, p, n, grid, fp_at, out=next(rows))
         degenerate = fp.size == 2  # origin plus a single tie group: all scores tied
         return count_auc(tp, fp), degenerate
 
-    results = _map_indexed(dataset, config, one_replicate)
+    results = map_replicates(dataset, config, one_replicate)
     aucs = np.sort(np.array([r[0] for r in results]))
     degenerate_count = sum(1 for r in results if r[1])
 
@@ -311,8 +264,8 @@ def confidence_band(
     lower = nearest_rank(matrix, alpha / 2.0).copy()
     upper = nearest_rank(matrix, 1.0 - alpha / 2.0).copy()
 
-    _, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
-    tp, fp = _curve_from_counts(tp, fp)
+    ranking = dataset.ranking
+    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
     return ConfidenceBand(
         fpr_grid=grid.copy(),
         lower_tpr=lower,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank
 from .model import Dataset, Label, require_both_classes
-from .roc import RocCurve, raw_threshold, tie_group_counts
+from .roc import RocCurve, raw_threshold
 
 # Budget comparisons tolerate this much float dust; adjacent candidate sizes
 # differ by at least 1, so the slack can never flip a decision.
@@ -103,16 +103,14 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     require_both_classes(p, n, "the QE-ROC table is undefined")
     ids = dataset.ids
     by_id = sorted(range(ids.size), key=ids.tolist().__getitem__)
-    sorted_ids = ids[by_id]
-    # Equal ids share a rank, so the stable sort below keeps their order.
-    id_rank = np.empty(ids.size, dtype=np.intp)
-    id_rank[by_id] = np.cumsum(np.concatenate(([0], sorted_ids[1:] != sorted_ids[:-1])))
-    order = np.lexsort((id_rank, -dataset.risk_scores))
-    risk = dataset.risk_scores[order]
-    positive = dataset.is_positive[order]
-    _, tp, fp = tie_group_counts(risk, positive)
-    # Value-equal risks (0.0 and -0.0 too) form one group; group 0 is the worst.
-    group = np.concatenate(([0], np.cumsum(risk[1:] != risk[:-1])))
+    # Each row's place in the stable id sort: distinct, so equal ids keep
+    # their dataset order.
+    id_place = np.empty(ids.size, dtype=np.intp)
+    id_place[by_id] = np.arange(ids.size)
+    ranking = dataset.ranking
+    order = np.argsort(ranking.group * ids.size + id_place)
+    group = ranking.group[order]
+    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
 
     top = TableRow(
         segment_id=None,
@@ -137,8 +135,8 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         fpr=1.0,
     )
     return QeRocTable(
-        ids[order], positive, dataset.raw_scores[order], tp[group], fp[group],
-        (top, bottom), p, n,
+        ids[order], dataset.is_positive[order], dataset.raw_scores[order],
+        tp[group], fp[group], (top, bottom), p, n,
     )
 
 
@@ -228,37 +226,21 @@ class DecisionReport:
             raise ValueError(f"inverted ci {self.ci}")
 
 
-def _group_stats(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie-group sweep of the positives followed by the negatives.
-
-    That order fixes which member's score names a group mixing 0.0 and -0.0.
-    """
-    pos_risk, neg_risk = dataset.positive_risks, dataset.negative_risks
-    is_positive = np.zeros(dataset.total, dtype=bool)
-    is_positive[: pos_risk.size] = True
-    return tie_group_counts(np.concatenate([pos_risk, neg_risk]), is_positive)
-
-
-def _pick_largest_within_capacity(
-    tp: np.ndarray, fp: np.ndarray, capacity: int
-) -> Optional[int]:
-    """Index of the largest tie-group boundary whose review set fits, if any."""
-    flagged = tp + fp
-    within = np.flatnonzero(flagged <= capacity + EPS)
-    return int(within[-1]) if within.size else None
+def _pick_largest_within_capacity(tp: np.ndarray, fp: np.ndarray, capacity: int) -> int:
+    """Index of the largest vertex whose review set fits; 0, the origin, always does."""
+    return int(np.flatnonzero(tp + fp <= capacity + EPS)[-1])
 
 
 def _pick_smallest_meeting_budget(
     tp: np.ndarray, fp: np.ndarray, p: int, budget: float, efficacy: float
-) -> tuple[Optional[int], bool]:
+) -> tuple[int, bool]:
     """Smallest review set whose residual errors fit the budget.
 
-    Returns (index, attained); index None means the empty review set already
-    qualifies. When even reviewing everything misses the budget (possible
-    only with efficacy < 1), returns the last boundary and attained=False.
+    Returns (index, attained); index 0, the origin, means the empty review
+    set already qualifies. When even reviewing everything misses the budget
+    (possible only with efficacy < 1), returns the last vertex and
+    attained=False.
     """
-    if p <= budget + EPS:
-        return None, True
     residual = (p - tp) + (1.0 - efficacy) * tp
     ok = np.flatnonzero(residual <= budget + EPS)
     if ok.size:
@@ -300,24 +282,20 @@ def scenario1_residual_risk(
 
     def run(tp: np.ndarray, fp: np.ndarray) -> float:
         idx = _pick_largest_within_capacity(tp, fp, capacity)
-        reviewed_tp = 0 if idx is None else int(tp[idx])
-        return _residual_per_100(reviewed_tp, p, total, review_efficacy)
+        return _residual_per_100(int(tp[idx]), p, total, review_efficacy)
 
-    thresholds, tp, fp = _group_stats(dataset)
+    ranking = dataset.ranking
+    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
     idx = _pick_largest_within_capacity(tp, fp, capacity)
+    canonical = float(ranking.thresholds[idx])
+    review_fraction = float(tp[idx] + fp[idx]) / total
+    residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
     notes = [f"review capacity: {capacity} of {total} segments"]
-    if idx is None:
-        canonical = math.inf
-        review_fraction = 0.0
-        residual = _residual_per_100(0, p, total, review_efficacy)
+    if idx == 0:
         notes.append(
             "even the smallest tie group exceeds the review capacity; "
             "the review set is empty"
         )
-    else:
-        canonical = float(thresholds[idx])
-        review_fraction = float(tp[idx] + fp[idx]) / total
-        residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
 
     ci = None
     if bootstrap is not None:
@@ -327,7 +305,7 @@ def scenario1_residual_risk(
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
         elif ci_method == "band":
             band = confidence_band(dataset, bootstrap)
-            fpr_here = (float(fp[idx]) / dataset.n_count) if idx is not None else 0.0
+            fpr_here = float(fp[idx]) / dataset.n_count
             tpr_lo = float(np.interp(fpr_here, band.fpr_grid, band.lower_tpr))
             tpr_hi = float(np.interp(fpr_here, band.fpr_grid, band.upper_tpr))
             # residual errors = P - efficacy * TP = P * (1 - efficacy * tpr)
@@ -381,19 +359,15 @@ def scenario2_required_effort(
 
     def run(tp: np.ndarray, fp: np.ndarray) -> float:
         idx, _ = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
-        return 0.0 if idx is None else float(tp[idx] + fp[idx]) / total
+        return float(tp[idx] + fp[idx]) / total
 
-    thresholds, tp, fp = _group_stats(dataset)
+    ranking = dataset.ranking
+    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
     idx, attained = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
+    canonical = float(ranking.thresholds[idx])
+    review_fraction = float(tp[idx] + fp[idx]) / total
+    residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
     notes = [f"error budget: {budget!r} missed errors in {total} segments"]
-    if idx is None:
-        canonical = math.inf
-        review_fraction = 0.0
-        residual = _residual_per_100(0, p, total, review_efficacy)
-    else:
-        canonical = float(thresholds[idx])
-        review_fraction = float(tp[idx] + fp[idx]) / total
-        residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
     if not attained:
         notes.append(
             "the target is unattainable at this review efficacy even when "

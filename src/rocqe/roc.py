@@ -31,25 +31,6 @@ class GroundTruthMismatchError(ValueError):
     """Raised when curves built over different ground truths are combined."""
 
 
-def tie_group_counts(
-    risk: np.ndarray, is_positive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative confusion counts at every tie-group boundary.
-
-    Returns (thresholds, tp, fp): canonical scores in descending order, one
-    entry per distinct score, with the cumulative true/false positive counts
-    after flagging everything scoring at or above that threshold.
-    """
-    order = np.argsort(-risk, kind="stable")
-    sorted_risk = risk[order]
-    sorted_pos = is_positive[order]
-    cum_tp = np.cumsum(sorted_pos)
-    cum_fp = np.cumsum(~sorted_pos)
-    ends = np.flatnonzero(np.diff(sorted_risk) != 0)
-    ends = np.append(ends, sorted_risk.size - 1)
-    return sorted_risk[ends], cum_tp[ends], cum_fp[ends]
-
-
 def raw_threshold(canonical: float, orientation: Orientation) -> float:
     """Map a canonical threshold back to the raw score scale."""
     if orientation is Orientation.HIGHER_IS_BETTER:
@@ -100,11 +81,13 @@ class RocCurve:
 
     def __post_init__(self) -> None:
         thresholds = _frozen(np.array(self.thresholds, dtype=np.float64))
-        tp = _frozen(np.array(self.tp))
-        fp = _frozen(np.array(self.fp))
+        tp, fp = np.array(self.tp), np.array(self.fp)
         for name, counts in (("tp", tp), ("fp", fp)):
             if counts.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integer counts, got {counts.dtype}")
+        # Signed, so that a decreasing step cannot wrap round in np.diff.
+        tp = _frozen(tp.astype(np.int64, copy=False))
+        fp = _frozen(fp.astype(np.int64, copy=False))
         if not (thresholds.ndim == 1 and thresholds.shape == tp.shape == fp.shape):
             raise ValueError("thresholds, tp and fp must be 1-d arrays of one length")
         object.__setattr__(self, "thresholds", thresholds)
@@ -174,19 +157,18 @@ _CURVE_RULES = (
 def build_roc(dataset: Dataset) -> RocCurve:
     """Build the tie-aware ROC curve of a dataset.
 
-    Segments are ranked worst first (descending canonical risk); each tie
-    group contributes one vertex whose counts cover the whole group, so the
-    vertex count equals the number of distinct scores plus the (0, 0) origin.
+    Read off the dataset's ranking (worst score first): each tie group
+    contributes one vertex whose counts cover the whole group, so the vertex
+    count equals the number of distinct scores plus the (0, 0) origin.
     """
     p, n = dataset.p_count, dataset.n_count
     require_both_classes(
         p, n, "the ROC curve is undefined for a single-class dataset"
     )
-    thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
+    ranking = dataset.ranking
     return RocCurve(
-        np.concatenate(([math.inf], thresholds)),
-        np.concatenate(([0], tp)),
-        np.concatenate(([0], fp)),
+        ranking.thresholds,
+        *ranking.counts(ranking.pos_group, ranking.neg_group),
         p,
         n,
         dataset.fingerprint,
@@ -213,37 +195,6 @@ def count_auc(tp: np.ndarray, fp: np.ndarray) -> float:
 def auc(curve: RocCurve) -> float:
     """Area under the curve, in [0, 1]: the exact Mann-Whitney AUC rounded once."""
     return count_auc(curve.tp, curve.fp)
-
-
-def interp_tpr(
-    fpr: np.ndarray, tpr: np.ndarray, at: np.ndarray | float
-) -> np.ndarray | float:
-    """TPR at the given FPR values, read off the curve polyline.
-
-    At an fpr where the curve is vertical (repeated values) the attained
-    maximum tpr is used; strictly between distinct fprs the value lies on
-    the segment connecting the surrounding vertices, i.e. from the top of
-    the left vertical to the bottom of the right one.
-    """
-    fpr = np.asarray(fpr, dtype=np.float64)
-    tpr = np.asarray(tpr, dtype=np.float64)
-    change = np.flatnonzero(np.diff(fpr) != 0)
-    first = np.concatenate(([0], change + 1))
-    last = np.append(change, fpr.size - 1)
-    x = fpr[first]
-    bottom = tpr[first]
-    top = tpr[last]
-    q = np.asarray(at, dtype=np.float64)
-    scalar = q.ndim == 0
-    q1 = np.clip(np.atleast_1d(q), x[0], x[-1])
-    k = np.clip(np.searchsorted(x, q1, side="right") - 1, 0, x.size - 1)
-    out = top[k].copy()
-    inside = q1 > x[k]
-    if np.any(inside):
-        ki = k[inside]
-        frac = (q1[inside] - x[ki]) / (x[ki + 1] - x[ki])
-        out[inside] = top[ki] + frac * (bottom[ki + 1] - top[ki])
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,6 @@ def _axes() -> list[str]:
 def render_roc_svg(
     series: Sequence[SvgSeries],
     hull: Optional[RocHull] = None,
-    title: str = "",
 ) -> str:
     """Render curves (plus optional bands and hull) as an SVG document."""
     parts = [
@@ -103,11 +102,6 @@ def render_roc_svg(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     parts.extend(_axes())
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="30" font-size="16" '
-            f'text-anchor="middle" fill="#111111">{_escape(title)}</text>'
-        )
 
     for index, item in enumerate(series):
         color = PALETTE[index % len(PALETTE)]

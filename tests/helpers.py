@@ -25,9 +25,9 @@ from rocqe import (
     label,
     map_replicates,
 )
-from rocqe.bootstrap import nearest_rank
+from rocqe.bootstrap import fpr_grid, nearest_rank
 from rocqe.ingest import MAX_WARNINGS
-from rocqe.roc import interp_tpr, raw_threshold, tie_group_counts
+from rocqe.roc import raw_threshold
 
 # The worked 10-segment example: (segment_id, raw QE score, has_error).
 # Scores are higher-is-better; six segments carry errors.
@@ -124,6 +124,57 @@ def exact_auc(tp, fp) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def tie_group_counts(
+    risk: np.ndarray, is_positive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted-sweep oracle: cumulative counts at every tie-group boundary.
+
+    Returns (thresholds, tp, fp): canonical scores in descending order, one
+    entry per distinct score, with the cumulative true/false positive counts
+    after flagging everything scoring at or above that threshold. A group is
+    named by its last member in input order, which the stable sort keeps.
+    """
+    order = np.argsort(-risk, kind="stable")
+    sorted_risk = risk[order]
+    sorted_pos = is_positive[order]
+    cum_tp = np.cumsum(sorted_pos)
+    cum_fp = np.cumsum(~sorted_pos)
+    ends = np.flatnonzero(np.diff(sorted_risk) != 0)
+    ends = np.append(ends, sorted_risk.size - 1)
+    return sorted_risk[ends], cum_tp[ends], cum_fp[ends]
+
+
+def interp_tpr(
+    fpr: np.ndarray, tpr: np.ndarray, at: np.ndarray | float
+) -> np.ndarray | float:
+    """TPR at the given FPR values, read off the curve polyline by searching.
+
+    At an fpr where the curve is vertical (repeated values) the attained
+    maximum tpr is used; strictly between distinct fprs the value lies on
+    the segment connecting the surrounding vertices, i.e. from the top of
+    the left vertical to the bottom of the right one.
+    """
+    fpr = np.asarray(fpr, dtype=np.float64)
+    tpr = np.asarray(tpr, dtype=np.float64)
+    change = np.flatnonzero(np.diff(fpr) != 0)
+    first = np.concatenate(([0], change + 1))
+    last = np.append(change, fpr.size - 1)
+    x = fpr[first]
+    bottom = tpr[first]
+    top = tpr[last]
+    q = np.asarray(at, dtype=np.float64)
+    scalar = q.ndim == 0
+    q1 = np.clip(np.atleast_1d(q), x[0], x[-1])
+    k = np.clip(np.searchsorted(x, q1, side="right") - 1, 0, x.size - 1)
+    out = top[k].copy()
+    inside = q1 > x[k]
+    if np.any(inside):
+        ki = k[inside]
+        frac = (q1[inside] - x[ki]) / (x[ki + 1] - x[ki])
+        out[inside] = top[ki] + frac * (bottom[ki + 1] - top[ki])
+    return float(out[0]) if scalar else out
 
 
 def resample_arrays(
@@ -379,13 +430,11 @@ def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
     rational area rounded once.
     """
     p, n = dataset.p_count, dataset.n_count
-    grid = config.fpr_grid(n)
+    grid = fpr_grid(n)
 
     def replicate(tp: np.ndarray, fp: np.ndarray):
-        fpr = np.concatenate([[0.0], fp / n])
-        tpr = np.concatenate([[0.0], tp / p])
-        area = float(exact_auc([0, *tp.tolist()], [0, *fp.tolist()]))
-        return interp_tpr(fpr, tpr, grid), area, fpr.size == 2
+        area = float(exact_auc(tp, fp))
+        return interp_tpr(fp / n, tp / p, grid), area, fp.size == 2
 
     rows, aucs, degenerate = zip(*map_replicates(dataset, config, replicate))
     matrix = np.sort(np.vstack(rows), axis=0)

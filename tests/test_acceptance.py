@@ -37,8 +37,8 @@ from rocqe import (
 )
 from rocqe.bootstrap import ConfidenceBand
 from rocqe.cli import main
-from rocqe.roc import auc, convex_hull, interp_tpr, rates
-from helpers import make_dataset, pairwise_auc, random_dataset
+from rocqe.roc import auc, convex_hull, rates
+from helpers import interp_tpr, make_dataset, pairwise_auc, random_dataset
 
 TABLE_ARGS = [
     "table",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,15 @@ from rocqe import (
     replicate_rng,
 )
 import rocqe.bootstrap as bootstrap_module
-from rocqe.bootstrap import TieGroups, _curve_from_counts, _fp_at, _grid_tpr, nearest_rank
-from rocqe.roc import auc, interp_tpr, tie_group_counts
+from rocqe.bootstrap import _fp_at, _grid_tpr, fpr_grid, nearest_rank
+from rocqe.roc import auc
 from helpers import (
     exact_auc,
+    interp_tpr,
     make_dataset,
-    random_dataset,
     reference_band,
     resample_arrays,
+    tie_group_counts,
 )
 
 
@@ -30,7 +33,6 @@ class TestBootstrapConfig:
         assert cfg.iterations == 1000
         assert cfg.confidence == 0.95
         assert cfg.seed == 0
-        assert cfg.grid_points is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -40,7 +42,6 @@ class TestBootstrapConfig:
             {"confidence": 1.0},
             {"seed": -1},
             {"seed": 2**64},
-            {"grid_points": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -48,16 +49,12 @@ class TestBootstrapConfig:
             BootstrapConfig(**kwargs)
 
     def test_grid_tracks_negative_count(self):
-        grid = BootstrapConfig().fpr_grid(250)
+        grid = fpr_grid(250)
         assert grid.size == 251
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_grid_floors_at_hundred_intervals(self):
-        assert BootstrapConfig().fpr_grid(4).size == 101
-
-    def test_explicit_grid_points(self):
-        grid = BootstrapConfig(grid_points=4).fpr_grid(999)
-        assert np.array_equal(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert fpr_grid(4).size == 101
 
 
 class TestReplicateRng:
@@ -95,16 +92,29 @@ class TestResampling:
         assert np.array_equal(rpos, expected)
 
 
+def _with_origin(counts):
+    return np.concatenate(([0], counts))
+
+
 def _resampled_counts(pos, neg, seed, index):
     """Reference replicate: resample the scores, then sort and sweep them."""
     pos_sample, neg_sample = resample_arrays(pos, neg, replicate_rng(seed, index))
     is_positive = np.zeros(pos.size + neg.size, dtype=bool)
     is_positive[: pos.size] = True
-    return tie_group_counts(np.concatenate([pos_sample, neg_sample]), is_positive)[1:]
+    _, tp, fp = tie_group_counts(np.concatenate([pos_sample, neg_sample]), is_positive)
+    return _with_origin(tp), _with_origin(fp)
 
 
 def _counts_as_lists(tp, fp):
     return tp.tolist(), fp.tolist()
+
+
+def _counts(tp, fp):
+    return tp, fp
+
+
+def _positives_first(pos, neg) -> Dataset:
+    return make_dataset(np.concatenate([pos, neg]), np.arange(pos.size + neg.size) < pos.size)
 
 
 class TestMapReplicates:
@@ -117,6 +127,16 @@ class TestMapReplicates:
             _counts_as_lists(*_resampled_counts(pos, neg, 5, i)) for i in range(16)
         ]
         assert got == expected
+
+
+KERNEL_KINDS = [
+    "heavy_ties",
+    "signed_zeros",
+    "single_positive",
+    "single_negative",
+    "all_tied",
+    "continuous",
+]
 
 
 def _kernel_case(kind, rng):
@@ -138,26 +158,17 @@ def _kernel_case(kind, rng):
 
 
 class TestTieGroups:
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "heavy_ties",
-            "signed_zeros",
-            "single_positive",
-            "single_negative",
-            "all_tied",
-            "continuous",
-        ],
-    )
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_counts_equal_a_sorted_sweep_of_the_resample(self, kind):
+        # Replicates counted off the dataset's one ranking, never re-sorted.
         rng = np.random.default_rng(41)
         for seed in range(40):
             pos, neg = _kernel_case(kind, rng)
-            groups = TieGroups.of(pos, neg)
-            for index in range(6):
-                tp, fp = groups.resample_counts(replicate_rng(seed, index))
+            config = BootstrapConfig(iterations=6, seed=seed)
+            replicates = map_replicates(_positives_first(pos, neg), config, _counts)
+            for index, (tp, fp) in enumerate(replicates):
                 ref_tp, ref_fp = _resampled_counts(pos, neg, seed, index)
-                assert tp.dtype == ref_tp.dtype and fp.dtype == ref_fp.dtype
+                assert tp.dtype == fp.dtype == ref_tp.dtype == np.int64
                 assert np.array_equal(tp, ref_tp), (kind, seed, index)
                 assert np.array_equal(fp, ref_fp), (kind, seed, index)
                 assert (tp[-1], fp[-1]) == (pos.size, neg.size)
@@ -165,13 +176,27 @@ class TestTieGroups:
 
 class TestCurveArrays:
     def test_matches_build_roc_coordinates(self):
-        # The band's vertex arrays, from tie-group counts, are build_roc's.
+        # The ranking's own counts and group names are the sorted sweep's,
+        # over shuffled members, and build_roc's, bit for bit.
         rng = np.random.default_rng(21)
-        for _ in range(100):
-            ds = random_dataset(rng)
-            _, tp, fp = tie_group_counts(ds.risk_scores, ds.is_positive)
-            tp, fp = _curve_from_counts(tp, fp)
+        for kind in KERNEL_KINDS * 20:
+            pos, neg = _kernel_case(kind, rng)
+            risks = np.concatenate([pos, neg])
+            labels = np.arange(risks.size) < pos.size
+            shuffle = rng.permutation(risks.size)
+            ds = make_dataset(risks[shuffle], labels[shuffle])
+            ranking = ds.ranking
+            tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+            thresholds, ref_tp, ref_fp = tie_group_counts(ds.risk_scores, ds.is_positive)
+            assert tp.dtype == fp.dtype == np.int64
+            assert np.array_equal(tp, _with_origin(ref_tp))
+            assert np.array_equal(fp, _with_origin(ref_fp))
+            assert _same_bits(ranking.thresholds, np.concatenate(([math.inf], thresholds)))
+            assert np.array_equal(ranking.thresholds[ranking.group], ds.risk_scores)
+            assert np.array_equal(ranking.pos_group, ranking.group[ds.is_positive])
+            assert np.array_equal(ranking.neg_group, ranking.group[~ds.is_positive])
             curve = build_roc(ds)
+            assert _same_bits(curve.thresholds, ranking.thresholds)
             assert np.array_equal(tp, curve.tp) and tp.dtype == curve.tp.dtype
             assert np.array_equal(fp, curve.fp) and fp.dtype == curve.fp.dtype
 
@@ -202,26 +227,21 @@ class TestGridRead:
             kind = self.KINDS[trial % 4]
             p = 1 if trial % 3 == 0 else int(rng.integers(2, 40))
             n = (1, int(rng.integers(2, 100)), int(rng.integers(100, 400)))[trial % 3]
-            pos, neg = _scores(rng, kind, p), _scores(rng, kind, n)
-            groups = TieGroups.of(pos, neg)
-            is_positive = np.arange(p + n) < p
-            point = tie_group_counts(np.concatenate([pos, neg]), is_positive)[1:]
-            counts = [point] + [
-                groups.resample_counts(replicate_rng(trial, i)) for i in range(4)
-            ]
-            for grid_points in (None, 1, 7, n, 3 * n + 1):
-                grid = BootstrapConfig(grid_points=grid_points).fpr_grid(n)
+            ds = _positives_first(_scores(rng, kind, p), _scores(rng, kind, n))
+            ranking = ds.ranking
+            point = ranking.counts(ranking.pos_group, ranking.neg_group)
+            config = BootstrapConfig(iterations=4, seed=trial)
+            counts = [point] + map_replicates(ds, config, _counts)
+            for intervals in (max(n, 100), 1, 7, n, 3 * n + 1):
+                grid = np.linspace(0.0, 1.0, intervals + 1)
                 fp_at = _fp_at(grid, n)
                 for tp, fp in counts:
-                    tp_full, fp_full = _curve_from_counts(tp, fp)
-                    got = _grid_tpr(tp_full, fp_full, p, n, grid, fp_at)
-                    fpr = np.concatenate([[0.0], fp / n])
-                    tpr = np.concatenate([[0.0], tp / p])
-                    assert _same_bits(got, interp_tpr(fpr, tpr, grid)), (
-                        kind, p, n, grid_points,
+                    got = _grid_tpr(tp, fp, p, n, grid, fp_at)
+                    assert _same_bits(got, interp_tpr(fp / n, tp / p, grid)), (
+                        kind, p, n, intervals,
                     )
                     reads += 1
-                    degenerate += fpr.size == 2
+                    degenerate += fp.size == 2
         assert reads == 48 * 5 * 5 and degenerate > 0
 
     def test_count_index_is_the_last_vertex_at_or_left(self):
@@ -236,13 +256,13 @@ class TestGridRead:
 
 class TestBandMatchesInterpOracle:
     def test_non_aligned_custom_grid(self):
-        # 997 intervals over N = 283 negatives: almost no grid point is a k/N.
+        # 100 intervals over N = 83 negatives: no inner grid point is a k/N.
         rng = np.random.default_rng(93)
-        labels = np.arange(500) < 217
-        risks = rng.integers(0, 40, size=500) / 8.0 + labels * rng.normal(size=500)
+        labels = np.arange(200) < 117
+        risks = rng.integers(0, 40, size=200) / 8.0 + labels * rng.normal(size=200)
         ds = make_dataset(risks.tolist(), labels.tolist())
-        assert ds.n_count == 283
-        config = BootstrapConfig(iterations=60, seed=4, grid_points=997)
+        assert ds.n_count == 83
+        config = BootstrapConfig(iterations=60, seed=4)
         band, oracle = confidence_band(ds, config), reference_band(ds, config)
         assert band == oracle
         for got, want in ((band.lower_tpr, oracle.lower_tpr),

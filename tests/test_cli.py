@@ -413,6 +413,30 @@ class TestScenarioCommand:
         )
         assert doc["results"]["decision"]["residual_fn_per_100"] == 50.0
 
+    def test_threshold_names_the_group_as_the_roc_vertex_does(self, tmp_path, capsys):
+        # s3 (-0.0, clean) and s5 (0.0, error) form one tie group. Both
+        # reports must name it by its last member in dataset order, s5.
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("s0\t0\ns1\t-1\ns2\t-1\ns3\t0\ns4\t0\ns5\t-1\n")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("s0\t1.0\ns1\t1.0\ns2\t-1.0\ns3\t-0.0\ns4\t-1.0\ns5\t0.0\n")
+        base = ["--gold", str(gold), "--scores", f"m={scores}"]
+        roc = run_json(["roc", *base], capsys)
+        decision = run_json(["scenario", *base, "--scenario", "1", "--x", "0.67"], capsys)
+        decision = decision["results"]["decision"]
+        flagged = round(decision["review_fraction"] * 6)
+        [vertex] = [
+            v for v in roc["results"]["metrics"]["m"]["vertices"] if v["tp"] + v["fp"] == flagged
+        ]
+        assert flagged == 4 and vertex["threshold"] == 0.0
+        assert not np.signbit(vertex["threshold"])
+        pairs = (
+            (decision["threshold_canonical"], vertex["threshold"]),
+            (decision["threshold_raw"], vertex["threshold_raw"]),
+        )
+        for got, want in pairs:
+            assert got == want and np.signbit(got) == np.signbit(want)
+
 
 class TestHullCommand:
     HULL_ARGS = [

@@ -354,6 +354,30 @@ class TestScenario2:
         assert any("review_fraction" in note for note in report.notes)
 
 
+class TestThresholdNaming:
+    def test_scenario_thresholds_are_curve_thresholds_bit_for_bit(self):
+        # Groups mixing 0.0 and -0.0 in random order: a scenario names its
+        # operating point exactly as the curve vertex with the same counts.
+        rng = np.random.default_rng(58)
+        orientations = (Orientation.HIGHER_IS_WORSE, Orientation.HIGHER_IS_BETTER)
+        for trial in range(200):
+            n = int(rng.integers(2, 30))
+            labels = rng.permutation(np.arange(n) < rng.integers(1, n))
+            risks = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=n)
+            ds = make_dataset(risks, labels, orientations[trial % 2])
+            curve = build_roc(ds)
+            flagged = (curve.tp + curve.fp).tolist()
+            reports = [scenario1_residual_risk(ds, x) for x in (0.1, 0.3, 0.5, 0.7, 1.0)]
+            reports += [scenario2_required_effort(ds, y) for y in (0.0, 10.0, 30.0, 60.0)]
+            for report in reports:
+                k = flagged.index(round(report.review_fraction * ds.total))
+                for got, want in (
+                    (report.threshold_canonical, curve.thresholds[k]),
+                    (report.threshold_raw, curve.thresholds_raw[k]),
+                ):
+                    assert got == want and np.signbit(got) == np.signbit(want), trial
+
+
 class TestOptimalThreshold:
     def test_slope_half_picks_the_corner(self, sample10):
         report = optimal_threshold(

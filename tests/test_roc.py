@@ -18,11 +18,12 @@ from rocqe import (
     convex_hull,
     pr_points,
 )
-from rocqe.roc import interp_tpr, raw_threshold
+from rocqe.roc import raw_threshold
 from helpers import (
     assert_close,
     brute_force_counts,
     exact_auc,
+    interp_tpr,
     make_dataset,
     pairwise_auc,
     random_dataset,
@@ -407,6 +408,16 @@ class TestRocCurveValidation:
     def test_rejects_decreasing_tpr(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             _curve([(0.0, 0.0, math.inf), (0.5, 0.5, 1.0), (0.5, 0.4, 0.5), (1.0, 1.0, 0.0)])
+
+    def test_rejects_decreasing_unsigned_counts(self):
+        # np.diff wraps on unsigned arrays, so the step 2 -> 1 must be seen signed.
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RocCurve(
+                np.array([math.inf, 3.0, 2.0, 1.0]),
+                np.array([0, 2, 1, 2], dtype=np.uint8),
+                np.array([0, 0, 1, 2], dtype=np.uint8),
+                2, 2, "fp",
+            )
 
     def test_rejects_non_decreasing_thresholds(self):
         with pytest.raises(ValueError, match="strictly decrease"):
