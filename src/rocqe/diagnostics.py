@@ -1,8 +1,8 @@
 """Validity checks: when an ROC analysis should not be trusted.
 
 Checks return findings, never raise: the caller decides whether a warning
-blocks anything. Sample-size and band-width rules are configurable; the
-defaults encode rough guidance, not sharp statistical guarantees.
+blocks anything. The sample-size and band-width limits (``MIN_CLASS_SIZE``,
+``MAX_BAND_WIDTH``) encode rough guidance, not sharp statistical guarantees.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class Finding:
     severity: str = "warning"
 
 
-def check_sample(dataset: Dataset, min_class_size: int = MIN_CLASS_SIZE) -> list[Finding]:
+def check_sample(dataset: Dataset) -> list[Finding]:
     """Sample-level findings: degenerate classes, tiny classes, tied scores."""
     findings: list[Finding] = []
     for name, count in (("positive", dataset.p_count), ("negative", dataset.n_count)):
@@ -44,11 +44,11 @@ def check_sample(dataset: Dataset, min_class_size: int = MIN_CLASS_SIZE) -> list
                     f"no {name} segments: ROC analysis is undefined on this sample",
                 )
             )
-        elif count < min_class_size:
+        elif count < MIN_CLASS_SIZE:
             findings.append(
                 Finding(
                     "MIN_CLASS_BELOW_50",
-                    f"only {count} {name} segment(s) (fewer than {min_class_size}); "
+                    f"only {count} {name} segment(s) (fewer than {MIN_CLASS_SIZE}); "
                     "curve and band estimates will be unstable",
                 )
             )
@@ -64,9 +64,7 @@ def check_sample(dataset: Dataset, min_class_size: int = MIN_CLASS_SIZE) -> list
     return findings
 
 
-def check_band(
-    band: ConfidenceBand, max_width_threshold: float = MAX_BAND_WIDTH
-) -> list[Finding]:
+def check_band(band: ConfidenceBand) -> list[Finding]:
     """Band-level findings: excessive pointwise uncertainty.
 
     Narrow bands are not endorsements (a near-random classifier can have a
@@ -76,13 +74,13 @@ def check_band(
     findings: list[Finding] = []
     width = band.upper_tpr - band.lower_tpr
     worst = float(np.max(width))
-    if worst > max_width_threshold:
+    if worst > MAX_BAND_WIDTH:
         at = float(band.fpr_grid[int(np.argmax(width))])
         findings.append(
             Finding(
                 "BAND_TOO_WIDE",
                 f"confidence band reaches width {worst:.3f} at fpr {at:.3f} "
-                f"(limit {max_width_threshold}); enlarge the sample with "
+                f"(limit {MAX_BAND_WIDTH}); enlarge the sample with "
                 "additional comparable segments before acting on this curve",
             )
         )

@@ -71,15 +71,12 @@ def label(mqm_score: float, cutoff: SeverityCutoff) -> Label:
             "to be <= 0",
             stacklevel=2,
         )
-    if mqm_score < cutoff.threshold:
-        return Label.POSITIVE
-    if cutoff.inclusive and mqm_score == cutoff.threshold:
-        return Label.POSITIVE
-    return Label.NEGATIVE
+    return Label.POSITIVE if label_positive(mqm_score, cutoff) else Label.NEGATIVE
 
 
-def label_positive(mqm_scores: np.ndarray, cutoff: SeverityCutoff) -> np.ndarray:
-    """Where ``label(score, cutoff)`` is positive, for a whole array at once.
+def label_positive(mqm_scores: np.ndarray | float, cutoff: SeverityCutoff) -> np.ndarray | bool:
+    """Where a score is positive under ``cutoff``: elementwise over an array,
+    or a bool for one score. ``label`` takes its verdict from here.
 
     Never warns; callers that must flag positive MQM scores call ``label``
     on those scores.

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -126,54 +127,93 @@ class IngestReport:
             )
 
 
-def _parse_value(text: str) -> tuple[float, bool]:
-    """(value, ok): value NaN for missing markers and non-finite numbers."""
-    if text in MISSING_MARKERS:
-        return math.nan, True
+def _number(text: str) -> Optional[float]:
+    """The value a stripped field spells: NaN for a missing marker, None for none."""
     try:
-        value = float(text)
+        return float("nan" if text in MISSING_MARKERS else text)
     except ValueError:
-        return math.nan, False
-    if not math.isfinite(value):
-        return math.nan, True
-    return value, True
+        return None
 
 
-def _clean_columns(path: str, header: bool) -> Optional[tuple[list[str], np.ndarray]]:
-    """(keys, values) of a file with nothing to report, read a block of lines at a time.
+def _scan(
+    path: str, header: bool
+) -> tuple[list[str], np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
+    """Read a `key<TAB>value` file once, a block of lines at a time.
 
-    Applies when every line is ``key<TAB>value`` with a non-empty key and a
-    value ``_parse_value`` accepts (NaN when missing); with ``header``,
-    line 1 may instead be a header. Returns None for any other file, which
-    the caller then reads line by line. Keys come in line order.
+    Returns (keys, values, numbers, problems, malformed): the key, value and
+    line number of every row in line order; (line number, line text,
+    message) for the first ``MAX_WARNINGS`` malformed lines in line order;
+    and the count of all malformed lines. ``\\n``, ``\\r\\n`` and ``\\r`` all
+    end a line, a leading UTF-8 byte order mark is dropped and
+    whitespace-only lines are ignored. A row is one tab between a non-empty
+    key and a number or missing marker; its value is NaN when missing or not
+    finite. Any other line is malformed, except that with ``header`` line 1
+    is skipped when its value is neither.
     """
     keys: list[str] = []
-    values = []
+    values: list[np.ndarray] = [np.zeros(0)]  # an empty file has empty columns
+    numbers: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    problems: list[tuple[int, str, str]] = []
+    malformed = 0
+    start = 1
     with open(path, encoding="utf-8-sig") as handle:
-        blocks = iter(partial(handle.readlines, _BLOCK_CHARS), [])
-        for index, block in enumerate(blocks):
-            if set(map(str.count, block, repeat("\t"))) != {1}:
-                return None  # a blank line, or one with other than two fields
+        for block in iter(partial(handle.readlines, _BLOCK_CHARS), []):
+            at = np.arange(start, start + len(block))
+            start += len(block)
+            tabs = list(map(str.count, block, repeat("\t")))
+            found = []
+            if set(tabs) != {1}:
+                found += [
+                    (number, line.rstrip("\n"), f"expected 2 tab-separated fields, got {tab + 1}")
+                    for number, line, tab in zip(at.tolist(), block, tabs)
+                    if tab != 1 and not line.isspace()
+                ]
+                rows = np.array(tabs) == 1
+                block, at = list(compress(block, rows)), at[rows]
             fields = "".join(block).replace("\n", "\t").split("\t")
-            if len(fields) % 2:
-                fields.pop()  # after the last line end
-            block_keys = list(map(str.strip, fields[0::2]))
-            texts = list(map(str.strip, fields[1::2]))
-            if header and index == 0 and not _parse_value(texts[0])[1]:
-                del block_keys[0], texts[0]  # header row
+            block_keys = list(map(str.strip, fields[0 : 2 * len(block) : 2]))
+            texts = list(map(str.strip, fields[1 : 2 * len(block) : 2]))
+            if header and at.size and at[0] == 1 and _number(texts[0]) is None:
+                del block[0], block_keys[0], texts[0]  # header row
+                at = at[1:]
             try:
-                parsed = np.array(
-                    [float("nan" if t in MISSING_MARKERS else t) for t in texts],
-                    dtype=np.float64,
-                )
+                parsed = [float("nan" if t in MISSING_MARKERS else t) for t in texts]
             except ValueError:
-                return None
-            if "" in block_keys:
-                return None
-            parsed[~np.isfinite(parsed)] = math.nan
+                parsed = None
+            if parsed is None or "" in block_keys:
+                parsed = list(map(_number, texts))
+                notes = [
+                    None if key and value is not None
+                    else "" if not (key or text)  # a whitespace-only line
+                    else "empty segment id" if not key
+                    else f"unparsable value {text!r}"
+                    for key, text, value in zip(block_keys, texts, parsed)
+                ]
+                found += [
+                    (number, line.rstrip("\n"), note)
+                    for number, line, note in zip(at.tolist(), block, notes)
+                    if note
+                ]
+                rows = np.array([note is None for note in notes], dtype=bool)
+                block_keys, parsed = list(compress(block_keys, rows)), list(compress(parsed, rows))
+                at = at[rows]
             keys += block_keys
-            values.append(parsed)
-    return keys, np.concatenate(values) if values else np.empty(0)
+            values.append(np.array(parsed, dtype=np.float64))
+            numbers.append(at)
+            malformed += len(found)
+            # The field-count problems were found before the others.
+            problems += sorted(found)[: MAX_WARNINGS - len(problems)]
+    column = np.concatenate(values)
+    column[~np.isfinite(column)] = math.nan
+    return keys, column, np.concatenate(numbers), problems, malformed
+
+
+def _first_repeat(keys: list[str]) -> Optional[int]:
+    """Index of the first key equal to an earlier one, or None."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen: set[str] = set()
+    return next(i for i, key in enumerate(keys) if key in seen or seen.add(key))  # add is None
 
 
 def _read_two_column(
@@ -181,51 +221,23 @@ def _read_two_column(
 ) -> tuple[list[str], np.ndarray, int, list[str]]:
     """Read a `key<TAB>value` file: (keys, values, malformed_count, warnings).
 
-    Line 1 is treated as a header when its second field is neither numeric
-    nor a missing marker. Blank lines are ignored, and so is a leading UTF-8
-    byte order mark. Duplicate keys are always a hard error; malformed lines
-    are skipped, or raised in strict mode. Only the first ``MAX_WARNINGS``
-    of them get a warning; ``malformed_count`` counts them all. Keys come
-    in line order; a missing value is NaN.
+    Line 1 is a header when its value is neither numeric nor a missing
+    marker. Duplicate keys are always a hard error; malformed lines are
+    skipped, or raised in strict mode, where the first of the two in line
+    order raises. Only the first ``MAX_WARNINGS`` malformed lines get a
+    warning; ``malformed_count`` counts them all. Keys come in line order;
+    a missing value is NaN.
     """
-    clean = _clean_columns(path, header=True)
-    if clean is not None and len(set(clean[0])) == len(clean[0]):
-        return *clean, 0, []
-    rows: dict[str, float] = {}
-    malformed = 0
-    notes: list[str] = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw_line in enumerate(handle, 1):
-            line = raw_line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            problem = None
-            if len(parts) != 2:
-                problem = f"expected 2 tab-separated fields, got {len(parts)}"
-            else:
-                sid, text = parts[0].strip(), parts[1].strip()
-                value, ok = _parse_value(text)
-                if lineno == 1 and not ok:
-                    continue  # header row
-                if not sid:
-                    problem = "empty segment id"
-                elif not ok:
-                    problem = f"unparsable value {text!r}"
-                elif sid in rows:
-                    raise IngestError(
-                        f"{path} line {lineno}: duplicate segment id {sid!r}"
-                    )
-                else:
-                    rows[sid] = value
-            if problem is not None:
-                message = f"{path} line {lineno}: {problem}"
-                if strict:
-                    raise IngestError(message)
-                malformed += 1
-                if len(notes) < MAX_WARNINGS:
-                    notes.append(message)
-    return list(rows), np.fromiter(rows.values(), np.float64, len(rows)), malformed, notes
+    keys, values, numbers, problems, malformed = _scan(path, header=True)
+    notes = [f"{path} line {n}: {message}" for n, _, message in problems]
+    repeat_at = _first_repeat(keys)
+    if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
+        raise IngestError(
+            f"{path} line {numbers[repeat_at]}: duplicate segment id {keys[repeat_at]!r}"
+        )
+    if strict and problems:
+        raise IngestError(notes[0])
+    return keys, values, malformed, notes
 
 
 def parse_canonical_tsv(
@@ -295,39 +307,21 @@ def _join(
     return records, int(missing_gold.sum()), int(missing_score.sum())
 
 
-def _read_system_column(path: str) -> dict[str, list[float]]:
-    """Read a `system<TAB>score` file into per-system score sequences.
+def _read_system_column(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `system<TAB>score` file: (systems, values) columns in line order.
 
-    Line order within a system is the segment order; any structural problem
+    Line order within a system is the segment order; the first malformed line
     is a hard error because positional alignment cannot survive dropped
-    lines. A leading UTF-8 byte order mark is ignored. A missing value is
-    stored as NaN.
+    lines. There is no header line. A missing value is NaN.
     """
-    sequences: dict[str, list[float]] = {}
-    clean = _clean_columns(path, header=False)
-    if clean is not None:
-        for system, value in zip(clean[0], clean[1].tolist()):
-            sequences.setdefault(system, []).append(value)
-        return sequences
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw_line in enumerate(handle, 1):
-            line = raw_line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestError(
-                    f"{path} line {lineno}: expected 2 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            system, text = parts[0].strip(), parts[1].strip()
-            value, ok = _parse_value(text)
-            if not system or not ok:
-                raise IngestError(
-                    f"{path} line {lineno}: unparsable row {line!r}"
-                )
-            sequences.setdefault(system, []).append(value)
-    return sequences
+    systems, values, _, problems, _ = _scan(path, header=False)
+    if problems:
+        number, line, message = problems[0]
+        if line.count("\t") == 1:
+            message = f"unparsable row {line!r}"
+        raise IngestError(f"{path} line {number}: {message}")
+    # Interned, the column holds one string per system instead of one per line.
+    return np.array(list(map(sys.intern, systems)), dtype=object), values
 
 
 def _wmt_gold_path(root_dir: str, testset: str, language_pair: str) -> str:
@@ -375,32 +369,31 @@ def parse_wmt_layout(
             f"available metrics: {available}"
         )
 
-    gold_by_system = _read_system_column(gold_path)
-    metric_by_system = _read_system_column(metric_path)
-    if system not in metric_by_system:
+    gold_systems, gold = _read_system_column(gold_path)
+    metric_systems, score = _read_system_column(metric_path)
+    in_metric = metric_systems == system
+    if not in_metric.any():
         raise IngestError(
             f"system {system!r} not in {metric_path}; available systems: "
-            f"{sorted(metric_by_system)}"
+            f"{sorted(set(metric_systems.tolist()))}"
         )
-    if system not in gold_by_system:
+    in_gold = gold_systems == system
+    if not in_gold.any():
         raise IngestError(
             f"system {system!r} has no gold scores in {gold_path}; systems "
-            f"with gold: {sorted(gold_by_system)}"
+            f"with gold: {sorted(set(gold_systems.tolist()))}"
         )
-    gold_seq = gold_by_system[system]
-    score_seq = metric_by_system[system]
-    if len(gold_seq) != len(score_seq):
+    gold, score = gold[in_gold], score[in_metric]
+    if gold.size != score.size:
         raise IngestError(
-            f"length mismatch for system {system!r}: {len(gold_seq)} gold "
-            f"scores vs {len(score_seq)} {metric} scores"
+            f"length mismatch for system {system!r}: {gold.size} gold "
+            f"scores vs {score.size} {metric} scores"
         )
 
-    ids = [f"{testset}:{system}:{i}" for i in range(len(gold_seq))]
-    records, missing_gold, missing_score = _join(
-        metric, ids, np.array(gold_seq), np.array(score_seq)
-    )
+    ids = [f"{testset}:{system}:{i}" for i in range(gold.size)]
+    records, missing_gold, missing_score = _join(metric, ids, gold, score)
     report = IngestReport(
-        total_lines=len(gold_seq),
+        total_lines=gold.size,
         accepted=len(records),
         skipped_missing_gold=missing_gold,
         skipped_missing_score=missing_score,

@@ -64,14 +64,6 @@ class TestCheckSample:
         ds = make_dataset([2.0] * 120, [True] * 60 + [False] * 60)
         assert _codes(check_sample(ds)) == ["ALL_TIED"]
 
-    def test_custom_minimum(self):
-        ds = make_dataset([1.0, 2.0, 3.0, 4.0], [True, True, False, False])
-        assert check_sample(ds, min_class_size=2) == []
-        assert _codes(check_sample(ds, min_class_size=3)) == [
-            "MIN_CLASS_BELOW_50",
-            "MIN_CLASS_BELOW_50",
-        ]
-
     def test_findings_are_warnings(self):
         ds = make_dataset([1.0, 2.0], [True, False])
         assert all(f.severity == "warning" for f in check_sample(ds))
@@ -92,11 +84,6 @@ class TestCheckBand:
         ds = make_dataset([3.0, 2.0, 1.0, 0.0], [True, True, False, False])
         band = confidence_band(ds, BootstrapConfig(iterations=20, seed=0))
         assert check_band(band) == []
-
-    def test_custom_threshold(self):
-        band = _synthetic_band([0.0, 0.4, 1.0], [0.0, 0.7, 1.0])
-        assert check_band(band, max_width_threshold=0.5) == []
-        assert _codes(check_band(band, max_width_threshold=0.2)) == ["BAND_TOO_WIDE"]
 
     def test_message_points_at_worst_grid_point(self):
         band = _synthetic_band([0.0, 0.0, 1.0], [0.0, 0.9, 1.0])

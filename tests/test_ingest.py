@@ -253,6 +253,18 @@ class TestWmtLayout:
         with pytest.raises(IngestError):
             parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
 
+    def test_header_line_is_a_hard_error(self, tmp_path):
+        root = tmp_path / "tree"
+        hs = root / "wmt23" / "human-scores"
+        ms = root / "wmt23" / "metric-scores" / "zh-en"
+        os.makedirs(hs)
+        os.makedirs(ms)
+        _write(hs / "zh-en.mqm.seg.score", ["sysA\t-1.0"])
+        _write(ms / "m.seg.score", ["system\tscore", "sysA\t0.5"])
+        want = r"m.seg.score line 1: unparsable row 'system\\tscore'$"
+        with pytest.raises(IngestError, match=want):
+            parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
+
     def test_gold_filename_fallback(self, tmp_path):
         # Accept the plain mqm filename when the merged variant is absent.
         root = tmp_path / "tree"
@@ -272,6 +284,52 @@ class TestWmtLayout:
         _write(ms / "m.seg.score", ["sysA\t0.5"])
         with pytest.raises((IngestError, FileNotFoundError)):
             parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
+
+
+class TestOneReadPerFile:
+    """Every input file is opened once per parse, whatever it holds."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        counts = {}
+
+        def counting_open(path, *args, **kwargs):
+            counts[os.path.basename(path)] = counts.get(os.path.basename(path), 0) + 1
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "open", counting_open, raising=False)
+        return counts
+
+    @pytest.mark.parametrize(
+        "gold_lines, raises",
+        [
+            (["id\tmqm", "a\t-1.0", "b\t0.0"], False),
+            (["a\t-1.0", "malformed", "b\t0.0"], False),
+            (["a\t-1.0", "a\t0.0", "b\t0.0"], True),
+        ],
+        ids=["clean", "malformed", "duplicate"],
+    )
+    def test_canonical_files(self, tmp_path, opened, gold_lines, raises):
+        gold = _write(tmp_path / "g.tsv", gold_lines)
+        scores = _write(tmp_path / "s.tsv", ["a\t0.9", "b\t0.1"])
+        outcome = _outcome(parse_canonical_tsv, gold, scores, "m")
+        assert outcome[0] == ("raised" if raises else "ok")
+        assert opened == ({"g.tsv": 1} if raises else {"g.tsv": 1, "s.tsv": 1})
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["clean", "malformed"])
+    def test_wmt_files(self, wmt_root, tmp_path, opened, malformed):
+        if malformed:
+            root = tmp_path / "tree"
+            hs = root / "wmt23" / "human-scores"
+            ms = root / "wmt23" / "metric-scores" / "zh-en"
+            os.makedirs(hs)
+            os.makedirs(ms)
+            _write(hs / "zh-en.mqm.seg.score", ["sysX\t-1.0", "sysX\t0.0"])
+            _write(ms / "metricA.seg.score", ["sysX\t0.5", "garbage", "sysX\t0.4"])
+            wmt_root = str(root)
+        outcome = _outcome(parse_wmt_layout, wmt_root, "zh-en", "wmt23", "sysX", "metricA")
+        assert outcome[0] == ("raised" if malformed else "ok")
+        assert list(opened.values()) == [1, 1]
 
 
 class TestToDataset:
@@ -447,15 +505,89 @@ class TestColumnarIngestDifferential:
         path = tmp_path / "f.tsv"
         for text in ("id\tscore\na\t1.5\nb\tNone\n", "\ufeffa\t1.5\r\nb\tnan", "a\t 1.5 \rb\t\n"):
             path.write_text(text, encoding="utf-8", newline="")
-            keys, values = ingest_module._clean_columns(str(path), header=True)
+            keys, values, numbers, problems, malformed = ingest_module._scan(
+                str(path), header=True
+            )
             assert keys == ["a", "b"]
             assert values[0] == 1.5 and math.isnan(values[1])
-        for text in ("a\t1\n\nb\t2\n", "a\t1\nb\t2\t3\n", "a\t1\n \t2\n", "a\t1\nb\tx\n"):
+            assert numbers.tolist() == ([2, 3] if text.startswith("id") else [1, 2])
+            assert problems == [] and malformed == 0
+        irregular = {
+            "a\t1\n\nb\t2\n": [],  # a blank line is ignored, not a problem
+            "a\t1\nb\t2\t3\n": [(2, "b\t2\t3", "expected 2 tab-separated fields, got 3")],
+            "a\t1\n \t2\n": [(2, " \t2", "empty segment id")],
+            "a\t1\nb\tx\n": [(2, "b\tx", "unparsable value 'x'")],
+        }
+        for text, want in irregular.items():
             path.write_text(text, encoding="utf-8")
-            assert ingest_module._clean_columns(str(path), header=True) is None
+            keys, values, numbers, problems, malformed = ingest_module._scan(
+                str(path), header=True
+            )
+            assert problems == want and malformed == len(want), text
+            assert keys == (["a", "b"] if not want else ["a"])
+            assert numbers.tolist() == ([1, 3] if not want else [1])
 
-    def test_wmt_reader_matches_the_oracle(self, tmp_path):
-        rng = np.random.default_rng(409)
+    @pytest.mark.parametrize("block_chars", [None, 7])
+    def test_scanner_line_grammar(self, tmp_path, monkeypatch, block_chars):
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        path = tmp_path / "f.tsv"
+        path.write_text(
+            "  \nid\tscore\n\t\n \t \na\t1\nb\tx\nc\n\n d\t-2 \ne\tinf\nf\t3",
+            encoding="utf-8", newline="",
+        )
+        keys, values, numbers, problems, malformed = ingest_module._scan(
+            str(path), header=True
+        )
+        # A header is possible on line 1 only; lone tabs are blank lines; the
+        # unterminated last line is a row; problems come in line order.
+        assert keys == ["a", "d", "e", "f"]
+        assert values[[0, 1, 3]].tolist() == [1.0, -2.0, 3.0] and math.isnan(values[2])
+        assert numbers.tolist() == [5, 9, 10, 11]
+        assert problems == [
+            (2, "id\tscore", "unparsable value 'score'"),
+            (6, "b\tx", "unparsable value 'x'"),
+            (7, "c", "expected 2 tab-separated fields, got 1"),
+        ]
+        assert malformed == 3
+
+    @pytest.mark.parametrize("block_chars", [None, 7])
+    def test_scanner_keeps_the_first_problems_and_counts_all(
+        self, tmp_path, monkeypatch, block_chars
+    ):
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        lines = [["a\tx", "b", "\t1"][i % 3] for i in range(3 * MAX_WARNINGS)]
+        path = _write(tmp_path / "f.tsv", ["k\t1"] + lines)
+        keys, _, _, problems, malformed = ingest_module._scan(path, header=True)
+        assert keys == ["k"] and malformed == 3 * MAX_WARNINGS
+        assert [number for number, _, _ in problems] == list(range(2, MAX_WARNINGS + 2))
+        assert problems[:3] == [
+            (2, "a\tx", "unparsable value 'x'"),
+            (3, "b", "expected 2 tab-separated fields, got 1"),
+            (4, "\t1", "empty segment id"),
+        ]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_duplicate_and_malformed_line_raise_in_line_order(self, tmp_path, strict):
+        scores = _write(tmp_path / "s.tsv", ["a\t0.9"])
+        duplicate_first = _write(tmp_path / "g1.tsv", ["a\t-1.0", "a\t-2.0", "bad"])
+        with pytest.raises(IngestError, match=r"g1.tsv line 2: duplicate segment id 'a'$"):
+            parse_canonical_tsv(duplicate_first, scores, "m", strict=strict)
+        malformed_first = _write(tmp_path / "g2.tsv", ["a\t-1.0", "bad", "a\t-2.0"])
+        want = (
+            r"g2.tsv line 2: expected 2 tab-separated fields, got 1$"
+            if strict
+            else r"g2.tsv line 3: duplicate segment id 'a'$"
+        )
+        with pytest.raises(IngestError, match=want):
+            parse_canonical_tsv(malformed_first, scores, "m", strict=strict)
+
+    @pytest.mark.parametrize("block_chars", [None, 7])
+    def test_wmt_reader_matches_the_oracle(self, tmp_path, monkeypatch, block_chars):
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(409 + (block_chars or 0))
         for trial in range(150):
             systems = ["sysA", "sysB", " sysC "][: int(rng.integers(1, 4))]
             clean = rng.random() < 0.5
@@ -473,9 +605,10 @@ class TestColumnarIngestDifferential:
             got = _outcome(_read_system_column, str(path))
             want = _outcome(helpers.read_system_column, str(path))
             if got[0] == "ok":
-                got = ("ok", {
-                    k: [None if math.isnan(v) else v for v in seq] for k, seq in got[1].items()
-                })
+                sequences = {}
+                for system, value in zip(*(column.tolist() for column in got[1])):
+                    sequences.setdefault(system, []).append(None if math.isnan(value) else value)
+                got = ("ok", sequences)
             assert got == want, trial
 
     def test_to_dataset_over_shuffled_records_matches_the_oracle(self):
