@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .model import (
 )
 from .roc import GroundTruthMismatchError, RocCurve, auc, build_roc, convex_hull, pr_points
 from .svgplot import SvgSeries, render_roc_svg
+from .texts import fixed2_texts, join_rows, repr_texts, run_texts
 
 SCHEMA_VERSION = 1
 
@@ -212,11 +213,16 @@ class _Rows:
     """A list of same-keyed dicts handed to the encoder as columns.
 
     Encodes exactly like ``[{key: column[i] for key in columns} for i ...]``
-    but formats each numeric column once instead of visiting every cell.
+    but spells each run of equal neighbours in a column once instead of
+    visiting every cell. A column is numeric, an object array of texts
+    already in JSON or a ``_NegatedTexts``.
     """
 
     def __init__(self, **columns: np.ndarray) -> None:
-        self.columns = {key: np.asarray(col) for key, col in columns.items()}
+        self.columns = {
+            key: col if isinstance(col, _NegatedTexts) else np.asarray(col)
+            for key, col in columns.items()
+        }
         shapes = {col.shape for col in self.columns.values()}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError("row columns must be 1-d arrays of one length")
@@ -230,14 +236,16 @@ def _float_text(value: float) -> str:
 
 def _array_texts(values: np.ndarray) -> list[str]:
     """JSON text of every element of a 1-d numeric array."""
-    if values.dtype.kind in "iu":
-        return list(map(int.__repr__, values.tolist()))
-    if values.dtype.kind != "f":
-        raise TypeError(f"cannot encode a {values.dtype} column")
-    texts = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = _float_text(float(values[i]))
+    texts = repr_texts(values)
+    if values.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = _float_text(float(values[i]))
     return texts
+
+
+def _json_column(column: np.ndarray) -> np.ndarray:
+    """JSON texts of a ``_Rows`` column, as an object array."""
+    return column if column.dtype == object else run_texts(column, _array_texts)
 
 
 def _encode(obj, level: int) -> Iterator[str]:
@@ -259,7 +267,7 @@ def _encode(obj, level: int) -> Iterator[str]:
             separator = ","
         yield "{}" if not items else _newline(level) + "}"
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iuf":
-        yield _bracket("[", _array_texts(obj), "]", level)
+        yield _bracket("[", run_texts(obj, _array_texts).tolist(), "]", level)
     elif isinstance(obj, np.ndarray):
         yield from _encode(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)):
@@ -270,18 +278,22 @@ def _encode(obj, level: int) -> Iterator[str]:
             separator = ","
         yield "[]" if not obj else _newline(level) + "]"
     elif isinstance(obj, _Rows):
-        # One %-template per row: the dict text with every value left open.
+        # A row is the dict text with every value left open; the texts
+        # before each value are shared by all rows.
         keys = sorted(obj.columns)
-        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-        template = _bracket("{", fields, "}", level + 1)
+        heads = ["{" + _newline(level + 2)] + ["," + _newline(level + 2)] * (len(keys) - 1)
+        heads = [head + encode_basestring_ascii(key) + ": " for head, key in zip(heads, keys)]
         size = len(next(iter(obj.columns.values()), ()))
         separator = "["
         # Rows go out in blocks, so only one block's cell texts are alive.
         for start in range(0, size, _ROWS_PER_BLOCK):
             block = slice(start, start + _ROWS_PER_BLOCK)
-            columns = [_array_texts(obj.columns[key][block]) for key in keys]
-            rows = map(template.__mod__, zip(*columns))
-            yield separator + _newline(level + 1) + ("," + _newline(level + 1)).join(rows)
+            pieces: list = []
+            for head, key in zip(heads, keys):
+                pieces += [head, _json_column(obj.columns[key][block])]
+            pieces.append(_newline(level + 1) + "}")
+            yield separator + _newline(level + 1)
+            yield join_rows(pieces, between="," + _newline(level + 1))
             separator = ","
         yield "[]" if not size else _newline(level) + "]"
     else:
@@ -367,17 +379,59 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
     return _json_chunks(document)
 
 
-def _vertex_rows(curve: RocCurve) -> _Rows:
+# The JSON strings for non-finite floats, and those of their negations.
+_NEGATED_WORDS = {'"inf"': '"-inf"', '"-inf"': '"inf"', '"nan"': '"nan"'}
+
+
+class _NegatedTexts:
+    """A ``_Rows`` text column of -x, read off the JSON texts of x block by block.
+
+    ``repr(-x)`` is ``repr(x)`` with the leading minus toggled, so negated
+    texts need no spelling, and only one block of them is ever alive.
+    """
+
+    def __init__(self, texts: np.ndarray) -> None:
+        self.texts = texts
+        self.shape = texts.shape
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return np.array(
+            [
+                t[1:] if t[0] == "-" else _NEGATED_WORDS[t] if t[0] == '"' else "-" + t
+                for t in self.texts[block].tolist()
+            ],
+            dtype=object,
+        )
+
+
+def _threshold_texts(curve: RocCurve) -> tuple[np.ndarray, Union[np.ndarray, _NegatedTexts]]:
+    """JSON texts of the curve's canonical and raw thresholds, spelled once."""
+    texts = run_texts(curve.thresholds, _array_texts)
+    if curve.orientation is Orientation.HIGHER_IS_BETTER:
+        return texts, _NegatedTexts(texts)
+    return texts, texts
+
+
+def _vertex_rows(curve: RocCurve, thresholds: tuple) -> _Rows:
+    """One row per vertex; ``thresholds`` is the curve's ``_threshold_texts``."""
     return _Rows(
         fpr=curve.fpr,
         tpr=curve.tpr,
-        threshold=curve.thresholds,
-        threshold_raw=curve.thresholds_raw,
+        threshold=thresholds[0],
+        threshold_raw=thresholds[1],
         tp=curve.tp,
         fn=curve.p_count - curve.tp,
         fp=curve.fp,
         tn=curve.n_count - curve.fp,
     )
+
+
+def _pr_rows(curve: RocCurve, thresholds: tuple) -> _Rows:
+    """One row per PR point; ``thresholds`` is the curve's ``_threshold_texts``."""
+    points = pr_points(curve)
+    # Every vertex but the origin flags a segment, so the PR points are
+    # vertices 1..V.
+    return _Rows(recall=points.recall, precision=points.precision, threshold=thresholds[0][1:])
 
 
 def _band_dict(band: ConfidenceBand) -> dict:
@@ -426,10 +480,11 @@ def cmd_roc(args: argparse.Namespace) -> int:
         if config is not None:
             band = confidence_band(dataset, config)
             metric_findings.extend(check_band(band))
+        thresholds = _threshold_texts(curve)
         results["metrics"][metric] = {
             "auc": auc(curve),
-            "vertices": _vertex_rows(curve),
-            "pr_points": _Rows(**pr_points(curve)._asdict()),
+            "vertices": _vertex_rows(curve, thresholds),
+            "pr_points": _pr_rows(curve, thresholds),
             "band": _band_dict(band) if band is not None else None,
         }
         findings[metric] = [asdict(f) for f in metric_findings]
@@ -454,35 +509,45 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _table_chunks(table: QeRocTable) -> Iterator[str]:
     """The TSV text of a QE-ROC table in pieces, endpoint rows included.
 
-    Rows of one tie group share their counts and rates, so that part of
-    the line is formatted once per group. Lines go out in blocks, so only
-    one block's text is alive at a time.
+    Lines go out in blocks of table rows, so only one block's columns and
+    text are alive at a time.
     """
     p, n = table.p_count, table.n_count
     top, bottom = table.endpoints
-    tp = np.concatenate(([top.tp], table.tp, [bottom.tp]))
-    fp = np.concatenate(([top.fp], table.fp, [bottom.fp]))
-    # A row starts a new group exactly where its counts change.
-    starts = np.flatnonzero(np.diff(tp, prepend=-1) | np.diff(fp, prepend=-1))
-    sizes = np.diff(starts, append=tp.size)
-    tp, fp = tp[starts], fp[starts]
-    group_texts = map(
-        "\t%d\t%d\t%d\t%d\t%.2f\t%.2f\n".__mod__,
-        zip(tp.tolist(), (p - tp).tolist(), fp.tolist(), (n - fp).tolist(),
-            (tp / p).tolist(), (fp / n).tolist()),
-    )
-    counts = np.repeat(np.array(list(group_texts), dtype=object), sizes).tolist()
-    truths = (Label.NEGATIVE.value, Label.POSITIVE.value)
-    ids = ["-", *table.segment_ids.tolist(), "-"]
-    labels = ["-", *map(truths.__getitem__, table.is_positive.tolist()), "-"]
-    scores = [top.raw_score, *table.raw_scores.tolist(), bottom.raw_score]
+    truths = np.array([Label.NEGATIVE.value, Label.POSITIVE.value], dtype=object)
     yield "segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr\n"
-    for start in range(0, len(ids), _ROWS_PER_BLOCK):
+    yield _table_lines(p, n, "-", "-", [top.raw_score], [top.tp], [top.fp])
+    for start in range(0, table.tp.size, _ROWS_PER_BLOCK):
         block = slice(start, start + _ROWS_PER_BLOCK)
-        yield "".join(map(
-            "%s\t%s\t%s%s".__mod__,
-            zip(ids[block], labels[block], map(float.__repr__, scores[block]), counts[block]),
-        ))
+        yield _table_lines(
+            p, n,
+            table.segment_ids[block],
+            truths[table.is_positive[block].astype(np.intp)],
+            table.raw_scores[block],
+            table.tp[block],
+            table.fp[block],
+        )
+    yield _table_lines(p, n, "-", "-", [bottom.raw_score], [bottom.tp], [bottom.fp])
+
+
+def _table_lines(p: int, n: int, ids, labels, scores, tp, fp) -> str:
+    """Table lines of row columns; ``ids`` and ``labels`` may be one shared text.
+
+    Rows of one tie group share their counts and rates, so each run of
+    equal neighbours in a column is spelled once.
+    """
+    scores, tp, fp = np.asarray(scores), np.asarray(tp), np.asarray(fp)
+    return join_rows([
+        ids, "\t",
+        labels, "\t",
+        run_texts(scores, repr_texts), "\t",
+        run_texts(tp, repr_texts), "\t",
+        run_texts(p - tp, repr_texts), "\t",
+        run_texts(fp, repr_texts), "\t",
+        run_texts(n - fp, repr_texts), "\t",
+        run_texts(tp / p, fixed2_texts), "\t",
+        run_texts(fp / n, fixed2_texts), "\n",
+    ])
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -550,7 +615,10 @@ def cmd_hull(args: argparse.Namespace) -> int:
                 for v in hull.vertices
             ],
         },
-        "metrics": {m: {"auc": auc(c), "vertices": _vertex_rows(c)} for m, c in curves},
+        "metrics": {
+            m: {"auc": auc(c), "vertices": _vertex_rows(c, _threshold_texts(c))}
+            for m, c in curves
+        },
     }
     findings = {
         m: [asdict(f) for f in check_sample(loaded.datasets[m])] for m in loaded.metrics

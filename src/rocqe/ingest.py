@@ -177,7 +177,11 @@ def _scan(
                 del block[0], block_keys[0], texts[0]  # header row
                 at = at[1:]
             try:
-                parsed = [float("nan" if t in MISSING_MARKERS else t) for t in texts]
+                if MISSING_MARKERS.isdisjoint(texts):
+                    # numpy reads a str element with Python's float parser.
+                    parsed = np.array(texts, dtype=np.float64)
+                else:
+                    parsed = [float("nan" if t in MISSING_MARKERS else t) for t in texts]
             except ValueError:
                 parsed = None
             if parsed is None or "" in block_keys:
@@ -230,7 +234,8 @@ def _read_two_column(
     """
     keys, values, numbers, problems, malformed = _scan(path, header=True)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
-    repeat_at = _first_repeat(keys)
+    # Strictly increasing keys, the common sorted file, cannot repeat.
+    repeat_at = None if _strictly_increasing(keys) else _first_repeat(keys)
     if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
         raise IngestError(
             f"{path} line {numbers[repeat_at]}: duplicate segment id {keys[repeat_at]!r}"

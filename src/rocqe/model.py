@@ -280,7 +280,9 @@ class Dataset:
         is hashed as id, 0x1F, label value, 0x1E, in UTF-8.
         """
         texts = (Label.NEGATIVE.value, Label.POSITIVE.value)
-        pairs = sorted(zip(self.ids.tolist(), map(texts.__getitem__, self.is_positive.tolist())))
+        pairs = list(zip(self.ids.tolist(), map(texts.__getitem__, self.is_positive.tolist())))
+        if not (self.ids[1:] > self.ids[:-1]).all():
+            pairs.sort()
         stream = "\x1e".join(map("\x1f".join, pairs)) + ("\x1e" if pairs else "")
         return hashlib.sha256(stream.encode("utf-8")).hexdigest()
 

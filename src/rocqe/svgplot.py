@@ -14,6 +14,7 @@ import numpy as np
 
 from .bootstrap import ConfidenceBand
 from .roc import RocCurve, RocHull
+from .texts import fixed2_texts, join_rows, run_texts
 
 WIDTH = 640
 HEIGHT = 640
@@ -47,12 +48,16 @@ def _polyline(fprs: Sequence[float], tprs: Sequence[float]) -> str:
     # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
     xs = MARGIN + np.asarray(fprs, dtype=np.float64) * (WIDTH - 2 * MARGIN)
     ys = HEIGHT - MARGIN - np.asarray(tprs, dtype=np.float64) * (HEIGHT - 2 * MARGIN)
-    return " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
+    if not xs.size:
+        return ""
+    return join_rows(
+        [run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" "
+    )
 
 
 def _band_polygon(band: ConfidenceBand) -> str:
-    xs = list(band.fpr_grid) + list(band.fpr_grid[::-1])
-    ys = list(band.upper_tpr) + list(band.lower_tpr[::-1])
+    xs = np.concatenate((band.fpr_grid, band.fpr_grid[::-1]))
+    ys = np.concatenate((band.upper_tpr, band.lower_tpr[::-1]))
     return _polyline(xs, ys)
 
 

@@ -311,12 +311,15 @@ class TestRocCommand:
         from rocqe.svgplot import _fmt, _polyline, _x, _y
 
         rng = np.random.default_rng(11)
-        fpr = np.concatenate(([0.0, 1.0, 0.5, 1 / 3], rng.random(500)))
-        tpr = np.concatenate(([0.0, 1.0, 2 / 3, 0.005], rng.random(500)))
+        # Tied and repeated rates, as on a curve whose steps move one class.
+        tied = np.repeat(rng.random(60), rng.integers(1, 6, size=60))[:200]
+        fpr = np.concatenate(([0.0, 1.0, 0.5, 1 / 3], rng.random(500), tied, np.sort(tied)))
+        tpr = np.concatenate(([0.0, 1.0, 2 / 3, 0.005], rng.random(500), np.sort(tied), tied))
         expected = " ".join(
             f"{_fmt(_x(f))},{_fmt(_y(t))}" for f, t in zip(fpr.tolist(), tpr.tolist())
         )
         assert _polyline(fpr, tpr) == expected
+        assert _polyline([], []) == ""
 
 
 class TestTableCommand:

@@ -122,16 +122,20 @@ class TestQeRocTable:
 
 
 def _shuffled_dataset(rng: np.random.Generator) -> Dataset:
-    """Both classes, in shuffled order, with heavy ties, +-0.0 or repeated ids."""
+    """Both classes, in shuffled order, with heavy ties, +-0.0, long runs or repeated ids."""
     size = int(rng.integers(2, 40))
     labels = rng.permutation(np.arange(size) < int(rng.integers(1, size)))
-    kind = int(rng.integers(3))
+    kind = int(rng.integers(4))
     if kind == 0:
         raw = rng.integers(0, 4, size=size).astype(float)
     elif kind == 1:
         raw = rng.choice([0.0, -0.0, 1.5, -2.0], size=size)
-    else:
+    elif kind == 2:
         raw = rng.normal(size=size).round(2)
+    else:
+        # Long runs of one tie group and of repeated counts.
+        runs = [size // 2, size // 4, size - size // 2 - size // 4]
+        raw = np.repeat(rng.normal(size=3).round(1), runs)
     pool = size if rng.random() < 0.5 else max(size // 3, 1)
     ids = [f"id{int(i)}" for i in rng.integers(0, pool, size=size)]
     orientation = list(Orientation)[int(rng.integers(2))]
@@ -145,7 +149,7 @@ def _shuffled_dataset(rng: np.random.Generator) -> Dataset:
 
 
 class TestTableTextDifferential:
-    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("block", [None, 1, 2, 3, 7])
     def test_matches_row_by_row_formatting(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(cli_module, "_ROWS_PER_BLOCK", block)

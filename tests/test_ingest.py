@@ -550,6 +550,26 @@ class TestColumnarIngestDifferential:
             (7, "c", "expected 2 tab-separated fields, got 1"),
         ]
         assert malformed == 3
+        # Every value spelling reads as Python's float() reads it, both in a
+        # block of good values and in a block that also holds bad ones.
+        good = ["1_000", "٣", "１.５", "infinity", "-Infinity", "1e500", "-0", ".5", "5.",
+                "+0.0", "NaN", "-nan", "1e-400", "0001", "\u20031.5\xa0", "9" * 400]
+        bad = ["1__0", "_1", "1_", "0x1p3", "nan(123)", "1e", "1.2.3", "0b1", "1,5", "½",
+               "in f", "1 2"]
+        for lines in (good, good + bad):
+            path.write_text(
+                "".join(f"k{i:02d}\t{text}\n" for i, text in enumerate(lines)), encoding="utf-8"
+            )
+            keys, values, _, problems, malformed = ingest_module._scan(str(path), header=True)
+            assert keys == [f"k{i:02d}" for i in range(len(good))]
+            expected = np.array([float(text) for text in good])
+            expected[~np.isfinite(expected)] = math.nan
+            np.testing.assert_array_equal(values, expected)
+            assert np.signbit(values).tolist() == np.signbit(expected).tolist()
+            assert [message for _, _, message in problems] == [
+                f"unparsable value {text!r}" for text in lines[len(good):]
+            ]
+            assert malformed == len(lines) - len(good)
 
     @pytest.mark.parametrize("block_chars", [None, 7])
     def test_scanner_keeps_the_first_problems_and_counts_all(
@@ -567,6 +587,18 @@ class TestColumnarIngestDifferential:
             (3, "b", "expected 2 tab-separated fields, got 1"),
             (4, "\t1", "empty segment id"),
         ]
+
+    def test_sorted_keys_skip_the_duplicate_set(self, tmp_path, monkeypatch):
+        def refuse(keys):
+            raise AssertionError("strictly increasing keys were hashed")
+
+        monkeypatch.setattr(ingest_module, "_first_repeat", refuse)
+        path = _write(tmp_path / "s.tsv", ["id\tscore", "a\t1", "b\t2", "c\tNA"])
+        keys, values, malformed, _ = ingest_module._read_two_column(path, strict=True)
+        assert keys == ["a", "b", "c"] and malformed == 0
+        sorted_repeat = _write(tmp_path / "r.tsv", ["a\t1", "b\t2", "b\t3"])
+        with pytest.raises(AssertionError, match="hashed"):
+            ingest_module._read_two_column(sorted_repeat, strict=False)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_duplicate_and_malformed_line_raise_in_line_order(self, tmp_path, strict):

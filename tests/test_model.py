@@ -169,8 +169,11 @@ class TestColumnarDataset:
             size = int(rng.integers(0, 20))
             ids = [f"id{int(i)}" for i in rng.integers(0, max(size, 1), size=size)]
             ids = [sid + "é" if rng.random() < 0.1 else sid for sid in ids]
-            ds = Dataset.from_columns(ids, rng.normal(size=size), rng.random(size) < 0.5)
-            assert ds.fingerprint == helpers.fingerprint(ds)
+            for column in (ids, sorted(set(ids))):  # sorted ids skip the sort
+                ds = Dataset.from_columns(
+                    column, rng.normal(size=len(column)), rng.random(len(column)) < 0.5
+                )
+                assert ds.fingerprint == helpers.fingerprint(ds)
 
     def test_fingerprint_of_nothing(self):
         empty = Dataset.from_columns([], [], [])

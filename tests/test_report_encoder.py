@@ -10,6 +10,7 @@ import pytest
 from rocqe import Label, Orientation
 from rocqe import cli
 from rocqe.cli import _json_chunks, _Rows
+from rocqe.texts import run_texts
 from helpers import reference_json
 
 LEAVES = [
@@ -147,6 +148,39 @@ class TestRows:
             assert _to_json({"rows": _Rows(**part), "after": 1}) == reference_json(
                 {"rows": _row_dicts(part), "after": 1}
             )
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    def test_runs_are_bit_exact(self, block, monkeypatch):
+        # Runs of equal neighbours are spelled once; 0.0 and -0.0 compare
+        # equal as values but must keep their own texts.
+        if block is not None:
+            monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+        values = [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, math.nan, math.nan, 0.5, 0.5, 0.5,
+                  -0.0, math.inf, math.inf, -math.inf, -0.0, 0.0]
+        columns = {
+            "f64": np.array(values),
+            "f32": np.array(values, dtype=np.float32),
+            "neg": -np.array(values),
+            "n": np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4]),
+        }
+        for size in (1, 2, 3, 8, 17):
+            part = {key: col[:size] for key, col in columns.items()}
+            assert _to_json({"rows": _Rows(**part)}) == reference_json(
+                {"rows": _row_dicts(part)}
+            )
+        assert _to_json(columns["f32"]) == reference_json(columns["f32"])
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    def test_ready_and_negated_text_columns(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+        values = np.array([math.inf, 3.5, 1e-300, 5e-324, 0.0, -0.0, -0.0, -2.0, -1e22,
+                           math.nan, -math.inf])
+        texts = run_texts(values, cli._array_texts)
+        for size in (0, 1, 6, 11):
+            rows = _Rows(x=texts[:size], neg_x=cli._NegatedTexts(texts[:size]), n=np.arange(size))
+            part = {"x": values[:size], "neg_x": -values[:size], "n": np.arange(size)}
+            assert _to_json({"rows": rows}) == reference_json({"rows": _row_dicts(part)})
 
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError, match="one length"):

@@ -62,6 +62,11 @@ class TestBuildRoc:
             assert v.threshold == thr
             assert v.threshold_raw == raw
 
+    def test_fingerprint_is_hashed_on_first_use(self, sample10):
+        curve = build_roc(sample10)
+        assert "fingerprint" not in vars(sample10)
+        assert curve.fingerprint == sample10.fingerprint
+
     def test_sample10_counts_at_93(self, sample10):
         curve = build_roc(sample10)
         v = next(v for v in curve.vertices if v.threshold_raw == 93.0)
