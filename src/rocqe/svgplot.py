@@ -48,8 +48,6 @@ def _polyline(fprs: Sequence[float], tprs: Sequence[float]) -> str:
     # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
     xs = MARGIN + np.asarray(fprs, dtype=np.float64) * (WIDTH - 2 * MARGIN)
     ys = HEIGHT - MARGIN - np.asarray(tprs, dtype=np.float64) * (HEIGHT - 2 * MARGIN)
-    if not xs.size:
-        return ""
     return join_rows(
         [run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" "
     )

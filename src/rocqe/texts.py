@@ -25,8 +25,6 @@ def run_texts(values: np.ndarray, spell: Callable[[np.ndarray], list[str]]) -> n
     neighbours with one bit pattern.
     """
     values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("run_texts takes a 1-d array")
     if values.dtype.kind not in "iuf":
         raise TypeError(f"cannot spell a {values.dtype} column")
     size = values.size
