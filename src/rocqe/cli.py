@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -214,13 +214,12 @@ class _Rows:
 
     Encodes exactly like ``[{key: column[i] for key in columns} for i ...]``
     but spells each run of equal neighbours in a column once instead of
-    visiting every cell. A column is numeric, an object array of texts
-    already in JSON or a ``_NegatedTexts``.
+    visiting every cell. A column is numeric or ``_JsonTexts``.
     """
 
     def __init__(self, **columns: np.ndarray) -> None:
         self.columns = {
-            key: col if isinstance(col, _NegatedTexts) else np.asarray(col)
+            key: col if isinstance(col, _JsonTexts) else np.asarray(col)
             for key, col in columns.items()
         }
         shapes = {col.shape for col in self.columns.values()}
@@ -243,9 +242,11 @@ def _array_texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _json_column(column: np.ndarray) -> np.ndarray:
-    """JSON texts of a ``_Rows`` column, as an object array."""
-    return column if column.dtype == object else run_texts(column, _array_texts)
+def _json_column(column, block: slice) -> np.ndarray:
+    """JSON texts of one block of a ``_Rows`` column, as an object array."""
+    if isinstance(column, _JsonTexts):
+        return column[block]
+    return run_texts(column[block], _array_texts)
 
 
 def _encode(obj, level: int) -> Iterator[str]:
@@ -283,14 +284,14 @@ def _encode(obj, level: int) -> Iterator[str]:
         keys = sorted(obj.columns)
         heads = ["{" + _newline(level + 2)] + ["," + _newline(level + 2)] * (len(keys) - 1)
         heads = [head + encode_basestring_ascii(key) + ": " for head, key in zip(heads, keys)]
-        size = len(next(iter(obj.columns.values()), ()))
+        size = next((col.shape[0] for col in obj.columns.values()), 0)
         separator = "["
         # Rows go out in blocks, so only one block's cell texts are alive.
         for start in range(0, size, _ROWS_PER_BLOCK):
             block = slice(start, start + _ROWS_PER_BLOCK)
             pieces: list = []
             for head, key in zip(heads, keys):
-                pieces += [head, _json_column(obj.columns[key][block])]
+                pieces += [head, _json_column(obj.columns[key], block)]
             pieces.append(_newline(level + 1) + "}")
             yield separator + _newline(level + 1)
             yield join_rows(pieces, between="," + _newline(level + 1))
@@ -383,18 +384,23 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
 _NEGATED_WORDS = {'"inf"': '"-inf"', '"-inf"': '"inf"', '"nan"': '"nan"'}
 
 
-class _NegatedTexts:
-    """A ``_Rows`` text column of -x, read off the JSON texts of x block by block.
+class _JsonTexts:
+    """A ``_Rows`` column of JSON texts spelled beforehand, handed out by block.
 
-    ``repr(-x)`` is ``repr(x)`` with the leading minus toggled, so negated
-    texts need no spelling, and only one block of them is ever alive.
+    ``texts`` is an object array of the JSON texts of x. With ``negated``
+    the column is -x: ``repr(-x)`` is ``repr(x)`` with the leading minus
+    toggled, so negated texts need no spelling, and only one block of them
+    is ever alive.
     """
 
-    def __init__(self, texts: np.ndarray) -> None:
+    def __init__(self, texts: np.ndarray, negated: bool = False) -> None:
         self.texts = texts
+        self.negated = negated
         self.shape = texts.shape
 
     def __getitem__(self, block: slice) -> np.ndarray:
+        if not self.negated:
+            return self.texts[block]
         return np.array(
             [
                 t[1:] if t[0] == "-" else _NEGATED_WORDS[t] if t[0] == '"' else "-" + t
@@ -404,21 +410,20 @@ class _NegatedTexts:
         )
 
 
-def _threshold_texts(curve: RocCurve) -> tuple[np.ndarray, Union[np.ndarray, _NegatedTexts]]:
-    """JSON texts of the curve's canonical and raw thresholds, spelled once."""
-    texts = run_texts(curve.thresholds, _array_texts)
-    if curve.orientation is Orientation.HIGHER_IS_BETTER:
-        return texts, _NegatedTexts(texts)
-    return texts, texts
+def _threshold_texts(curve: RocCurve) -> np.ndarray:
+    """JSON texts of the curve's canonical thresholds, spelled once."""
+    return run_texts(curve.thresholds, _array_texts)
 
 
-def _vertex_rows(curve: RocCurve, thresholds: tuple) -> _Rows:
+def _vertex_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
     """One row per vertex; ``thresholds`` is the curve's ``_threshold_texts``."""
     return _Rows(
         fpr=curve.fpr,
         tpr=curve.tpr,
-        threshold=thresholds[0],
-        threshold_raw=thresholds[1],
+        threshold=_JsonTexts(thresholds),
+        threshold_raw=_JsonTexts(
+            thresholds, negated=curve.orientation is Orientation.HIGHER_IS_BETTER
+        ),
         tp=curve.tp,
         fn=curve.p_count - curve.tp,
         fp=curve.fp,
@@ -426,12 +431,12 @@ def _vertex_rows(curve: RocCurve, thresholds: tuple) -> _Rows:
     )
 
 
-def _pr_rows(curve: RocCurve, thresholds: tuple) -> _Rows:
+def _pr_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
     """One row per PR point; ``thresholds`` is the curve's ``_threshold_texts``."""
     points = pr_points(curve)
     # Every vertex but the origin flags a segment, so the PR points are
     # vertices 1..V.
-    return _Rows(recall=points.recall, precision=points.precision, threshold=thresholds[0][1:])
+    return _Rows(recall=points.recall, precision=points.precision, threshold=_JsonTexts(thresholds[1:]))
 
 
 def _band_dict(band: ConfidenceBand) -> dict:

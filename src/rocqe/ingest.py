@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
-from .model import Dataset, Orientation, _frozen, canonicalize
+from .model import Dataset, Orientation, _frozen, _strictly_increasing, canonicalize
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
@@ -176,12 +176,13 @@ def _scan(
             if header and at.size and at[0] == 1 and _number(texts[0]) is None:
                 del block[0], block_keys[0], texts[0]  # header row
                 at = at[1:]
+            spelled = (
+                texts if MISSING_MARKERS.isdisjoint(texts)
+                else ["nan" if t in MISSING_MARKERS else t for t in texts]
+            )
             try:
-                if MISSING_MARKERS.isdisjoint(texts):
-                    # numpy reads a str element with Python's float parser.
-                    parsed = np.array(texts, dtype=np.float64)
-                else:
-                    parsed = [float("nan" if t in MISSING_MARKERS else t) for t in texts]
+                # numpy reads a str element with Python's float parser.
+                parsed = np.array(spelled, dtype=np.float64)
             except ValueError:
                 parsed = None
             if parsed is None or "" in block_keys:
@@ -285,12 +286,6 @@ def parse_canonical_tsv(
         warnings=tuple(warnings),
     )
     return records, report
-
-
-def _strictly_increasing(keys: list[str]) -> bool:
-    """Whether ``keys`` are sorted and free of repeats."""
-    column = np.array(keys, dtype=object)
-    return bool((column[1:] > column[:-1]).all())
 
 
 def _values_at(ids: list[str], keys: list[str], values: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -113,6 +115,11 @@ def require_both_classes(p_count: int, n_count: int, what: str) -> None:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _strictly_increasing(keys: list[str]) -> bool:
+    """Whether ``keys`` are sorted and free of repeats; stops at the first descent."""
+    return all(map(operator.lt, keys, islice(keys, 1, None)))
 
 
 class Dataset:
@@ -280,8 +287,9 @@ class Dataset:
         is hashed as id, 0x1F, label value, 0x1E, in UTF-8.
         """
         texts = (Label.NEGATIVE.value, Label.POSITIVE.value)
-        pairs = list(zip(self.ids.tolist(), map(texts.__getitem__, self.is_positive.tolist())))
-        if not (self.ids[1:] > self.ids[:-1]).all():
+        ids = self.ids.tolist()
+        pairs = list(zip(ids, map(texts.__getitem__, self.is_positive.tolist())))
+        if not _strictly_increasing(ids):
             pairs.sort()
         stream = "\x1e".join(map("\x1f".join, pairs)) + ("\x1e" if pairs else "")
         return hashlib.sha256(stream.encode("utf-8")).hexdigest()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,9 +68,9 @@ class RocCurve:
     +inf threshold (nothing flagged); the last is (1, 1), reached at the best
     score present since flagging is inclusive. Thresholds strictly decrease,
     fpr and tpr never decrease, and consecutive vertices never coincide.
-    ``ground_truth`` is the Dataset the curve was built over, or just its
-    fingerprint. ``vertices`` builds the per-vertex objects, and
-    ``fingerprint`` the digest, on first access.
+    ``dataset`` is the Dataset the curve was built over. ``vertices`` builds
+    the per-vertex objects, and ``fingerprint`` hashes the dataset, on first
+    access.
     """
 
     thresholds: np.ndarray
@@ -78,7 +78,7 @@ class RocCurve:
     fp: np.ndarray
     p_count: int
     n_count: int
-    ground_truth: Union[str, Dataset]
+    dataset: Dataset
     orientation: Orientation = Orientation.HIGHER_IS_WORSE
 
     def __post_init__(self) -> None:
@@ -118,12 +118,10 @@ class RocCurve:
             pair = int(np.argmax(bad.any(axis=0)))
             raise ValueError(_CURVE_RULES[int(np.argmax(bad[:, pair]))])
 
-    @cached_property
+    @property
     def fingerprint(self) -> str:
-        """``Dataset.fingerprint`` of the curve's ground truth."""
-        if isinstance(self.ground_truth, str):
-            return self.ground_truth
-        return self.ground_truth.fingerprint
+        """``Dataset.fingerprint`` of the curve's dataset."""
+        return self.dataset.fingerprint
 
     @cached_property
     def fpr(self) -> np.ndarray:

@@ -550,26 +550,40 @@ class TestColumnarIngestDifferential:
             (7, "c", "expected 2 tab-separated fields, got 1"),
         ]
         assert malformed == 3
-        # Every value spelling reads as Python's float() reads it, both in a
-        # block of good values and in a block that also holds bad ones.
+        # Every value spelling reads as Python's float() reads it. A block of
+        # good values, with no missing marker, is read by the one numpy
+        # parse, so ``_number`` is never called; one bad spelling among good
+        # values must make that parse fail, and only its line is reported.
         good = ["1_000", "٣", "１.５", "infinity", "-Infinity", "1e500", "-0", ".5", "5.",
                 "+0.0", "NaN", "-nan", "1e-400", "0001", "\u20031.5\xa0", "9" * 400]
         bad = ["1__0", "_1", "1_", "0x1p3", "nan(123)", "1e", "1.2.3", "0b1", "1,5", "½",
                "in f", "1 2"]
-        for lines in (good, good + bad):
-            path.write_text(
-                "".join(f"k{i:02d}\t{text}\n" for i, text in enumerate(lines)), encoding="utf-8"
-            )
-            keys, values, _, problems, malformed = ingest_module._scan(str(path), header=True)
+        expected = np.array([float(text) for text in good])
+        expected[~np.isfinite(expected)] = math.nan
+        spelled = []
+        number = ingest_module._number
+        monkeypatch.setattr(
+            ingest_module, "_number", lambda text: spelled.append(text) or number(text)
+        )
+        middle = len(good) // 2
+        for wrong in [None] + bad:
+            lines = [f"k{i:02d}\t{text}" for i, text in enumerate(good)]
+            if wrong is not None:
+                lines.insert(middle, f"bad\t{wrong}")
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            spelled.clear()
+            keys, values, _, problems, malformed = ingest_module._scan(str(path), header=False)
             assert keys == [f"k{i:02d}" for i in range(len(good))]
-            expected = np.array([float(text) for text in good])
-            expected[~np.isfinite(expected)] = math.nan
             np.testing.assert_array_equal(values, expected)
             assert np.signbit(values).tolist() == np.signbit(expected).tolist()
-            assert [message for _, _, message in problems] == [
-                f"unparsable value {text!r}" for text in lines[len(good):]
-            ]
-            assert malformed == len(lines) - len(good)
+            if wrong is None:
+                assert spelled == [] and problems == [] and malformed == 0
+            else:
+                assert wrong in spelled
+                assert problems == [
+                    (middle + 1, f"bad\t{wrong}", f"unparsable value {wrong!r}")
+                ]
+                assert malformed == 1
 
     @pytest.mark.parametrize("block_chars", [None, 7])
     def test_scanner_keeps_the_first_problems_and_counts_all(

@@ -178,14 +178,25 @@ class TestRows:
                            math.nan, -math.inf])
         texts = run_texts(values, cli._array_texts)
         for size in (0, 1, 6, 11):
-            rows = _Rows(x=texts[:size], neg_x=cli._NegatedTexts(texts[:size]), n=np.arange(size))
-            part = {"x": values[:size], "neg_x": -values[:size], "n": np.arange(size)}
+            # A text column first: the row count is read off its shape.
+            rows = _Rows(
+                neg_x=cli._JsonTexts(texts[:size], negated=True),
+                x=cli._JsonTexts(texts[:size]),
+                n=np.arange(size),
+            )
+            part = {"neg_x": -values[:size], "x": values[:size], "n": np.arange(size)}
             assert _to_json({"rows": rows}) == reference_json({"rows": _row_dicts(part)})
 
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError, match="one length"):
             _Rows(a=np.zeros(2), b=np.zeros(3))
 
-    def test_non_numeric_column_rejected(self):
+    @pytest.mark.parametrize(
+        "column",
+        [np.array(["a", "b"]), np.array(["1", "2"], dtype=object), np.array([1.5, "x"], dtype=object)],
+        ids=["str", "object texts", "object mix"],
+    )
+    def test_non_numeric_column_rejected(self, column):
+        # Only _JsonTexts pass as ready text; a bare object column is not trusted.
         with pytest.raises(TypeError):
-            _to_json(_Rows(name=np.array(["a", "b"])))
+            _to_json(_Rows(name=column))

@@ -267,7 +267,7 @@ class TestAuc:
         for dtype in (np.int8, np.uint8, np.int16, np.uint32):
             narrow = RocCurve(
                 curve.thresholds, curve.tp.astype(dtype), curve.fp.astype(dtype),
-                curve.p_count, curve.n_count, curve.fingerprint,
+                curve.p_count, curve.n_count, curve.dataset,
             )
             assert auc(narrow) == auc(curve) == pairwise_auc(ds)
 
@@ -394,11 +394,15 @@ class TestRocVertexValidation:
             RocVertex(1.5, 0.5, 1.0, 1.0, ConfusionCounts(tp=1, fn=1, fp=1, tn=1))
 
 
+# The dataset a hand-built curve names; these curves are rejected before it is read.
+_DATASET = make_dataset([0.0, 1.0], [True, False])
+
+
 def _curve(points, p=10, n=10):
     """Curve from (fpr, tpr, threshold) triples, counts rounded from the rates."""
     fpr, tpr, thr = (np.array(col, dtype=np.float64) for col in zip(*points))
     tp, fp = np.round(tpr * p).astype(np.int64), np.round(fpr * n).astype(np.int64)
-    return RocCurve(thr, tp, fp, p, n, "fp", Orientation.HIGHER_IS_WORSE)
+    return RocCurve(thr, tp, fp, p, n, _DATASET, Orientation.HIGHER_IS_WORSE)
 
 
 class TestRocCurveValidation:
@@ -421,7 +425,7 @@ class TestRocCurveValidation:
                 np.array([math.inf, 3.0, 2.0, 1.0]),
                 np.array([0, 2, 1, 2], dtype=np.uint8),
                 np.array([0, 0, 1, 2], dtype=np.uint8),
-                2, 2, "fp",
+                2, 2, _DATASET,
             )
 
     def test_rejects_non_decreasing_thresholds(self):
@@ -441,15 +445,15 @@ class TestRocCurveValidation:
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError, match="two endpoint"):
-            RocCurve(np.array([math.inf]), np.array([0]), np.array([0]), 1, 1, "fp")
+            RocCurve(np.array([math.inf]), np.array([0]), np.array([0]), 1, 1, _DATASET)
 
     def test_needs_both_classes(self):
         with pytest.raises(DegenerateClassError):
-            RocCurve(np.array([math.inf, 0.0]), np.array([0, 0]), np.array([0, 3]), 0, 3, "fp")
+            RocCurve(np.array([math.inf, 0.0]), np.array([0, 0]), np.array([0, 3]), 0, 3, _DATASET)
 
     def test_counts_must_be_integers(self):
         with pytest.raises(ValueError, match="integer"):
-            RocCurve(np.array([math.inf, 0.0]), np.array([0.0, 1.0]), np.array([0, 1]), 1, 1, "fp")
+            RocCurve(np.array([math.inf, 0.0]), np.array([0.0, 1.0]), np.array([0, 1]), 1, 1, _DATASET)
 
     def test_arrays_are_read_only(self, sample10):
         curve = build_roc(sample10)
