@@ -235,7 +235,8 @@ def _read_two_column(
     """
     keys, values, numbers, problems, malformed = _scan(path, header=True)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
-    # Strictly increasing keys, the common sorted file, cannot repeat.
+    # Strictly increasing keys cannot repeat. The order check stops at the
+    # first descent, so a shuffled file pays almost nothing for it.
     repeat_at = None if _strictly_increasing(keys) else _first_repeat(keys)
     if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
         raise IngestError(
