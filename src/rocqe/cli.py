@@ -470,9 +470,9 @@ def _decision_dict(report: DecisionReport) -> dict:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    loaded = _load(args)
     seed = _resolve_seed(args)
     config = _bootstrap_config(args, seed)
+    loaded = _load(args)
 
     results: dict = {"metrics": {}}
     findings: dict = {}
@@ -502,9 +502,9 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    loaded = _load(args)
-    if len(loaded.metrics) != 1:
+    if len(args.scores) != 1:
         raise ValueError("the table command takes exactly one --scores metric")
+    loaded = _load(args)
     metric = loaded.metrics[0]
     table = qe_roc_table(loaded.datasets[metric])
     _emit(_table_chunks(table), args.out)
@@ -556,17 +556,23 @@ def _table_lines(p: int, n: int, ids, labels, scores, tp, fp) -> str:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    loaded = _load(args)
-    if len(loaded.metrics) != 1:
+    if len(args.scores) != 1:
         raise ValueError("the scenario command takes exactly one --scores metric")
-    metric = loaded.metrics[0]
-    dataset = loaded.datasets[metric]
+    if args.scenario == 1 and args.x is None:
+        raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
+    if args.scenario == 2 and args.y is None:
+        raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
+    if args.class_ratio is not None and args.trade_off is None:
+        raise ValueError("--class-ratio requires --trade-off")
+    trade_off = TradeOff.parse(args.trade_off) if args.trade_off is not None else None
+    ratio = ClassRatio.parse(args.class_ratio) if args.class_ratio else None
     seed = _resolve_seed(args)
     config = _bootstrap_config(args, seed)
+    loaded = _load(args)
+    metric = loaded.metrics[0]
+    dataset = loaded.datasets[metric]
 
     if args.scenario == 1:
-        if args.x is None:
-            raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
         report = scenario1_residual_risk(
             dataset,
             args.x,
@@ -575,8 +581,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             ci_method=args.ci_method,
         )
     else:
-        if args.y is None:
-            raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
         report = scenario2_required_effort(
             dataset,
             args.y,
@@ -585,12 +589,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         )
 
     results: dict = {"metric": metric, "decision": _decision_dict(report)}
-    if args.class_ratio is not None and args.trade_off is None:
-        raise ValueError("--class-ratio requires --trade-off")
-    if args.trade_off is not None:
-        curve = build_roc(dataset)
-        ratio = ClassRatio.parse(args.class_ratio) if args.class_ratio else None
-        optimal = optimal_threshold(curve, TradeOff.parse(args.trade_off), ratio)
+    if trade_off is not None:
+        optimal = optimal_threshold(build_roc(dataset), trade_off, ratio)
         results["optimal"] = _decision_dict(optimal)
 
     findings = {metric: [asdict(f) for f in check_sample(dataset)]}
@@ -599,9 +599,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_hull(args: argparse.Namespace) -> int:
-    loaded = _load(args)
-    if len(loaded.metrics) < 2:
+    if len(args.scores) < 2:
         raise ValueError("the hull command needs at least two --scores metrics")
+    seed = _resolve_seed(args)
+    loaded = _load(args)
     _restrict_to_common_ids(loaded)
 
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
@@ -631,14 +632,14 @@ def cmd_hull(args: argparse.Namespace) -> int:
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
         _emit([render_roc_svg(series, hull=hull)], args.svg)
-    _emit(_report_json("hull", args, loaded, _resolve_seed(args), results, findings), args.out)
+    _emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
     return 0
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    loaded = _load(args)
     seed = _resolve_seed(args)
     config = _bootstrap_config(args, seed)
+    loaded = _load(args)
 
     results: dict = {"metrics": {}}
     findings: dict = {}

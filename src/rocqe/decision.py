@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank
 from .model import Dataset, Label, require_both_classes
-from .roc import RocCurve, raw_threshold
+from .roc import RocCurve, _upper_hull, build_roc, raw_threshold
 
 # Budget comparisons tolerate this much float dust; adjacent candidate sizes
 # differ by at least 1, so the slack can never flip a decision.
@@ -284,12 +284,8 @@ def scenario1_residual_risk(
         idx = _pick_largest_within_capacity(tp, fp, capacity)
         return _residual_per_100(int(tp[idx]), p, total, review_efficacy)
 
-    ranking = dataset.ranking
-    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
-    idx = _pick_largest_within_capacity(tp, fp, capacity)
-    canonical = float(ranking.thresholds[idx])
-    review_fraction = float(tp[idx] + fp[idx]) / total
-    residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
+    curve = build_roc(dataset)
+    idx = _pick_largest_within_capacity(curve.tp, curve.fp, capacity)
     notes = [f"review capacity: {capacity} of {total} segments"]
     if idx == 0:
         notes.append(
@@ -305,7 +301,7 @@ def scenario1_residual_risk(
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
         elif ci_method == "band":
             band = confidence_band(dataset, bootstrap)
-            fpr_here = float(fp[idx]) / dataset.n_count
+            fpr_here = float(curve.fpr[idx])
             tpr_lo = float(np.interp(fpr_here, band.fpr_grid, band.lower_tpr))
             tpr_hi = float(np.interp(fpr_here, band.fpr_grid, band.upper_tpr))
             # residual errors = P - efficacy * TP = P * (1 - efficacy * tpr)
@@ -315,18 +311,7 @@ def scenario1_residual_risk(
             notes.append("ci covers residual_fn_per_100 (band limits method)")
         else:
             raise ValueError(f"unknown ci_method {ci_method!r}; use replicate or band")
-    if review_efficacy < 1.0:
-        notes.append(f"review efficacy: {review_efficacy!r}")
-
-    return DecisionReport(
-        scenario=Scenario.REVIEW_BUDGET,
-        threshold_raw=raw_threshold(canonical, dataset.orientation),
-        threshold_canonical=canonical,
-        review_fraction=review_fraction,
-        residual_fn_per_100=residual,
-        ci=ci,
-        notes=tuple(notes),
-    )
+    return _report(Scenario.REVIEW_BUDGET, curve, idx, review_efficacy, ci, notes)
 
 
 def scenario2_required_effort(
@@ -361,12 +346,10 @@ def scenario2_required_effort(
         idx, _ = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
         return float(tp[idx] + fp[idx]) / total
 
-    ranking = dataset.ranking
-    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
-    idx, attained = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
-    canonical = float(ranking.thresholds[idx])
-    review_fraction = float(tp[idx] + fp[idx]) / total
-    residual = _residual_per_100(int(tp[idx]), p, total, review_efficacy)
+    curve = build_roc(dataset)
+    idx, attained = _pick_smallest_meeting_budget(
+        curve.tp, curve.fp, p, budget, review_efficacy
+    )
     notes = [f"error budget: {budget!r} missed errors in {total} segments"]
     if not attained:
         notes.append(
@@ -379,18 +362,7 @@ def scenario2_required_effort(
         values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
         ci = _percentile_ci(values, bootstrap.confidence)
         notes.append("ci covers review_fraction (replicate percentile method)")
-    if review_efficacy < 1.0:
-        notes.append(f"review efficacy: {review_efficacy!r}")
-
-    return DecisionReport(
-        scenario=Scenario.RISK_TARGET,
-        threshold_raw=raw_threshold(canonical, dataset.orientation),
-        threshold_canonical=canonical,
-        review_fraction=review_fraction,
-        residual_fn_per_100=residual,
-        ci=ci,
-        notes=tuple(notes),
-    )
+    return _report(Scenario.RISK_TARGET, curve, idx, review_efficacy, ci, notes)
 
 
 def optimal_threshold(
@@ -402,34 +374,61 @@ def optimal_threshold(
 
     The line's slope is m = (fp_unit_cost * n) / (fn_unit_cost * p); the
     selected vertex maximizes tpr - m * fpr, which is where a line of that
-    slope sweeping in from the northwest first meets the curve. Exact ties
-    resolve to the lower-fpr vertex. ``ratio`` defaults to the curve's own
-    class counts; pass an explicit ratio to plan for a different deployment
-    mix.
+    slope sweeping in from the northwest first meets the curve. The pick is
+    exact, with m the exact fraction of the four given floats, and exact
+    ties resolve to the lowest-fpr vertex. ``ratio`` defaults to the curve's
+    own class counts; pass an explicit ratio to plan for a different
+    deployment mix.
     """
     if ratio is None:
         ratio = ClassRatio(float(curve.p_count), float(curve.n_count))
-    m = (trade_off.fp_unit_cost * ratio.n) / (trade_off.fn_unit_cost * ratio.p)
-
-    # argmax takes the first maximum: exact ties go to the lower-fpr vertex.
-    objective = curve.tpr - m * curve.fpr
-    best = int(np.argmax(objective))
-    tp, fp = int(curve.tp[best]), int(curve.fp[best])
-    threshold = float(curve.thresholds[best])
-
-    total = curve.p_count + curve.n_count
-    return DecisionReport(
-        scenario=Scenario.OPTIMAL_THRESHOLD,
-        threshold_raw=raw_threshold(threshold, curve.orientation),
-        threshold_canonical=threshold,
-        review_fraction=(tp + fp) / total,
-        residual_fn_per_100=100.0 * (curve.p_count - tp) / total,
-        ci=None,
+    rise, run = trade_off.fp_unit_cost * ratio.n, trade_off.fn_unit_cost * ratio.p
+    m = rise / run if run else math.inf
+    # m = a / b exactly, and tp*N*b - fp*P*a ranks vertices as tpr - m*fpr does.
+    (fp_num, fp_den), (n_num, n_den), (fn_num, fn_den), (p_num, p_den) = (
+        x.as_integer_ratio()
+        for x in (trade_off.fp_unit_cost, ratio.n, trade_off.fn_unit_cost, ratio.p)
+    )
+    n_b = curve.n_count * fp_den * n_den * fn_num * p_num
+    p_a = curve.p_count * fp_num * n_num * fn_den * p_den
+    tp, fp = curve.tp.tolist(), curve.fp.tolist()
+    # The lowest-fpr maximiser is a hull vertex, and max keeps the first one.
+    best = max(_upper_hull(fp, tp), key=lambda k: tp[k] * n_b - fp[k] * p_a)
+    fpr, tpr = fp[best] / curve.n_count, tp[best] / curve.p_count
+    objective = tpr - m * fpr if fpr else tpr  # m may be inf, and inf * 0 is nan
+    return _report(
+        Scenario.OPTIMAL_THRESHOLD,
+        curve,
+        best,
         notes=(
             f"iso-performance slope m = {m!r}",
-            f"objective tpr - m*fpr = {float(objective[best])!r} at "
-            f"(fpr={float(curve.fpr[best])!r}, tpr={float(curve.tpr[best])!r})",
+            f"objective tpr - m*fpr = {objective!r} at (fpr={fpr!r}, tpr={tpr!r})",
         ),
+    )
+
+
+def _report(
+    scenario: Scenario,
+    curve: RocCurve,
+    idx: int,
+    efficacy: float = 1.0,
+    ci: Optional[tuple[float, float]] = None,
+    notes: Sequence[str] = (),
+) -> DecisionReport:
+    """The report of flagging down to the curve's vertex ``idx``."""
+    canonical = float(curve.thresholds[idx])
+    tp, fp = int(curve.tp[idx]), int(curve.fp[idx])
+    total = curve.p_count + curve.n_count
+    if efficacy < 1.0:
+        notes = (*notes, f"review efficacy: {efficacy!r}")
+    return DecisionReport(
+        scenario=scenario,
+        threshold_raw=raw_threshold(canonical, curve.orientation),
+        threshold_canonical=canonical,
+        review_fraction=(tp + fp) / total,
+        residual_fn_per_100=_residual_per_100(tp, curve.p_count, total, efficacy),
+        ci=ci,
+        notes=tuple(notes),
     )
 
 
@@ -442,12 +441,9 @@ def _percentile_ci(sorted_values: np.ndarray, confidence: float) -> tuple[float,
 
 
 def _residual_per_100(tp: int, p: int, total: int, efficacy: float) -> float:
-    corrected = efficacy * tp
-    return 100.0 * (p - corrected) / total
+    return 100.0 * (p - efficacy * tp) / total
 
 
 def _check_efficacy(review_efficacy: float) -> None:
     if not 0.0 < review_efficacy <= 1.0:
-        raise ValueError(
-            f"review efficacy must be in (0, 1], got {review_efficacy}"
-        )
+        raise ValueError(f"review efficacy must be in (0, 1], got {review_efficacy}")

@@ -217,9 +217,10 @@ class HullVertex:
 class RocHull:
     """Upper convex envelope of one or more curves over one ground truth.
 
-    Piecewise-linear and concave; every vertex names the system (and its
-    threshold) that attains the point, so the hull doubles as a dispatch
-    rule for combining systems across score regions.
+    Piecewise-linear and concave, from the (0, 0) origin to (1, 1), with no
+    vertex on the segment between its neighbours. Every vertex names the
+    system (and its threshold) that attains the point, so the hull doubles
+    as a dispatch rule for combining systems across score regions.
     """
 
     vertices: tuple[HullVertex, ...]
@@ -236,15 +237,31 @@ class RocHull:
         return np.array([v.tpr for v in self.vertices])
 
 
-def _cross(o: HullVertex, a: HullVertex, b: HullVertex) -> float:
-    return (a.fpr - o.fpr) * (b.tpr - o.tpr) - (a.tpr - o.tpr) * (b.fpr - o.fpr)
+def _upper_hull(fp: list[int], tp: list[int]) -> list[int]:
+    """Indices of the upper convex hull of distinct count points sorted by (fp, tp).
+
+    Andrew's monotone chain on Python ints, so every orientation test is
+    exact: the chain starts at the first point and drops collinear middle
+    points.
+    """
+    hull: list[int] = []
+    for i, (x, y) in enumerate(zip(fp, tp)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            # Keep a only where o -> a -> (x, y) turns clockwise.
+            if (fp[a] - fp[o]) * (y - tp[o]) < (tp[a] - tp[o]) * (x - fp[o]):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
 
 
 def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
-    """Upper convex hull of the named curves' vertices.
+    """Upper convex hull of the named curves' vertices, exact on integer counts.
 
-    All curves must share the same ground truth (class counts and dataset
-    fingerprint). When several systems attain the same point, the one with
+    All curves must share one ground truth (class counts and dataset
+    fingerprint). The hull starts at the origin and keeps no collinear
+    middle vertex. When several systems attain the same point, the one with
     fewer curve vertices wins, then the lexicographically smaller name; the
     rule is arbitrary but deterministic.
     """
@@ -265,37 +282,23 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
                 f"{curves[0][0]!r}"
             )
 
-    rank = {
-        name: (curve.thresholds.size, name) for name, curve in curves
-    }
-    best_at_point: dict[tuple[float, float], HullVertex] = {}
-    for name, curve in curves:
-        for fpr, tpr, t, raw in zip(
-            curve.fpr.tolist(),
-            curve.tpr.tolist(),
-            curve.thresholds.tolist(),
-            curve.thresholds_raw.tolist(),
-        ):
-            key = (fpr, tpr)
-            held = best_at_point.get(key)
-            if held is None or rank[name] < rank[held.source_system]:
-                best_at_point[key] = HullVertex(fpr, tpr, name, t, raw)
-
-    origin = best_at_point[(0.0, 0.0)]
-    # Only the highest point at each fpr can lie on the upper envelope.
-    top_at_fpr: dict[float, HullVertex] = {}
-    for (f, t), point in sorted(best_at_point.items()):
-        top_at_fpr[f] = point  # sorted by (fpr, tpr): last tpr wins
-    points = [top_at_fpr[f] for f in sorted(top_at_fpr)]
-
-    hull: list[HullVertex] = []
-    for point in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], point) >= 0:
-            hull.pop()
-        hull.append(point)
-    if (hull[0].fpr, hull[0].tpr) != (0.0, 0.0):
-        hull.insert(0, origin)
-    return RocHull(tuple(hull), first.p_count, first.n_count, first.fingerprint)
+    ranked = sorted(curves, key=lambda item: (item[1].thresholds.size, item[0]))
+    fp, tp, thresholds, raw, source = map(np.concatenate, zip(*(
+        (c.fp, c.tp, c.thresholds, c.thresholds_raw, np.full(c.fp.size, k))
+        for k, (_, c) in enumerate(ranked)
+    )))
+    p, n = first.p_count, first.n_count
+    # One entry per point, sorted by (fp, tp): np.unique keeps each point's
+    # first entry, which is the best-ranked curve's.
+    points = np.unique(fp * (p + 1) + tp, return_index=True)[1]
+    chosen = points[_upper_hull(fp[points].tolist(), tp[points].tolist())]
+    vertices = tuple(
+        HullVertex(f / n, t / p, ranked[k][0], th, r)
+        for f, t, k, th, r in zip(
+            *(column[chosen].tolist() for column in (fp, tp, source, thresholds, raw))
+        )
+    )
+    return RocHull(vertices, p, n, first.fingerprint)
 
 
 class PrPoints(NamedTuple):

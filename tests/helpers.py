@@ -126,6 +126,60 @@ def exact_auc(tp, fp) -> Fraction:
     )
 
 
+def exact_hull(curves) -> list[tuple[int, int, str, float]]:
+    """Brute-force upper hull of named curves over one ground truth, in Fractions.
+
+    Returns (fp, tp, source_system, threshold) per hull vertex, origin first.
+    A point is a vertex when it lies strictly above every other point at its
+    fpr and strictly above every chord between two other points whose fprs
+    straddle its own; the origin always opens the hull. At a point several
+    curves share, the curve with fewer vertices, then the smaller name, is
+    the source.
+    """
+    p, n = curves[0][1].p_count, curves[0][1].n_count
+    owner: dict[tuple[int, int], tuple[tuple[int, str], str, float]] = {}
+    for name, curve in curves:
+        rank = (len(curve.vertices), name)
+        for v in curve.vertices:
+            key = (v.counts.fp, v.counts.tp)
+            if key not in owner or rank < owner[key][0]:
+                owner[key] = (rank, name, v.threshold)
+    points = {(Fraction(f, n), Fraction(t, p)): (f, t) for f, t in owner}
+
+    def on_top(q) -> bool:
+        for a in points:
+            if a == q:
+                continue
+            if a[0] == q[0] and a[1] >= q[1]:
+                return False
+            for b in points:
+                if b != q and a[0] < q[0] < b[0]:
+                    chord = a[1] + (b[1] - a[1]) * (q[0] - a[0]) / (b[0] - a[0])
+                    if q[1] <= chord:
+                        return False
+        return True
+
+    keys = [(0, 0)] + sorted(points[q] for q in points if q != (0, 0) and on_top(q))
+    return [(f, t, owner[f, t][1], owner[f, t][2]) for f, t in keys]
+
+
+def exact_pick(curve, trade_off, ratio=None) -> int:
+    """Index of the lowest-fpr vertex maximizing tpr - m * fpr, in Fractions.
+
+    m = (fp_unit_cost * n) / (fn_unit_cost * p) is taken exactly from the
+    given floats; ``ratio`` defaults to the curve's class counts.
+    """
+    p, n = curve.p_count, curve.n_count
+    ratio_p, ratio_n = (p, n) if ratio is None else (ratio.p, ratio.n)
+    m = Fraction(trade_off.fp_unit_cost) * Fraction(ratio_n) / (
+        Fraction(trade_off.fn_unit_cost) * Fraction(ratio_p)
+    )
+    objectives = [
+        Fraction(v.counts.tp, p) - m * Fraction(v.counts.fp, n) for v in curve.vertices
+    ]
+    return objectives.index(max(objectives))
+
+
 def tie_group_counts(
     risk: np.ndarray, is_positive: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

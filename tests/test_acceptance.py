@@ -38,7 +38,7 @@ from rocqe import (
 from rocqe.bootstrap import ConfidenceBand
 from rocqe.cli import main
 from rocqe.roc import auc, convex_hull, rates
-from helpers import interp_tpr, make_dataset, pairwise_auc, random_dataset
+from helpers import exact_pick, interp_tpr, make_dataset, pairwise_auc, random_dataset
 
 TABLE_ARGS = [
     "table",
@@ -236,11 +236,9 @@ def test_iso_performance_slope_selection(sample10):
     for ds in datasets:
         curve = build_roc(ds)
         report = optimal_threshold(curve, trade, ratio)
-        objectives = [v.tpr - 0.5 * v.fpr for v in curve.vertices]
-        chosen = next(
-            v for v in curve.vertices if v.threshold == report.threshold_canonical
-        )
-        assert chosen.tpr - 0.5 * chosen.fpr == max(objectives)
+        # The exact maximiser; of tied maxima, the lowest-fpr vertex.
+        chosen = curve.vertices[exact_pick(curve, trade, ratio)]
+        assert chosen.threshold == report.threshold_canonical
 
 
 def test_bootstrap_determinism_and_perfect_separation(sample10):

@@ -74,6 +74,26 @@ class TestReplicateRng:
         assert not np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize(
+        "seed, index, draws",
+        [
+            (0, 0, ([5, 3, 3, 1, 1, 0], [0, 0, 0, 3], [779, 1095, 604, 727, 1164])),
+            (7, 199, ([2, 1, 4, 3, 2, 1], [0, 1, 0, 0], [740, 1102, 582, 440, 458])),
+            (20260517, 3, ([1, 1, 3, 0, 0, 4], [2, 0, 3, 0], [850, 472, 148, 1180, 310])),
+        ],
+    )
+    def test_draw_stream_is_pinned(self, seed, index, draws):
+        """The first draws of three replicate substreams, frozen with numpy 2.4.6.
+
+        Every bootstrap number in a report comes from this stream, and numpy
+        does not promise ``Generator.integers`` across versions. When this
+        test fails, the frozen report digests that draw replicates fail too,
+        and the numpy version is the cause.
+        """
+        rng = replicate_rng(seed, index)
+        got = [rng.integers(0, high, size=len(want)).tolist() for high, want in zip((6, 4, 1200), draws)]
+        assert got == list(draws), f"numpy {np.__version__} draws another stream"
+
 class TestResampling:
     def test_arrays_keep_stratum_sizes_and_values(self):
         rng = np.random.default_rng(1)

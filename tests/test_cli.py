@@ -13,6 +13,7 @@ GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
 ORIENT = ["--orientation", "metric=higher-better"]
 BASE = GOLD + SCORES + ORIENT
+RISKB = ["--scores", "riskb=tests/fixtures/sample10.riskb.tsv"]
 
 TABLE_GOLDEN = """segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr
 -\t-\t-inf\t0\t6\t0\t4\t0.00\t0.00
@@ -136,6 +137,58 @@ class TestExitCodes:
             capsys,
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv, seed_env",
+        [
+            pytest.param(["hull", *SCORES, *ORIENT, *RISKB], "abc", id="hull-seed-env"),
+            pytest.param(["hull", *SCORES, *ORIENT], None, id="hull-one-metric"),
+            pytest.param(["table", *SCORES, *ORIENT, *RISKB], None, id="table-two-metrics"),
+            pytest.param(["scenario", *SCORES, "--scenario", "1"], None, id="no-x"),
+            pytest.param(["scenario", *SCORES, "--scenario", "2"], None, id="no-y"),
+            pytest.param(
+                ["scenario", *SCORES, "--scenario", "1", "--x", "0.3", "--bootstrap", "20000",
+                 "--class-ratio", "1:5"],
+                None,
+                id="ratio-without-trade-off",
+            ),
+            pytest.param(
+                ["scenario", *SCORES, "--scenario", "1", "--x", "0.3", "--trade-off", "1-10"],
+                None,
+                id="bad-trade-off",
+            ),
+            pytest.param(
+                ["scenario", *SCORES, "--scenario", "2", "--y", "10", "--trade-off", "1:10",
+                 "--class-ratio", "0:5"],
+                None,
+                id="bad-class-ratio",
+            ),
+            pytest.param(
+                ["scenario", *SCORES, "--scenario", "2", "--y", "10", "--bootstrap", "20"],
+                "abc",
+                id="scenario-seed-env",
+            ),
+            pytest.param(
+                ["roc", *SCORES, "--bootstrap", "10", "--confidence", "1.5"],
+                None,
+                id="roc-confidence",
+            ),
+            pytest.param(
+                ["diagnose", *SCORES, "--bootstrap", "1"], None, id="diagnose-iterations"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("gold", [GOLD[1], "nope.tsv"])
+    def test_flag_errors_come_before_any_input(
+        self, argv, seed_env, gold, tmp_path, capsys, monkeypatch
+    ):
+        if seed_env is not None:
+            monkeypatch.setenv("ROCQE_SEED", seed_env)
+        outputs = ["--out", str(tmp_path / "report"), "--svg", str(tmp_path / "plot.svg")]
+        code, out, err = run_cli([*argv, "--gold", gold, *outputs], capsys)
+        assert code == 4, err
+        assert "config error" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_wmt_mode_requires_all_coordinates(self, capsys):
         code, _, err = run_cli(

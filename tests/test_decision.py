@@ -402,16 +402,64 @@ class TestOptimalThreshold:
             fp_cost = float(rng.uniform(0.5, 20.0))
             trade = TradeOff(fn_unit_cost=fn_cost, fp_unit_cost=fp_cost)
             report = optimal_threshold(curve, trade)
-            m = fp_cost * curve.n_count / (fn_cost * curve.p_count)
-            objectives = [v.tpr - m * v.fpr for v in curve.vertices]
-            best = max(objectives)
-            chosen = next(
-                v for v in curve.vertices if v.threshold == report.threshold_canonical
-            )
-            assert_close(chosen.tpr - m * chosen.fpr, best)
-            # Exact ties resolve to the lowest-fpr vertex.
-            first = next(i for i, o in enumerate(objectives) if o == best)
-            assert curve.vertices[first].threshold == report.threshold_canonical
+            # The exact maximiser; of tied maxima, the lowest-fpr vertex.
+            best = helpers.exact_pick(curve, trade)
+            assert curve.vertices[best].threshold == report.threshold_canonical
+
+    @pytest.mark.parametrize(
+        "trade_off, ratio",
+        [
+            ("1:10", "1:5"),
+            ("1:1", None),
+            ("3:7", None),
+            ("0.3:0.7", "0.1:0.2"),
+            ("1:3", "1:1"),
+            ("2:1", "3:1"),
+            ("1:1000", None),
+            ("1000:1", "1:9"),
+        ],
+    )
+    def test_matches_exact_oracle(self, trade_off, ratio):
+        rng = np.random.default_rng(41)
+        trade = TradeOff.parse(trade_off)
+        class_ratio = ClassRatio.parse(ratio) if ratio else None
+        for _ in range(300):
+            curve = build_roc(random_dataset(rng, max_size=40, tie_fraction=0.8))
+            report = optimal_threshold(curve, trade, class_ratio)
+            best = helpers.exact_pick(curve, trade, class_ratio)
+            assert report.threshold_canonical == curve.thresholds[best]
+            flagged = int(curve.tp[best] + curve.fp[best])
+            assert report.review_fraction == flagged / (curve.p_count + curve.n_count)
+
+    def test_exact_tie_at_slope_half_goes_to_lower_fpr(self):
+        # (10/12, 11/12) ties (1, 1) exactly at m = 0.5, though its float
+        # objective rounds to 0.49999999999999994.
+        ds = make_dataset([1.0] * 21 + [0.0] * 3, [True] * 11 + [False] * 10 + [True, False, False])
+        curve = build_roc(ds)
+        assert (curve.tpr[1], curve.fpr[1]) == (11 / 12, 10 / 12)
+        assert curve.tpr[1] - 0.5 * curve.fpr[1] < 0.5
+        report = optimal_threshold(curve, TradeOff.parse("1:10"), ClassRatio.parse("1:5"))
+        assert report.threshold_canonical == 1.0
+        assert report.review_fraction == 21 / 24
+
+    @pytest.mark.parametrize(
+        "trade_off, ratio",
+        [
+            # m overflows to inf: 0 * inf is nan in floats.
+            (TradeOff(1.0, 1e200), ClassRatio(1.0, 1e200)),
+            # m's denominator underflows to 0.
+            (TradeOff(1e-200, 1.0), ClassRatio(1e-200, 1.0)),
+        ],
+    )
+    def test_slope_beyond_float_range_is_picked_exactly(self, trade_off, ratio):
+        ds = make_dataset([4.0, 3.0, 2.0, 1.0], [True, True, False, False])
+        report = optimal_threshold(build_roc(ds), trade_off, ratio)
+        assert report.threshold_canonical == 3.0
+        assert report.review_fraction == 0.5
+        assert report.notes == (
+            "iso-performance slope m = inf",
+            "objective tpr - m*fpr = 1.0 at (fpr=0.0, tpr=1.0)",
+        )
 
     def test_scaling_costs_changes_nothing(self, sample10):
         curve = build_roc(sample10)

@@ -23,6 +23,7 @@ from helpers import (
     assert_close,
     brute_force_counts,
     exact_auc,
+    exact_hull,
     interp_tpr,
     make_dataset,
     pairwise_auc,
@@ -356,6 +357,27 @@ class TestConvexHull:
         assert hull.vertices[-1].source_system == "metricA"
         assert interp_tpr(hull.fpr, hull.tpr, 0.0) == 1 / 3
 
+    def test_matches_exact_oracle_on_heavy_ties(self):
+        rng = np.random.default_rng(2001)
+        for _ in range(150):
+            curves = heavy_tie_curves(rng, int(rng.integers(10, 50)))
+            hull = convex_hull(curves)
+            p, n = hull.p_count, hull.n_count
+            counts = [(round(v.fpr * n), round(v.tpr * p)) for v in hull.vertices]
+            # Every vertex sits exactly on its counts, the origin first.
+            assert [(f / n, t / p) for f, t in counts] == [
+                (v.fpr, v.tpr) for v in hull.vertices
+            ]
+            assert counts[0] == (0, 0) and counts[-1] == (n, p)
+            # No middle vertex lies on the segment between its neighbours.
+            for (f0, t0), (f1, t1), (f2, t2) in zip(counts, counts[1:], counts[2:]):
+                assert (f1 - f0) * (t2 - t0) != (t1 - t0) * (f2 - f0)
+            # Points, sources and thresholds all match the brute-force oracle.
+            assert [
+                (f, t, v.source_system, v.threshold)
+                for (f, t), v in zip(counts, hull.vertices)
+            ] == exact_hull(curves)
+
     def test_mismatched_ground_truth_rejected(self, sample10):
         other = make_dataset([1.0, 0.0], [True, False])
         with pytest.raises(GroundTruthMismatchError):
@@ -482,6 +504,20 @@ class TestLazyVertices:
             curve = build_roc(ds)
             assert curve.fpr.tolist() == [fp / ds.n_count for fp in curve.fp.tolist()]
             assert curve.tpr.tolist() == [tp / ds.p_count for tp in curve.tp.tolist()]
+
+
+def heavy_tie_curves(rng: np.random.Generator, size: int) -> list[tuple[str, RocCurve]]:
+    """Three heavily tied integer scorers over one ground truth."""
+    ids = [f"s{i:04d}" for i in range(size)]
+    positive = np.zeros(size, dtype=bool)
+    positive[: int(rng.integers(1, size))] = True
+    rng.shuffle(positive)
+    curves = []
+    for k in range(3):
+        levels = int(rng.integers(2, max(3, size // 3)))
+        scores = rng.integers(0, levels, size=size) + positive * rng.integers(0, 2, size=size)
+        curves.append((f"m{k}", build_roc(Dataset.from_columns(ids, scores.astype(float), positive))))
+    return curves
 
 
 def base_to_hw(dataset: Dataset) -> Dataset:
