@@ -14,6 +14,10 @@ Nor is a curve searched: every fpr is an integer count over N, so the
 segment holding each FPR grid point is found by counting the curve's
 distinct counts up to a per-band index. Its AUC is read off the same
 integer counts by ``roc.count_auc``.
+
+The band reads two order statistics per grid column, so it keeps only the
+rows they read plus one chunk of fresh replicate rows: its memory is
+bounded by that buffer, not by the number of replicates.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ T = TypeVar("T")
 DEFAULT_ITERATIONS = 1000
 DEFAULT_CONFIDENCE = 0.95
 MIN_GRID_INTERVALS = 100
-# Largest replicate matrix (iterations x grid points, float64) a band may allocate.
+# Largest buffer of replicate rows (rows x grid points, float64) a band may allocate.
 MAX_BAND_MATRIX_BYTES = 2 * 2**30
+# Fresh replicate rows a band buffers beside its kept rows between two sorts.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -157,14 +163,17 @@ def _grid_tpr(
     return row
 
 
+def _rank(q: float, b: int) -> int:
+    """The 1-based nearest rank ceil(q * B), clamped to [1, B]."""
+    return min(max(math.ceil(q * b), 1), b)
+
+
 def nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
     """Nearest-rank percentile: the ceil(q * B)-th smallest value (1-based).
 
     Works on a sorted vector or row-sorted matrix (selects a row).
     """
-    b = sorted_values.shape[0]
-    k = min(max(math.ceil(q * b), 1), b)
-    return sorted_values[k - 1]
+    return sorted_values[_rank(q, sorted_values.shape[0]) - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +230,17 @@ def confidence_band(
 
     Each replicate's curve is evaluated on the shared FPR grid (vertical
     segments read at their top) and its AUC recorded; grid columns and AUC
-    values are sorted across replicates and cut at nearest-rank percentiles
-    (1 - confidence) / 2 and 1 - (1 - confidence) / 2. Rows are written in
-    place into one B x (grid + 1) matrix, the only copy held; a matrix over
-    ``MAX_BAND_MATRIX_BYTES`` is refused with a ValueError before allocation.
+    values are cut at nearest-rank percentiles (1 - confidence) / 2 and
+    1 - (1 - confidence) / 2 across replicates, the k_lo-th and k_hi-th
+    smallest. Only the rows those two ranks read are kept: per column the
+    k_lo smallest and the B - k_hi + 1 largest values, plus a chunk of
+    ``_CHUNK_ROWS`` fresh rows, in one buffer of min(B, kept + chunk) x
+    (grid + 1) floats. Each replicate's row
+    is written in place into the buffer; when it is full, and once more
+    after the last replicate, the filled rows are sorted column by column
+    and the largest kept rows moved down next to the smallest. A buffer
+    over ``MAX_BAND_MATRIX_BYTES`` is refused with a ValueError before
+    allocation.
     """
     config = config or BootstrapConfig()
     require_both_classes(
@@ -237,32 +253,50 @@ def confidence_band(
             stacklevel=2,
         )
     grid = fpr_grid(dataset.n_count)
-    matrix_bytes = config.iterations * grid.size * 8
-    if matrix_bytes > MAX_BAND_MATRIX_BYTES:
+    b = config.iterations
+    alpha = 1.0 - config.confidence
+    k_lo = _rank(alpha / 2.0, b)
+    n_hi = b - _rank(1.0 - alpha / 2.0, b) + 1
+    kept = k_lo + n_hi
+    rows = min(b, kept + _CHUNK_ROWS)
+    buffer_bytes = rows * grid.size * 8
+    if buffer_bytes > MAX_BAND_MATRIX_BYTES:
         raise ValueError(
-            f"the confidence band needs an estimated {matrix_bytes / 2**20:.0f} MB "
-            f"({config.iterations} replicates x {grid.size} grid points), above "
+            f"the confidence band needs an estimated {buffer_bytes / 2**20:.0f} MB "
+            f"({rows} rows of {b} replicates x {grid.size} grid points), above "
             f"the {MAX_BAND_MATRIX_BYTES / 2**20:.0f} MB limit; lower --bootstrap"
         )
-    matrix = np.empty((config.iterations, grid.size))
+    buffer = np.empty((rows, grid.size))
+    filled = 0
     p, n = dataset.p_count, dataset.n_count
     fp_at = _fp_at(grid, n)
 
-    rows = iter(matrix)
+    def fold() -> None:
+        # The k_lo smallest of all rows seen lie among the k_lo smallest
+        # kept ones and the fresh ones, and likewise the n_hi largest.
+        nonlocal filled
+        buffer[:filled].sort(axis=0)
+        if filled > kept:
+            buffer[k_lo:kept] = buffer[filled - n_hi : filled]
+            filled = kept
 
     def one_replicate(tp: np.ndarray, fp: np.ndarray) -> tuple[float, bool]:
-        _grid_tpr(tp, fp, p, n, grid, fp_at, out=next(rows))
+        nonlocal filled
+        _grid_tpr(tp, fp, p, n, grid, fp_at, out=buffer[filled])
+        filled += 1
+        if filled == rows:
+            fold()
         degenerate = fp.size == 2  # origin plus a single tie group: all scores tied
         return count_auc(tp, fp), degenerate
 
     results = map_replicates(dataset, config, one_replicate)
+    if filled > kept:
+        fold()
     aucs = np.sort(np.array([r[0] for r in results]))
     degenerate_count = sum(1 for r in results if r[1])
-
-    matrix.sort(axis=0)
-    alpha = 1.0 - config.confidence
-    lower = nearest_rank(matrix, alpha / 2.0).copy()
-    upper = nearest_rank(matrix, 1.0 - alpha / 2.0).copy()
+    # The filled rows are sorted, the n_hi largest last.
+    lower = buffer[k_lo - 1].copy()
+    upper = buffer[filled - n_hi].copy()
 
     ranking = dataset.ranking
     tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)

@@ -28,6 +28,9 @@ from .decision import (
     DecisionReport,
     QeRocTable,
     TradeOff,
+    check_review_efficacy,
+    check_review_fraction,
+    check_tolerable_errors,
     optimal_threshold,
     qe_roc_table,
     scenario1_residual_risk,
@@ -558,10 +561,15 @@ def _table_lines(p: int, n: int, ids, labels, scores, tp, fp) -> str:
 def cmd_scenario(args: argparse.Namespace) -> int:
     if len(args.scores) != 1:
         raise ValueError("the scenario command takes exactly one --scores metric")
-    if args.scenario == 1 and args.x is None:
-        raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
-    if args.scenario == 2 and args.y is None:
-        raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
+    if args.scenario == 1:
+        if args.x is None:
+            raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
+        check_review_fraction(args.x)
+    else:
+        if args.y is None:
+            raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
+        check_tolerable_errors(args.y)
+    check_review_efficacy(args.review_efficacy)
     if args.class_ratio is not None and args.trade_off is None:
         raise ValueError("--class-ratio requires --trade-off")
     trade_off = TradeOff.parse(args.trade_off) if args.trade_off is not None else None

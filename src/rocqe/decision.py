@@ -269,9 +269,8 @@ def scenario1_residual_risk(
     "replicate"``, the default) or by reading TPR limits off the ROC band at
     the chosen operating point (``ci_method="band"``).
     """
-    if not 0.0 < review_fraction_x <= 1.0:
-        raise ValueError(f"review fraction must be in (0, 1], got {review_fraction_x}")
-    _check_efficacy(review_efficacy)
+    check_review_fraction(review_fraction_x)
+    check_review_efficacy(review_efficacy)
     require_both_classes(
         dataset.p_count, dataset.n_count, "review-budget analysis is undefined"
     )
@@ -329,11 +328,8 @@ def scenario2_required_effort(
     error count is already tolerable. With ``bootstrap`` set, a replicate
     percentile interval for review_fraction is attached.
     """
-    if not 0.0 <= tolerable_fn_per_100_y <= 100.0:
-        raise ValueError(
-            f"tolerable fn per 100 must be in [0, 100], got {tolerable_fn_per_100_y}"
-        )
-    _check_efficacy(review_efficacy)
+    check_tolerable_errors(tolerable_fn_per_100_y)
+    check_review_efficacy(review_efficacy)
     require_both_classes(
         dataset.p_count, dataset.n_count, "risk-target analysis is undefined"
     )
@@ -391,15 +387,16 @@ def optimal_threshold(
     )
     n_b = curve.n_count * fp_den * n_den * fn_num * p_num
     p_a = curve.p_count * fp_num * n_num * fn_den * p_den
-    tp, fp = curve.tp.tolist(), curve.fp.tolist()
+    hull = _upper_hull(curve.fp, curve.tp)
+    tp, fp = curve.tp[hull].tolist(), curve.fp[hull].tolist()
     # The lowest-fpr maximiser is a hull vertex, and max keeps the first one.
-    best = max(_upper_hull(fp, tp), key=lambda k: tp[k] * n_b - fp[k] * p_a)
-    fpr, tpr = fp[best] / curve.n_count, tp[best] / curve.p_count
+    k = max(range(hull.size), key=lambda i: tp[i] * n_b - fp[i] * p_a)
+    fpr, tpr = fp[k] / curve.n_count, tp[k] / curve.p_count
     objective = tpr - m * fpr if fpr else tpr  # m may be inf, and inf * 0 is nan
     return _report(
         Scenario.OPTIMAL_THRESHOLD,
         curve,
-        best,
+        int(hull[k]),
         notes=(
             f"iso-performance slope m = {m!r}",
             f"objective tpr - m*fpr = {objective!r} at (fpr={fpr!r}, tpr={tpr!r})",
@@ -444,6 +441,21 @@ def _residual_per_100(tp: int, p: int, total: int, efficacy: float) -> float:
     return 100.0 * (p - efficacy * tp) / total
 
 
-def _check_efficacy(review_efficacy: float) -> None:
+def check_review_fraction(review_fraction_x: float) -> None:
+    """Raise ValueError unless the reviewable fraction lies in (0, 1]."""
+    if not 0.0 < review_fraction_x <= 1.0:
+        raise ValueError(f"review fraction must be in (0, 1], got {review_fraction_x}")
+
+
+def check_tolerable_errors(tolerable_fn_per_100_y: float) -> None:
+    """Raise ValueError unless the tolerable errors per 100 lie in [0, 100]."""
+    if not 0.0 <= tolerable_fn_per_100_y <= 100.0:
+        raise ValueError(
+            f"tolerable fn per 100 must be in [0, 100], got {tolerable_fn_per_100_y}"
+        )
+
+
+def check_review_efficacy(review_efficacy: float) -> None:
+    """Raise ValueError unless the review efficacy lies in (0, 1]."""
     if not 0.0 < review_efficacy <= 1.0:
         raise ValueError(f"review efficacy must be in (0, 1], got {review_efficacy}")

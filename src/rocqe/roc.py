@@ -237,23 +237,31 @@ class RocHull:
         return np.array([v.tpr for v in self.vertices])
 
 
-def _upper_hull(fp: list[int], tp: list[int]) -> list[int]:
+def _upper_hull(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
     """Indices of the upper convex hull of distinct count points sorted by (fp, tp).
 
-    Andrew's monotone chain on Python ints, so every orientation test is
-    exact: the chain starts at the first point and drops collinear middle
-    points.
+    The last point must be the largest in both coordinates, as (N, P) is on
+    every ROC curve, so the hull rises from the first point to the last.
+    Between them only a staircase corner can be a vertex: the highest point
+    at its fp that lies above every point left of it. Those are picked with
+    numpy; Andrew's monotone chain then runs over them on Python ints, so
+    every orientation test is exact. The chain starts at the first point
+    and drops collinear middle points.
     """
+    corner = np.ones(fp.size, dtype=bool)
+    corner[1:-1] = (fp[1:-1] != fp[2:]) & (tp[1:-1] > np.maximum.accumulate(tp)[:-2])
+    keep = np.flatnonzero(corner)
+    xs, ys = fp[keep].tolist(), tp[keep].tolist()
     hull: list[int] = []
-    for i, (x, y) in enumerate(zip(fp, tp)):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
             # Keep a only where o -> a -> (x, y) turns clockwise.
-            if (fp[a] - fp[o]) * (y - tp[o]) < (tp[a] - tp[o]) * (x - fp[o]):
+            if (xs[a] - xs[o]) * (y - ys[o]) < (ys[a] - ys[o]) * (x - xs[o]):
                 break
             hull.pop()
         hull.append(i)
-    return hull
+    return keep[hull]
 
 
 def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
@@ -291,7 +299,7 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
     # One entry per point, sorted by (fp, tp): np.unique keeps each point's
     # first entry, which is the best-ranked curve's.
     points = np.unique(fp * (p + 1) + tp, return_index=True)[1]
-    chosen = points[_upper_hull(fp[points].tolist(), tp[points].tolist())]
+    chosen = points[_upper_hull(fp[points], tp[points])]
     vertices = tuple(
         HullVertex(f / n, t / p, ranked[k][0], th, r)
         for f, t, k, th, r in zip(

@@ -163,6 +163,24 @@ def exact_hull(curves) -> list[tuple[int, int, str, float]]:
     return [(f, t, owner[f, t][1], owner[f, t][2]) for f, t in keys]
 
 
+def monotone_chain(fp: list[int], tp: list[int]) -> list[int]:
+    """Indices of the upper hull of distinct count points sorted by (fp, tp).
+
+    Andrew's monotone chain over every point, on Python ints: it starts at
+    the first point and drops collinear middle points. ``roc._upper_hull``
+    runs the same chain over the staircase corners only.
+    """
+    hull: list[int] = []
+    for i, (x, y) in enumerate(zip(fp, tp)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (fp[a] - fp[o]) * (y - tp[o]) < (tp[a] - tp[o]) * (x - fp[o]):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
 def exact_pick(curve, trade_off, ratio=None) -> int:
     """Index of the lowest-fpr vertex maximizing tpr - m * fpr, in Fractions.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,9 @@ class TestGridRead:
                     assert _same_bits(got, interp_tpr(fp / n, tp / p, grid)), (
                         kind, p, n, intervals,
                     )
+                    # The band sorts columns of these rows: with no -0.0 in
+                    # any row, every order statistic has one bit pattern.
+                    assert not np.signbit(got).any()
                     reads += 1
                     degenerate += fp.size == 2
         assert reads == 48 * 5 * 5 and degenerate > 0
@@ -301,6 +305,83 @@ class TestBandMatchesInterpOracle:
         assert ds.is_positive[top].any() and not ds.is_positive[top].all()
         config = BootstrapConfig(iterations=40, seed=6)
         assert confidence_band(ds, config) == reference_band(ds, config)
+
+
+def _kept_rows(iterations: int, confidence: float) -> int:
+    """Rows the band's two nearest ranks read: the k_lo smallest, B - k_hi + 1 largest."""
+    alpha = 1.0 - confidence
+    k_lo = min(max(math.ceil(alpha / 2.0 * iterations), 1), iterations)
+    k_hi = min(max(math.ceil((1.0 - alpha / 2.0) * iterations), 1), iterations)
+    return k_lo + iterations - k_hi + 1
+
+
+def _assert_same_band(band: ConfidenceBand, oracle: ConfidenceBand) -> None:
+    assert band == oracle
+    for got, want in ((band.fpr_grid, oracle.fpr_grid),
+                      (band.lower_tpr, oracle.lower_tpr),
+                      (band.upper_tpr, oracle.upper_tpr),
+                      (band.point_tpr, oracle.point_tpr),
+                      (np.array(band.auc_interval), np.array(oracle.auc_interval))):
+        assert _same_bits(got, want)
+
+
+class TestBoundedBuffer:
+    """The folded buffer against the oracle that sorts every replicate row."""
+
+    CHUNK = bootstrap_module._CHUNK_ROWS
+
+    @pytest.fixture(scope="class")
+    def tied(self) -> Dataset:
+        rng = np.random.default_rng(95)
+        labels = rng.random(70) < 0.45
+        risks = rng.integers(0, 12, size=70) / 4.0 + labels * rng.integers(0, 3, size=70)
+        return make_dataset(risks.tolist(), labels.tolist())
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("iterations", [2, 3, 37, 200, 1000])
+    def test_matches_the_full_sort(self, tied, iterations, confidence):
+        config = BootstrapConfig(iterations=iterations, confidence=confidence, seed=11)
+        _assert_same_band(confidence_band(tied, config), reference_band(tied, config))
+
+    def _iterations_where(self, fresh_rows) -> int:
+        """The smallest B >= 2 at 95% whose B - kept rows satisfy ``fresh_rows``."""
+        return next(
+            b for b in range(2, 10 * self.CHUNK) if fresh_rows(b - _kept_rows(b, 0.95))
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["chunk - 1", "chunk", "chunk + 1", "last fold of several has one fresh row"],
+    )
+    def test_buffer_boundaries_match_the_full_sort(self, tied, case):
+        chunk = self.CHUNK
+        fresh_rows = {
+            "chunk - 1": lambda extra: extra == chunk - 1,
+            "chunk": lambda extra: extra == chunk,
+            "chunk + 1": lambda extra: extra == chunk + 1,
+            "last fold of several has one fresh row": (
+                lambda extra: extra > 2 * chunk and extra % chunk == 1
+            ),
+        }[case]
+        iterations = self._iterations_where(fresh_rows)
+        config = BootstrapConfig(iterations=iterations, seed=12)
+        _assert_same_band(confidence_band(tied, config), reference_band(tied, config))
+
+    def test_memory_stays_within_the_buffer(self):
+        # N = 1000 negatives: 1001 grid points. B = 1000 at 95% keeps 26 + 26
+        # rows plus the chunk; the full matrix would be 1000 rows.
+        ds = _binormal(np.random.default_rng(97), 1000)
+        ds.ranking  # built and cached before tracing
+        config = BootstrapConfig(iterations=1000, seed=3)
+        buffer_bytes = (_kept_rows(1000, 0.95) + self.CHUNK) * 1001 * 8
+        tracemalloc.start()
+        try:
+            confidence_band(ds, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer_bytes + 2**19, (peak, buffer_bytes)
+        assert peak < 1000 * 1001 * 8 / 2
 
 
 class TestNearestRank:
@@ -385,29 +466,36 @@ class TestConfidenceBand:
         with pytest.raises(ValueError):
             band.lower_tpr[0] = 0.5
 
-    def test_matrix_over_the_memory_limit_is_refused_before_allocating(
+    def test_buffer_over_the_memory_limit_is_refused_before_allocating(
         self, sample10, monkeypatch
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("the band matrix was allocated")
+            raise AssertionError("the band buffer was allocated")
 
         monkeypatch.setattr(np, "empty", refuse)
-        # 101 grid points: 2.7M replicates need 2,081 MiB, above the 2 GiB limit.
-        config = BootstrapConfig(iterations=2_700_000)
+        # 101 grid points: 60M replicates keep 1,500,001 + 1,500,001 rows plus
+        # a 256-row chunk, 2,312 MiB, above the 2 GiB limit.
+        config = BootstrapConfig(iterations=60_000_000)
         with pytest.raises(ValueError) as info:
             confidence_band(sample10, config)
         assert str(info.value) == (
-            "the confidence band needs an estimated 2081 MB (2700000 replicates x "
-            "101 grid points), above the 2048 MB limit; lower --bootstrap"
+            "the confidence band needs an estimated 2312 MB (3000258 rows of "
+            "60000000 replicates x 101 grid points), above the 2048 MB limit; "
+            "lower --bootstrap"
         )
 
-    def test_matrix_at_the_memory_limit_is_allowed(self, sample10, monkeypatch):
+    @pytest.mark.parametrize("iterations, rows", [(20, 20), (1000, 26 + 26 + 256)])
+    def test_buffer_at_the_memory_limit_is_allowed(
+        self, sample10, monkeypatch, iterations, rows
+    ):
         # Exactly at the limit passes the guard and reaches the allocation.
-        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", 20 * 101 * 8)
-        confidence_band(sample10, BootstrapConfig(iterations=20))
-        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", 20 * 101 * 8 - 1)
+        # B = 1000 keeps 26 + 26 rows plus the chunk; 20 replicates fit in it.
+        config = BootstrapConfig(iterations=iterations)
+        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", rows * 101 * 8)
+        confidence_band(sample10, config)
+        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", rows * 101 * 8 - 1)
         with pytest.raises(ValueError, match="lower --bootstrap"):
-            confidence_band(sample10, BootstrapConfig(iterations=20))
+            confidence_band(sample10, config)
 
     def test_degenerate_dataset_rejected(self):
         ds = make_dataset([1.0, 2.0], [True, True])

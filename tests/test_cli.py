@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rocqe.cli as cli_module
 from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from helpers import exact_auc
@@ -189,6 +190,29 @@ class TestExitCodes:
         assert code == 4, err
         assert "config error" in err
         assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scenario", "1", "--x", "1.5"], "review fraction"),
+            (["--scenario", "1", "--x", "0"], "review fraction"),
+            (["--scenario", "1", "--x", "nan"], "review fraction"),
+            (["--scenario", "2", "--y", "100.5"], "tolerable fn per 100"),
+            (["--scenario", "2", "--y", "-1"], "tolerable fn per 100"),
+            (["--scenario", "1", "--x", "0.3", "--review-efficacy", "0"], "review efficacy"),
+            (["--scenario", "2", "--y", "10", "--review-efficacy", "1.5"], "review efficacy"),
+        ],
+    )
+    def test_scenario_ranges_are_checked_before_any_input(
+        self, flags, message, capsys, monkeypatch
+    ):
+        def refuse(args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli_module, "_load", refuse)
+        code, out, err = run_cli(["scenario", "--gold", "nope.tsv", *SCORES, *flags], capsys)
+        assert code == 4, err
+        assert err.startswith("config error: " + message) and out == ""
 
     def test_wmt_mode_requires_all_coordinates(self, capsys):
         code, _, err = run_cli(
@@ -715,10 +739,11 @@ class TestColumnarPath:
 
     def test_oversized_band_is_a_config_error(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the band matrix was allocated")
+            raise AssertionError("the band buffer was allocated")
 
         monkeypatch.setattr(np, "empty", refuse)
-        code, out, err = run_cli(["roc", *BASE, "--bootstrap", "3000000"], capsys)
+        # 60M replicates keep about 3M rows of 101 grid points: over 2 GiB.
+        code, out, err = run_cli(["roc", *BASE, "--bootstrap", "60000000"], capsys)
         assert code == 4
         assert out == ""
         assert "MB" in err and "lower --bootstrap" in err

@@ -18,6 +18,9 @@ from rocqe import (
     convex_hull,
     pr_points,
 )
+import rocqe.decision as decision_module
+import rocqe.roc as roc_module
+from rocqe.decision import TradeOff, optimal_threshold
 from rocqe.roc import raw_threshold
 from helpers import (
     assert_close,
@@ -26,6 +29,7 @@ from helpers import (
     exact_hull,
     interp_tpr,
     make_dataset,
+    monotone_chain,
     pairwise_auc,
     random_dataset,
     sample10_dataset,
@@ -391,6 +395,50 @@ class TestConvexHull:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             convex_hull([])
+
+
+class TestStaircasePrefilter:
+    """Hulls and picks with the staircase prefilter and with the full chain."""
+
+    TRADE_OFFS = [TradeOff(float(a), float(b)) for a, b in
+                  ((1, 1), (1, 10), (10, 1), (3, 7), (1, 1000), (1000, 1))]
+
+    @staticmethod
+    def _use_the_full_chain(monkeypatch):
+        def chain(fp, tp):
+            return np.array(monotone_chain(fp.tolist(), tp.tolist()), dtype=np.intp)
+
+        monkeypatch.setattr(roc_module, "_upper_hull", chain)
+        monkeypatch.setattr(decision_module, "_upper_hull", chain)
+
+    def _hulls_and_picks(self, cases):
+        return [
+            (
+                convex_hull(curves).vertices,
+                [optimal_threshold(c, t) for _, c in curves for t in self.TRADE_OFFS],
+            )
+            for curves in cases
+        ]
+
+    def test_heavy_tie_multi_curve_inputs(self, monkeypatch):
+        rng = np.random.default_rng(2002)
+        cases = [heavy_tie_curves(rng, int(rng.integers(2, 400))) for _ in range(60)]
+        filtered = self._hulls_and_picks(cases)
+        self._use_the_full_chain(monkeypatch)
+        assert filtered == self._hulls_and_picks(cases)
+
+    def test_hundred_thousand_distinct_scores(self, monkeypatch):
+        rng = np.random.default_rng(2003)
+        positive = rng.random(100_000) < 0.45
+        scores = rng.normal(size=100_000) + positive
+        ids = [f"s{i:06d}" for i in range(100_000)]
+        curve = build_roc(Dataset.from_columns(ids, scores, positive))
+        assert curve.fp.size == 100_001
+        hull = roc_module._upper_hull(curve.fp, curve.tp)
+        assert hull.tolist() == monotone_chain(curve.fp.tolist(), curve.tp.tolist())
+        filtered = self._hulls_and_picks([[("m", curve)]])
+        self._use_the_full_chain(monkeypatch)
+        assert filtered == self._hulls_and_picks([[("m", curve)]])
 
 
 class TestPrPoints:
