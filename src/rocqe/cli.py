@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 degenerate data, 4 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -209,7 +210,7 @@ def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
 
 
 _INDENT = "  "
-_ROWS_PER_BLOCK = 4096
+_ROWS_PER_BLOCK = 1024
 
 
 class _Rows:
@@ -228,6 +229,14 @@ class _Rows:
         shapes = {col.shape for col in self.columns.values()}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError("row columns must be 1-d arrays of one length")
+
+
+class _Deferred(functools.partial):
+    """A report value the encoder builds when it reaches it: ``_Deferred(f, *args)``.
+
+    Encodes as ``f(*args)`` would, but the built value is dropped once it
+    is written, so a report holds only one such value's texts at a time.
+    """
 
 
 def _float_text(value: float) -> str:
@@ -281,6 +290,8 @@ def _encode(obj, level: int) -> Iterator[str]:
             yield from _encode(value, level + 1)
             separator = ","
         yield "[]" if not obj else _newline(level) + "]"
+    elif isinstance(obj, _Deferred):
+        yield from _encode(obj(), level)
     elif isinstance(obj, _Rows):
         # A row is the dict text with every value left open; the texts
         # before each value are shared by all rows.
@@ -472,12 +483,34 @@ def _decision_dict(report: DecisionReport) -> dict:
     }
 
 
+def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
+    """One metric's ``roc`` report entry."""
+    thresholds = _threshold_texts(curve)
+    return {
+        "auc": auc(curve),
+        "vertices": _vertex_rows(curve, thresholds),
+        "pr_points": _pr_rows(curve, thresholds),
+        "band": _band_dict(band) if band is not None else None,
+    }
+
+
+def _hull_entry(curve: RocCurve) -> dict:
+    """One metric's ``hull`` report entry."""
+    return {"auc": auc(curve), "vertices": _vertex_rows(curve, _threshold_texts(curve))}
+
+
+# roc and hull compute every curve, band and hull first, so all that can
+# fail has run before the first byte goes out. Then they write the SVG, and
+# then the report, whose metric entries are built one at a time as the
+# encoder reaches them: no two metrics' texts, nor the SVG's and the
+# report's, are alive at once.
+
+
 def cmd_roc(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = _bootstrap_config(args, seed)
     loaded = _load(args)
 
-    results: dict = {"metrics": {}}
     findings: dict = {}
     series = []
     for metric in loaded.metrics:
@@ -488,18 +521,12 @@ def cmd_roc(args: argparse.Namespace) -> int:
         if config is not None:
             band = confidence_band(dataset, config)
             metric_findings.extend(check_band(band))
-        thresholds = _threshold_texts(curve)
-        results["metrics"][metric] = {
-            "auc": auc(curve),
-            "vertices": _vertex_rows(curve, thresholds),
-            "pr_points": _pr_rows(curve, thresholds),
-            "band": _band_dict(band) if band is not None else None,
-        }
         findings[metric] = [asdict(f) for f in metric_findings]
         series.append(SvgSeries(metric, curve, band))
 
     if args.svg:
         _emit([render_roc_svg(series)], args.svg)
+    results = {"metrics": {s.name: _Deferred(_roc_entry, s.curve, s.band) for s in series}}
     _emit(_report_json("roc", args, loaded, seed, results, findings), args.out)
     return 0
 
@@ -615,6 +642,12 @@ def cmd_hull(args: argparse.Namespace) -> int:
 
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull(curves)
+    findings = {
+        m: [asdict(f) for f in check_sample(loaded.datasets[m])] for m in loaded.metrics
+    }
+    if args.svg:
+        series = [SvgSeries(m, c) for m, c in curves]
+        _emit([render_roc_svg(series, hull=hull)], args.svg)
 
     results = {
         "hull": {
@@ -629,17 +662,8 @@ def cmd_hull(args: argparse.Namespace) -> int:
                 for v in hull.vertices
             ],
         },
-        "metrics": {
-            m: {"auc": auc(c), "vertices": _vertex_rows(c, _threshold_texts(c))}
-            for m, c in curves
-        },
+        "metrics": {m: _Deferred(_hull_entry, c) for m, c in curves},
     }
-    findings = {
-        m: [asdict(f) for f in check_sample(loaded.datasets[m])] for m in loaded.metrics
-    }
-    if args.svg:
-        series = [SvgSeries(m, c) for m, c in curves]
-        _emit([render_roc_svg(series, hull=hull)], args.svg)
     _emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
     return 0
 

@@ -418,46 +418,44 @@ def to_dataset(
     score raises, and every positive MQM score before it warns.
     """
     if isinstance(records, CanonicalRecords) and records.metric == metric:
-        ids = records.ids.tolist()
-        mqm = records.mqm_scores.tolist()
-        scores = records.scores.tolist()
+        ids, mqm, scores = records.ids, records.mqm_scores, records.scores
     else:
         usable = [
             r
             for r in records
             if r.mqm_score is not None and r.qe_scores.get(metric) is not None
         ]
-        ids = [r.segment_id for r in usable]
-        mqm = [r.mqm_score for r in usable]
-        scores = [r.qe_scores[metric] for r in usable]
+        # Object columns keep each value as given, for the messages below.
+        ids = np.array([r.segment_id for r in usable], dtype=object)
+        mqm = np.array([r.mqm_score for r in usable], dtype=object)
+        scores = np.array([r.qe_scores[metric] for r in usable], dtype=object)
         del usable
-    if not ids:
+    if not ids.size:
         raise IngestError(
             f"no usable records for metric {metric!r} after skips"
         )
     if not _strictly_increasing(ids):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids = [ids[i] for i in order]
-        mqm = [mqm[i] for i in order]
-        scores = [scores[i] for i in order]
-    id_column = np.array(ids, dtype=object)
-    mqm_column = np.array(mqm, dtype=np.float64)
-    score_column = np.array(scores, dtype=np.float64)
+        order = np.argsort(ids, kind="stable")
+        ids, mqm, scores = ids[order], mqm[order], scores[order]
+    mqm_column = np.asarray(mqm, dtype=np.float64)
+    score_column = np.asarray(scores, dtype=np.float64)
 
-    size = len(ids)
-    repeated = _first(id_column[1:] == id_column[:-1], size - 1) + 1
+    size = ids.size
+    repeated = _first(ids[1:] == ids[:-1], size - 1) + 1
     non_finite = _first(~np.isfinite(score_column), size)
     # The record at a repeated id is rejected before it is labelled; a
-    # record with a non-finite score is labelled first.
+    # record with a non-finite score is labelled first. Messages get values
+    # through ``item``: Python floats from a float column, each value as
+    # given from an object column.
     labelled = repeated if repeated <= non_finite else non_finite + 1
     for i in np.flatnonzero(mqm_column[:labelled] > 0).tolist():
-        label(mqm[i], cutoff)  # warns about the positive MQM score
+        label(mqm.item(i), cutoff)  # warns about the positive MQM score
     if repeated < size and repeated <= non_finite:
         raise IngestError(f"duplicate segment id {ids[repeated]!r}")
     if non_finite < size:
-        canonicalize(scores[non_finite], orientation, ids[non_finite])  # raises
+        canonicalize(scores.item(non_finite), orientation, ids[non_finite])  # raises
     return Dataset.from_columns(
-        id_column, score_column, label_positive(mqm_column, cutoff), orientation
+        ids, score_column, label_positive(mqm_column, cutoff), orientation
     )
 
 

@@ -21,6 +21,7 @@ HEIGHT = 640
 MARGIN = 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 HULL_COLOR = "#000000"
+_POINTS_PER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,18 @@ def _fmt(value: float) -> str:
 
 def _polyline(fprs: Sequence[float], tprs: Sequence[float]) -> str:
     # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
-    xs = MARGIN + np.asarray(fprs, dtype=np.float64) * (WIDTH - 2 * MARGIN)
-    ys = HEIGHT - MARGIN - np.asarray(tprs, dtype=np.float64) * (HEIGHT - 2 * MARGIN)
-    return join_rows(
-        [run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" "
-    )
+    # Points are spelled and joined a block at a time, so only one block's
+    # texts are alive beside the finished block strings.
+    fprs = np.asarray(fprs, dtype=np.float64)
+    tprs = np.asarray(tprs, dtype=np.float64)
+    blocks = []
+    for start in range(0, fprs.size, _POINTS_PER_BLOCK):
+        xs = MARGIN + fprs[start:start + _POINTS_PER_BLOCK] * (WIDTH - 2 * MARGIN)
+        ys = HEIGHT - MARGIN - tprs[start:start + _POINTS_PER_BLOCK] * (HEIGHT - 2 * MARGIN)
+        blocks.append(join_rows(
+            [run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" "
+        ))
+    return " ".join(blocks)
 
 
 def _band_polygon(band: ConfidenceBand) -> str:
@@ -150,8 +158,10 @@ def render_roc_svg(
             'fill="#333333">convex hull</text>'
         )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # The closing newline goes in the last part: adding it to the joined
+    # text would copy the whole document once more.
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def _escape(text: str) -> str:

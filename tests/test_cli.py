@@ -1,13 +1,18 @@
 import json
 import os
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rocqe.bootstrap as bootstrap_module
 import rocqe.cli as cli_module
-from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation
+import rocqe.svgplot as svgplot_module
+from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation, build_roc
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
+from rocqe.svgplot import SvgSeries, render_roc_svg
 from helpers import exact_auc
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
@@ -384,8 +389,12 @@ class TestRocCommand:
         assert "Infinity" not in out
         json.loads(out)  # must stay strictly valid
 
-    def test_svg_polyline_matches_per_point_formatting(self):
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_svg_polyline_matches_per_point_formatting(self, block, monkeypatch):
         from rocqe.svgplot import _fmt, _polyline, _x, _y
+
+        if block is not None:
+            monkeypatch.setattr(svgplot_module, "_POINTS_PER_BLOCK", block)
 
         rng = np.random.default_rng(11)
         # Tied and repeated rates, as on a curve whose steps move one class.
@@ -747,3 +756,95 @@ class TestColumnarPath:
         assert code == 4
         assert out == ""
         assert "MB" in err and "lower --bootstrap" in err
+
+
+def _write_column(path, header: str, ids, values) -> str:
+    lines = [f"segment_id\t{header}"] + [f"{i}\t{float(v)!r}" for i, v in zip(ids, values)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestReportMemory:
+    """roc and hull write the SVG first, then one metric's entry at a time."""
+
+    @staticmethod
+    def _three_metrics(tmp_path) -> list[str]:
+        rng = np.random.default_rng(31)
+        ids = [f"s{i:04d}" for i in range(300)]
+        positive = rng.random(300) < 0.3
+        argv = ["--gold", _write_column(tmp_path / "gold.tsv", "mqm_score", ids, -5.0 * positive)]
+        for name in ("a", "b", "c"):
+            scores = np.round(rng.normal(size=300) + positive, 2)
+            path = _write_column(tmp_path / f"{name}.tsv", "score", ids, scores)
+            argv += ["--scores", f"{name}={path}"]
+        return argv
+
+    @pytest.mark.parametrize("command", ["roc", "hull"])
+    def test_one_metric_texts_alive_at_a_time(self, command, tmp_path, capsys, monkeypatch):
+        svg = tmp_path / "plot.svg"
+        spelled = []
+        original = cli_module._threshold_texts
+
+        def spy(curve):
+            assert svg.stat().st_size > 0, "report texts were spelled before the SVG went out"
+            assert all(ref() is None for ref in spelled), "an earlier metric's texts are alive"
+            texts = original(curve)
+            spelled.append(weakref.ref(texts))
+            return texts
+
+        monkeypatch.setattr(cli_module, "_threshold_texts", spy)
+        argv = [command, *self._three_metrics(tmp_path), "--svg", str(svg)]
+        if command == "roc":
+            argv += ["--bootstrap", "20"]
+        doc = run_json(argv, capsys)
+        assert len(spelled) == 3
+        assert sorted(doc["results"]["metrics"]) == ["a", "b", "c"]
+
+    def test_second_band_over_the_limit_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # Every fifth of 150 segments is an error. Metric a scores the first
+        # 60 (48 negatives: a 101-point grid), b all of them (120: 121 points).
+        ids = [f"s{i:03d}" for i in range(150)]
+        positive = np.arange(150) % 5 == 0
+        scores = np.round(np.linspace(0.0, 1.0, 150) + positive, 3)
+        gold = _write_column(tmp_path / "gold.tsv", "mqm_score", ids, -5.0 * positive)
+        a = _write_column(tmp_path / "a.tsv", "score", ids[:60], scores[:60])
+        b = _write_column(tmp_path / "b.tsv", "score", ids, scores)
+        svg, out = tmp_path / "plot.svg", tmp_path / "report.json"
+        sizes = []
+        original = cli_module.confidence_band
+
+        def spy(dataset, config):
+            sizes.append(dataset.total)
+            return original(dataset, config)
+
+        monkeypatch.setattr(cli_module, "confidence_band", spy)
+        # 20 buffered rows fit 111 grid points: a's band passes, b's does not.
+        monkeypatch.setattr(bootstrap_module, "MAX_BAND_MATRIX_BYTES", 20 * 111 * 8)
+        code, stdout, err = run_cli(
+            ["roc", "--gold", gold, "--scores", f"a={a}", "--scores", f"b={b}",
+             "--bootstrap", "20", "--svg", str(svg), "--out", str(out)],
+            capsys,
+        )
+        assert code == 4
+        assert "lower --bootstrap" in err
+        assert sizes == [60, 150]
+        assert stdout == ""
+        assert not svg.exists() and not out.exists()
+
+    def test_svg_render_allocates_about_twice_its_size(self):
+        rng = np.random.default_rng(50_000)
+        positive = rng.random(50_000) < 0.3
+        scores = rng.normal(size=50_000) + positive
+        curve = build_roc(Dataset.from_columns(np.arange(50_000).astype(str), scores, positive))
+        assert curve.thresholds.size == 50_001
+        series = [SvgSeries("m", curve)]
+        curve.fpr, curve.tpr  # cached before the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            svg = render_roc_svg(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(svg, str)
+        assert peak - before <= 2 * len(svg) + 1.5 * 2**20, (peak - before, len(svg))

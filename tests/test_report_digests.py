@@ -4,7 +4,9 @@ Reports are byte-identical for fixed inputs and flags, and that is part of
 the contract. Each case below runs one CLI command from inside its input
 directory (so the relative paths echoed in the report's config block do not
 depend on where the checkout lives) and compares the digest of what the
-command writes to stdout against the value frozen here.
+command writes to stdout against the value frozen here. A case that writes
+an SVG also compares the digest of that file, under the case name plus
+".svg".
 
 A refactor or speed-up must leave every digest unchanged. A deliberate
 numeric change refreshes them once, and says so in CHANGES.md.
@@ -62,6 +64,8 @@ def synthetic_dir(tmp_path_factory) -> str:
 
 
 BOOT = ["--bootstrap", "200", "--seed", "7"]
+# Stands for the SVG path in a case; each run writes to its own tmp_path.
+SVG_OUT = "<svg>"
 
 SAMPLE10 = [
     "--gold", "sample10.gold.tsv",
@@ -104,6 +108,9 @@ def _cases(prefix: str, one: list[str], hull: list[str]) -> dict[str, list[str]]
         f"{prefix}/table": ["table", *one],
         f"{prefix}/hull": ["hull", *hull],
         f"{prefix}/diagnose": ["diagnose", *hull, *BOOT],
+        f"{prefix}/roc-svg-b200": ["roc", *one, *BOOT, "--svg", SVG_OUT],
+        f"{prefix}/roc2-svg-b200": ["roc", *hull, *BOOT, "--svg", SVG_OUT],
+        f"{prefix}/hull-svg": ["hull", *hull, "--svg", SVG_OUT],
     }
 
 
@@ -116,24 +123,42 @@ CASES = {
 DIGESTS = {
     "sample10/diagnose": "950a24145a7b31d6509938d773b60726c4baf99cd0a2480368b8a2d7d49cf577",
     "sample10/hull": "d41e6d5dbd0515e428c02e5c052567275be6dd9dead9eb8f04393408311451ab",
+    "sample10/hull-svg": "d41e6d5dbd0515e428c02e5c052567275be6dd9dead9eb8f04393408311451ab",
+    "sample10/hull-svg.svg": "c625c3838fc87607fc19136a3f745da0eb3ea1db865e39d97c2940f46df02bc1",
     "sample10/roc-b200-w1": "6d67c114b98696f407f6a73e265c23ce03b6da2df484639e67c86b2006963bd1",
     "sample10/roc-b200-w2": "6d67c114b98696f407f6a73e265c23ce03b6da2df484639e67c86b2006963bd1",
+    "sample10/roc-svg-b200": "6d67c114b98696f407f6a73e265c23ce03b6da2df484639e67c86b2006963bd1",
+    "sample10/roc-svg-b200.svg": "c20d061e0376483426204de7be84469881788dfd5c03b782e8769f25e31312dc",
+    "sample10/roc2-svg-b200": "5fb5cb9840247a8dece8bc0d1b31c61d763a6ecf5263028af819dca4a83dbb58",
+    "sample10/roc2-svg-b200.svg": "f84d2a6d31a262025238db63d47217427acda17c08f572089f583e8118821846",
     "sample10/scenario1-band": "5e4a6b8d8acf61538ac855ba5cba393efd327f8dfc6421c1af332af419d376fd",
     "sample10/scenario1-replicate": "15d84fd13bbf20b36d493b8ee372b9b771b1a7003fc0ed37c3cb3d3a32ee340f",
     "sample10/scenario2": "b65af6bad0ae7d29c4981b63829e1640687ffa5ba215e0475b2919025a105e04",
     "sample10/table": "1d3280657f92b3f6649fb52e8fac53d40d539f5d48514d736100a59db40d37ab",
     "synth2k/diagnose": "88445124b1fe070fd8ffc6a5402cf88e2fde63d65fd5e02580d583ce3ea2a7c3",
     "synth2k/hull": "635a7eb8d42f3dac6d6d6529ad03fb3021cfbf2c9e1c1f53d11b1dea591635fe",
+    "synth2k/hull-svg": "635a7eb8d42f3dac6d6d6529ad03fb3021cfbf2c9e1c1f53d11b1dea591635fe",
+    "synth2k/hull-svg.svg": "516164084df9b724ed521081b5e995f9112c8195993a8758218f19e6308abb47",
     "synth2k/roc-b200-w1": "e028952268cf9eb0bdc039e900451b08e3014560d6d6fd137e07a60038bf74cf",
     "synth2k/roc-b200-w2": "e028952268cf9eb0bdc039e900451b08e3014560d6d6fd137e07a60038bf74cf",
+    "synth2k/roc-svg-b200": "e028952268cf9eb0bdc039e900451b08e3014560d6d6fd137e07a60038bf74cf",
+    "synth2k/roc-svg-b200.svg": "67f274657b4f5dab478f686c4b3ad5bbd5f4e10893e08e7b9d1e2aea6230de87",
+    "synth2k/roc2-svg-b200": "72c6660a1e98596c7dd2a1dc68b12004e0c93ef9f4f1045a1309c1fb8fd6b71a",
+    "synth2k/roc2-svg-b200.svg": "77495a37359473bae43f069a7355b21ff739ac482c64ce555c365dfd5f2046b6",
     "synth2k/scenario1-band": "c6a4e4fb018ddd1feaa084dc1415a75eb35f4abe3a8215ac837d83765e9b2682",
     "synth2k/scenario1-replicate": "44d0ecded3b21e90ca689a5e91c59d08c9e66f72519e40e3959c2233ef729c1d",
     "synth2k/scenario2": "71420bc14b1fb14f4653aeab3b01c5e420c29b8c1bceefcce4b736ff777f3b34",
     "synth2k/table": "2dad83885520445afe6d441cfe7845275dec2a6a1c7b14a1af19abfe6fa554ed",
     "wmt_mini/diagnose": "778ba1a05224508fc6e8fb6aac8febd673fd84ab57ccf98473492432675a7c4a",
     "wmt_mini/hull": "793eabb512c52991de59c91431561605dfe89b8aac96aeeee33ec22380d70fa8",
+    "wmt_mini/hull-svg": "793eabb512c52991de59c91431561605dfe89b8aac96aeeee33ec22380d70fa8",
+    "wmt_mini/hull-svg.svg": "d5dc313ef2a191cc35f39a0c55842c360fe0f2dcc2158602440dcf3f9d4e5e4c",
     "wmt_mini/roc-b200-w1": "095a9b04e222324cc3569b915cfd0c6e4180ed63328f7f1f62b6f36b72e4ca17",
     "wmt_mini/roc-b200-w2": "095a9b04e222324cc3569b915cfd0c6e4180ed63328f7f1f62b6f36b72e4ca17",
+    "wmt_mini/roc-svg-b200": "095a9b04e222324cc3569b915cfd0c6e4180ed63328f7f1f62b6f36b72e4ca17",
+    "wmt_mini/roc-svg-b200.svg": "5f83192c90a2a134ac4e767ded9543dcec56bbaec4e4f4d6aba001ef61c80d39",
+    "wmt_mini/roc2-svg-b200": "337fa0d99b951b1e450b0a0c289bbd2567b06573def26539d5e32be687c8fd70",
+    "wmt_mini/roc2-svg-b200.svg": "7b4e1eef9afebd5dabd5e801c7aef4dfe956356ea81aada7328f979136bb1ff6",
     "wmt_mini/scenario1-band": "47056d159a150bb5dcb2b25118a925309d8cd63a2fcd91dffa2bf8b5ffb3c7f3",
     "wmt_mini/scenario1-replicate": "2a7253c85619d8e53a3c801a7f0ea225b9a58139a770da0d2497969a6bd531d3",
     "wmt_mini/scenario2": "be9dca6bc1d7f9a7d8979abd2c884c21bdac3ed3dd5383932184eb1af7342dbe",
@@ -142,14 +167,19 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_digest_is_frozen(name, synthetic_dir, monkeypatch, capsys):
+def test_report_digest_is_frozen(name, synthetic_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(synthetic_dir if name.startswith("synth2k/") else FIXTURES)
     monkeypatch.delenv("ROCQE_SEED", raising=False)
-    code = main(CASES[name])
+    svg = str(tmp_path / "plot.svg")
+    code = main([svg if arg == SVG_OUT else arg for arg in CASES[name]])
     out, err = capsys.readouterr()
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[name]
+    if SVG_OUT in CASES[name]:
+        with open(svg, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == DIGESTS[name + ".svg"]
 
 
 def test_every_case_has_a_digest():
-    assert sorted(DIGESTS) == sorted(CASES)
+    svg_cases = [name + ".svg" for name, argv in CASES.items() if SVG_OUT in argv]
+    assert sorted(DIGESTS) == sorted([*CASES, *svg_cases])

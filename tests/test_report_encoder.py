@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -200,3 +201,31 @@ class TestRows:
         ):
             with pytest.raises(TypeError):
                 _to_json(_Rows(name=column))
+
+
+class _Entry(dict):
+    """A dict that can be weakly referenced."""
+
+
+class TestDeferred:
+    @pytest.mark.parametrize("value", [{"b": [1, 2.5, None], "a": np.array([0.5, math.nan])}, [], 3])
+    def test_encodes_like_its_value(self, value):
+        for wrap in (lambda x: x, lambda x: {"outer": {"inner": x}}, lambda x: [x, 1]):
+            assert _to_json(wrap(cli._Deferred(lambda: value))) == reference_json(wrap(value))
+
+    def test_built_in_key_order_and_dropped_once_written(self):
+        built = []
+
+        def build(name):
+            assert all(ref() is None for _, ref in built), "an earlier entry is alive"
+            entry = _Entry(name=name, rows=_Rows(x=np.arange(3)))
+            built.append((name, weakref.ref(entry)))
+            return entry
+
+        document = {name: cli._Deferred(build, name) for name in ("c", "a", "b")}
+        assert not built
+        rows = _row_dicts({"x": np.arange(3)})
+        assert _to_json(document) == reference_json(
+            {name: {"name": name, "rows": rows} for name in document}
+        )
+        assert [name for name, _ in built] == ["a", "b", "c"]
