@@ -176,6 +176,15 @@ def nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
     return sorted_values[_rank(q, sorted_values.shape[0]) - 1]
 
 
+def nearest_rank_interval(sorted_values: np.ndarray, confidence: float) -> tuple[float, float]:
+    """The two-sided percentile interval: nearest ranks at (1 -+ confidence) / 2."""
+    alpha = 1.0 - confidence
+    return (
+        float(nearest_rank(sorted_values, alpha / 2.0)),
+        float(nearest_rank(sorted_values, 1.0 - alpha / 2.0)),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ConfidenceBand:
     """Pointwise percentile band plus the AUC interval from one resample run.
@@ -306,10 +315,7 @@ def confidence_band(
         upper_tpr=upper,
         point_tpr=_grid_tpr(tp, fp, p, n, grid, fp_at),
         auc_point=count_auc(tp, fp),
-        auc_interval=(
-            float(nearest_rank(aucs, alpha / 2.0)),
-            float(nearest_rank(aucs, 1.0 - alpha / 2.0)),
-        ),
+        auc_interval=nearest_rank_interval(aucs, config.confidence),
         confidence=config.confidence,
         iterations=config.iterations,
         seed=config.seed,

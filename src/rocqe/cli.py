@@ -15,7 +15,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
@@ -26,7 +26,6 @@ from . import __version__
 from .bootstrap import BootstrapConfig, ConfidenceBand, band_width_summary, confidence_band
 from .decision import (
     ClassRatio,
-    DecisionReport,
     QeRocTable,
     TradeOff,
     check_review_efficacy,
@@ -265,12 +264,15 @@ def _encode(obj, level: int) -> Iterator[str]:
     """JSON text of ``obj`` in pieces, nested ``level`` deep in the report.
 
     The text matches ``json.dumps(..., sort_keys=True, indent=2)`` with
-    enums given by value, numpy scalars and arrays as Python numbers and
-    lists, tuples as lists, dict keys through ``str``, and NaN/+-inf
-    written as the strings "nan", "inf" and "-inf".
+    enums given by value, dataclass instances as the dict of their fields,
+    numpy scalars and arrays as Python numbers and lists, tuples as lists,
+    dict keys through ``str``, and NaN/+-inf written as the strings "nan",
+    "inf" and "-inf".
     """
     if isinstance(obj, Enum):
         obj = obj.value
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        obj = _fields(obj)
     if isinstance(obj, dict):
         items = {str(key): value for key, value in obj.items()}
         separator = "{"
@@ -313,6 +315,11 @@ def _encode(obj, level: int) -> Iterator[str]:
         yield "[]" if not size else _newline(level) + "]"
     else:
         yield _leaf_text(obj)
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, values as they are (not copied)."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
 def _leaf_text(obj) -> str:
@@ -383,7 +390,7 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "rocqe", "version": __version__},
         "config": config,
-        "ingest": {m: asdict(r) for m, r in loaded.ingest_reports.items()},
+        "ingest": loaded.ingest_reports,
         "diagnostics": {
             "note": REPRESENTATIVENESS_NOTE,
             "findings": findings,
@@ -453,36 +460,6 @@ def _pr_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
     return _Rows(recall=points.recall, precision=points.precision, threshold=_JsonTexts(thresholds[1:]))
 
 
-def _band_dict(band: ConfidenceBand) -> dict:
-    width = band_width_summary(band)
-    return {
-        "fpr_grid": band.fpr_grid,
-        "lower_tpr": band.lower_tpr,
-        "upper_tpr": band.upper_tpr,
-        "point_tpr": band.point_tpr,
-        "auc_point": band.auc_point,
-        "auc_interval": list(band.auc_interval),
-        "confidence": band.confidence,
-        "iterations": band.iterations,
-        "seed": band.seed,
-        "degenerate_replicates": band.degenerate_replicates,
-        "max_width": width.max_width,
-        "mean_width": width.mean_width,
-    }
-
-
-def _decision_dict(report: DecisionReport) -> dict:
-    return {
-        "scenario": report.scenario.value,
-        "threshold_raw": report.threshold_raw,
-        "threshold_canonical": report.threshold_canonical,
-        "review_fraction": report.review_fraction,
-        "residual_fn_per_100": report.residual_fn_per_100,
-        "ci": list(report.ci) if report.ci is not None else None,
-        "notes": list(report.notes),
-    }
-
-
 def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
     """One metric's ``roc`` report entry."""
     thresholds = _threshold_texts(curve)
@@ -490,7 +467,9 @@ def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
         "auc": auc(curve),
         "vertices": _vertex_rows(curve, thresholds),
         "pr_points": _pr_rows(curve, thresholds),
-        "band": _band_dict(band) if band is not None else None,
+        "band": (
+            {**_fields(band), **_fields(band_width_summary(band))} if band is not None else None
+        ),
     }
 
 
@@ -521,7 +500,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         if config is not None:
             band = confidence_band(dataset, config)
             metric_findings.extend(check_band(band))
-        findings[metric] = [asdict(f) for f in metric_findings]
+        findings[metric] = metric_findings
         series.append(SvgSeries(metric, curve, band))
 
     if args.svg:
@@ -623,12 +602,11 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             bootstrap=config,
         )
 
-    results: dict = {"metric": metric, "decision": _decision_dict(report)}
+    results: dict = {"metric": metric, "decision": report}
     if trade_off is not None:
-        optimal = optimal_threshold(build_roc(dataset), trade_off, ratio)
-        results["optimal"] = _decision_dict(optimal)
+        results["optimal"] = optimal_threshold(build_roc(dataset), trade_off, ratio)
 
-    findings = {metric: [asdict(f) for f in check_sample(dataset)]}
+    findings = {metric: check_sample(dataset)}
     _emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)
     return 0
 
@@ -637,31 +615,19 @@ def cmd_hull(args: argparse.Namespace) -> int:
     if len(args.scores) < 2:
         raise ValueError("the hull command needs at least two --scores metrics")
     seed = _resolve_seed(args)
+    _bootstrap_config(args, seed)  # the report's config records these flags
     loaded = _load(args)
     _restrict_to_common_ids(loaded)
 
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull(curves)
-    findings = {
-        m: [asdict(f) for f in check_sample(loaded.datasets[m])] for m in loaded.metrics
-    }
+    findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
         _emit([render_roc_svg(series, hull=hull)], args.svg)
 
     results = {
-        "hull": {
-            "vertices": [
-                {
-                    "fpr": v.fpr,
-                    "tpr": v.tpr,
-                    "source_system": v.source_system,
-                    "threshold": v.threshold,
-                    "threshold_raw": v.threshold_raw,
-                }
-                for v in hull.vertices
-            ],
-        },
+        "hull": {"vertices": hull.vertices},
         "metrics": {m: _Deferred(_hull_entry, c) for m, c in curves},
     }
     _emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
@@ -693,10 +659,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 "mean_width": width.mean_width,
                 "degenerate_replicates": band.degenerate_replicates,
                 "auc_point": band.auc_point,
-                "auc_interval": list(band.auc_interval),
+                "auc_interval": band.auc_interval,
             }
         results["metrics"][metric] = entry
-        findings[metric] = [asdict(f) for f in metric_findings]
+        findings[metric] = metric_findings
 
     _emit(_report_json("diagnose", args, loaded, seed, results, findings), args.out)
     return 0

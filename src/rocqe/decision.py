@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank
+from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
 from .model import Dataset, Label, require_both_classes
 from .roc import RocCurve, _upper_hull, build_roc, raw_threshold
 
@@ -296,7 +296,7 @@ def scenario1_residual_risk(
     if bootstrap is not None:
         if ci_method == "replicate":
             values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
-            ci = _percentile_ci(values, bootstrap.confidence)
+            ci = nearest_rank_interval(values, bootstrap.confidence)
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
         elif ci_method == "band":
             band = confidence_band(dataset, bootstrap)
@@ -356,7 +356,7 @@ def scenario2_required_effort(
     ci = None
     if bootstrap is not None:
         values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
-        ci = _percentile_ci(values, bootstrap.confidence)
+        ci = nearest_rank_interval(values, bootstrap.confidence)
         notes.append("ci covers review_fraction (replicate percentile method)")
     return _report(Scenario.RISK_TARGET, curve, idx, review_efficacy, ci, notes)
 
@@ -426,14 +426,6 @@ def _report(
         residual_fn_per_100=_residual_per_100(tp, curve.p_count, total, efficacy),
         ci=ci,
         notes=tuple(notes),
-    )
-
-
-def _percentile_ci(sorted_values: np.ndarray, confidence: float) -> tuple[float, float]:
-    alpha = 1.0 - confidence
-    return (
-        float(nearest_rank(sorted_values, alpha / 2.0)),
-        float(nearest_rank(sorted_values, 1.0 - alpha / 2.0)),
     )
 
 

@@ -237,20 +237,28 @@ class RocHull:
         return np.array([v.tpr for v in self.vertices])
 
 
-def _upper_hull(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
-    """Indices of the upper convex hull of distinct count points sorted by (fp, tp).
+def _corners(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Indices of the staircase corners of distinct count points sorted by (fp, tp).
 
     The last point must be the largest in both coordinates, as (N, P) is on
-    every ROC curve, so the hull rises from the first point to the last.
-    Between them only a staircase corner can be a vertex: the highest point
-    at its fp that lies above every point left of it. Those are picked with
-    numpy; Andrew's monotone chain then runs over them on Python ints, so
-    every orientation test is exact. The chain starts at the first point
-    and drops collinear middle points.
+    every ROC curve. A corner is the first point, the last, or a point that
+    is the highest at its fp and lies above every point left of it. Only a
+    corner can be a vertex of the upper hull that rises from the first point
+    to the last.
     """
     corner = np.ones(fp.size, dtype=bool)
     corner[1:-1] = (fp[1:-1] != fp[2:]) & (tp[1:-1] > np.maximum.accumulate(tp)[:-2])
-    keep = np.flatnonzero(corner)
+    return np.flatnonzero(corner)
+
+
+def _upper_hull(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull of distinct count points sorted by (fp, tp).
+
+    The points must be as ``_corners`` requires. Andrew's monotone chain
+    runs over their corners on Python ints, so every orientation test is
+    exact; it starts at the first point and drops collinear middle points.
+    """
+    keep = _corners(fp, tp)
     xs, ys = fp[keep].tolist(), tp[keep].tolist()
     hull: list[int] = []
     for i, (x, y) in enumerate(zip(xs, ys)):
@@ -262,6 +270,19 @@ def _upper_hull(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
             hull.pop()
         hull.append(i)
     return keep[hull]
+
+
+def _merged_corners(curves: Sequence[RocCurve]) -> tuple[np.ndarray, ...]:
+    """Columns (fp, tp, k, index) of the corners of curve k, for k = 0, 1, ... in turn.
+
+    A vertex of the hull of all curves is a vertex of its own curve's hull,
+    so a corner of that curve: the other vertices need not be merged.
+    """
+    merged = []
+    for k, curve in enumerate(curves):
+        keep = _corners(curve.fp, curve.tp)
+        merged.append((curve.fp[keep], curve.tp[keep], np.full(keep.size, k), keep))
+    return tuple(map(np.concatenate, zip(*merged)))
 
 
 def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
@@ -291,22 +312,20 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
             )
 
     ranked = sorted(curves, key=lambda item: (item[1].thresholds.size, item[0]))
-    fp, tp, thresholds, raw, source = map(np.concatenate, zip(*(
-        (c.fp, c.tp, c.thresholds, c.thresholds_raw, np.full(c.fp.size, k))
-        for k, (_, c) in enumerate(ranked)
-    )))
+    fp, tp, source, index = _merged_corners([c for _, c in ranked])
     p, n = first.p_count, first.n_count
     # One entry per point, sorted by (fp, tp): np.unique keeps each point's
     # first entry, which is the best-ranked curve's.
     points = np.unique(fp * (p + 1) + tp, return_index=True)[1]
     chosen = points[_upper_hull(fp[points], tp[points])]
-    vertices = tuple(
-        HullVertex(f / n, t / p, ranked[k][0], th, r)
-        for f, t, k, th, r in zip(
-            *(column[chosen].tolist() for column in (fp, tp, source, thresholds, raw))
+    vertices = []
+    for f, t, k, i in zip(*(column[chosen].tolist() for column in (fp, tp, source, index))):
+        name, curve = ranked[k]
+        threshold = float(curve.thresholds[i])
+        vertices.append(
+            HullVertex(f / n, t / p, name, threshold, raw_threshold(threshold, curve.orientation))
         )
-    )
-    return RocHull(vertices, p, n, first.fingerprint)
+    return RocHull(tuple(vertices), p, n, first.fingerprint)
 
 
 class PrPoints(NamedTuple):

@@ -27,7 +27,7 @@ from rocqe import (
 )
 from rocqe.bootstrap import fpr_grid, nearest_rank
 from rocqe.ingest import MAX_WARNINGS
-from rocqe.roc import raw_threshold
+from rocqe.roc import HullVertex, RocHull, raw_threshold
 
 # The worked 10-segment example: (segment_id, raw QE score, has_error).
 # Scores are higher-is-better; six segments carry errors.
@@ -179,6 +179,32 @@ def monotone_chain(fp: list[int], tp: list[int]) -> list[int]:
             hull.pop()
         hull.append(i)
     return hull
+
+
+def reference_convex_hull(curves) -> RocHull:
+    """Hull of named curves over one ground truth, merging every vertex of every curve.
+
+    How ``roc.convex_hull`` worked before it merged only each curve's
+    staircase corners: it concatenates all vertices with their thresholds
+    on both scales, keeps each point's best-ranked entry and runs the full
+    monotone chain over them.
+    """
+    ranked = sorted(curves, key=lambda item: (item[1].thresholds.size, item[0]))
+    fp, tp, thresholds, raw, source = map(np.concatenate, zip(*(
+        (c.fp, c.tp, c.thresholds, c.thresholds_raw, np.full(c.fp.size, k))
+        for k, (_, c) in enumerate(ranked)
+    )))
+    first = curves[0][1]
+    p, n = first.p_count, first.n_count
+    points = np.unique(fp * (p + 1) + tp, return_index=True)[1]
+    chosen = points[monotone_chain(fp[points].tolist(), tp[points].tolist())]
+    vertices = tuple(
+        HullVertex(f / n, t / p, ranked[k][0], th, r)
+        for f, t, k, th, r in zip(
+            *(column[chosen].tolist() for column in (fp, tp, source, thresholds, raw))
+        )
+    )
+    return RocHull(vertices, p, n, first.fingerprint)
 
 
 def exact_pick(curve, trade_off, ratio=None) -> int:

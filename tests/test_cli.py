@@ -182,6 +182,16 @@ class TestExitCodes:
             pytest.param(
                 ["diagnose", *SCORES, "--bootstrap", "1"], None, id="diagnose-iterations"
             ),
+            pytest.param(
+                ["hull", *SCORES, *RISKB, "--bootstrap", "5", "--workers", "0"],
+                None,
+                id="hull-workers",
+            ),
+            pytest.param(
+                ["hull", *SCORES, *RISKB, "--bootstrap", "10", "--confidence", "1.5"],
+                None,
+                id="hull-confidence",
+            ),
         ],
     )
     @pytest.mark.parametrize("gold", [GOLD[1], "nope.tsv"])

@@ -2,17 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from rocqe import Label, Orientation
+from rocqe import (
+    BootstrapConfig,
+    DecisionReport,
+    Finding,
+    HullVertex,
+    IngestReport,
+    Label,
+    Orientation,
+    Scenario,
+    build_roc,
+    confidence_band,
+    convex_hull,
+)
 from rocqe import cli
 from rocqe.cli import _json_chunks, _Rows
 from rocqe.texts import run_texts
-from helpers import reference_json
+from helpers import reference_json, sample10_dataset
 
 LEAVES = [
     0.0, -0.0, 1.0, 0.1, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 123456789.0,
@@ -90,11 +103,54 @@ class TestContainers:
             _same(make(0))
 
     def test_unsupported_object_raises_like_the_oracle(self):
-        for document in (object(), {"a": [1, {2, 3}]}, np.bool_(True)):
+        for document in (object(), {"a": [1, {2, 3}]}, np.bool_(True), HullVertex):
             with pytest.raises(TypeError):
                 reference_json(document)
             with pytest.raises(TypeError):
                 _to_json(document)
+
+
+def _result_objects() -> list:
+    """One of each library result type the reports carry."""
+    dataset = sample10_dataset()
+    curve = build_roc(dataset)
+    band = confidence_band(dataset, BootstrapConfig(iterations=20, seed=4))
+    hull = convex_hull([("a", curve)])
+    return [
+        DecisionReport(Scenario.REVIEW_BUDGET, -math.inf, math.inf, 0.0, 60.0),
+        DecisionReport(
+            Scenario.OPTIMAL_THRESHOLD, 95.0, -95.0, 0.5, 10.0,
+            ci=(0.25, 0.75), notes=("one", "two"),
+        ),
+        band,
+        *hull.vertices,
+        IngestReport(5, 2, 1, 1, 1, warnings=("line 3: malformed", "line 4: \"quoted\"")),
+        IngestReport(1, 1, 0, 0, 0),
+        Finding("MIN_CLASS_BELOW_50", "positive class has 6 segments"),
+        Finding("BAND_TOO_WIDE", "width 0.6", severity="info"),
+    ]
+
+
+class TestDataclasses:
+    """Result objects encode as ``dataclasses.asdict`` of them would."""
+
+    @pytest.mark.parametrize("result", _result_objects(), ids=lambda x: type(x).__name__)
+    def test_alone_and_nested(self, result):
+        fields = dataclasses.asdict(result)
+        assert _to_json(result) == reference_json(fields)
+        assert _to_json({"k": result, "list": [result, (result,)]}) == reference_json(
+            {"k": fields, "list": [fields, [fields]]}
+        )
+
+    def test_all_together(self):
+        results = _result_objects()
+        assert _to_json({"results": results}) == reference_json(
+            {"results": [dataclasses.asdict(x) for x in results]}
+        )
+
+    def test_fields_are_not_copied(self):
+        band = confidence_band(sample10_dataset(), BootstrapConfig(iterations=20))
+        assert cli._fields(band)["lower_tpr"] is band.lower_tpr
 
 
 def _row_dicts(columns: dict) -> list[dict]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     monotone_chain,
     pairwise_auc,
     random_dataset,
+    reference_convex_hull,
     sample10_dataset,
 )
 
@@ -395,6 +397,93 @@ class TestConvexHull:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             convex_hull([])
+
+
+def _spelled(hull):
+    """Hull vertices with thresholds by repr, so 0.0 and -0.0 differ."""
+    return [
+        (v.fpr, v.tpr, v.source_system, repr(v.threshold), repr(v.threshold_raw))
+        for v in hull.vertices
+    ]
+
+
+class TestHullAgainstReference:
+    """``convex_hull`` merges only corners; the reference merges every vertex."""
+
+    @staticmethod
+    def _assert_same(curves):
+        hull, reference = convex_hull(curves), reference_convex_hull(curves)
+        assert _spelled(hull) == _spelled(reference)
+        assert (hull.p_count, hull.n_count, hull.fingerprint) == (
+            reference.p_count, reference.n_count, reference.fingerprint
+        )
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(80):
+            self._assert_same(heavy_tie_curves(rng, int(rng.integers(2, 400))))
+
+    def test_signed_zeros_and_both_orientations(self):
+        rng = np.random.default_rng(2005)
+        levels = np.array([-0.0, 0.0, -1.0, 1.0, -2.5, 2.5, math.inf, -math.inf])
+        for _ in range(80):
+            size = int(rng.integers(2, 60))
+            ids = [f"s{i:03d}" for i in range(size)]
+            positive = rng.random(size) < 0.5
+            positive[:2] = True, False
+            curves = [
+                (f"m{k}", build_roc(Dataset.from_columns(
+                    ids, rng.choice(levels[: int(rng.integers(2, 7))], size=size), positive,
+                    (Orientation.HIGHER_IS_BETTER, Orientation.HIGHER_IS_WORSE)[k % 2],
+                )))
+                for k in range(int(rng.integers(1, 5)))
+            ]
+            self._assert_same(curves)
+
+    def test_curves_that_share_points(self):
+        rng = np.random.default_rng(2006)
+        for _ in range(60):
+            (name, curve), *others = heavy_tie_curves(rng, int(rng.integers(4, 200)))
+            ds = curve.dataset
+            # The same scores under other names and orientations, and with
+            # a few segments moved: most vertices are shared.
+            moved = ds.raw_scores.copy()
+            hit = rng.random(moved.size) < 0.1
+            moved[hit] = rng.integers(0, 4, size=int(hit.sum()))
+            flipped = Dataset.from_columns(
+                ds.ids, -ds.raw_scores, ds.is_positive, Orientation.HIGHER_IS_BETTER
+            )
+            curves = [
+                (name, curve),
+                ("copy", build_roc(Dataset.from_columns(ds.ids, ds.raw_scores, ds.is_positive))),
+                ("flipped", build_roc(flipped)),
+                ("moved", build_roc(Dataset.from_columns(ds.ids, moved, ds.is_positive))),
+                *others,
+            ]
+            self._assert_same(curves)
+            self._assert_same(curves[::-1])
+
+    def test_three_hundred_thousand_vertices_in_bounded_memory(self):
+        rng = np.random.default_rng(2007)
+        size = 100_000
+        ids = [f"s{i:06d}" for i in range(size)]
+        positive = rng.random(size) < 0.4
+        curves = []
+        for k in range(3):
+            scores = rng.normal(size=size) + positive * (0.5 + 0.3 * k)
+            curve = build_roc(Dataset.from_columns(ids, scores, positive))
+            assert curve.fp.size == size + 1
+            curve.fingerprint  # hashed before the measurement
+            curves.append((f"m{k}", curve))
+        tracemalloc.start()
+        try:
+            hull = convex_hull(curves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Merging all five columns of every vertex peaked near 25 MB here.
+        assert peak <= 8 * 2**20, peak
+        assert _spelled(hull) == _spelled(reference_convex_hull(curves))
 
 
 class TestStaircasePrefilter:
