@@ -40,7 +40,7 @@ MIN_GRID_INTERVALS = 100
 # Largest buffer of replicate rows (rows x grid points, float64) a band may allocate.
 MAX_BAND_MATRIX_BYTES = 2 * 2**30
 # Fresh replicate rows a band buffers beside its kept rows between two sorts.
-_CHUNK_ROWS = 256
+_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)

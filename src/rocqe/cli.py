@@ -191,6 +191,9 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
 
 def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
     """Re-join datasets onto the ids every metric scored (hull needs one ground truth)."""
+    first, *others = (loaded.datasets[metric].ids for metric in loaded.metrics)
+    if all(np.array_equal(ids, first) for ids in others):
+        return  # every id is shared, and nothing is dropped
     common = set.intersection(*(set(ds.ids.tolist()) for ds in loaded.datasets.values()))
     if not common:
         raise IngestError("no segment ids are shared by every metric")
@@ -408,42 +411,68 @@ _NEGATED_WORDS = {'"inf"': '"-inf"', '"-inf"': '"inf"', '"nan"': '"nan"'}
 class _JsonTexts:
     """A ``_Rows`` column of JSON texts spelled beforehand, handed out by block.
 
-    ``texts`` is an object array of the JSON texts of x. With ``negated``
-    the column is -x: ``repr(-x)`` is ``repr(x)`` with the leading minus
-    toggled, so negated texts need no spelling, and only one block of them
-    is ever alive.
+    ``_JsonTexts.spell(x)`` spells the texts of a 1-d numeric array x once,
+    ``_ROWS_PER_BLOCK`` at a time, and keeps each such chunk as one
+    ``"\\n"``-joined str; a block of rows is split out of the one or two
+    chunks it covers. ``view`` gives the same texts from a row ``offset``
+    on, and with ``negated`` the column -x: ``repr(-x)`` is ``repr(x)``
+    with the leading minus toggled, so negated texts need no spelling.
     """
 
-    def __init__(self, texts: np.ndarray, negated: bool = False) -> None:
-        self.texts = texts
+    def __init__(self, chunks: list[str], chunk_rows: int, size: int,
+                 offset: int = 0, negated: bool = False) -> None:
+        self.chunks = chunks
+        self.chunk_rows = chunk_rows
+        self.size = size  # texts in the chunks
+        self.offset = offset
         self.negated = negated
-        self.shape = texts.shape
+        self.shape = (size - offset,)
+
+    @classmethod
+    def spell(cls, values: np.ndarray) -> "_JsonTexts":
+        rows = _ROWS_PER_BLOCK
+        chunks = [
+            "\n".join(run_texts(values[start:start + rows], _array_texts).tolist())
+            for start in range(0, values.size, rows)
+        ]
+        return cls(chunks, rows, values.size)
+
+    def view(self, offset: int = 0, negated: bool = False) -> "_JsonTexts":
+        return _JsonTexts(self.chunks, self.chunk_rows, self.size, self.offset + offset,
+                          self.negated != negated)
 
     def __getitem__(self, block: slice) -> np.ndarray:
-        if not self.negated:
-            return self.texts[block]
-        return np.array(
-            [
+        start, stop, _ = block.indices(self.shape[0])
+        start, stop = start + self.offset, max(start, stop) + self.offset
+        rows, texts = self.chunk_rows, []
+        for index in range(start // rows, -(-stop // rows)):
+            # Texts lo..hi - 1 of the chunk, split off no further than needed.
+            lo, hi = max(start - index * rows, 0), min(stop - index * rows, rows)
+            texts += self.chunks[index].split("\n", hi)[lo:hi]
+        if self.negated:
+            texts = [
                 t[1:] if t[0] == "-" else _NEGATED_WORDS[t] if t[0] == '"' else "-" + t
-                for t in self.texts[block].tolist()
-            ],
-            dtype=object,
-        )
+                for t in texts
+            ]
+        return np.array(texts, dtype=object)
 
 
-def _threshold_texts(curve: RocCurve) -> np.ndarray:
+def _threshold_texts(curve: RocCurve) -> _JsonTexts:
     """JSON texts of the curve's canonical thresholds, spelled once."""
-    return run_texts(curve.thresholds, _array_texts)
+    return _JsonTexts.spell(curve.thresholds)
 
 
-def _vertex_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
-    """One row per vertex; ``thresholds`` is the curve's ``_threshold_texts``."""
+def _vertex_rows(curve: RocCurve, thresholds: _JsonTexts, tpr) -> _Rows:
+    """One row per vertex; ``thresholds`` is the curve's ``_threshold_texts``.
+
+    ``tpr`` is ``curve.tpr`` or its ``_JsonTexts``.
+    """
     return _Rows(
         fpr=curve.fpr,
-        tpr=curve.tpr,
-        threshold=_JsonTexts(thresholds),
-        threshold_raw=_JsonTexts(
-            thresholds, negated=curve.orientation is Orientation.HIGHER_IS_BETTER
+        tpr=tpr,
+        threshold=thresholds,
+        threshold_raw=thresholds.view(
+            negated=curve.orientation is Orientation.HIGHER_IS_BETTER
         ),
         tp=curve.tp,
         fn=curve.p_count - curve.tp,
@@ -452,21 +481,27 @@ def _vertex_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
     )
 
 
-def _pr_rows(curve: RocCurve, thresholds: np.ndarray) -> _Rows:
-    """One row per PR point; ``thresholds`` is the curve's ``_threshold_texts``."""
-    points = pr_points(curve)
-    # Every vertex but the origin flags a segment, so the PR points are
-    # vertices 1..V.
-    return _Rows(recall=points.recall, precision=points.precision, threshold=_JsonTexts(thresholds[1:]))
+def _pr_rows(curve: RocCurve, thresholds: _JsonTexts, tpr: _JsonTexts) -> _Rows:
+    """One row per PR point, from the curve's vertex texts.
+
+    Every vertex but the origin flags a segment, so the PR points are
+    vertices 1..V: their thresholds are the vertex thresholds and their
+    recall is the vertex ``tpr``, both read from vertex 1 on.
+    """
+    return _Rows(
+        recall=tpr.view(offset=1),
+        precision=pr_points(curve).precision,
+        threshold=thresholds.view(offset=1),
+    )
 
 
 def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
     """One metric's ``roc`` report entry."""
-    thresholds = _threshold_texts(curve)
+    thresholds, tpr = _threshold_texts(curve), _JsonTexts.spell(curve.tpr)
     return {
         "auc": auc(curve),
-        "vertices": _vertex_rows(curve, thresholds),
-        "pr_points": _pr_rows(curve, thresholds),
+        "vertices": _vertex_rows(curve, thresholds, tpr),
+        "pr_points": _pr_rows(curve, thresholds, tpr),
         "band": (
             {**_fields(band), **_fields(band_width_summary(band))} if band is not None else None
         ),
@@ -475,7 +510,8 @@ def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
 
 def _hull_entry(curve: RocCurve) -> dict:
     """One metric's ``hull`` report entry."""
-    return {"auc": auc(curve), "vertices": _vertex_rows(curve, _threshold_texts(curve))}
+    vertices = _vertex_rows(curve, _threshold_texts(curve), curve.tpr)
+    return {"auc": auc(curve), "vertices": vertices}
 
 
 # roc and hull compute every curve, band and hull first, so all that can

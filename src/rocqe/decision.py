@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
-from .model import Dataset, Label, require_both_classes
+from .model import (
+    Dataset, Label, _frozen, _read_only, _strictly_increasing, require_both_classes,
+)
 from .roc import RocCurve, _upper_hull, build_roc, raw_threshold
 
 # Budget comparisons tolerate this much float dust; adjacent candidate sizes
@@ -67,9 +69,7 @@ class QeRocTable:
     def __post_init__(self) -> None:
         for name in ("segment_ids", "is_positive", "raw_scores", "tp", "fp"):
             dtype = object if name == "segment_ids" else None
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         if self.tp.size == 0:
             raise ValueError("a table needs at least one data row")
         if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
@@ -102,13 +102,17 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     p, n = dataset.p_count, dataset.n_count
     require_both_classes(p, n, "the QE-ROC table is undefined")
     ids = dataset.ids
-    by_id = sorted(range(ids.size), key=ids.tolist().__getitem__)
-    # Each row's place in the stable id sort: distinct, so equal ids keep
-    # their dataset order.
-    id_place = np.empty(ids.size, dtype=np.intp)
-    id_place[by_id] = np.arange(ids.size)
     ranking = dataset.ranking
-    order = np.argsort(ranking.group * ids.size + id_place)
+    if _strictly_increasing(ids):
+        # Dataset order is id order, as ``to_dataset`` leaves it.
+        order = np.argsort(ranking.group, kind="stable")
+    else:
+        by_id = sorted(range(ids.size), key=ids.tolist().__getitem__)
+        # Each row's place in the stable id sort: distinct, so equal ids
+        # keep their dataset order.
+        id_place = np.empty(ids.size, dtype=np.intp)
+        id_place[by_id] = np.arange(ids.size)
+        order = np.argsort(ranking.group * ids.size + id_place)
     group = ranking.group[order]
     tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
 
@@ -135,8 +139,8 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         fpr=1.0,
     )
     return QeRocTable(
-        ids[order], dataset.is_positive[order], dataset.raw_scores[order],
-        tp[group], fp[group], (top, bottom), p, n,
+        *(_frozen(column[order]) for column in (ids, dataset.is_positive, dataset.raw_scores)),
+        _frozen(tp[group]), _frozen(fp[group]), (top, bottom), p, n,
     )
 
 

@@ -21,7 +21,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
-from .model import Dataset, Orientation, _frozen, _strictly_increasing, canonicalize
+from .model import (
+    Dataset, Orientation, _frozen, _read_only, _strictly_increasing, canonicalize,
+)
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
@@ -66,9 +68,9 @@ class CanonicalRecords(Sequence):
     """
 
     def __init__(self, metric: str, ids, mqm_scores, scores) -> None:
-        ids = _frozen(np.array(ids, dtype=object))
-        mqm_scores = _frozen(np.array(mqm_scores, dtype=np.float64))
-        scores = _frozen(np.array(scores, dtype=np.float64))
+        ids = _read_only(ids, object)
+        mqm_scores = _read_only(mqm_scores, np.float64)
+        scores = _read_only(scores, np.float64)
         if not (ids.ndim == 1 and ids.shape == mqm_scores.shape == scores.shape):
             raise ValueError("ids, mqm_scores and scores must be 1-d arrays of one length")
         if not (np.isfinite(mqm_scores).all() and np.isfinite(scores).all()):
@@ -136,7 +138,7 @@ def _number(text: str) -> Optional[float]:
 
 
 def _scan(
-    path: str, header: bool
+    path: str, header: bool, known: Optional[list[str]] = None
 ) -> tuple[list[str], np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
     """Read a `key<TAB>value` file once, a block of lines at a time.
 
@@ -149,8 +151,15 @@ def _scan(
     key and a number or missing marker; its value is NaN when missing or not
     finite. Any other line is malformed, except that with ``header`` line 1
     is skipped when its value is neither.
+
+    While the file's keys equal the leading keys of ``known``, they are
+    only counted, not kept, and ``keys`` is ``known`` itself (or the
+    prefix of it they equal): a file keyed like ``known`` costs no second
+    key list.
     """
     keys: list[str] = []
+    # Keys read so far that equal known's; only counted while ``shared``.
+    shared, matched = known is not None, 0
     values: list[np.ndarray] = [np.zeros(0)]  # an empty file has empty columns
     numbers: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     problems: list[tuple[int, str, str]] = []
@@ -202,12 +211,19 @@ def _scan(
                 rows = np.array([note is None for note in notes], dtype=bool)
                 block_keys, parsed = list(compress(block_keys, rows)), list(compress(parsed, rows))
                 at = at[rows]
-            keys += block_keys
+            if shared and block_keys == known[matched : matched + len(block_keys)]:
+                matched += len(block_keys)
+            else:
+                if shared:
+                    keys, shared = known[:matched], False
+                keys += block_keys
             values.append(np.array(parsed, dtype=np.float64))
             numbers.append(at)
             malformed += len(found)
             # The field-count problems were found before the others.
             problems += sorted(found)[: MAX_WARNINGS - len(problems)]
+    if shared:
+        keys = known if matched == len(known) else known[:matched]
     column = np.concatenate(values)
     column[~np.isfinite(column)] = math.nan
     return keys, column, np.concatenate(numbers), problems, malformed
@@ -222,7 +238,7 @@ def _first_repeat(keys: list[str]) -> Optional[int]:
 
 
 def _read_two_column(
-    path: str, strict: bool
+    path: str, strict: bool, known: Optional[list[str]] = None
 ) -> tuple[list[str], np.ndarray, int, list[str]]:
     """Read a `key<TAB>value` file: (keys, values, malformed_count, warnings).
 
@@ -231,13 +247,18 @@ def _read_two_column(
     skipped, or raised in strict mode, where the first of the two in line
     order raises. Only the first ``MAX_WARNINGS`` malformed lines get a
     warning; ``malformed_count`` counts them all. Keys come in line order;
-    a missing value is NaN.
+    a missing value is NaN. ``known`` is the key list of a file read
+    before, free of repeats; when this file has the same keys, ``keys`` is
+    that list.
     """
-    keys, values, numbers, problems, malformed = _scan(path, header=True)
+    keys, values, numbers, problems, malformed = _scan(path, header=True, known=known)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
-    # Strictly increasing keys cannot repeat. The order check stops at the
-    # first descent, so a shuffled file pays almost nothing for it.
-    repeat_at = None if _strictly_increasing(keys) else _first_repeat(keys)
+    # Strictly increasing keys cannot repeat, nor can known's. The order
+    # check stops at the first descent, so a shuffled file pays almost
+    # nothing for it.
+    repeat_at = (
+        None if keys is known or _strictly_increasing(keys) else _first_repeat(keys)
+    )
     if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
         raise IngestError(
             f"{path} line {numbers[repeat_at]}: duplicate segment id {keys[repeat_at]!r}"
@@ -262,8 +283,11 @@ def parse_canonical_tsv(
     result does not depend on input line order.
     """
     gold_ids, gold, gold_bad, gold_notes = _read_two_column(gold_path, strict)
-    score_ids, score, score_bad, score_notes = _read_two_column(scores_path, strict)
-    if gold_ids == score_ids:
+    # A score file keyed like the gold file shares its key list.
+    score_ids, score, score_bad, score_notes = _read_two_column(
+        scores_path, strict, known=gold_ids
+    )
+    if score_ids is gold_ids:
         ids = gold_ids
         if not _strictly_increasing(ids):
             order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -301,10 +325,12 @@ def _join(
     """(records, missing gold, missing score) of aligned columns; NaN is missing."""
     missing_gold = np.isnan(gold)
     missing_score = np.isnan(score) & ~missing_gold
-    kept = np.flatnonzero(~(missing_gold | missing_score))
-    records = CanonicalRecords(
-        metric, np.array(ids, dtype=object)[kept], gold[kept], score[kept]
-    )
+    columns = (np.array(ids, dtype=object), gold, score)
+    if missing_gold.any() or missing_score.any():
+        kept = np.flatnonzero(~(missing_gold | missing_score))
+        columns = tuple(column[kept] for column in columns)
+    # The columns are the records' own from here: frozen, not copied again.
+    records = CanonicalRecords(metric, *map(_frozen, columns))
     return records, int(missing_gold.sum()), int(missing_score.sum())
 
 

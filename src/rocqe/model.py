@@ -112,9 +112,27 @@ def require_both_classes(p_count: int, n_count: int, what: str) -> None:
         raise DegenerateClassError(f"no {empty} segments: {what}")
 
 
+# (id, label) pairs per block fed to ``Dataset.fingerprint``'s hash.
+_PAIRS_PER_HASH_BLOCK = 4096
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _read_only(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only array (of ``dtype`` when given).
+
+    A read-only array that owns its data is taken as it is; anything else
+    is copied into a fresh array, which is then frozen.
+    """
+    if (
+        isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable
+        and (dtype is None or values.dtype == dtype)
+    ):
+        return values
+    return _frozen(np.array(values, dtype=dtype))
 
 
 def _strictly_increasing(keys: list[str]) -> bool:
@@ -175,9 +193,9 @@ class Dataset:
         orientation: Orientation = Orientation.HIGHER_IS_WORSE,
     ) -> "Dataset":
         """A dataset from parallel columns; risk scores and class counts are derived."""
-        raw = np.array(raw_scores, dtype=np.float64)
-        risk = -raw if orientation is Orientation.HIGHER_IS_BETTER else raw
-        positive = np.array(is_positive, dtype=bool)
+        raw = _read_only(raw_scores, np.float64)
+        risk = _frozen(-raw) if orientation is Orientation.HIGHER_IS_BETTER else raw
+        positive = _read_only(is_positive, bool)
         p = int(np.count_nonzero(positive))
         dataset = cls.__new__(cls)
         dataset._set_columns(ids, raw, risk, positive, p, positive.size - p, orientation)
@@ -186,10 +204,10 @@ class Dataset:
     def _set_columns(self, ids, raw_scores, risk_scores, is_positive,
                      p_count: int, n_count: int, orientation: Orientation) -> None:
         """Store the columns read-only after checking them, as one vectorised pass."""
-        ids = _frozen(np.array(ids, dtype=object))
-        raw = _frozen(np.array(raw_scores, dtype=np.float64))
-        risk = _frozen(np.array(risk_scores, dtype=np.float64))
-        positive = _frozen(np.array(is_positive, dtype=bool))
+        ids = _read_only(ids, object)
+        raw = _read_only(raw_scores, np.float64)
+        risk = _read_only(risk_scores, np.float64)
+        positive = _read_only(is_positive, bool)
         if not (ids.ndim == 1 and ids.shape == raw.shape == risk.shape == positive.shape):
             raise ValueError(
                 "ids, raw_scores, risk_scores and is_positive must be 1-d arrays of one length"
@@ -286,13 +304,21 @@ class Dataset:
         labeling, which is what multi-system comparisons require. Each pair
         is hashed as id, 0x1F, label value, 0x1E, in UTF-8.
         """
-        texts = (Label.NEGATIVE.value, Label.POSITIVE.value)
-        ids = self.ids.tolist()
-        pairs = list(zip(ids, map(texts.__getitem__, self.is_positive.tolist())))
+        # The text after each id, by its label.
+        tails = (f"\x1f{Label.NEGATIVE.value}\x1e", f"\x1f{Label.POSITIVE.value}\x1e")
+        ids, positive = self.ids, self.is_positive
         if not _strictly_increasing(ids):
-            pairs.sort()
-        stream = "\x1e".join(map("\x1f".join, pairs)) + ("\x1e" if pairs else "")
-        return hashlib.sha256(stream.encode("utf-8")).hexdigest()
+            pairs = list(zip(ids.tolist(), map(tails.__getitem__, positive.tolist())))
+            order = sorted(range(ids.size), key=pairs.__getitem__)
+            del pairs
+            ids, positive = ids[order], positive[order]
+        digest = hashlib.sha256()
+        # Hashed a block of pairs at a time, so no whole-dataset text is built.
+        for start in range(0, ids.size, _PAIRS_PER_HASH_BLOCK):
+            block = slice(start, start + _PAIRS_PER_HASH_BLOCK)
+            labels = map(tails.__getitem__, positive[block].tolist())
+            digest.update("".join(map(str.__add__, ids[block].tolist(), labels)).encode("utf-8"))
+        return digest.hexdigest()
 
 
 class Ranking:

@@ -340,10 +340,10 @@ def pr_points(curve: RocCurve) -> PrPoints:
     """Precision/recall at every vertex where precision is defined.
 
     The (0, 0) origin flags nothing, leaving precision undefined; that point
-    is skipped rather than given a made-up value.
+    is skipped rather than given a made-up value. Every later vertex flags
+    a segment, so the points are vertices 1..V: ``recall`` and
+    ``threshold`` are read-only views of the curve's ``tpr`` and
+    ``thresholds``.
     """
-    flagged = curve.tp + curve.fp
-    keep = flagged > 0
-    return PrPoints(
-        curve.tpr[keep], curve.tp[keep] / flagged[keep], curve.thresholds[keep]
-    )
+    tp = curve.tp[1:]
+    return PrPoints(curve.tpr[1:], _frozen(tp / (tp + curve.fp[1:])), curve.thresholds[1:])

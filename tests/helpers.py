@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -298,6 +299,19 @@ def brute_force_counts(dataset: Dataset, threshold: float) -> tuple[int, int]:
             else:
                 fp += 1
     return tp, fp
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), rise)``: the call's result, and how far traced
+    memory rose during it above what was traced when it began, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def assert_close(a: float, b: float, tol: float = 1e-9) -> None:

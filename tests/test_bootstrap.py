@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from helpers import (
     reference_band,
     resample_arrays,
     tie_group_counts,
+    traced_peak,
 )
 
 
@@ -374,12 +374,7 @@ class TestBoundedBuffer:
         ds.ranking  # built and cached before tracing
         config = BootstrapConfig(iterations=1000, seed=3)
         buffer_bytes = (_kept_rows(1000, 0.95) + self.CHUNK) * 1001 * 8
-        tracemalloc.start()
-        try:
-            confidence_band(ds, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(confidence_band, ds, config)
         assert peak < buffer_bytes + 2**19, (peak, buffer_bytes)
         assert peak < 1000 * 1001 * 8 / 2
 
@@ -474,17 +469,21 @@ class TestConfidenceBand:
 
         monkeypatch.setattr(np, "empty", refuse)
         # 101 grid points: 60M replicates keep 1,500,001 + 1,500,001 rows plus
-        # a 256-row chunk, 2,312 MiB, above the 2 GiB limit.
+        # a chunk of fresh rows, about 2,312 MiB, above the 2 GiB limit.
         config = BootstrapConfig(iterations=60_000_000)
         with pytest.raises(ValueError) as info:
             confidence_band(sample10, config)
+        rows = 3_000_002 + bootstrap_module._CHUNK_ROWS
         assert str(info.value) == (
-            "the confidence band needs an estimated 2312 MB (3000258 rows of "
-            "60000000 replicates x 101 grid points), above the 2048 MB limit; "
-            "lower --bootstrap"
+            f"the confidence band needs an estimated {rows * 101 * 8 / 2**20:.0f} MB "
+            f"({rows} rows of 60000000 replicates x 101 grid points), above the "
+            "2048 MB limit; lower --bootstrap"
         )
+        assert f"{rows * 101 * 8 / 2**20:.0f}" == "2312"
 
-    @pytest.mark.parametrize("iterations, rows", [(20, 20), (1000, 26 + 26 + 256)])
+    @pytest.mark.parametrize(
+        "iterations, rows", [(20, 20), (1000, 26 + 26 + bootstrap_module._CHUNK_ROWS)]
+    )
     def test_buffer_at_the_memory_limit_is_allowed(
         self, sample10, monkeypatch, iterations, rows
     ):

@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ import rocqe.svgplot as svgplot_module
 from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation, build_roc
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from rocqe.svgplot import SvgSeries, render_roc_svg
-from helpers import exact_auc
+from helpers import exact_auc, traced_peak
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
@@ -713,6 +712,28 @@ class TestRestrictToCommonIds:
         _restrict_to_common_ids(loaded)
         assert loaded.datasets["m1"] is sample10 and loaded.notes == []
 
+    def test_equal_id_columns_build_no_sets(self, monkeypatch):
+        ids = [f"s{i}" for i in range(5)]
+        datasets = {
+            f"m{k}": Dataset.from_columns(ids, np.arange(5.0) * k, np.arange(5) % 2 == 0)
+            for k in range(3)
+        }
+
+        def refuse(*args):
+            raise AssertionError("equal id columns were hashed into sets")
+
+        monkeypatch.setattr(cli_module, "set", refuse, raising=False)
+        loaded = _loaded(datasets)
+        _restrict_to_common_ids(loaded)
+        assert loaded.datasets == datasets and loaded.notes == []
+
+    def test_reordered_ids_drop_nothing(self):
+        first = Dataset.from_columns(["a", "b", "c"], [1.0, 2.0, 3.0], [True, False, True])
+        second = Dataset.from_columns(["c", "a", "b"], [0.3, 0.1, 0.2], [True, True, False])
+        loaded = _loaded({"m1": first, "m2": second})
+        _restrict_to_common_ids(loaded)
+        assert loaded.datasets["m2"] is second and loaded.notes == []
+
     def test_disjoint_ids_raise_input_error(self):
         first = Dataset.from_columns(["a"], [1.0], [True])
         second = Dataset.from_columns(["b"], [1.0], [True])
@@ -810,6 +831,41 @@ class TestReportMemory:
         assert len(spelled) == 3
         assert sorted(doc["results"]["metrics"]) == ["a", "b", "c"]
 
+    def test_roc_entry_holds_no_whole_curve_list_of_texts(self):
+        rng = np.random.default_rng(100_000)
+        positive = rng.random(100_000) < 0.4
+        scores = rng.normal(size=100_000) + positive
+        ids = np.arange(100_000).astype(str)
+        curve = build_roc(Dataset.from_columns(ids, scores, positive, Orientation.HIGHER_IS_BETTER))
+        assert curve.thresholds.size == 100_001
+        curve.fpr, curve.tpr  # cached before the measurement, as the SVG leaves them
+        entry = cli_module._Deferred(cli_module._roc_entry, curve, None)
+        size, rise = traced_peak(lambda: sum(map(len, cli_module._encode(entry, 0))))
+        # The texts of one column, as a list, are about 7.6 MB here; spelling
+        # the thresholds that way and PR recall apart peaked near 12.8 MB.
+        assert rise <= 8.5 * 2**20, rise
+        assert size > 100_000 * 200
+
+    def test_pr_rows_read_the_vertex_texts(self, sample10, monkeypatch):
+        spelled = []
+        original = cli_module._JsonTexts.spell
+
+        def spy(values):
+            spelled.append(values)
+            return original(values)
+
+        monkeypatch.setattr(cli_module._JsonTexts, "spell", spy)
+        curve = build_roc(sample10)
+        entry = cli_module._roc_entry(curve, None)
+        # Thresholds and tpr are spelled once each; the PR rows read them
+        # from vertex 1 on.
+        assert len(spelled) == 2
+        assert spelled[0] is curve.thresholds and spelled[1] is curve.tpr
+        vertices, points = entry["vertices"].columns, entry["pr_points"].columns
+        for pr_key, vertex_key in (("recall", "tpr"), ("threshold", "threshold")):
+            assert points[pr_key].chunks is vertices[vertex_key].chunks
+            assert points[pr_key].offset == 1
+
     def test_second_band_over_the_limit_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # Every fifth of 150 segments is an error. Metric a scores the first
         # 60 (48 negatives: a 101-point grid), b all of them (120: 121 points).
@@ -849,12 +905,6 @@ class TestReportMemory:
         assert curve.thresholds.size == 50_001
         series = [SvgSeries("m", curve)]
         curve.fpr, curve.tpr  # cached before the measurement
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            svg = render_roc_svg(series)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        svg, rise = traced_peak(render_roc_svg, series)
         assert isinstance(svg, str)
-        assert peak - before <= 2 * len(svg) + 1.5 * 2**20, (peak - before, len(svg))
+        assert rise <= 2 * len(svg) + 1.5 * 2**20, (rise, len(svg))

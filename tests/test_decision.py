@@ -22,8 +22,9 @@ from rocqe import (
     scenario2_required_effort,
 )
 import rocqe.cli as cli_module
+import rocqe.decision as decision_module
 import helpers
-from helpers import assert_close, make_dataset, random_dataset
+from helpers import assert_close, make_dataset, random_dataset, traced_peak
 
 # Golden table for the 10-segment example, worst score first. Ties share
 # counts and order by segment id (string order, so "10" sorts before "8").
@@ -120,6 +121,35 @@ class TestQeRocTable:
             qe_roc_table(make_dataset([1.0, 2.0], [True, True]))
         assert str(info.value) == "no negative segments: the QE-ROC table is undefined"
 
+    def test_id_sorted_rows_need_no_python_sort(self, monkeypatch):
+        rng = np.random.default_rng(100_001)
+        size = 100_000
+        positive = rng.random(size) < 0.4
+        # Two decimals: long tie groups, whose rows go out in id order.
+        raw = (rng.normal(size=size) + positive).round(2)
+        ids = np.array([f"s{i:06d}" for i in range(size)], dtype=object)
+        ds = Dataset.from_columns(ids, raw, positive, Orientation.HIGHER_IS_BETTER)
+        ds.ranking  # built before the measurement
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("id-sorted rows were ordered by a Python sort")
+
+        monkeypatch.setattr(decision_module, "sorted", refuse, raising=False)
+        table, rise = traced_peak(qe_roc_table, ds)
+        # A Python sort of the ids and a second copy of every column peaked
+        # near 12.4 MB here.
+        assert rise <= 6 * 2**20, rise
+        monkeypatch.undo()
+        # The same rows as the id sort gives the dataset in shuffled order.
+        order = rng.permutation(size)
+        shuffled = Dataset.from_columns(
+            ids[order], raw[order], positive[order], Orientation.HIGHER_IS_BETTER
+        )
+        want = qe_roc_table(shuffled)
+        for name in ("segment_ids", "is_positive", "raw_scores", "tp", "fp"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(want, name))
+            assert not getattr(table, name).flags.writeable
+
 
 def _shuffled_dataset(rng: np.random.Generator) -> Dataset:
     """Both classes, in shuffled order, with heavy ties, +-0.0, long runs or repeated ids."""
@@ -158,6 +188,13 @@ class TestTableTextDifferential:
             ds = _shuffled_dataset(rng)
             got = "".join(cli_module._table_chunks(qe_roc_table(ds)))
             assert got == helpers.table_tsv(ds), trial
+            # Renamed to strictly increasing ids, as ``to_dataset`` leaves them.
+            renamed = Dataset.from_columns(
+                [f"r{i:02d}" for i in range(ds.total)], ds.raw_scores, ds.is_positive,
+                ds.orientation,
+            )
+            got = "".join(cli_module._table_chunks(qe_roc_table(renamed)))
+            assert got == helpers.table_tsv(renamed), trial
 
 
 class TestTradeOffParsing:

@@ -21,6 +21,7 @@ from rocqe import (
 import rocqe.ingest as ingest_module
 from rocqe.ingest import MAX_WARNINGS, _read_system_column
 import helpers
+from helpers import traced_peak
 
 
 def _write(path, lines):
@@ -497,6 +498,86 @@ class TestColumnarIngestDifferential:
         # Both readers, a raise and a report with skipped lines all occurred.
         assert {"raised", ("ok", False)} <= outcomes
         assert strict or ("ok", True) in outcomes
+
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_score_ids_leaving_the_gold_ids_match_the_oracle(
+        self, tmp_path, monkeypatch, block_chars, strict
+    ):
+        # The score file follows the gold ids, then leaves them at row 9 of
+        # 16: within the one block, or in a later block of several.
+        if block_chars is not None:
+            monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        ids = [f"s{i:02d}" for i in range(16)]
+        at = 9
+        variants = {
+            "same ids": ids,
+            "reordered": ids[:at] + [ids[at + 1], ids[at]] + ids[at + 2 :],
+            "shuffled tail": ids[:at] + ids[at:][::-1],
+            "score-only id": ids[:at] + ["s08x"] + ids[at:],
+            "gold-only id": ids[:at] + ids[at + 1 :],
+            "shorter": ids[:at],
+            "longer": ids + ["s99"],
+            "repeats an earlier id": ids[:at] + [ids[2]] + ids[at:],
+            "repeats the next id": ids[: at + 1] + [ids[at]] + ids[at + 1 :],
+        }
+        gold_rows = [f"{sid}\t{-float(i % 3)}" for i, sid in enumerate(ids)]
+
+        def replaced(rows, line):
+            return rows[:at] + [line] + rows[at + 1 :]
+
+        outcomes = set()
+        for name, score_ids in variants.items():
+            score_rows = [f"{sid}\t{0.25 * i}" for i, sid in enumerate(score_ids)]
+            files = {
+                "clean": (gold_rows, score_rows),
+                "malformed score line": (gold_rows, score_rows[:at] + ["bad"] + score_rows[at:]),
+                "malformed gold line": (replaced(gold_rows, f"{ids[at]}\tx"), score_rows),
+                "score header only": (gold_rows, ["segment_id\tscore"] + score_rows),
+                "gold header only": (["segment_id\tmqm"] + gold_rows, score_rows),
+                "missing score": (gold_rows, replaced(score_rows, f"{(score_ids + ids)[at]}\tNA")),
+            }
+            for kind, (gold_lines, score_lines) in files.items():
+                gold = _write(tmp_path / "g.tsv", gold_lines)
+                scores = _write(tmp_path / "s.tsv", score_lines)
+                got = _outcome(parse_canonical_tsv, gold, scores, "m", strict=strict)
+                want = _outcome(helpers.parse_canonical_tsv, gold, scores, "m", strict=strict)
+                assert got[0] == want[0], (name, kind, got, want)
+                outcomes.add(got[0])
+                if got[0] == "raised":
+                    assert got[1] == want[1], (name, kind)
+                    continue
+                (records, report), (ref_records, ref_report) = got[1], want[1]
+                assert _record_rows(records) == _record_rows(ref_records), (name, kind)
+                assert report == ref_report, (name, kind)
+        assert outcomes == {"ok", "raised"}
+
+    def test_shared_ids_are_held_once(self, tmp_path, monkeypatch):
+        size = 100_000
+        rng = np.random.default_rng(100_002)
+        ids = [f"s{i:06d}" for i in range(size)]
+        positive = rng.random(size) < 0.4
+        gold = _write(tmp_path / "g.tsv", ["segment_id\tmqm_score"] + [
+            f"{sid}\t{-1.0 if flag else 0.0}" for sid, flag in zip(ids, positive.tolist())
+        ])
+        scores = _write(tmp_path / "s.tsv", ["segment_id\tscore"] + [
+            f"{sid}\t{value!r}" for sid, value in zip(ids, rng.normal(size=size).tolist())
+        ])
+        key_lists = []
+        read = ingest_module._read_two_column
+
+        def spy(*args, **kwargs):
+            result = read(*args, **kwargs)
+            key_lists.append(result[0])
+            return result
+
+        monkeypatch.setattr(ingest_module, "_read_two_column", spy)
+        (records, report), rise = traced_peak(parse_canonical_tsv, gold, scores, "m")
+        assert report.accepted == size and records.ids.tolist() == ids
+        # The score file's ids are the gold's list, not a second one.
+        assert key_lists[1] is key_lists[0]
+        # A second id list and the join's column copies peaked near 19.5 MB here.
+        assert rise <= 12.5 * 2**20, rise
 
     @pytest.mark.parametrize("block_chars", [None, 7])
     def test_clean_files_are_read_in_whole_columns(self, tmp_path, monkeypatch, block_chars):

@@ -14,6 +14,7 @@ from rocqe import (
     canonicalize,
     rates,
 )
+import rocqe.model as model_module
 from rocqe.model import require_both_classes
 import helpers
 
@@ -163,7 +164,10 @@ class TestColumnarDataset:
         with pytest.raises(ValueError, match="segment 'b': risk score 3.0 is not"):
             Dataset.from_segments(segs)
 
-    def test_fingerprint_matches_pairwise_hash(self):
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_fingerprint_matches_pairwise_hash(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(model_module, "_PAIRS_PER_HASH_BLOCK", block)
         rng = np.random.default_rng(412)
         for _ in range(100):
             size = int(rng.integers(0, 20))

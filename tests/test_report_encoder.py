@@ -233,16 +233,38 @@ class TestRows:
             monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
         values = np.array([math.inf, 3.5, 1e-300, 5e-324, 0.0, -0.0, -0.0, -2.0, -1e22,
                            math.nan, -math.inf])
-        texts = run_texts(values, cli._array_texts)
         for size in (0, 1, 6, 11):
-            # A text column first: the row count is read off its shape.
-            rows = _Rows(
-                neg_x=cli._JsonTexts(texts[:size], negated=True),
-                x=cli._JsonTexts(texts[:size]),
-                n=np.arange(size),
-            )
-            part = {"neg_x": -values[:size], "x": values[:size], "n": np.arange(size)}
-            assert _to_json({"rows": rows}) == reference_json({"rows": _row_dicts(part)})
+            texts = cli._JsonTexts.spell(values[:size])
+            # Written in the blocks the texts were spelled in, and in others.
+            for rows_per_block in (cli._ROWS_PER_BLOCK, 3):
+                monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows_per_block)
+                for offset in range(min(size, 2) + 1):
+                    # A text column first: the row count is read off its shape.
+                    rows = _Rows(
+                        neg_x=texts.view(offset, negated=True),
+                        x=texts.view(offset),
+                        twice=texts.view(negated=True).view(offset, negated=True),
+                        n=np.arange(size - offset),
+                    )
+                    kept = values[offset:size]
+                    part = {"neg_x": -kept, "x": kept, "twice": kept, "n": np.arange(size - offset)}
+                    assert _to_json({"rows": rows}) == reference_json({"rows": _row_dicts(part)})
+
+    def test_text_columns_are_spelled_once_in_joined_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", 4)
+        spelled, original = [], cli._array_texts
+
+        def spell(values):
+            spelled.extend(values.tolist())
+            return original(values)
+
+        monkeypatch.setattr(cli, "_array_texts", spell)
+        texts = cli._JsonTexts.spell(np.arange(10.0))
+        assert spelled == list(np.arange(10.0))
+        assert texts.chunks == ["0.0\n1.0\n2.0\n3.0", "4.0\n5.0\n6.0\n7.0", "8.0\n9.0"]
+        assert texts.view(1)[slice(2, 6)].tolist() == ["3.0", "4.0", "5.0", "6.0"]
+        assert texts.view(1, negated=True)[slice(8, 12)].tolist() == ["-9.0"]
+        assert len(spelled) == 10
 
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError, match="one length"):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from helpers import (
     random_dataset,
     reference_convex_hull,
     sample10_dataset,
+    traced_peak,
 )
 
 # Golden curve for the 10-segment example: (fpr, tpr, canonical thr, raw thr).
@@ -475,12 +475,7 @@ class TestHullAgainstReference:
             assert curve.fp.size == size + 1
             curve.fingerprint  # hashed before the measurement
             curves.append((f"m{k}", curve))
-        tracemalloc.start()
-        try:
-            hull = convex_hull(curves)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        hull, peak = traced_peak(convex_hull, curves)
         # Merging all five columns of every vertex peaked near 25 MB here.
         assert peak <= 8 * 2**20, peak
         assert _spelled(hull) == _spelled(reference_convex_hull(curves))
