@@ -6,14 +6,16 @@ original class sizes and class imbalance. Every replicate owns an
 independent RNG substream derived from (seed, replicate index), and results
 are aggregated in index order, so output is byte-identical for a fixed seed.
 
-A replicate is never re-sorted. It draws members of the original sample,
-so ``Dataset.ranking`` already knows their tie groups, and
-``Ranking.counts`` turns the drawn members' groups into the replicate's
-curve counts, exactly as it does the whole sample's for the point curve.
-Nor is a curve searched: every fpr is an integer count over N, so the
-segment holding each FPR grid point is found by counting the curve's
-distinct counts up to a per-band index. Its AUC is read off the same
-integer counts by ``roc.count_auc``.
+A replicate is never re-sorted, nor compacted. It draws members of the
+original sample, so ``Dataset.ranking`` already knows their tie groups, and
+``Ranking.group_counts`` turns the drawn members' groups into cumulative
+counts at every group of the ranking: a group absent from the resample
+repeats the vertex before it. A repeated vertex is a zero-width, zero-rise
+step, which no statistic here can tell from a missing one, so the counts
+are used as they are. Nor is a curve searched: every fpr is an integer
+count over N, so each run of equal fp covers a range of FPR grid points
+that a per-band table of first grid points gives. Its AUC is read off the
+same integer counts by ``roc.count_auc``.
 
 The band reads two order statistics per grid column, so it keeps only the
 rows they read plus one chunk of fresh replicate rows: its memory is
@@ -54,12 +56,15 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.iterations < 2:
             raise ValueError(f"iterations must be >= 2, got {self.iterations}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must lie strictly between 0 and 1, got {self.confidence}"
-            )
+        check_confidence(self.confidence)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+
+
+def check_confidence(confidence: float) -> None:
+    """Raise ValueError unless the confidence level lies strictly between 0 and 1."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
 
 
 def fpr_grid(n_count: int) -> np.ndarray:
@@ -97,14 +102,18 @@ def map_replicates(
 ) -> list[T]:
     """Evaluate a statistic on every bootstrap replicate, in index order.
 
-    ``stat_fn(tp, fp)`` receives one replicate's ROC curve counts from
-    ``Ranking.counts``: the origin (0, 0), then for each distinct canonical
-    score present in the resample, worst first, the number of resampled
-    positives (``tp``) and negatives (``fp``) scoring at or above it. Both
-    are int64 arrays of equal length, non-decreasing, ending at (P, N). The
-    returned list is ordered by replicate index, so any statistic layered on
-    the same seed sees the same resamples as the confidence band does. This
-    is the one place a replicate is drawn and counted.
+    ``stat_fn(tp, fp)`` receives one replicate's counts from
+    ``Ranking.group_counts``: the origin (0, 0), then for every tie group of
+    the dataset's ranking, worst first, the number of resampled positives
+    (``tp``) and negatives (``fp``) scoring at or above that group's score.
+    A group the resample does not draw from repeats the counts before it:
+    these are the replicate's ROC curve counts with repeated vertices, and
+    keeping the origin and every index where tp + fp steps up gives the
+    curve's own vertices. Both are int64 arrays of one length (tie groups
+    + 1), non-decreasing, ending at (P, N). The returned list is ordered by
+    replicate index, so any statistic layered on the same seed sees the
+    same resamples as the confidence band does. This is the one place a
+    replicate is drawn and counted.
     """
     require_both_classes(
         dataset.p_count, dataset.n_count, "stratified resampling is undefined"
@@ -112,14 +121,29 @@ def map_replicates(
     ranking = dataset.ranking
     pos, neg = ranking.pos_group, ranking.neg_group
     return [
-        stat_fn(*ranking.counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
+        stat_fn(*ranking.group_counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
         for index in range(config.iterations)
     ]
 
 
-def _fp_at(grid: np.ndarray, n: int) -> np.ndarray:
-    """For every grid point, the largest count c with c / n at or below it."""
-    return np.searchsorted(np.arange(n + 1) / n, grid, side="right") - 1
+def _first_at(grid: np.ndarray, n: int) -> np.ndarray:
+    """For every count c in 0..n, the index of the first grid point at or right of c / n."""
+    return np.searchsorted(grid, np.arange(n + 1) / n, side="left")
+
+
+def _one_group(tp: np.ndarray, fp: np.ndarray) -> bool:
+    """Whether one tie group holds every member counted in (tp, fp).
+
+    The counts are cumulative per group, origin first. The first member of
+    a class sits in the group where its count leaves 0, the last in the
+    group where it reaches its end: all four must be one group.
+    """
+    groups = {
+        int(counts.searchsorted(value, side))
+        for counts in (tp, fp)
+        for value, side in ((0, "right"), (counts[-1], "left"))
+    }
+    return len(groups) == 1
 
 
 def _grid_tpr(
@@ -128,7 +152,7 @@ def _grid_tpr(
     p: int,
     n: int,
     grid: np.ndarray,
-    fp_at: np.ndarray,
+    first_at: np.ndarray,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """TPR on ``grid`` read off the curve polyline through ``(fp / n, tp / p)``.
@@ -137,29 +161,35 @@ def _grid_tpr(
     value lies on the segment from the top of the left run to the bottom of
     the right one. Found by counting, not searching.
 
-    ``tp`` and ``fp`` hold the curve's integer counts (origin first, ending
-    at (P, N)); ``grid`` lies in [0, 1] and ``fp_at = _fp_at(grid, N)``.
-    Correctly rounded c / N grows with c, so a vertex lies at or left of a
-    grid point exactly when its count is at most that point's ``fp_at``: the
-    segment holding each point is the number of distinct counts up to it,
-    less one. The last segment gets an infinite width and zero rise, and a
-    point on a vertex adds +0.0 to its top (rises are never negative), so no
-    point needs a mask.
+    ``tp`` and ``fp`` hold cumulative integer counts, origin first, ending
+    at (P, N); a repeated vertex is allowed. ``grid`` lies in [0, 1] and
+    ``first_at = _first_at(grid, N)``. Correctly rounded c / N grows with c,
+    so the run of equal fp starting at count c holds the grid points from
+    ``first_at[c]`` up to the next run's first point: each run's start,
+    width, rise and top are repeated over that many points. The last run
+    gets an infinite width and zero rise, and a point on a vertex adds +0.0
+    to its top (rises are never negative), so no point needs a mask.
     """
-    change = np.flatnonzero(np.diff(fp))
-    first = np.concatenate(([0], change + 1))
-    last = np.append(change, fp.size - 1)
-    x = fp[first] / n
+    # Runs are few and grid points many: per run, the cost is mostly numpy
+    # call overhead, so each run array is made in a few in-place steps.
+    last = np.flatnonzero(np.append(fp[1:] != fp[:-1], True))
+    first = np.zeros_like(last)
+    first[1:] = last[:-1] + 1
+    start = fp[first]
+    x = start / n
     top = tp[last] / p
-    dx = np.append(np.diff(x), np.inf)
-    dy = np.append(tp[first[1:]] / p - top[:-1], 0.0)
-    present = np.zeros(fp[-1] + 1, dtype=np.intp)
-    present[fp] = 1
-    k = np.cumsum(present)[fp_at] - 1
-    row = np.subtract(grid, x[k], out=out)
-    row /= dx[k]
-    row *= dy[k]
-    row += top[k]
+    dx = np.full_like(x, np.inf)
+    np.subtract(x[1:], x[:-1], out=dx[:-1])
+    dy = np.zeros_like(x)
+    np.subtract(tp[first[1:]] / p, top[:-1], out=dy[:-1])
+    at = first_at[start]
+    points = np.full_like(at, grid.size)
+    points[:-1] = at[1:]
+    points -= at
+    row = np.subtract(grid, x.repeat(points), out=out)
+    row /= dx.repeat(points)
+    row *= dy.repeat(points)
+    row += top.repeat(points)
     return row
 
 
@@ -278,7 +308,7 @@ def confidence_band(
     buffer = np.empty((rows, grid.size))
     filled = 0
     p, n = dataset.p_count, dataset.n_count
-    fp_at = _fp_at(grid, n)
+    first_at = _first_at(grid, n)
 
     def fold() -> None:
         # The k_lo smallest of all rows seen lie among the k_lo smallest
@@ -291,12 +321,11 @@ def confidence_band(
 
     def one_replicate(tp: np.ndarray, fp: np.ndarray) -> tuple[float, bool]:
         nonlocal filled
-        _grid_tpr(tp, fp, p, n, grid, fp_at, out=buffer[filled])
+        _grid_tpr(tp, fp, p, n, grid, first_at, out=buffer[filled])
         filled += 1
         if filled == rows:
             fold()
-        degenerate = fp.size == 2  # origin plus a single tie group: all scores tied
-        return count_auc(tp, fp), degenerate
+        return count_auc(tp, fp), _one_group(tp, fp)  # one group: all scores tied
 
     results = map_replicates(dataset, config, one_replicate)
     if filled > kept:
@@ -313,7 +342,7 @@ def confidence_band(
         fpr_grid=grid.copy(),
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=_grid_tpr(tp, fp, p, n, grid, fp_at),
+        point_tpr=_grid_tpr(tp, fp, p, n, grid, first_at),
         auc_point=count_auc(tp, fp),
         auc_interval=nearest_rank_interval(aucs, config.confidence),
         confidence=config.confidence,

@@ -23,7 +23,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, ConfidenceBand, band_width_summary, confidence_band
+from .bootstrap import (
+    BootstrapConfig, ConfidenceBand, band_width_summary, check_confidence, confidence_band,
+)
 from .decision import (
     ClassRatio,
     QeRocTable,
@@ -110,9 +112,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _bootstrap_config(args: argparse.Namespace, seed: int) -> Optional[BootstrapConfig]:
+    """The resampling config, or None without --bootstrap; every flag is checked either way."""
+    config = None
     if args.bootstrap is None:
-        return None
-    config = BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
+        check_confidence(args.confidence)
+    else:
+        config = BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     return config
@@ -168,14 +173,18 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
 
     datasets: dict[str, Dataset] = {}
     reports: dict[str, IngestReport] = {}
+    # The first parse reads the gold file and keeps its columns here; the
+    # others take them from here.
+    gold_reads: dict = {}
     for metric, source in score_map.items():
         if wmt_mode:
             records, report = parse_wmt_layout(
-                args.wmt_root, args.lang_pair, args.testset, args.system, metric
+                args.wmt_root, args.lang_pair, args.testset, args.system, metric,
+                gold_reads=gold_reads,
             )
         else:
             records, report = parse_canonical_tsv(
-                args.gold, source, metric, strict=args.strict
+                args.gold, source, metric, strict=args.strict, gold_reads=gold_reads
             )
         reports[metric] = report
         datasets[metric] = to_dataset(records, cutoff, orientations[metric], metric)

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, repeat
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -268,12 +268,23 @@ def _read_two_column(
     return keys, values, malformed, notes
 
 
+def _read_once(gold_reads: Optional[dict], read: Callable, *args):
+    """``read(*args)``, kept in ``gold_reads`` by its arguments and taken from there again."""
+    if gold_reads is None:
+        return read(*args)
+    key = (read, *args)
+    if key not in gold_reads:
+        gold_reads[key] = read(*args)
+    return gold_reads[key]
+
+
 def parse_canonical_tsv(
     gold_path: str,
     scores_path: str,
     metric: str,
     *,
     strict: bool = False,
+    gold_reads: Optional[dict] = None,
 ) -> tuple[CanonicalRecords, IngestReport]:
     """Join a gold TSV with a score TSV into complete records.
 
@@ -281,8 +292,15 @@ def parse_canonical_tsv(
     usable value. Missing gold takes precedence over missing score in the
     accounting when both are absent. Output is sorted by segment id, so the
     result does not depend on input line order.
+
+    ``gold_reads``, a dict (empty at first) passed to every parse of one
+    run, lets them share one read of the gold file: the first parse keeps
+    the gold columns it read there, and the others take them from there.
+    Results, reports and errors are those of separate parses.
     """
-    gold_ids, gold, gold_bad, gold_notes = _read_two_column(gold_path, strict)
+    gold_ids, gold, gold_bad, gold_notes = _read_once(
+        gold_reads, _read_two_column, gold_path, strict
+    )
     # A score file keyed like the gold file shares its key list.
     score_ids, score, score_bad, score_notes = _read_two_column(
         scores_path, strict, known=gold_ids
@@ -372,6 +390,8 @@ def parse_wmt_layout(
     testset: str,
     system: str,
     metric: str,
+    *,
+    gold_reads: Optional[dict] = None,
 ) -> tuple[CanonicalRecords, IngestReport]:
     """Extract one (system, metric) slice from a WMT-style score tree.
 
@@ -381,6 +401,8 @@ def parse_wmt_layout(
     Both files hold `system<TAB>score` lines, segment order within a system.
     Segments get synthetic ids `{testset}:{system}:{i}` with i counting from
     0 in file order; gold and metric sequences must have equal length.
+    ``gold_reads`` shares one read of the gold file between the parses of
+    one run, as in ``parse_canonical_tsv``.
     """
     gold_path = _wmt_gold_path(root_dir, testset, language_pair)
     metric_dir = os.path.join(root_dir, testset, "metric-scores", language_pair)
@@ -396,7 +418,7 @@ def parse_wmt_layout(
             f"available metrics: {available}"
         )
 
-    gold_systems, gold = _read_system_column(gold_path)
+    gold_systems, gold = _read_once(gold_reads, _read_system_column, gold_path)
     metric_systems, score = _read_system_column(metric_path)
     in_metric = metric_systems == system
     if not in_metric.any():

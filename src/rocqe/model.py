@@ -347,22 +347,30 @@ class Ranking:
         self.pos_group = _frozen(group[is_positive])
         self.neg_group = _frozen(group[~is_positive])
 
-    def counts(
+    def group_counts(
         self, pos_groups: np.ndarray, neg_groups: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative (tp, fp) at the origin and at every group present.
+        """Cumulative (tp, fp) at the origin and at every group, drawn from or not.
 
         ``pos_groups`` and ``neg_groups`` are the groups of any multiset of
         positives and negatives: the dataset's own (``pos_group``,
-        ``neg_group``) give its ROC curve counts, a bootstrap resample's give
-        the replicate's. Counts are int64, origin first, worst group next.
+        ``neg_group``), or a bootstrap resample's. Counts are int64, one per
+        group, origin first, worst group next; a group holding no member of
+        the multiset repeats the counts before it.
         """
-        tp = np.bincount(pos_groups, minlength=self.thresholds.size)
-        fp = np.bincount(neg_groups, minlength=self.thresholds.size)
-        flagged = tp + fp
-        flagged[0] = 1  # the origin is a vertex of every curve
-        present = np.flatnonzero(flagged)
-        return np.cumsum(tp)[present], np.cumsum(fp)[present]
+        size = self.thresholds.size
+        tp = np.bincount(pos_groups, minlength=size)
+        fp = np.bincount(neg_groups, minlength=size)
+        return tp.cumsum(out=tp), fp.cumsum(out=fp)
+
+    def counts(
+        self, pos_groups: np.ndarray, neg_groups: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``group_counts`` at the origin and at every group present: the curve's vertices."""
+        tp, fp = self.group_counts(pos_groups, neg_groups)
+        # A group is present where tp + fp steps up; the origin always is.
+        present = np.flatnonzero(np.diff(tp + fp, prepend=-1))
+        return tp[present], fp[present]
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,18 @@ def interp_tpr(
     return float(out[0]) if scalar else out
 
 
+def compact(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group cumulative counts cut to the curve's vertices.
+
+    ``map_replicates`` hands a statistic the counts at every tie group of
+    the dataset, an undrawn group repeating the vertex before it; the curve
+    keeps the origin and every group where tp + fp steps up.
+    """
+    tp, fp = np.asarray(tp), np.asarray(fp)
+    keep = np.concatenate(([True], np.diff(tp + fp) > 0))
+    return tp[keep], fp[keep]
+
+
 def resample_arrays(
     pos_risk: np.ndarray, neg_risk: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -545,6 +557,7 @@ def reference_band(dataset: Dataset, config: BootstrapConfig) -> ConfidenceBand:
     grid = fpr_grid(n)
 
     def replicate(tp: np.ndarray, fp: np.ndarray):
+        tp, fp = compact(tp, fp)
         area = float(exact_auc(tp, fp))
         return interp_tpr(fp / n, tp / p, grid), area, fp.size == 2
 

@@ -15,9 +15,11 @@ from rocqe import (
     replicate_rng,
 )
 import rocqe.bootstrap as bootstrap_module
-from rocqe.bootstrap import _fp_at, _grid_tpr, fpr_grid, nearest_rank
-from rocqe.roc import auc
+from rocqe.bootstrap import _first_at, _grid_tpr, _one_group, fpr_grid, nearest_rank
+from rocqe.decision import _pick_largest_within_capacity, _pick_smallest_meeting_budget
+from rocqe.roc import auc, count_auc
 from helpers import (
+    compact,
     exact_auc,
     interp_tpr,
     make_dataset,
@@ -130,6 +132,10 @@ def _counts_as_lists(tp, fp):
     return tp.tolist(), fp.tolist()
 
 
+def _compacted_as_lists(tp, fp):
+    return _counts_as_lists(*compact(tp, fp))
+
+
 def _counts(tp, fp):
     return tp, fp
 
@@ -141,8 +147,8 @@ def _positives_first(pos, neg) -> Dataset:
 class TestMapReplicates:
     def test_results_in_index_order(self, sample10):
         cfg = BootstrapConfig(iterations=16, seed=5)
-        got = map_replicates(sample10, cfg, _counts_as_lists)
-        assert got == map_replicates(sample10, cfg, _counts_as_lists)
+        got = map_replicates(sample10, cfg, _compacted_as_lists)
+        assert got == map_replicates(sample10, cfg, _compacted_as_lists)
         pos, neg = sample10.positive_risks, sample10.negative_risks
         expected = [
             _counts_as_lists(*_resampled_counts(pos, neg, 5, i)) for i in range(16)
@@ -187,12 +193,57 @@ class TestTieGroups:
             pos, neg = _kernel_case(kind, rng)
             config = BootstrapConfig(iterations=6, seed=seed)
             replicates = map_replicates(_positives_first(pos, neg), config, _counts)
-            for index, (tp, fp) in enumerate(replicates):
+            for index, counts in enumerate(replicates):
+                tp, fp = compact(*counts)
                 ref_tp, ref_fp = _resampled_counts(pos, neg, seed, index)
                 assert tp.dtype == fp.dtype == ref_tp.dtype == np.int64
                 assert np.array_equal(tp, ref_tp), (kind, seed, index)
                 assert np.array_equal(fp, ref_fp), (kind, seed, index)
                 assert (tp[-1], fp[-1]) == (pos.size, neg.size)
+
+
+class TestPerGroupCounts:
+    """A replicate's statistics read the same off its per-group and its compacted counts."""
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_statistics_match_the_compacted_counts(self, kind):
+        rng = np.random.default_rng(97)
+        degenerate = 0
+        for seed in range(30):
+            pos, neg = _kernel_case(kind, rng)
+            ds = _positives_first(pos, neg)
+            p, n = ds.p_count, ds.n_count
+            grid = fpr_grid(n)
+            first_at = _first_at(grid, n)
+            config = BootstrapConfig(iterations=5, seed=seed)
+            for tp, fp in map_replicates(ds, config, _counts):
+                assert tp.size == fp.size == ds.ranking.thresholds.size
+                small_tp, small_fp = compact(tp, fp)
+                assert count_auc(tp, fp) == count_auc(small_tp, small_fp)
+                assert _same_bits(
+                    _grid_tpr(tp, fp, p, n, grid, first_at),
+                    _grid_tpr(small_tp, small_fp, p, n, grid, first_at),
+                )
+                assert _one_group(tp, fp) == (small_fp.size == 2)
+                degenerate += small_fp.size == 2
+                # A pick may land on another index, but on the same vertex.
+                flagged = (small_tp + small_fp).tolist()
+                for capacity in sorted({*flagged, *(f - 1 for f in flagged[1:])}):
+                    i = _pick_largest_within_capacity(tp, fp, capacity)
+                    j = _pick_largest_within_capacity(small_tp, small_fp, capacity)
+                    assert (tp[i], fp[i]) == (small_tp[j], small_fp[j]), (kind, seed, capacity)
+                for efficacy in (1.0, 0.7):
+                    residual = (p - small_tp) + (1.0 - efficacy) * small_tp
+                    budgets = [*residual.tolist(), *np.nextafter(residual, -1.0).tolist()]
+                    for budget in budgets:
+                        i, met = _pick_smallest_meeting_budget(tp, fp, p, budget, efficacy)
+                        j, small_met = _pick_smallest_meeting_budget(
+                            small_tp, small_fp, p, budget, efficacy
+                        )
+                        assert met == small_met
+                        assert (tp[i], fp[i]) == (small_tp[j], small_fp[j]), (kind, budget)
+        if kind == "all_tied":
+            assert degenerate == 30 * 5  # every resample is one tie group
 
 
 class TestCurveArrays:
@@ -255,9 +306,10 @@ class TestGridRead:
             counts = [point] + map_replicates(ds, config, _counts)
             for intervals in (max(n, 100), 1, 7, n, 3 * n + 1):
                 grid = np.linspace(0.0, 1.0, intervals + 1)
-                fp_at = _fp_at(grid, n)
+                first_at = _first_at(grid, n)
                 for tp, fp in counts:
-                    got = _grid_tpr(tp, fp, p, n, grid, fp_at)
+                    got = _grid_tpr(tp, fp, p, n, grid, first_at)
+                    tp, fp = compact(tp, fp)
                     assert _same_bits(got, interp_tpr(fp / n, tp / p, grid)), (
                         kind, p, n, intervals,
                     )
@@ -271,7 +323,12 @@ class TestGridRead:
     def test_count_index_is_the_last_vertex_at_or_left(self):
         for n in (1, 3, 7, 100, 11079):
             grid = np.linspace(0.0, 1.0, 3 * n + 2)
-            fp_at = _fp_at(grid, n)
+            first_at = _first_at(grid, n)
+            assert np.all(grid[first_at] >= np.arange(n + 1) / n)
+            inner = first_at > 0
+            assert np.all(grid[first_at[inner] - 1] < np.arange(n + 1)[inner] / n)
+            # Per grid point, the largest count whose first point is at or left of it.
+            fp_at = np.searchsorted(first_at, np.arange(grid.size), side="right") - 1
             assert np.all(fp_at / n <= grid)
             below = fp_at < n
             assert np.all((fp_at[below] + 1) / n > grid[below])

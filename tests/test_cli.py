@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import weakref
@@ -8,9 +9,12 @@ import pytest
 
 import rocqe.bootstrap as bootstrap_module
 import rocqe.cli as cli_module
+import rocqe.ingest as ingest_module
 import rocqe.svgplot as svgplot_module
 from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation, build_roc
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
+from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
+from rocqe.roc import RocCurve
 from rocqe.svgplot import SvgSeries, render_roc_svg
 from helpers import exact_auc, traced_peak
 
@@ -95,8 +99,29 @@ class TestExitCodes:
 
     def test_workers_ignored_without_bootstrap(self, capsys):
         _, plain, _ = run_cli(["roc", *BASE], capsys)
-        code, out, _ = run_cli(["roc", *BASE, "--workers", "0"], capsys)
+        code, out, _ = run_cli(["roc", *BASE, "--workers", "3"], capsys)
         assert code == 0 and out == plain
+
+    @pytest.mark.parametrize("command", [
+        ["roc"], ["diagnose"], ["scenario", "--scenario", "1", "--x", "0.3"],
+    ])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "workers must be >= 1"),
+        ("--confidence", "nan", "confidence must lie strictly between 0 and 1"),
+        ("--confidence", "0", "confidence must lie strictly between 0 and 1"),
+        ("--confidence", "1", "confidence must lie strictly between 0 and 1"),
+    ])
+    def test_bad_bootstrap_flags_return_four_without_bootstrap(
+        self, command, flag, value, message, capsys
+    ):
+        code, out, err = run_cli([*command, *BASE, flag, value], capsys)
+        assert (code, out) == (4, "")
+        assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--confidence", "nan")])
+    def test_bad_bootstrap_flags_return_four_in_hull(self, flag, value, capsys):
+        code, out, err = run_cli(["hull", *GOLD, *SCORES, *RISKB, flag, value], capsys)
+        assert (code, out) == (4, "") and "config error" in err
 
     def test_unknown_flag_returns_four(self, capsys):
         code, _, _ = run_cli(["roc", *BASE, "--frobnicate"], capsys)
@@ -477,6 +502,19 @@ class TestScenarioCommand:
         assert optimal["scenario"] == "optimal-threshold"
         assert optimal["threshold_raw"] == 100.0
         assert any("m = 0.5" in note for note in optimal["notes"])
+
+    @pytest.mark.parametrize("scenario", [["1", "--x", "0.3"], ["2", "--y", "10"]])
+    def test_trade_off_builds_one_curve(self, scenario, capsys, monkeypatch):
+        built = []
+        original = RocCurve.__post_init__
+
+        def counting(curve):
+            built.append(curve)
+            original(curve)
+
+        monkeypatch.setattr(RocCurve, "__post_init__", counting)
+        run_json(["scenario", *BASE, "--scenario", *scenario, "--trade-off", "1:10"], capsys)
+        assert len(built) == 1
 
     def test_ci_attached_with_bootstrap(self, capsys):
         doc = run_json(
@@ -908,3 +946,97 @@ class TestReportMemory:
         svg, rise = traced_peak(render_roc_svg, series)
         assert isinstance(svg, str)
         assert rise <= 2 * len(svg) + 1.5 * 2**20, (rise, len(svg))
+
+
+def _as_json(reports: dict) -> dict:
+    return json.loads(json.dumps({m: dataclasses.asdict(r) for m, r in reports.items()}))
+
+
+class TestGoldReadOnce:
+    """A run reads the gold file once, and reports what separate parses report."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        counts = {}
+
+        def counting_open(path, *args, **kwargs):
+            counts[os.path.basename(path)] = counts.get(os.path.basename(path), 0) + 1
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "open", counting_open, raising=False)
+        return counts
+
+    @staticmethod
+    def _canonical(tmp_path) -> tuple[str, dict[str, str]]:
+        """A gold file with a malformed line and a missing value, and three score files."""
+        rng = np.random.default_rng(57)
+        ids = [f"s{i:03d}" for i in range(120)]
+        positive = rng.random(120) < 0.3
+        lines = [f"{i}\t{-5.0 * p}" for i, p in zip(ids, positive.tolist())]
+        lines[7], lines[30] = "s007 -5.0", "s030\tNA"
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("segment_id\tmqm\n" + "\n".join(lines) + "\n")
+        scores = {}
+        for name, kept in (("a", ids), ("b", ids[::-1]), ("c", ids[10:])):
+            values = np.round(rng.normal(size=len(kept)), 2)
+            scores[name] = _write_column(tmp_path / f"{name}.tsv", "score", kept, values)
+        return str(gold), scores
+
+    def test_three_metric_roc(self, tmp_path, capsys, opened):
+        gold, scores = self._canonical(tmp_path)
+        argv = ["roc", "--gold", gold, *(f"--scores={m}={p}" for m, p in scores.items())]
+        doc = run_json(argv, capsys)
+        assert opened == {"gold.tsv": 1, "a.tsv": 1, "b.tsv": 1, "c.tsv": 1}
+        separate = {m: parse_canonical_tsv(gold, p, m)[1] for m, p in scores.items()}
+        assert doc["ingest"] == _as_json(separate)
+        assert doc["ingest"]["a"]["skipped_malformed"] == 1
+        # c lacks s000..s009, and s007's gold line is the malformed one.
+        assert doc["ingest"]["c"]["skipped_missing_score"] == 9
+
+    def test_strict_error_comes_from_the_first_parse(self, tmp_path, capsys, opened):
+        gold, scores = self._canonical(tmp_path)
+        argv = ["roc", "--gold", gold, "--strict",
+                *(f"--scores={m}={p}" for m, p in scores.items())]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"input error: {gold} line 9: expected 2 tab-separated fields, got 1" in err
+        assert opened == {"gold.tsv": 1}
+
+    @staticmethod
+    def _wmt_tree(tmp_path, metrics=("m1", "m2", "m3"), gold_lines=None) -> str:
+        rng = np.random.default_rng(58)
+        human = tmp_path / "wmt23" / "human-scores"
+        scores = tmp_path / "wmt23" / "metric-scores" / "zh-en"
+        human.mkdir(parents=True)
+        scores.mkdir(parents=True)
+        systems = ["sysX"] * 40 + ["sysY"] * 40
+        if gold_lines is None:
+            gold_lines = [f"{s}\t{-5.0 * (rng.random() < 0.4)}" for s in systems]
+        (human / "zh-en.mqm.merged.seg.score").write_text("\n".join(gold_lines) + "\n")
+        for metric in metrics:
+            lines = [f"{s}\t{rng.normal():.3f}" for s in systems]
+            (scores / f"{metric}.seg.score").write_text("\n".join(lines) + "\n")
+        return str(tmp_path)
+
+    WMT = ["--lang-pair", "zh-en", "--testset", "wmt23", "--system", "sysY"]
+
+    def test_three_metric_wmt_hull(self, tmp_path, capsys, opened):
+        root = self._wmt_tree(tmp_path)
+        argv = ["hull", "--wmt-root", root, *self.WMT, "--scores", "m1", "--scores", "m2",
+                "--scores", "m3"]
+        doc = run_json(argv, capsys)
+        assert opened == {
+            "zh-en.mqm.merged.seg.score": 1, "m1.seg.score": 1, "m2.seg.score": 1,
+            "m3.seg.score": 1,
+        }
+        separate = {
+            m: parse_wmt_layout(root, "zh-en", "wmt23", "sysY", m)[1] for m in ("m1", "m2", "m3")
+        }
+        assert doc["ingest"] == _as_json(separate)
+
+    def test_missing_metric_is_named_before_a_bad_gold_file(self, tmp_path, capsys):
+        root = self._wmt_tree(tmp_path, metrics=("m2",), gold_lines=["sysY\t0.0", "garbage"])
+        argv = ["hull", "--wmt-root", root, *self.WMT, "--scores", "m1", "--scores", "m2"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "no score file for metric 'm1'" in err

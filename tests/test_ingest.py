@@ -333,6 +333,48 @@ class TestOneReadPerFile:
         assert list(opened.values()) == [1, 1]
 
 
+def _parsed(fn, *args, **kwargs):
+    """A parse's records as rows and its report, or what it raised."""
+    outcome, value = _outcome(fn, *args, **kwargs)
+    return (outcome, (_record_rows(value[0]), value[1])) if outcome == "ok" else (outcome, value)
+
+
+class TestSharedGoldReads:
+    """Parses sharing a ``gold_reads`` dict give what separate parses give."""
+
+    def test_canonical(self, tmp_path, monkeypatch):
+        gold = _write(tmp_path / "g.tsv", ["id\tmqm", "a\t-1.0", "junk", "b\t0.0", "c\tNA"])
+        first = _write(tmp_path / "s1.tsv", ["a\t0.9", "b\t0.1", "c\t0.5"])
+        second = _write(tmp_path / "s2.tsv", ["c\t0.3", "b\t0.2", "d\t0.4"])
+        alone = [_parsed(parse_canonical_tsv, gold, s, "m") for s in (first, second)]
+        strict_alone = _parsed(parse_canonical_tsv, gold, first, "m", strict=True)
+        reads = []
+        original = ingest_module._read_two_column
+        monkeypatch.setattr(
+            ingest_module, "_read_two_column",
+            lambda path, *args, **kwargs: reads.append(path) or original(path, *args, **kwargs),
+        )
+        gold_reads = {}
+        shared = [_parsed(parse_canonical_tsv, gold, s, "m", gold_reads=gold_reads)
+                  for s in (first, second)]
+        assert shared == alone and alone[0][0] == "ok"
+        assert reads == [gold, first, second]
+        # A strict parse does not take a lenient read of the gold file.
+        assert _parsed(parse_canonical_tsv, gold, first, "m", strict=True,
+                       gold_reads=gold_reads) == strict_alone
+        assert strict_alone[0] == "raised"
+
+    def test_wmt(self, wmt_root):
+        gold_reads = {}
+        for system in ("sysX", "sysY"):
+            for metric in ("metricA", "metricB"):
+                args = (wmt_root, "zh-en", "wmt23", system, metric)
+                assert _parsed(parse_wmt_layout, *args, gold_reads=gold_reads) == _parsed(
+                    parse_wmt_layout, *args
+                )
+        assert len(gold_reads) == 1
+
+
 class TestToDataset:
     def test_sample10_counts(self, sample10_paths):
         records, _ = parse_canonical_tsv(*sample10_paths, "metric")
