@@ -8,7 +8,7 @@ are aggregated in index order, so output is byte-identical for a fixed seed.
 
 A replicate is never re-sorted, nor compacted. It draws members of the
 original sample, so ``Dataset.ranking`` already knows their tie groups, and
-``Ranking.group_counts`` turns the drawn members' groups into cumulative
+``Ranking.counts`` turns the drawn members' groups into cumulative
 counts at every group of the ranking: a group absent from the resample
 repeats the vertex before it. A repeated vertex is a zero-width, zero-rise
 step, which no statistic here can tell from a missing one, so the counts
@@ -103,7 +103,7 @@ def map_replicates(
     """Evaluate a statistic on every bootstrap replicate, in index order.
 
     ``stat_fn(tp, fp)`` receives one replicate's counts from
-    ``Ranking.group_counts``: the origin (0, 0), then for every tie group of
+    ``Ranking.counts``: the origin (0, 0), then for every tie group of
     the dataset's ranking, worst first, the number of resampled positives
     (``tp``) and negatives (``fp``) scoring at or above that group's score.
     A group the resample does not draw from repeats the counts before it:
@@ -121,7 +121,7 @@ def map_replicates(
     ranking = dataset.ranking
     pos, neg = ranking.pos_group, ranking.neg_group
     return [
-        stat_fn(*ranking.group_counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
+        stat_fn(*ranking.counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
         for index in range(config.iterations)
     ]
 
@@ -134,16 +134,12 @@ def _first_at(grid: np.ndarray, n: int) -> np.ndarray:
 def _one_group(tp: np.ndarray, fp: np.ndarray) -> bool:
     """Whether one tie group holds every member counted in (tp, fp).
 
-    The counts are cumulative per group, origin first. The first member of
-    a class sits in the group where its count leaves 0, the last in the
-    group where it reaches its end: all four must be one group.
+    The counts are cumulative per group, origin first, so tp + fp is
+    non-decreasing: one group holds them all when the index where it leaves
+    0 is the index where it reaches its end.
     """
-    groups = {
-        int(counts.searchsorted(value, side))
-        for counts in (tp, fp)
-        for value, side in ((0, "right"), (counts[-1], "left"))
-    }
-    return len(groups) == 1
+    flagged = tp + fp
+    return flagged.searchsorted(0, "right") == flagged.searchsorted(flagged[-1], "left")
 
 
 def _grid_tpr(

@@ -649,7 +649,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     results: dict = {"metric": metric, "decision": report}
     if trade_off is not None:
-        results["optimal"] = optimal_threshold(build_roc(dataset), trade_off, ratio)
+        results["optimal"] = optimal_threshold(dataset.roc_curve, trade_off, ratio)
 
     findings = {metric: check_sample(dataset)}
     _emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)

@@ -22,7 +22,7 @@ from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest
 from .model import (
     Dataset, Label, _frozen, _read_only, _strictly_increasing, require_both_classes,
 )
-from .roc import RocCurve, _upper_hull, build_roc, raw_threshold
+from .roc import RocCurve, _upper_hull, raw_threshold
 
 # Budget comparisons tolerate this much float dust; adjacent candidate sizes
 # differ by at least 1, so the slack can never flip a decision.
@@ -287,7 +287,7 @@ def scenario1_residual_risk(
         idx = _pick_largest_within_capacity(tp, fp, capacity)
         return _residual_per_100(int(tp[idx]), p, total, review_efficacy)
 
-    curve = build_roc(dataset)
+    curve = dataset.roc_curve
     idx = _pick_largest_within_capacity(curve.tp, curve.fp, capacity)
     notes = [f"review capacity: {capacity} of {total} segments"]
     if idx == 0:
@@ -346,7 +346,7 @@ def scenario2_required_effort(
         idx, _ = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
         return float(tp[idx] + fp[idx]) / total
 
-    curve = build_roc(dataset)
+    curve = dataset.roc_curve
     idx, attained = _pick_smallest_meeting_budget(
         curve.tp, curve.fp, p, budget, review_efficacy
     )

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .roc import RocCurve
 
 
 class DegenerateClassError(ValueError):
@@ -297,6 +300,13 @@ class Dataset:
         return Ranking(self.risk_scores, self.is_positive)
 
     @cached_property
+    def roc_curve(self) -> "RocCurve":
+        """The dataset's ``roc.build_roc`` curve, built once for the scenario reports."""
+        from .roc import build_roc  # roc imports this module
+
+        return build_roc(self)
+
+    @cached_property
     def fingerprint(self) -> str:
         """Digest of the sorted (segment_id, label) pairs.
 
@@ -347,30 +357,22 @@ class Ranking:
         self.pos_group = _frozen(group[is_positive])
         self.neg_group = _frozen(group[~is_positive])
 
-    def group_counts(
+    def counts(
         self, pos_groups: np.ndarray, neg_groups: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative (tp, fp) at the origin and at every group, drawn from or not.
+        """Cumulative (tp, fp) at the origin and at every group.
 
         ``pos_groups`` and ``neg_groups`` are the groups of any multiset of
         positives and negatives: the dataset's own (``pos_group``,
-        ``neg_group``), or a bootstrap resample's. Counts are int64, one per
-        group, origin first, worst group next; a group holding no member of
-        the multiset repeats the counts before it.
+        ``neg_group``) give its ROC curve counts, since every group holds
+        one of its members; a bootstrap resample's give the replicate's.
+        Counts are int64, one per group, origin first, worst group next; a
+        group holding no member of the multiset repeats the counts before it.
         """
         size = self.thresholds.size
         tp = np.bincount(pos_groups, minlength=size)
         fp = np.bincount(neg_groups, minlength=size)
         return tp.cumsum(out=tp), fp.cumsum(out=fp)
-
-    def counts(
-        self, pos_groups: np.ndarray, neg_groups: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``group_counts`` at the origin and at every group present: the curve's vertices."""
-        tp, fp = self.group_counts(pos_groups, neg_groups)
-        # A group is present where tp + fp steps up; the origin always is.
-        present = np.flatnonzero(np.diff(tp + fp, prepend=-1))
-        return tp[present], fp[present]
 
 
 @dataclass(frozen=True)

@@ -166,19 +166,14 @@ def build_roc(dataset: Dataset) -> RocCurve:
 
     Read off the dataset's ranking (worst score first): each tie group
     contributes one vertex whose counts cover the whole group, so the vertex
-    count equals the number of distinct scores plus the (0, 0) origin. The
-    curve is built once per dataset, like its ranking: later calls return
-    the same curve.
+    count equals the number of distinct scores plus the (0, 0) origin.
     """
-    curve = dataset.__dict__.get("_roc_curve")
-    if curve is not None:
-        return curve
     p, n = dataset.p_count, dataset.n_count
     require_both_classes(
         p, n, "the ROC curve is undefined for a single-class dataset"
     )
     ranking = dataset.ranking
-    curve = RocCurve(
+    return RocCurve(
         ranking.thresholds,
         *ranking.counts(ranking.pos_group, ranking.neg_group),
         p,
@@ -186,8 +181,6 @@ def build_roc(dataset: Dataset) -> RocCurve:
         dataset,
         dataset.orientation,
     )
-    dataset.__dict__["_roc_curve"] = curve
-    return curve
 
 
 def count_auc(tp: np.ndarray, fp: np.ndarray) -> float:
