@@ -1,120 +1,53 @@
-"""Tie-aware ROC analysis and decision support for translation QE scores."""
+"""Tie-aware ROC analysis and decision support for translation QE scores.
 
-from .bootstrap import (
-    BandWidthSummary,
-    BootstrapConfig,
-    ConfidenceBand,
-    band_width_summary,
-    confidence_band,
-    map_replicates,
-    replicate_rng,
-)
-from .decision import (
-    ClassRatio,
-    DecisionReport,
-    QeRocTable,
-    Scenario,
-    TableRow,
-    TradeOff,
-    optimal_threshold,
-    qe_roc_table,
-    scenario1_residual_risk,
-    scenario2_required_effort,
-)
-from .diagnostics import REPRESENTATIVENESS_NOTE, Finding, check_band, check_sample
-from .groundtruth import (
-    LENIENT,
-    STRICT_ANY_ERROR,
-    SeverityCutoff,
-    label,
-)
-from .ingest import (
-    CanonicalRecord,
-    CanonicalRecords,
-    IngestError,
-    IngestReport,
-    parse_canonical_tsv,
-    parse_wmt_layout,
-    to_dataset,
-)
-from .model import (
-    ConfusionCounts,
-    Dataset,
-    DegenerateClassError,
-    Label,
-    NonFiniteScoreError,
-    Orientation,
-    Rates,
-    ScoredSegment,
-    canonicalize,
-    rates,
-)
-from .roc import (
-    GroundTruthMismatchError,
-    HullVertex,
-    PrPoints,
-    RocCurve,
-    RocHull,
-    RocVertex,
-    auc,
-    build_roc,
-    convex_hull,
-    pr_points,
-)
+The public names load on first use (PEP 562): ``import rocqe`` imports no
+submodule and so does not import numpy, and ``rocqe.build_roc`` imports
+``rocqe.roc`` the first time it is read.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandWidthSummary",
-    "BootstrapConfig",
-    "CanonicalRecord",
-    "CanonicalRecords",
-    "ClassRatio",
-    "ConfidenceBand",
-    "ConfusionCounts",
-    "Dataset",
-    "DecisionReport",
-    "DegenerateClassError",
-    "Finding",
-    "GroundTruthMismatchError",
-    "HullVertex",
-    "IngestError",
-    "IngestReport",
-    "LENIENT",
-    "Label",
-    "NonFiniteScoreError",
-    "Orientation",
-    "PrPoints",
-    "QeRocTable",
-    "REPRESENTATIVENESS_NOTE",
-    "Rates",
-    "RocCurve",
-    "RocHull",
-    "RocVertex",
-    "STRICT_ANY_ERROR",
-    "Scenario",
-    "ScoredSegment",
-    "SeverityCutoff",
-    "TableRow",
-    "TradeOff",
-    "auc",
-    "band_width_summary",
-    "build_roc",
-    "canonicalize",
-    "check_band",
-    "check_sample",
-    "confidence_band",
-    "convex_hull",
-    "label",
-    "map_replicates",
-    "optimal_threshold",
-    "parse_canonical_tsv",
-    "parse_wmt_layout",
-    "pr_points",
-    "qe_roc_table",
-    "rates",
-    "replicate_rng",
-    "scenario1_residual_risk",
-    "scenario2_required_effort",
-    "to_dataset",
-]
+# Each submodule and the public names it holds.
+_EXPORTS = {
+    "bootstrap": (
+        "BandWidthSummary", "BootstrapConfig", "ConfidenceBand", "band_width_summary",
+        "confidence_band", "map_replicates", "replicate_rng",
+    ),
+    "decision": (
+        "ClassRatio", "DecisionReport", "QeRocTable", "Scenario", "TableRow", "TradeOff",
+        "optimal_threshold", "qe_roc_table", "scenario1_residual_risk",
+        "scenario2_required_effort",
+    ),
+    "diagnostics": ("REPRESENTATIVENESS_NOTE", "Finding", "check_band", "check_sample"),
+    "groundtruth": ("LENIENT", "STRICT_ANY_ERROR", "SeverityCutoff", "label"),
+    "ingest": (
+        "CanonicalRecord", "CanonicalRecords", "IngestError", "IngestReport",
+        "parse_canonical_tsv", "parse_wmt_layout", "to_dataset",
+    ),
+    "model": (
+        "ConfusionCounts", "Dataset", "DegenerateClassError", "Label", "NonFiniteScoreError",
+        "Orientation", "Rates", "ScoredSegment", "canonicalize", "rates",
+    ),
+    "roc": (
+        "GroundTruthMismatchError", "HullVertex", "PrPoints", "RocCurve", "RocHull",
+        "RocVertex", "auc", "build_roc", "convex_hull", "pr_points",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns ``name`` and keep the name here."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

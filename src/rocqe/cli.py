@@ -20,6 +20,14 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
+# No rocqe command calls a BLAS routine, but the OpenBLAS that numpy bundles
+# starts a worker thread per extra CPU when numpy loads, and those workers
+# spin on the CPU while they wait for work that never comes. One thread keeps
+# a short CLI run from paying for them; no result depends on it. A value the
+# user set wins, and a program that imported numpy first keeps its pool.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -800,9 +808,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        IngestError, FileNotFoundError, NonFiniteScoreError, GroundTruthMismatchError
-    ) as exc:
+    except (IngestError, OSError, NonFiniteScoreError, GroundTruthMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DegenerateClassError as exc:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -137,6 +137,17 @@ def _number(text: str) -> Optional[float]:
         return None
 
 
+def _line_blocks(handle: TextIO) -> Iterator[list[str]]:
+    """The lines of an open text file, about ``_BLOCK_CHARS`` characters at a time."""
+    try:
+        yield from iter(partial(handle.readlines, _BLOCK_CHARS), [])
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"{handle.name} is not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
 def _scan(
     path: str, header: bool, known: Optional[list[str]] = None
 ) -> tuple[list[str], np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
@@ -166,7 +177,7 @@ def _scan(
     malformed = 0
     start = 1
     with open(path, encoding="utf-8-sig") as handle:
-        for block in iter(partial(handle.readlines, _BLOCK_CHARS), []):
+        for block in _line_blocks(handle):
             at = np.arange(start, start + len(block))
             start += len(block)
             tabs = list(map(str.count, block, repeat("\t")))

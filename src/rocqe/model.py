@@ -8,7 +8,6 @@ if and only if their canonical scores are value-equal, so 0.0 and -0.0 tie.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -314,6 +313,8 @@ class Dataset:
         labeling, which is what multi-system comparisons require. Each pair
         is hashed as id, 0x1F, label value, 0x1E, in UTF-8.
         """
+        import hashlib  # loads OpenSSL, which most CLI runs never use
+
         # The text after each id, by its label.
         tails = (f"\x1f{Label.NEGATIVE.value}\x1e", f"\x1f{Label.POSITIVE.value}\x1e")
         ids, positive = self.ids, self.is_positive

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import shutil
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -17,6 +20,8 @@ from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
 from rocqe.roc import RocCurve
 from rocqe.svgplot import SvgSeries, render_roc_svg
 from helpers import exact_auc, traced_peak
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
@@ -328,6 +333,50 @@ class TestExitCodes:
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
         assert "0.1.0" in out
+
+
+def _not_utf8(path) -> str:
+    path.write_bytes(b"1\t-1.0\n2\t0.\xff\n")
+    return str(path)
+
+
+def _wmt_with_bad_metric(tmp_path) -> str:
+    root = tmp_path / "wmt"
+    shutil.copytree(os.path.join(ROOT, "tests", "fixtures", "wmt_mini"), root)
+    return _not_utf8(root / "wmt23" / "metric-scores" / "zh-en" / "metricA.seg.score")
+
+
+# Each case: a tmp_path -> (argv, the path the error must name).
+UNREADABLE = {
+    "scores is a directory": lambda tmp: (["roc", *GOLD, "--scores", f"m={tmp}"], str(tmp)),
+    "gold is a directory": lambda tmp: (["roc", "--gold", str(tmp), *SCORES], str(tmp)),
+    "out is a directory": lambda tmp: (["roc", *BASE, "--out", str(tmp)], str(tmp)),
+    "svg is a directory": lambda tmp: (["roc", *BASE, "--svg", str(tmp)], str(tmp)),
+    "scores not UTF-8": lambda tmp: (
+        ["roc", *GOLD, "--scores", f"m={_not_utf8(tmp / 's.tsv')}"], str(tmp / "s.tsv")
+    ),
+    "gold not UTF-8": lambda tmp: (
+        ["table", "--gold", _not_utf8(tmp / "g.tsv"), *SCORES], str(tmp / "g.tsv")
+    ),
+    "WMT metric not UTF-8": lambda tmp: (
+        ["roc", "--wmt-root", str(tmp / "wmt"), "--lang-pair", "zh-en", "--testset", "wmt23",
+         "--system", "sysX", "--scores", "metricA"],
+        _wmt_with_bad_metric(tmp),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_file_exits_two(case, tmp_path):
+    """A file that cannot be opened, read or decoded is an input error, named, not a traceback."""
+    argv, path = UNREADABLE[case](tmp_path)
+    run = subprocess.run(
+        [sys.executable, "-m", "rocqe.cli", *argv],
+        cwd=ROOT, capture_output=True, text=True, check=False,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("input error: ") and path in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 class TestDeterminism:
