@@ -16,15 +16,15 @@ _EXPORTS = {
         "confidence_band", "map_replicates", "replicate_rng",
     ),
     "decision": (
-        "ClassRatio", "DecisionReport", "QeRocTable", "Scenario", "TableRow", "TradeOff",
+        "ClassRatio", "DecisionReport", "QeRocTable", "Scenario", "TradeOff",
         "optimal_threshold", "qe_roc_table", "scenario1_residual_risk",
         "scenario2_required_effort",
     ),
     "diagnostics": ("REPRESENTATIVENESS_NOTE", "Finding", "check_band", "check_sample"),
     "groundtruth": ("LENIENT", "STRICT_ANY_ERROR", "SeverityCutoff", "label"),
     "ingest": (
-        "CanonicalRecord", "CanonicalRecords", "IngestError", "IngestReport",
-        "parse_canonical_tsv", "parse_wmt_layout", "to_dataset",
+        "CanonicalRecords", "IngestError", "IngestReport", "parse_canonical_tsv",
+        "parse_wmt_layout", "to_dataset",
     ),
     "model": (
         "ConfusionCounts", "Dataset", "DegenerateClassError", "Label", "NonFiniteScoreError",

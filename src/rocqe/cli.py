@@ -5,7 +5,7 @@ Subcommands: roc (curves, AUC, bands), table (per-segment TSV), scenario
 checks). All machine output is deterministic: identical inputs and flags
 produce byte-identical reports and SVGs.
 
-Exit codes: 0 success, 2 input error, 3 degenerate data, 4 config error.
+Exit codes: 0 success, 2 input or output error, 3 degenerate data, 4 config error.
 """
 
 from __future__ import annotations
@@ -376,12 +376,27 @@ def _json_chunks(document) -> Iterator[str]:
     yield "\n"
 
 
+class _OutputError(Exception):
+    """An output file, or stdout, could not be opened or written."""
+
+
 def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    """Write ``chunks`` to ``out_path``, or to stdout when there is none."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path and sys.stdout is sys.__stdout__:
+            # The interpreter flushes stdout again at exit; with stdout on the
+            # null device, the text still buffered there cannot fail a second time.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise _OutputError(f"{out_path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
@@ -583,7 +598,7 @@ def _table_chunks(table: QeRocTable) -> Iterator[str]:
     top, bottom = table.endpoints
     truths = np.array([Label.NEGATIVE.value, Label.POSITIVE.value], dtype=object)
     yield "segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr\n"
-    yield _table_lines(p, n, "-", "-", [top.raw_score], [top.tp], [top.fp])
+    yield _table_lines(p, n, "-", "-", [top], [0], [0])
     for start in range(0, table.tp.size, _ROWS_PER_BLOCK):
         block = slice(start, start + _ROWS_PER_BLOCK)
         yield _table_lines(
@@ -594,7 +609,7 @@ def _table_chunks(table: QeRocTable) -> Iterator[str]:
             table.tp[block],
             table.fp[block],
         )
-    yield _table_lines(p, n, "-", "-", [bottom.raw_score], [bottom.tp], [bottom.fp])
+    yield _table_lines(p, n, "-", "-", [bottom], [p], [n])
 
 
 def _table_lines(p: int, n: int, ids, labels, scores, tp, fp) -> str:
@@ -810,6 +825,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (IngestError, OSError, NonFiniteScoreError, GroundTruthMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except DegenerateClassError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)

@@ -13,39 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
-from .model import (
-    Dataset, Label, _frozen, _read_only, _strictly_increasing, require_both_classes,
-)
+from .model import Dataset, _frozen, _read_only, _strictly_increasing, require_both_classes
 from .roc import RocCurve, _upper_hull, raw_threshold
-
-# Budget comparisons tolerate this much float dust; adjacent candidate sizes
-# differ by at least 1, so the slack can never flip a decision.
-EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One QE-ROC table row: a segment plus its tie group's end counts.
-
-    Tied segments share one operating point, so all rows of a tie group carry
-    identical counts. The theoretical endpoint rows have no segment.
-    """
-
-    segment_id: Optional[str]
-    ground_truth: Optional[Label]
-    raw_score: float
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-    tpr: float
-    fpr: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +28,8 @@ class QeRocTable:
 
     Held as read-only row columns: ``segment_ids``, ``is_positive`` and
     ``raw_scores`` per segment, and each row's tie-group counts ``tp`` and
-    ``fp``. ``rows`` builds the ``TableRow`` objects on first access.
+    ``fp``. ``endpoints`` holds the raw scores of the two theoretical rows
+    that flag nothing and everything; their counts are (0, 0) and (P, N).
     """
 
     segment_ids: np.ndarray
@@ -62,7 +37,7 @@ class QeRocTable:
     raw_scores: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
-    endpoints: tuple[TableRow, TableRow]
+    endpoints: tuple[float, float]
     p_count: int
     n_count: int
 
@@ -74,21 +49,6 @@ class QeRocTable:
             raise ValueError("a table needs at least one data row")
         if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
             raise ValueError("the last data row must sit at tpr = fpr = 1")
-
-    @cached_property
-    def rows(self) -> tuple[TableRow, ...]:
-        p, n = self.p_count, self.n_count
-        truths = (Label.NEGATIVE, Label.POSITIVE)
-        return tuple(
-            TableRow(sid, truths[positive], raw, tp, p - tp, fp, n - fp, tp / p, fp / n)
-            for sid, positive, raw, tp, fp in zip(
-                self.segment_ids.tolist(),
-                self.is_positive.tolist(),
-                self.raw_scores.tolist(),
-                self.tp.tolist(),
-                self.fp.tolist(),
-            )
-        )
 
 
 def qe_roc_table(dataset: Dataset) -> QeRocTable:
@@ -115,32 +75,12 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         order = np.argsort(ranking.group * ids.size + id_place)
     group = ranking.group[order]
     tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
-
-    top = TableRow(
-        segment_id=None,
-        ground_truth=None,
-        raw_score=raw_threshold(math.inf, dataset.orientation),
-        tp=0,
-        fn=p,
-        fp=0,
-        tn=n,
-        tpr=0.0,
-        fpr=0.0,
-    )
-    bottom = TableRow(
-        segment_id=None,
-        ground_truth=None,
-        raw_score=raw_threshold(-math.inf, dataset.orientation),
-        tp=p,
-        fn=0,
-        fp=n,
-        tn=0,
-        tpr=1.0,
-        fpr=1.0,
-    )
     return QeRocTable(
         *(_frozen(column[order]) for column in (ids, dataset.is_positive, dataset.raw_scores)),
-        _frozen(tp[group]), _frozen(fp[group]), (top, bottom), p, n,
+        _frozen(tp[group]), _frozen(fp[group]),
+        (raw_threshold(math.inf, dataset.orientation),
+         raw_threshold(-math.inf, dataset.orientation)),
+        p, n,
     )
 
 
@@ -230,26 +170,46 @@ class DecisionReport:
             raise ValueError(f"inverted ci {self.ci}")
 
 
+def _review_capacity(review_fraction_x: float, total: int) -> int:
+    """The largest k <= total whose review fraction, the float k / total, is <= x.
+
+    Correctly rounded division is monotone in k, so ``floor(x * total)`` is
+    at most a step or two from k.
+    """
+    k = min(math.floor(review_fraction_x * total), total)
+    while k < total and (k + 1) / total <= review_fraction_x:
+        k += 1
+    while k / total > review_fraction_x:
+        k -= 1
+    return k
+
+
 def _pick_largest_within_capacity(tp: np.ndarray, fp: np.ndarray, capacity: int) -> int:
-    """Index of the largest vertex whose review set fits; 0, the origin, always does."""
-    return int(np.flatnonzero(tp + fp <= capacity + EPS)[-1])
+    """Index of the last vertex whose review set fits; 0, the origin, always does."""
+    return int(np.searchsorted(tp + fp, capacity, side="right")) - 1
 
 
-def _pick_smallest_meeting_budget(
-    tp: np.ndarray, fp: np.ndarray, p: int, budget: float, efficacy: float
-) -> tuple[int, bool]:
-    """Smallest review set whose residual errors fit the budget.
+def _needed_tp(p: int, total: int, y: float, efficacy: float) -> int:
+    """The fewest reviewed positives whose residual per 100, as the report
+    prints it, is <= y; p + 1 when even all p miss the target.
+
+    That residual never rises with tp, so the tps that meet y are the top
+    ones of 0..p.
+    """
+    meets = _residual_per_100(np.arange(p + 1), p, total, efficacy) <= y
+    return p + 1 - int(np.count_nonzero(meets))
+
+
+def _pick_smallest_meeting_budget(tp: np.ndarray, needed_tp: int) -> tuple[int, bool]:
+    """First vertex that reviews at least ``needed_tp`` positives.
 
     Returns (index, attained); index 0, the origin, means the empty review
-    set already qualifies. When even reviewing everything misses the budget
+    set already qualifies. When even reviewing everything misses the target
     (possible only with efficacy < 1), returns the last vertex and
     attained=False.
     """
-    residual = (p - tp) + (1.0 - efficacy) * tp
-    ok = np.flatnonzero(residual <= budget + EPS)
-    if ok.size:
-        return int(ok[0]), True
-    return tp.size - 1, False
+    idx = int(np.searchsorted(tp, needed_tp))
+    return (idx, True) if idx < tp.size else (tp.size - 1, False)
 
 
 def scenario1_residual_risk(
@@ -263,7 +223,8 @@ def scenario1_residual_risk(
     """Residual error risk when at most a fraction x of segments is reviewed.
 
     The review set takes whole tie groups from the worst score downward; the
-    capacity floor(x * total) is never exceeded, so a tie group that would
+    capacity is the largest count k whose review fraction, the float
+    k / total, is at most x. It is never exceeded, so a tie group that would
     overflow it is left out entirely. Residual risk counts the positives the
     review misses (plus uncorrected reviewed positives when review_efficacy
     is below 1), per 100 segments.
@@ -281,7 +242,7 @@ def scenario1_residual_risk(
 
     total = dataset.total
     p = dataset.p_count
-    capacity = math.floor(review_fraction_x * total + EPS)
+    capacity = _review_capacity(review_fraction_x, total)
 
     def run(tp: np.ndarray, fp: np.ndarray) -> float:
         idx = _pick_largest_within_capacity(tp, fp, capacity)
@@ -328,9 +289,10 @@ def scenario2_required_effort(
 
     The budget is y/100 * total missed errors; the procedure walks tie-group
     boundaries from the worst score and stops at the smallest review set
-    whose residual fits the budget. An empty review set qualifies when the
-    error count is already tolerable. With ``bootstrap`` set, a replicate
-    percentile interval for review_fraction is attached.
+    whose residual_fn_per_100, as the report prints it, is at most y. An
+    empty review set qualifies when the error count is already tolerable.
+    With ``bootstrap`` set, a replicate percentile interval for
+    review_fraction is attached.
     """
     check_tolerable_errors(tolerable_fn_per_100_y)
     check_review_efficacy(review_efficacy)
@@ -339,17 +301,15 @@ def scenario2_required_effort(
     )
 
     total = dataset.total
-    p = dataset.p_count
-    budget = tolerable_fn_per_100_y / 100.0 * total
+    needed = _needed_tp(dataset.p_count, total, tolerable_fn_per_100_y, review_efficacy)
 
     def run(tp: np.ndarray, fp: np.ndarray) -> float:
-        idx, _ = _pick_smallest_meeting_budget(tp, fp, p, budget, review_efficacy)
+        idx, _ = _pick_smallest_meeting_budget(tp, needed)
         return float(tp[idx] + fp[idx]) / total
 
     curve = dataset.roc_curve
-    idx, attained = _pick_smallest_meeting_budget(
-        curve.tp, curve.fp, p, budget, review_efficacy
-    )
+    idx, attained = _pick_smallest_meeting_budget(curve.tp, needed)
+    budget = tolerable_fn_per_100_y / 100.0 * total
     notes = [f"error budget: {budget!r} missed errors in {total} segments"]
     if not attained:
         notes.append(
@@ -433,7 +393,8 @@ def _report(
     )
 
 
-def _residual_per_100(tp: int, p: int, total: int, efficacy: float) -> float:
+def _residual_per_100(tp, p: int, total: int, efficacy: float):
+    """Residual errors per 100 segments after reviewing ``tp`` positives (an int or an array)."""
     return 100.0 * (p - efficacy * tp) / total
 
 

@@ -12,18 +12,15 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
-from .model import (
-    Dataset, Orientation, _frozen, _read_only, _strictly_increasing, canonicalize,
-)
+from .model import Dataset, Orientation, _frozen, _read_only, _strictly_increasing
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
@@ -41,30 +38,11 @@ class IngestError(ValueError):
     """Raised for unrecoverable input problems (structure, duplicates)."""
 
 
-@dataclass(frozen=True)
-class CanonicalRecord:
-    """One segment after the join: gold score plus per-metric QE scores.
-
-    Either side may be None when the source row was missing; such records
-    are skipped before they reach a Dataset.
-    """
-
-    segment_id: str
-    mqm_score: Optional[float]
-    qe_scores: dict[str, Optional[float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.segment_id:
-            raise ValueError("segment_id must be non-empty")
-
-
-class CanonicalRecords(Sequence):
+class CanonicalRecords:
     """Joined records for one metric, held as columns.
 
     ``ids``, ``mqm_scores`` and ``scores`` are read-only arrays, one entry
-    per record, every value present and finite. As a sequence it is
-    read-only: ``len``, iteration and indexing build ``CanonicalRecord``
-    objects on demand.
+    per record, every value present and finite.
     """
 
     def __init__(self, metric: str, ids, mqm_scores, scores) -> None:
@@ -79,24 +57,6 @@ class CanonicalRecords(Sequence):
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"CanonicalRecords is immutable; cannot set {name!r}")
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return CanonicalRecord(
-            self.ids[index],
-            self.mqm_scores[index].item(),
-            {self.metric: self.scores[index].item()},
-        )
-
-    def __iter__(self):
-        for sid, mqm, score in zip(
-            self.ids.tolist(), self.mqm_scores.tolist(), self.scores.tolist()
-        ):
-            yield CanonicalRecord(sid, mqm, {self.metric: score})
 
 
 @dataclass(frozen=True)
@@ -333,7 +293,7 @@ def parse_canonical_tsv(
         warnings.append(f"... and {gold_bad + score_bad - len(warnings)} more malformed lines")
     report = IngestReport(
         total_lines=len(ids) + gold_bad + score_bad,
-        accepted=len(records),
+        accepted=records.ids.size,
         skipped_missing_gold=missing_gold,
         skipped_missing_score=missing_score,
         skipped_malformed=gold_bad + score_bad,
@@ -454,7 +414,7 @@ def parse_wmt_layout(
     records, missing_gold, missing_score = _join(metric, ids, gold, score)
     report = IngestReport(
         total_lines=gold.size,
-        accepted=len(records),
+        accepted=records.ids.size,
         skipped_missing_gold=missing_gold,
         skipped_missing_score=missing_score,
         skipped_malformed=0,
@@ -463,63 +423,34 @@ def parse_wmt_layout(
 
 
 def to_dataset(
-    records: Iterable[CanonicalRecord],
+    records: CanonicalRecords,
     cutoff: SeverityCutoff,
     orientation: Orientation,
     metric: str,
 ) -> Dataset:
     """Label records and assemble the Dataset for one metric.
 
-    Records are sorted by segment id first, so datasets are identical no
-    matter how the input files were ordered. A single-class outcome is not
-    an error here; downstream analyses decide whether they can proceed.
-    Records are checked in id order: the first repeated id or non-finite
-    score raises, and every positive MQM score before it warns.
+    ``records`` are a parser's ``CanonicalRecords``, which hold finite
+    values only; records for another metric are not usable. Records are
+    sorted by segment id first, so datasets are identical no matter how the
+    input files were ordered. A single-class outcome is not an error here;
+    downstream analyses decide whether they can proceed. Records are checked
+    in id order: the first repeated id raises, and every positive MQM score
+    before it warns.
     """
-    if isinstance(records, CanonicalRecords) and records.metric == metric:
-        ids, mqm, scores = records.ids, records.mqm_scores, records.scores
-    else:
-        usable = [
-            r
-            for r in records
-            if r.mqm_score is not None and r.qe_scores.get(metric) is not None
-        ]
-        # Object columns keep each value as given, for the messages below.
-        ids = np.array([r.segment_id for r in usable], dtype=object)
-        mqm = np.array([r.mqm_score for r in usable], dtype=object)
-        scores = np.array([r.qe_scores[metric] for r in usable], dtype=object)
-        del usable
-    if not ids.size:
+    if records.metric != metric or not records.ids.size:
         raise IngestError(
             f"no usable records for metric {metric!r} after skips"
         )
+    ids, mqm, scores = records.ids, records.mqm_scores, records.scores
     if not _strictly_increasing(ids):
         order = np.argsort(ids, kind="stable")
         ids, mqm, scores = ids[order], mqm[order], scores[order]
-    mqm_column = np.asarray(mqm, dtype=np.float64)
-    score_column = np.asarray(scores, dtype=np.float64)
-
-    size = ids.size
-    repeated = _first(ids[1:] == ids[:-1], size - 1) + 1
-    non_finite = _first(~np.isfinite(score_column), size)
-    # The record at a repeated id is rejected before it is labelled; a
-    # record with a non-finite score is labelled first. Messages get values
-    # through ``item``: Python floats from a float column, each value as
-    # given from an object column.
-    labelled = repeated if repeated <= non_finite else non_finite + 1
-    for i in np.flatnonzero(mqm_column[:labelled] > 0).tolist():
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    # The record at a repeated id is rejected before it is labelled.
+    repeated = int(repeats[0]) + 1 if repeats.size else ids.size
+    for i in np.flatnonzero(mqm[:repeated] > 0).tolist():
         label(mqm.item(i), cutoff)  # warns about the positive MQM score
-    if repeated < size and repeated <= non_finite:
+    if repeats.size:
         raise IngestError(f"duplicate segment id {ids[repeated]!r}")
-    if non_finite < size:
-        canonicalize(scores.item(non_finite), orientation, ids[non_finite])  # raises
-    return Dataset.from_columns(
-        ids, score_column, label_positive(mqm_column, cutoff), orientation
-    )
-
-
-def _first(mask: np.ndarray, default: int) -> int:
-    """Index of the first True in ``mask``, or ``default`` when there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
-
+    return Dataset.from_columns(ids, scores, label_positive(mqm, cutoff), orientation)

@@ -149,62 +149,16 @@ class Dataset:
     read-only arrays with one entry per segment, in dataset order;
     ``p_count``/``n_count`` match the label tallies. Segment ids are
     opaque; uniqueness is an ingestion concern, and resampled datasets may
-    legitimately repeat ids. ``segments`` builds the per-segment objects on
-    first access.
+    legitimately repeat ids.
 
-    ``Dataset(segments, p_count, n_count, orientation)`` and
-    ``from_segments`` build a dataset from ``ScoredSegment`` objects,
-    ``from_columns`` from arrays; both run the same checks.
+    ``Dataset(ids, raw_scores, risk_scores, is_positive, p_count, n_count,
+    orientation)`` checks every column against the others; ``from_columns``
+    derives the risk scores and class counts, and ``from_segments`` takes
+    them from ``ScoredSegment`` objects.
     """
 
-    def __init__(
-        self,
-        segments: Iterable[ScoredSegment],
-        p_count: int,
-        n_count: int,
-        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
-    ) -> None:
-        segs = tuple(segments)
-        self._set_columns(
-            [s.segment_id for s in segs],
-            [s.raw_score for s in segs],
-            [s.risk_score for s in segs],
-            [s.label is Label.POSITIVE for s in segs],
-            p_count,
-            n_count,
-            orientation,
-        )
-        self.__dict__["segments"] = segs
-
-    @classmethod
-    def from_segments(
-        cls,
-        segments: Iterable[ScoredSegment],
-        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
-    ) -> "Dataset":
-        segs = tuple(segments)
-        p = sum(1 for s in segs if s.label is Label.POSITIVE)
-        return cls(segs, p, len(segs) - p, orientation)
-
-    @classmethod
-    def from_columns(
-        cls,
-        ids: Sequence[str],
-        raw_scores: Sequence[float],
-        is_positive: Sequence[bool],
-        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
-    ) -> "Dataset":
-        """A dataset from parallel columns; risk scores and class counts are derived."""
-        raw = _read_only(raw_scores, np.float64)
-        risk = _frozen(-raw) if orientation is Orientation.HIGHER_IS_BETTER else raw
-        positive = _read_only(is_positive, bool)
-        p = int(np.count_nonzero(positive))
-        dataset = cls.__new__(cls)
-        dataset._set_columns(ids, raw, risk, positive, p, positive.size - p, orientation)
-        return dataset
-
-    def _set_columns(self, ids, raw_scores, risk_scores, is_positive,
-                     p_count: int, n_count: int, orientation: Orientation) -> None:
+    def __init__(self, ids, raw_scores, risk_scores, is_positive, p_count: int, n_count: int,
+                 orientation: Orientation = Orientation.HIGHER_IS_WORSE) -> None:
         """Store the columns read-only after checking them, as one vectorised pass."""
         ids = _read_only(ids, object)
         raw = _read_only(raw_scores, np.float64)
@@ -244,6 +198,40 @@ class Dataset:
             orientation=orientation,
         )
 
+    @classmethod
+    def from_segments(
+        cls,
+        segments: Iterable[ScoredSegment],
+        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
+    ) -> "Dataset":
+        segs = tuple(segments)
+        positive = [s.label is Label.POSITIVE for s in segs]
+        p = sum(positive)
+        return cls(
+            [s.segment_id for s in segs],
+            [s.raw_score for s in segs],
+            [s.risk_score for s in segs],
+            positive,
+            p,
+            len(segs) - p,
+            orientation,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        raw_scores: Sequence[float],
+        is_positive: Sequence[bool],
+        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
+    ) -> "Dataset":
+        """A dataset from parallel columns; risk scores and class counts are derived."""
+        raw = _read_only(raw_scores, np.float64)
+        risk = _frozen(-raw) if orientation is Orientation.HIGHER_IS_BETTER else raw
+        positive = _read_only(is_positive, bool)
+        p = int(np.count_nonzero(positive))
+        return cls(ids, raw, risk, positive, p, positive.size - p, orientation)
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
 
@@ -270,20 +258,6 @@ class Dataset:
     @property
     def total(self) -> int:
         return self.p_count + self.n_count
-
-    @cached_property
-    def segments(self) -> tuple[ScoredSegment, ...]:
-        """Per-segment objects, built on first access."""
-        labels = (Label.NEGATIVE, Label.POSITIVE)
-        return tuple(
-            ScoredSegment(sid, labels[positive], raw, risk)
-            for sid, positive, raw, risk in zip(
-                self.ids.tolist(),
-                self.is_positive.tolist(),
-                self.raw_scores.tolist(),
-                self.risk_scores.tolist(),
-            )
-        )
 
     @cached_property
     def positive_risks(self) -> np.ndarray:

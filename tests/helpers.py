@@ -8,13 +8,12 @@ import math
 import tracemalloc
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from rocqe import (
     BootstrapConfig,
-    CanonicalRecord,
     ConfidenceBand,
     Dataset,
     IngestError,
@@ -57,6 +56,34 @@ def sample10_dataset() -> Dataset:
         for sid, raw, has_error in SAMPLE10
     ]
     return Dataset.from_segments(segments, Orientation.HIGHER_IS_BETTER)
+
+
+class Segment(NamedTuple):
+    """One segment of a dataset, read back from its columns."""
+
+    segment_id: str
+    label: Label
+    raw_score: float
+    risk_score: float
+
+
+def segments_of(dataset: Dataset) -> list[Segment]:
+    """The dataset's columns as one ``Segment`` per entry, in dataset order."""
+    labels = (Label.NEGATIVE, Label.POSITIVE)
+    return [
+        Segment(sid, labels[positive], raw, risk)
+        for sid, positive, raw, risk in zip(
+            dataset.ids.tolist(),
+            dataset.is_positive.tolist(),
+            dataset.raw_scores.tolist(),
+            dataset.risk_scores.tolist(),
+        )
+    ]
+
+
+def scored_segments(dataset: Dataset) -> list[ScoredSegment]:
+    """The dataset's segments as ``ScoredSegment`` objects, for ``Dataset.from_segments``."""
+    return [ScoredSegment(*segment) for segment in segments_of(dataset)]
 
 
 def make_dataset(
@@ -304,7 +331,7 @@ def resample_arrays(
 def brute_force_counts(dataset: Dataset, threshold: float) -> tuple[int, int]:
     """(tp, fp) by literally re-testing risk >= threshold per segment."""
     tp = fp = 0
-    for seg in dataset.segments:
+    for seg in segments_of(dataset):
         if seg.risk_score >= threshold:
             if seg.label is Label.POSITIVE:
                 tp += 1
@@ -366,6 +393,24 @@ def reference_json(document) -> str:
 # columnar code must agree with them exactly.
 
 
+class Record(NamedTuple):
+    """One joined record: gold score plus per-metric QE scores, None when missing."""
+
+    segment_id: str
+    mqm_score: Optional[float]
+    qe_scores: dict[str, Optional[float]]
+
+
+def records_of(records) -> list[Record]:
+    """A parser's ``CanonicalRecords`` columns as one ``Record`` per entry, in order."""
+    return [
+        Record(sid, mqm, {records.metric: score})
+        for sid, mqm, score in zip(
+            records.ids.tolist(), records.mqm_scores.tolist(), records.scores.tolist()
+        )
+    ]
+
+
 def parse_value(text: str) -> tuple[Optional[float], bool]:
     """(value, ok): value None for missing markers and non-finite numbers."""
     if text in ("", "None", "NA"):
@@ -422,12 +467,12 @@ def read_two_column(
 
 def parse_canonical_tsv(
     gold_path: str, scores_path: str, metric: str, *, strict: bool = False
-) -> tuple[list[CanonicalRecord], IngestReport]:
+) -> tuple[list[Record], IngestReport]:
     """The record-by-record join of two canonical TSVs."""
     gold_rows, gold_bad, gold_notes = read_two_column(gold_path, strict)
     score_rows, score_bad, score_notes = read_two_column(scores_path, strict)
 
-    records: list[CanonicalRecord] = []
+    records: list[Record] = []
     missing_gold = 0
     missing_score = 0
     ids = sorted(set(gold_rows) | set(score_rows))
@@ -440,7 +485,7 @@ def parse_canonical_tsv(
         if score is None:
             missing_score += 1
             continue
-        records.append(CanonicalRecord(sid, gold, {metric: score}))
+        records.append(Record(sid, gold, {metric: score}))
 
     warnings = (gold_notes + score_notes)[:MAX_WARNINGS]
     if gold_bad + score_bad > len(warnings):
@@ -511,7 +556,7 @@ def to_dataset(records, cutoff, orientation: Orientation, metric: str) -> Datase
 def fingerprint(dataset: Dataset) -> str:
     """SHA-256 over the sorted (segment_id, label) pairs, fed pair by pair."""
     h = hashlib.sha256()
-    for sid, value in sorted((s.segment_id, s.label.value) for s in dataset.segments):
+    for sid, value in sorted((s.segment_id, s.label.value) for s in segments_of(dataset)):
         h.update(sid.encode("utf-8"))
         h.update(b"\x1f")
         h.update(value.encode("utf-8"))
@@ -522,7 +567,7 @@ def fingerprint(dataset: Dataset) -> str:
 def table_tsv(dataset: Dataset) -> str:
     """The QE-ROC table text, sorted with a Python key and formatted row by row."""
     p, n = dataset.p_count, dataset.n_count
-    segments = sorted(dataset.segments, key=lambda s: (-s.risk_score, s.segment_id))
+    segments = sorted(segments_of(dataset), key=lambda s: (-s.risk_score, s.segment_id))
     thresholds, tp, fp = tie_group_counts(dataset.risk_scores, dataset.is_positive)
     lines = ["segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr"]
 

@@ -38,7 +38,10 @@ from rocqe import (
 from rocqe.bootstrap import ConfidenceBand
 from rocqe.cli import main
 from rocqe.roc import auc, convex_hull, rates
-from helpers import exact_pick, interp_tpr, make_dataset, pairwise_auc, random_dataset
+from helpers import (
+    exact_pick, interp_tpr, make_dataset, pairwise_auc, random_dataset, scored_segments,
+    segments_of,
+)
 
 TABLE_ARGS = [
     "table",
@@ -299,11 +302,11 @@ def test_geometry_and_decision_properties():
         clones = [
             ScoredSegment(f"c{j}-{s.segment_id}", s.label, s.raw_score, s.risk_score)
             for j in range(k - 1)
-            for s in ds.segments
+            for s in segments_of(ds)
             if s.label is Label.NEGATIVE
         ]
         duplicated = build_roc(
-            Dataset.from_segments(list(ds.segments) + clones, ds.orientation)
+            Dataset.from_segments(scored_segments(ds) + clones, ds.orientation)
         )
         assert [(v.fpr, v.tpr, v.threshold) for v in curve.vertices] == [
             (v.fpr, v.tpr, v.threshold) for v in duplicated.vertices
@@ -320,7 +323,7 @@ def test_geometry_and_decision_properties():
                         2.0 * s.risk_score + 1.0,
                         2.0 * s.risk_score + 1.0,
                     )
-                    for s in ds.segments
+                    for s in segments_of(ds)
                 ]
             )
         )
@@ -333,14 +336,14 @@ def test_geometry_and_decision_properties():
         rival = Dataset.from_segments(
             [
                 ScoredSegment(s.segment_id, s.label, float(x), float(x))
-                for s, x in zip(ds.segments, rng.normal(size=ds.total))
+                for s, x in zip(segments_of(ds), rng.normal(size=ds.total))
             ]
         )
         base = build_roc(
             Dataset.from_segments(
                 [
                     ScoredSegment(s.segment_id, s.label, s.risk_score, s.risk_score)
-                    for s in ds.segments
+                    for s in segments_of(ds)
                 ]
             )
         )

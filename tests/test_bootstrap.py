@@ -16,7 +16,9 @@ from rocqe import (
 )
 import rocqe.bootstrap as bootstrap_module
 from rocqe.bootstrap import _first_at, _grid_tpr, _one_group, fpr_grid, nearest_rank
-from rocqe.decision import _pick_largest_within_capacity, _pick_smallest_meeting_budget
+from rocqe.decision import (
+    _needed_tp, _pick_largest_within_capacity, _pick_smallest_meeting_budget,
+)
 from rocqe.roc import auc, count_auc
 from helpers import (
     compact,
@@ -233,15 +235,14 @@ class TestPerGroupCounts:
                     j = _pick_largest_within_capacity(small_tp, small_fp, capacity)
                     assert (tp[i], fp[i]) == (small_tp[j], small_fp[j]), (kind, seed, capacity)
                 for efficacy in (1.0, 0.7):
-                    residual = (p - small_tp) + (1.0 - efficacy) * small_tp
-                    budgets = [*residual.tolist(), *np.nextafter(residual, -1.0).tolist()]
-                    for budget in budgets:
-                        i, met = _pick_smallest_meeting_budget(tp, fp, p, budget, efficacy)
-                        j, small_met = _pick_smallest_meeting_budget(
-                            small_tp, small_fp, p, budget, efficacy
-                        )
+                    residual = 100.0 * (p - efficacy * small_tp) / ds.total
+                    targets = [*residual.tolist(), *np.nextafter(residual, -1.0).tolist()]
+                    for y in targets:
+                        needed = _needed_tp(p, ds.total, y, efficacy)
+                        i, met = _pick_smallest_meeting_budget(tp, needed)
+                        j, small_met = _pick_smallest_meeting_budget(small_tp, needed)
                         assert met == small_met
-                        assert (tp[i], fp[i]) == (small_tp[j], small_fp[j]), (kind, budget)
+                        assert (tp[i], fp[i]) == (small_tp[j], small_fp[j]), (kind, y)
         if kind == "all_tied":
             assert degenerate == 30 * 5  # every resample is one tie group
 

@@ -14,10 +14,12 @@ import rocqe.bootstrap as bootstrap_module
 import rocqe.cli as cli_module
 import rocqe.ingest as ingest_module
 import rocqe.svgplot as svgplot_module
-from rocqe import STRICT_ANY_ERROR, Dataset, IngestError, Orientation, build_roc
+from rocqe import (
+    STRICT_ANY_ERROR, Dataset, IngestError, Label, Orientation, ScoredSegment, build_roc,
+)
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
-from rocqe.roc import RocCurve
+from rocqe.roc import RocCurve, RocVertex
 from rocqe.svgplot import SvgSeries, render_roc_svg
 from helpers import exact_auc, traced_peak
 
@@ -366,17 +368,50 @@ UNREADABLE = {
 }
 
 
+# The UNREADABLE cases whose file is an output.
+UNWRITABLE = ("out is a directory", "svg is a directory")
+
+
 @pytest.mark.parametrize("case", list(UNREADABLE))
 def test_unreadable_file_exits_two(case, tmp_path):
-    """A file that cannot be opened, read or decoded is an input error, named, not a traceback."""
+    """A file that cannot be opened, read or decoded is an input or output error,
+    named, not a traceback."""
     argv, path = UNREADABLE[case](tmp_path)
     run = subprocess.run(
         [sys.executable, "-m", "rocqe.cli", *argv],
         cwd=ROOT, capture_output=True, text=True, check=False,
     )
     assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith("input error: ") and path in run.stderr
+    if case in UNWRITABLE:
+        assert run.stderr == f"output error: {path}: Is a directory\n"
+    else:
+        assert run.stderr.startswith("input error: ") and path in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_closed_stdout_is_an_output_error():
+    """A report piped into a reader that is gone exits 2 with one line, and
+    nothing more is printed when the interpreter flushes stdout at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "rocqe.cli", "table", *BASE],
+            cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr == "output error: stdout: Broken pipe\n"
+
+
+def test_svg_directory_is_an_output_error(tmp_path, capsys):
+    argv = ["hull", *BASE, "--scores", "riskb=tests/fixtures/sample10.riskb.tsv"]
+    out = tmp_path / "report.json"
+    code, _, err = run_cli([*argv, "--svg", str(tmp_path), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"output error: {tmp_path}: Is a directory\n"
+    assert not out.exists()
 
 
 class TestDeterminism:
@@ -857,10 +892,16 @@ class TestColumnarPath:
         ],
     )
     def test_commands_never_build_segment_objects(self, argv, capsys, monkeypatch):
-        def refuse(self):
-            raise AssertionError("Dataset.segments was built")
+        """No command builds a ``ScoredSegment`` or a ``RocVertex``; they read columns."""
+        for cls in (ScoredSegment, RocVertex):
+            def refuse(self, name=cls.__name__):
+                raise AssertionError(f"a {name} was built")
 
-        monkeypatch.setattr(Dataset, "segments", property(refuse))
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="ScoredSegment"):
+            ScoredSegment("a", Label.POSITIVE, 1.0, 1.0)
+        with pytest.raises(AssertionError, match="RocVertex"):
+            build_roc(Dataset.from_columns(["a", "b"], [1.0, 0.0], [True, False])).vertices
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
 

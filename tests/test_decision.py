@@ -23,6 +23,7 @@ from rocqe import (
 )
 import rocqe.cli as cli_module
 import rocqe.decision as decision_module
+from rocqe.bootstrap import nearest_rank_interval
 import helpers
 from helpers import assert_close, make_dataset, random_dataset, traced_peak
 
@@ -42,54 +43,61 @@ SAMPLE10_ROWS = [
 ]
 
 
+def _table_rows(table):
+    """(segment_id, raw_score, tp, fn, fp, tn) per data row, read off the columns."""
+    tp, fp = table.tp, table.fp
+    return list(zip(
+        table.segment_ids.tolist(),
+        table.raw_scores.tolist(),
+        tp.tolist(),
+        (table.p_count - tp).tolist(),
+        fp.tolist(),
+        (table.n_count - fp).tolist(),
+    ))
+
+
 class TestQeRocTable:
     def test_sample10_rows(self, sample10):
         table = qe_roc_table(sample10)
-        got = [
-            (r.segment_id, r.raw_score, r.tp, r.fn, r.fp, r.tn) for r in table.rows
-        ]
-        assert got == SAMPLE10_ROWS
+        assert _table_rows(table) == SAMPLE10_ROWS
 
     def test_sample10_rates(self, sample10):
         table = qe_roc_table(sample10)
-        by_id = {r.segment_id: r for r in table.rows}
-        assert_close(by_id["5"].tpr, 1 / 6)
-        assert by_id["5"].fpr == 0.0
-        assert_close(by_id["6"].tpr, 1 / 3)
-        assert by_id["6"].fpr == 0.25
-        assert by_id["1"].tpr == 0.5
-        assert by_id["1"].fpr == 0.75
+        at = {sid: i for i, sid in enumerate(table.segment_ids.tolist())}
+        tpr, fpr = table.tp / table.p_count, table.fp / table.n_count
+        assert_close(tpr[at["5"]], 1 / 6)
+        assert fpr[at["5"]] == 0.0
+        assert_close(tpr[at["6"]], 1 / 3)
+        assert fpr[at["6"]] == 0.25
+        assert tpr[at["1"]] == 0.5
+        assert fpr[at["1"]] == 0.75
 
     def test_tie_group_shares_counts(self, sample10):
         table = qe_roc_table(sample10)
-        tied = [r for r in table.rows if r.raw_score == 95.0]
+        tied = [row for row in _table_rows(table) if row[1] == 95.0]
         assert len(tied) == 3
-        assert len({(r.tp, r.fn, r.fp, r.tn) for r in tied}) == 1
+        assert len({row[2:] for row in tied}) == 1
 
     def test_ground_truth_column(self, sample10):
         table = qe_roc_table(sample10)
-        by_id = {r.segment_id: r for r in table.rows}
-        assert by_id["5"].ground_truth is Label.POSITIVE
-        assert by_id["9"].ground_truth is Label.NEGATIVE
+        truth = dict(zip(table.segment_ids.tolist(), table.is_positive.tolist()))
+        assert truth["5"] is True
+        assert truth["9"] is False
 
     def test_endpoints_for_higher_better(self, sample10):
         table = qe_roc_table(sample10)
-        top, bottom = table.endpoints
-        assert top.segment_id is None and bottom.segment_id is None
-        assert top.raw_score == -math.inf and (top.tpr, top.fpr) == (0.0, 0.0)
-        assert bottom.raw_score == math.inf and (bottom.tpr, bottom.fpr) == (1.0, 1.0)
-        assert (top.tp, top.fn, top.fp, top.tn) == (0, 6, 0, 4)
-        assert (bottom.tp, bottom.fn, bottom.fp, bottom.tn) == (6, 0, 4, 0)
+        assert table.endpoints == (-math.inf, math.inf)
+        lines = "".join(cli_module._table_chunks(table)).splitlines()
+        assert lines[1] == "-\t-\t-inf\t0\t6\t0\t4\t0.00\t0.00"
+        assert lines[-1] == "-\t-\tinf\t6\t0\t4\t0\t1.00\t1.00"
 
     def test_endpoints_for_higher_worse(self):
         table = qe_roc_table(make_dataset([1.0, 0.0], [True, False]))
-        top, bottom = table.endpoints
-        assert top.raw_score == math.inf
-        assert bottom.raw_score == -math.inf
+        assert table.endpoints == (math.inf, -math.inf)
 
     def test_minimal_dataset_two_rows(self):
         table = qe_roc_table(make_dataset([1.0, 0.0], [True, False]))
-        assert [(r.tp, r.fp) for r in table.rows] == [(1, 0), (1, 1)]
+        assert list(zip(table.tp.tolist(), table.fp.tolist())) == [(1, 0), (1, 1)]
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateClassError):
@@ -100,14 +108,8 @@ class TestQeRocTable:
         for _ in range(100):
             ds = random_dataset(rng)
             table = qe_roc_table(ds)
-            assert len(table.rows) == ds.total
-            assert (table.rows[-1].tpr, table.rows[-1].fpr) == (1.0, 1.0)
-
-
-    def test_rows_are_built_on_first_access(self, sample10):
-        table = qe_roc_table(sample10)
-        assert "rows" not in vars(table)
-        assert len(table.rows) == 10 and table.rows is table.rows
+            assert table.segment_ids.size == table.tp.size == ds.total
+            assert (table.tp[-1] / ds.p_count, table.fp[-1] / ds.n_count) == (1.0, 1.0)
 
     def test_table_needs_rows_ending_in_the_corner(self, sample10):
         table = qe_roc_table(sample10)
@@ -282,6 +284,7 @@ class TestScenario1:
             report = scenario1_residual_risk(ds, x)
             flagged = round(report.review_fraction * ds.total)
             assert flagged <= math.floor(x * ds.total + 1e-9)
+            assert report.review_fraction <= x
 
     def test_residual_never_increases_with_budget(self):
         rng = np.random.default_rng(33)
@@ -377,7 +380,7 @@ class TestScenario2:
 
     def test_agrees_with_scenario1(self):
         # The cheapest set meeting scenario 1's achieved residual never needs
-        # more than scenario 1's budget.
+        # more than scenario 1's budget, and it prints that same residual.
         rng = np.random.default_rng(35)
         for _ in range(100):
             ds = random_dataset(rng)
@@ -385,6 +388,7 @@ class TestScenario2:
             first = scenario1_residual_risk(ds, x)
             second = scenario2_required_effort(ds, first.residual_fn_per_100)
             assert second.review_fraction <= first.review_fraction + 1e-12
+            assert second.residual_fn_per_100 == first.residual_fn_per_100
 
     def test_replicate_ci_on_review_fraction(self, sample10):
         report = scenario2_required_effort(
@@ -393,6 +397,99 @@ class TestScenario2:
         lo, hi = report.ci
         assert 0.0 <= lo <= hi <= 1.0
         assert any("review_fraction" in note for note in report.notes)
+
+
+def _fraction_pick(tp, fp, total, x) -> int:
+    """Brute force: the last vertex whose printed review fraction is <= x."""
+    return max(i for i in range(len(tp)) if (tp[i] + fp[i]) / total <= x)
+
+
+def _residual_pick(tp, p, total, y, efficacy) -> tuple[int, bool]:
+    """Brute force: the first vertex whose printed residual per 100 is <= y."""
+    for i, t in enumerate(tp):
+        if 100.0 * (p - efficacy * t) / total <= y:
+            return i, True
+    return len(tp) - 1, False
+
+
+def _around(values, low, high) -> list[float]:
+    """Each value and its two float neighbours, kept within [low, high]."""
+    near = {
+        v for value in values
+        for v in (value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf))
+    }
+    return sorted(v for v in near if low <= v <= high)
+
+
+class TestDecisionRule:
+    """The scenarios decide on the numbers the report prints, with no slack."""
+
+    def test_review_fraction_never_exceeds_a_typed_x(self):
+        ds = make_dataset([3.0, 2.0, 1.0], [True, False, True])
+        report = scenario1_residual_risk(ds, 0.3333333333)
+        assert report.review_fraction == 0.0
+        assert report.notes[0] == "review capacity: 0 of 3 segments"
+        assert scenario1_residual_risk(ds, 1 / 3).review_fraction == 1 / 3
+
+    def test_printed_residual_never_exceeds_a_typed_y(self):
+        positive = np.arange(10_000) < 1_000
+        ds = Dataset.from_columns(
+            [f"s{i:05d}" for i in range(10_000)], np.arange(10_000, 0, -1.0), positive
+        )
+        report = scenario2_required_effort(ds, 9.99999999999)
+        assert report.residual_fn_per_100 == 9.99
+        assert report.review_fraction == 0.0001
+        assert report.notes[0] == "error budget: 999.999999999 missed errors in 10000 segments"
+
+    @pytest.mark.parametrize("efficacy", [1.0, 0.7, 1 / 3])
+    def test_picks_match_a_brute_force_oracle(self, efficacy):
+        rng = np.random.default_rng(36)
+        config = BootstrapConfig(iterations=16, seed=3)
+        for _ in range(20):
+            ds = random_dataset(rng)
+            total, p = ds.total, ds.p_count
+            curve = ds.roc_curve
+            tp, fp = curve.tp.tolist(), curve.fp.tolist()
+            replicates = [
+                (a.tolist(), b.tolist())
+                for a, b in decision_module.map_replicates(ds, config, lambda a, b: (a, b))
+            ]
+            for x in _around([k / total for k in range(1, total + 1)], 5e-324, 1.0):
+                report = scenario1_residual_risk(
+                    ds, x, review_efficacy=efficacy, bootstrap=config
+                )
+                i = _fraction_pick(tp, fp, total, x)
+                capacity = max(k for k in range(total + 1) if k / total <= x)
+                assert report.notes[0] == f"review capacity: {capacity} of {total} segments"
+                assert report.review_fraction == (tp[i] + fp[i]) / total <= x
+                assert report.residual_fn_per_100 == 100.0 * (p - efficacy * tp[i]) / total
+                values = []
+                for r_tp, r_fp in replicates:
+                    j = _fraction_pick(r_tp, r_fp, total, x)
+                    assert decision_module._pick_largest_within_capacity(
+                        np.array(r_tp), np.array(r_fp), capacity
+                    ) == j
+                    values.append(100.0 * (p - efficacy * r_tp[j]) / total)
+                assert report.ci == nearest_rank_interval(np.sort(values), config.confidence)
+            printed = [100.0 * (p - efficacy * t) / total for t in tp]
+            for y in _around(printed, 0.0, 100.0):
+                report = scenario2_required_effort(
+                    ds, y, review_efficacy=efficacy, bootstrap=config
+                )
+                i, attained = _residual_pick(tp, p, total, y, efficacy)
+                assert report.review_fraction == (tp[i] + fp[i]) / total
+                assert report.residual_fn_per_100 == printed[i]
+                assert attained == (printed[i] <= y)
+                assert any("unattainable" in note for note in report.notes) == (not attained)
+                values = []
+                for r_tp, r_fp in replicates:
+                    j, _ = _residual_pick(r_tp, p, total, y, efficacy)
+                    needed = decision_module._needed_tp(p, total, y, efficacy)
+                    assert decision_module._pick_smallest_meeting_budget(
+                        np.array(r_tp), needed
+                    )[0] == j
+                    values.append((r_tp[j] + r_fp[j]) / total)
+                assert report.ci == nearest_rank_interval(np.sort(values), config.confidence)
 
 
 class TestThresholdNaming:

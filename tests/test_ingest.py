@@ -8,7 +8,6 @@ import pytest
 from rocqe import (
     LENIENT,
     STRICT_ANY_ERROR,
-    CanonicalRecord,
     CanonicalRecords,
     IngestError,
     IngestReport,
@@ -21,7 +20,7 @@ from rocqe import (
 import rocqe.ingest as ingest_module
 from rocqe.ingest import MAX_WARNINGS, _read_system_column
 import helpers
-from helpers import traced_peak
+from helpers import records_of, segments_of, traced_peak
 
 
 def _write(path, lines):
@@ -34,26 +33,27 @@ class TestParseCanonicalTsv:
     def test_sample10_files(self, sample10_paths):
         gold, scores = sample10_paths
         records, report = parse_canonical_tsv(gold, scores, "metric")
-        assert len(records) == 10
+        assert records.ids.size == 10
         assert report.total_lines == 10
         assert report.accepted == 10
         assert report.skipped_missing_gold == 0
-        by_id = {r.segment_id: r for r in records}
-        assert by_id["5"].mqm_score == -5.0
-        assert by_id["5"].qe_scores["metric"] == 25.0
+        at = records.ids.tolist().index("5")
+        assert records.metric == "metric"
+        assert records.mqm_scores[at] == -5.0
+        assert records.scores[at] == 25.0
 
     def test_headers_are_optional(self, tmp_path):
         gold = _write(tmp_path / "g.tsv", ["a\t-1.0", "b\t0.0"])
         scores = _write(tmp_path / "s.tsv", ["a\t0.9", "b\t0.1"])
         records, report = parse_canonical_tsv(gold, scores, "m")
-        assert [r.segment_id for r in records] == ["a", "b"]
+        assert records.ids.tolist() == ["a", "b"]
         assert report.accepted == 2
 
     def test_header_detected_by_non_numeric_value(self, tmp_path):
         gold = _write(tmp_path / "g.tsv", ["segment_id\tmqm", "a\t-1.0"])
         scores = _write(tmp_path / "s.tsv", ["segment_id\tscore", "a\t0.9"])
         records, report = parse_canonical_tsv(gold, scores, "m")
-        assert [r.segment_id for r in records] == ["a"]
+        assert records.ids.tolist() == ["a"]
         assert report.total_lines == 1
 
     def test_missing_markers_keep_the_row(self, tmp_path):
@@ -67,7 +67,7 @@ class TestParseCanonicalTsv:
         assert report.total_lines == 5
         assert report.accepted == 1
         assert report.skipped_missing_gold == 4
-        assert {r.segment_id for r in records} == {"d"}
+        assert records.ids.tolist() == ["d"]
 
     def test_missing_score_counted_separately(self, tmp_path):
         gold = _write(tmp_path / "g.tsv", ["a\t-1.0", "b\t-2.0"])
@@ -87,7 +87,7 @@ class TestParseCanonicalTsv:
         gold = _write(tmp_path / "g.tsv", ["a\t-1.0", "b\t-2.0"])
         scores = _write(tmp_path / "s.tsv", ["b\t0.5", "c\t0.7"])
         records, report = parse_canonical_tsv(gold, scores, "m")
-        assert {r.segment_id for r in records} == {"b"}
+        assert records.ids.tolist() == ["b"]
         assert report.total_lines == 3
         assert report.skipped_missing_gold == 1
         assert report.skipped_missing_score == 1
@@ -151,7 +151,7 @@ class TestParseCanonicalTsv:
         gold = _write(tmp_path / "g.tsv", ["b\t-1.0", "a\t0.0", "c\t-2.0"])
         scores = _write(tmp_path / "s.tsv", ["c\t0.3", "a\t0.1", "b\t0.2"])
         records, _ = parse_canonical_tsv(gold, scores, "m")
-        assert [r.segment_id for r in records] == ["a", "b", "c"]
+        assert records.ids.tolist() == ["a", "b", "c"]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -161,8 +161,8 @@ class TestParseCanonicalTsv:
         gold = _write(tmp_path / "g.tsv", ["\ufeff1\t-5.0", "2\t0.0"])
         scores = _write(tmp_path / "s.tsv", ["1\t0.3", "2\t0.1"])
         records, report = parse_canonical_tsv(gold, scores, "m")
-        assert [r.segment_id for r in records] == ["1", "2"]
-        assert records[0].mqm_score == -5.0
+        assert records.ids.tolist() == ["1", "2"]
+        assert records.mqm_scores[0] == -5.0
         assert report.accepted == 2
         assert report.total_lines == 2
         assert report.skipped_missing_gold == 0
@@ -174,7 +174,7 @@ class TestParseCanonicalTsv:
         gold = _write(tmp_path / "g.tsv", gold_lines)
         scores = _write(tmp_path / "s.tsv", score_lines)
         records, report = parse_canonical_tsv(gold, scores, "m")
-        assert len(records) == 1
+        assert records.ids.size == 1
         assert report.skipped_malformed == 1000
         assert report.total_lines == 1001
         assert len(report.warnings) == MAX_WARNINGS + 1
@@ -197,16 +197,15 @@ class TestWmtLayout:
         assert report.total_lines == 4
         assert report.accepted == 3
         assert report.skipped_missing_gold == 1
-        ids = [r.segment_id for r in records]
-        assert ids == ["wmt23:sysX:0", "wmt23:sysX:1", "wmt23:sysX:3"]
-        by_id = {r.segment_id: r for r in records}
-        assert by_id["wmt23:sysX:0"].mqm_score == -1.0
-        assert by_id["wmt23:sysX:0"].qe_scores["metricA"] == 0.9
+        assert records.ids.tolist() == ["wmt23:sysX:0", "wmt23:sysX:1", "wmt23:sysX:3"]
+        assert records.metric == "metricA"
+        assert records.mqm_scores[0] == -1.0
+        assert records.scores[0] == 0.9
 
     def test_other_system_slices_its_own_rows(self, wmt_root):
         records, report = parse_wmt_layout(wmt_root, "zh-en", "wmt23", "sysY", "metricA")
         assert report.accepted == 4
-        assert [r.qe_scores["metricA"] for r in records] == [0.2, 0.7, 0.4, 0.1]
+        assert records.scores.tolist() == [0.2, 0.7, 0.4, 0.1]
 
     def test_unknown_metric_lists_available(self, wmt_root):
         with pytest.raises(IngestError, match="metricA"):
@@ -230,7 +229,7 @@ class TestWmtLayout:
         _write(ms / "m.seg.score", ["\ufeffsysA\t0.5", "sysA\t0.2"])
         records, report = parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
         assert report.accepted == 2
-        assert [r.segment_id for r in records] == ["wmt23:sysA:0", "wmt23:sysA:1"]
+        assert records.ids.tolist() == ["wmt23:sysA:0", "wmt23:sysA:1"]
 
     def test_length_mismatch_is_a_hard_error(self, tmp_path):
         root = tmp_path / "tree"
@@ -276,7 +275,7 @@ class TestWmtLayout:
         _write(hs / "zh-en.mqm.seg.score", ["sysA\t-1.0", "sysA\t0.0"])
         _write(ms / "m.seg.score", ["sysA\t0.5", "sysA\t0.4"])
         records, _ = parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m")
-        assert len(records) == 2
+        assert records.ids.size == 2
 
     def test_missing_gold_file_raises(self, tmp_path):
         root = tmp_path / "tree"
@@ -336,7 +335,9 @@ class TestOneReadPerFile:
 def _parsed(fn, *args, **kwargs):
     """A parse's records as rows and its report, or what it raised."""
     outcome, value = _outcome(fn, *args, **kwargs)
-    return (outcome, (_record_rows(value[0]), value[1])) if outcome == "ok" else (outcome, value)
+    if outcome != "ok":
+        return outcome, value
+    return outcome, (_record_rows(records_of(value[0])), value[1])
 
 
 class TestSharedGoldReads:
@@ -380,7 +381,7 @@ class TestToDataset:
         records, _ = parse_canonical_tsv(*sample10_paths, "metric")
         ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "metric")
         assert (ds.p_count, ds.n_count) == (6, 4)
-        by_id = {s.segment_id: s for s in ds.segments}
+        by_id = {s.segment_id: s for s in segments_of(ds)}
         assert by_id["5"].label is Label.POSITIVE
         assert by_id["5"].raw_score == 25.0
         assert by_id["5"].risk_score == -25.0
@@ -391,31 +392,18 @@ class TestToDataset:
         # All errors in the fixture carry -5.0, inside the lenient boundary.
         assert ds.p_count == 6
 
-    def test_records_without_usable_values_are_dropped(self):
-        records = [
-            CanonicalRecord("a", -1.0, {"m": 0.5}),
-            CanonicalRecord("b", None, {"m": 0.5}),
-            CanonicalRecord("c", -1.0, {}),
-        ]
-        ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
-        assert ds.total == 1
-
     def test_single_class_passes_through(self):
-        records = [CanonicalRecord("a", -1.0, {"m": 0.5})]
+        records = CanonicalRecords("m", ["a"], [-1.0], [0.5])
         ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
         assert (ds.p_count, ds.n_count) == (1, 0)
 
     def test_empty_after_filtering_rejected(self):
-        records = [CanonicalRecord("a", None, {"m": 0.5})]
-        with pytest.raises(IngestError, match="no usable records"):
+        records = CanonicalRecords("m", [], [], [])
+        with pytest.raises(IngestError, match="no usable records for metric 'm'"):
             to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
 
 
 class TestRecordAndReportValidation:
-    def test_empty_segment_id_rejected(self):
-        with pytest.raises(ValueError, match="segment_id"):
-            CanonicalRecord("", -1.0, {})
-
     def test_report_partition_enforced(self):
         with pytest.raises(ValueError):
             IngestReport(
@@ -530,7 +518,7 @@ class TestColumnarIngestDifferential:
                 assert got[1] == want[1], trial
                 continue
             (records, report), (ref_records, ref_report) = got[1], want[1]
-            assert _record_rows(records) == _record_rows(ref_records), trial
+            assert _record_rows(records_of(records)) == _record_rows(ref_records), trial
             assert report == ref_report, trial
             for cutoff in (STRICT_ANY_ERROR, LENIENT):
                 for orientation in Orientation:
@@ -590,7 +578,7 @@ class TestColumnarIngestDifferential:
                     assert got[1] == want[1], (name, kind)
                     continue
                 (records, report), (ref_records, ref_report) = got[1], want[1]
-                assert _record_rows(records) == _record_rows(ref_records), (name, kind)
+                assert _record_rows(records_of(records)) == _record_rows(ref_records), (name, kind)
                 assert report == ref_report, (name, kind)
         assert outcomes == {"ok", "raised"}
 
@@ -782,40 +770,27 @@ class TestColumnarIngestDifferential:
 
     def test_to_dataset_over_shuffled_records_matches_the_oracle(self):
         rng = np.random.default_rng(410)
-        mqm_values = (-5.0, -1.0, 0.0, -0.0, 0.5, None, 2.0)
-        score_values = (0.5, -0.0, 0.0, 1.0, 0.25, None, math.nan, math.inf)
+        mqm_values = (-5.0, -1.0, 0.0, -0.0, 0.5, 2.0)
+        score_values = (0.5, -0.0, 0.0, 1.0, 0.25)
         seen = set()
         for trial in range(300):
-            size = int(rng.integers(1, 12))
-            pool = [f"r{i}" for i in range(int(rng.integers(1, 2 * size + 1)))]
-            records = []
-            for _ in range(size):
-                scores = {}
-                if rng.random() < 0.9:
-                    scores["m"] = score_values[int(rng.integers(5 if rng.random() < 0.8 else 8))]
-                if rng.random() < 0.2:
-                    scores["other"] = 1.0
-                mqm = mqm_values[int(rng.integers(4 if rng.random() < 0.8 else 7))]
-                records.append(CanonicalRecord(pool[int(rng.integers(len(pool)))], mqm, scores))
+            size = int(rng.integers(0, 12))
+            pool = [f"r{i}" for i in range(int(rng.integers(1, 2 * size + 2)))]
+            ids = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
+            mqm = [mqm_values[int(rng.integers(4 if rng.random() < 0.8 else 6))] for _ in ids]
+            scores = [score_values[int(rng.integers(len(score_values)))] for _ in ids]
+            metric = "m" if rng.random() < 0.9 else "other"
+            records = CanonicalRecords(metric, ids, mqm, scores)
             orientation = list(Orientation)[int(rng.integers(2))]
             got = _labelled(to_dataset, records, LENIENT, orientation, "m")
-            want = _labelled(helpers.to_dataset, records, LENIENT, orientation, "m")
-            assert got == want, (trial, records)
-            seen.add(got[0][0] if got[0][0] == "ok" else got[0][1][0])
-        assert {"ok", IngestError} <= seen and len(seen) == 3
+            want = _labelled(helpers.to_dataset, records_of(records), LENIENT, orientation, "m")
+            assert got == want, (trial, records_of(records))
+            seen.add(got[0][0] if got[0][0] == "ok" else got[0][1][1].split(" ")[0])
+        # Datasets, duplicate ids, and records for no usable metric all occurred.
+        assert seen == {"ok", "duplicate", "no"}
 
 
 class TestCanonicalRecords:
-    def test_sequence_builds_records_on_demand(self, sample10_paths):
-        records, _ = parse_canonical_tsv(*sample10_paths, "metric")
-        assert isinstance(records, CanonicalRecords)
-        assert records[0] == CanonicalRecord("1", -5.0, {"metric": 95.0})
-        assert records[-1].segment_id == "9"
-        assert [r.segment_id for r in records[1:3]] == ["10", "2"]
-        assert list(records) == [records[i] for i in range(len(records))]
-        with pytest.raises(IndexError):
-            records[len(records)]
-
     def test_columns_are_read_only(self, sample10_paths):
         records, _ = parse_canonical_tsv(*sample10_paths, "metric")
         assert records.ids.tolist() == sorted(records.ids.tolist())
@@ -834,7 +809,7 @@ class TestCanonicalRecords:
 
     def test_other_metric_has_no_usable_records(self, sample10_paths):
         records, _ = parse_canonical_tsv(*sample10_paths, "metric")
-        with pytest.raises(IngestError, match="no usable records"):
+        with pytest.raises(IngestError, match="no usable records for metric 'other' after skips"):
             to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "other")
 
     def test_wmt_records_keep_file_order(self, wmt_root):

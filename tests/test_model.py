@@ -66,14 +66,12 @@ class TestScoredSegment:
 
 class TestDataset:
     def test_tally_mismatch_rejected(self):
-        seg = ScoredSegment("a", Label.POSITIVE, 1.0, 1.0)
         with pytest.raises(ValueError, match="class counts"):
-            Dataset((seg,), 0, 1)
+            Dataset(["a"], [1.0], [1.0], [True], 0, 1)
 
     def test_risk_must_be_canonical(self):
-        seg = ScoredSegment("a", Label.POSITIVE, 1.0, 1.0)
         with pytest.raises(ValueError, match="canonical form"):
-            Dataset((seg,), 1, 0, Orientation.HIGHER_IS_BETTER)
+            Dataset(["a"], [1.0], [1.0], [True], 1, 0, Orientation.HIGHER_IS_BETTER)
 
     def test_from_segments_counts(self):
         segs = [
@@ -97,7 +95,7 @@ class TestDataset:
 
     def test_fingerprint_ignores_ordering(self, sample10):
         reordered = Dataset.from_segments(
-            tuple(reversed(sample10.segments)), sample10.orientation
+            reversed(helpers.scored_segments(sample10)), sample10.orientation
         )
         assert reordered.fingerprint == sample10.fingerprint
 
@@ -134,22 +132,14 @@ class TestColumnarDataset:
         with pytest.raises(ValueError, match="one length"):
             Dataset.from_columns(["a", "b"], [1.0], [True, False])
 
-    def test_segments_built_lazily_and_kept(self):
-        ds = Dataset.from_columns(["x", "y"], [3.0, 4.0], [False, True])
-        assert "segments" not in vars(ds)
-        assert ds.segments == (
-            ScoredSegment("x", Label.NEGATIVE, 3.0, 3.0),
-            ScoredSegment("y", Label.POSITIVE, 4.0, 4.0),
-        )
-        segs = (ScoredSegment("x", Label.NEGATIVE, 3.0, 3.0),)
-        assert Dataset(segs, 0, 1).segments is segs
-
     def test_equal_columns_make_equal_datasets(self, sample10):
         again = Dataset.from_columns(
             sample10.ids, sample10.raw_scores, sample10.is_positive, sample10.orientation
         )
         assert again == sample10
-        assert again != Dataset.from_segments(sample10.segments[1:], sample10.orientation)
+        assert again != Dataset.from_segments(
+            helpers.scored_segments(sample10)[1:], sample10.orientation
+        )
 
     def test_immutable(self, sample10):
         with pytest.raises(AttributeError):

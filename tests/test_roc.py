@@ -34,6 +34,8 @@ from helpers import (
     random_dataset,
     reference_convex_hull,
     sample10_dataset,
+    scored_segments,
+    segments_of,
     traced_peak,
 )
 
@@ -210,7 +212,7 @@ class TestInvariances:
         rng = np.random.default_rng(51)
         for _ in range(50):
             ds = random_dataset(rng)
-            segs = list(ds.segments)
+            segs = scored_segments(ds)
             clones = [
                 ScoredSegment(f"dup-{s.segment_id}", s.label, s.raw_score, s.risk_score)
                 for s in segs
@@ -236,7 +238,7 @@ class TestInvariances:
                             transform(s.risk_score),
                             transform(s.risk_score),
                         )
-                        for s in ds.segments
+                        for s in segments_of(ds)
                     ]
                 )
                 a, b = build_roc(ds), build_roc(mapped)
@@ -333,7 +335,7 @@ class TestConvexHull:
             other = Dataset.from_segments(
                 [
                     ScoredSegment(s.segment_id, s.label, float(r), float(r))
-                    for s, r in zip(base.segments, other_scores)
+                    for s, r in zip(segments_of(base), other_scores)
                 ]
             )
             # Same ids and labels, different scorer: hull must cover both.
@@ -657,7 +659,7 @@ def base_to_hw(dataset: Dataset) -> Dataset:
     return Dataset.from_segments(
         [
             ScoredSegment(s.segment_id, s.label, s.risk_score, s.risk_score)
-            for s in dataset.segments
+            for s in segments_of(dataset)
         ]
     )
 
