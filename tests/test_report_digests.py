@@ -56,10 +56,57 @@ def _write_synthetic(directory: str) -> None:
             handle.write("\n".join(lines) + "\n")
 
 
+TREE_SYSTEMS = ("sysA", "sysB", "sysC", "sysD")
+TREE_SEGMENTS = 2000
+
+
+def _write_wmt_tree(directory: str) -> None:
+    """A seeded WMT-style tree under ``directory/wmt_tree``: 4 systems x 2k segments.
+
+    The files span several reader blocks and interleave the systems line
+    by line. About 2% of gold entries are ``None`` or ``NA``, a few keys
+    and values are space-padded, and every line ends in ``\\r\\n``. ``qe``
+    is higher-better and continuous; ``rank`` is higher-worse on integers
+    0..100, so ties are heavy.
+    """
+    rng = np.random.default_rng(SYNTH_SEED + 1)
+    shape = (TREE_SEGMENTS, len(TREE_SYSTEMS))  # line order: segment, then system
+    penalties = np.array([0.0, 0.0, 0.0, -0.1, -1.0, -2.0, -5.0, -10.0, -25.0])
+    gold = rng.choice(penalties, size=shape)
+    positive = gold < 0
+    texts = {
+        "human-scores/zh-en.mqm.merged.seg.score": gold,
+        "metric-scores/zh-en/qe.seg.score": rng.normal(0.0, 1.0, size=shape) - 0.8 * positive,
+        "metric-scores/zh-en/rank.seg.score": np.clip(
+            np.round(rng.normal(50.0, 15.0, size=shape) + 12.0 * positive), 0, 100
+        ),
+    }
+    missing = rng.random(shape) < 0.02
+    for name, values in texts.items():
+        texts[name] = np.array([repr(v) for v in values.ravel().tolist()], dtype=object)
+    gold_texts = texts["human-scores/zh-en.mqm.merged.seg.score"]
+    gold_texts[missing.ravel()] = np.where(rng.random(int(missing.sum())) < 0.5, "None", "NA")
+    keys = np.array(TREE_SYSTEMS * TREE_SEGMENTS, dtype=object)
+    for name, values in texts.items():
+        padded_keys = rng.random(keys.size) < 0.003
+        padded_values = rng.random(keys.size) < 0.003
+        lines = [
+            f"{f' {key} ' if pad_key else key}\t{f' {value} ' if pad_value else value}"
+            for key, value, pad_key, pad_value in zip(
+                keys.tolist(), values.tolist(), padded_keys.tolist(), padded_values.tolist()
+            )
+        ]
+        path = os.path.join(directory, "wmt_tree", "wmt23", name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\r\n".join(lines) + "\r\n")
+
+
 @pytest.fixture(scope="module")
 def synthetic_dir(tmp_path_factory) -> str:
     directory = str(tmp_path_factory.mktemp("synth2k"))
     _write_synthetic(directory)
+    _write_wmt_tree(directory)
     return directory
 
 
@@ -87,6 +134,14 @@ SYNTH = [
     "--orientation", "qe=higher-better",
 ]
 SYNTH_HULL = SYNTH + ["--scores", "rank=rank.tsv"]
+
+TREE = [
+    "--wmt-root", "wmt_tree", "--lang-pair", "zh-en", "--testset", "wmt23",
+    "--system", "sysB", "--orientation", "qe=higher-better",
+]
+TREE_ONE = TREE + ["--scores", "qe"]
+TREE_HULL = TREE + ["--scores", "qe", "--scores", "rank"]
+TREE_CASES = ("scenario1-replicate", "scenario2", "hull", "table")
 
 
 def _cases(prefix: str, one: list[str], hull: list[str]) -> dict[str, list[str]]:
@@ -118,6 +173,11 @@ CASES = {
     **_cases("sample10", SAMPLE10, SAMPLE10_HULL),
     **_cases("wmt_mini", WMT_ONE, WMT_HULL),
     **_cases("synth2k", SYNTH, SYNTH_HULL),
+    **{
+        name: argv
+        for name, argv in _cases("wmt_tree", TREE_ONE, TREE_HULL).items()
+        if name.split("/")[1] in TREE_CASES
+    },
 }
 
 DIGESTS = {
@@ -163,12 +223,17 @@ DIGESTS = {
     "wmt_mini/scenario1-replicate": "2a7253c85619d8e53a3c801a7f0ea225b9a58139a770da0d2497969a6bd531d3",
     "wmt_mini/scenario2": "be9dca6bc1d7f9a7d8979abd2c884c21bdac3ed3dd5383932184eb1af7342dbe",
     "wmt_mini/table": "8c6e82e8e208df5cecb5b509a9cceffc5320183a85dbc40b70b091de25c5cbcb",
+    "wmt_tree/hull": "f804681a9ac187a594831df983ad400398d9f4574373fd802bb562994be29965",
+    "wmt_tree/scenario1-replicate": "381309e5892eeef2d7971436aff47ef525546517213db745c3ed24dbd8cedc38",
+    "wmt_tree/scenario2": "31f49836aa228655d82b831ea8d8cf82077cd97be0acfe2eb41d9fb2ac46a439",
+    "wmt_tree/table": "836cf747a447b66ff210be027d32b89de33fc7b4b1a3b6ab675b1267fe152465",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_digest_is_frozen(name, synthetic_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(synthetic_dir if name.startswith("synth2k/") else FIXTURES)
+    generated = name.startswith(("synth2k/", "wmt_tree/"))
+    monkeypatch.chdir(synthetic_dir if generated else FIXTURES)
     monkeypatch.delenv("ROCQE_SEED", raising=False)
     svg = str(tmp_path / "plot.svg")
     code = main([svg if arg == SVG_OUT else arg for arg in CASES[name]])
