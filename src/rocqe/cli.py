@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input or output error, 3 degenerate data, 4 config erro
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -380,6 +381,22 @@ class _OutputError(Exception):
     """An output file, or stdout, could not be opened or written."""
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Refuse an output path that is a directory, or whose directory does not exist.
+
+    A command that writes more than one file calls this before it opens
+    the first, so a path that cannot be opened leaves no file behind.
+    """
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise _OutputError(f"{path}: {os.strerror(errno.EISDIR)}")
+        try:
+            # With a trailing separator, stat fails unless it names a directory.
+            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+        except OSError as exc:
+            raise _OutputError(f"{path}: {exc.strerror}") from None
+
+
 def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
     """Write ``chunks`` to ``out_path``, or to stdout when there is none."""
     try:
@@ -446,19 +463,22 @@ class _JsonTexts:
     ``_JsonTexts.spell(x)`` spells the texts of a 1-d numeric array x once,
     ``_ROWS_PER_BLOCK`` at a time, and keeps each such chunk as one
     ``"\\n"``-joined str; a block of rows is split out of the one or two
-    chunks it covers. ``view`` gives the same texts from a row ``offset``
-    on, and with ``negated`` the column -x: ``repr(-x)`` is ``repr(x)``
-    with the leading minus toggled, so negated texts need no spelling.
+    chunks it covers. The last chunk split is kept, shared by every view,
+    so a pass over the rows splits each chunk once. ``view`` gives the same
+    texts from a row ``offset`` on, and with ``negated`` the column -x:
+    ``repr(-x)`` is ``repr(x)`` with the leading minus toggled, so negated
+    texts need no spelling.
     """
 
     def __init__(self, chunks: list[str], chunk_rows: int, size: int,
-                 offset: int = 0, negated: bool = False) -> None:
+                 offset: int = 0, negated: bool = False, last: Optional[list] = None) -> None:
         self.chunks = chunks
         self.chunk_rows = chunk_rows
         self.size = size  # texts in the chunks
         self.offset = offset
         self.negated = negated
         self.shape = (size - offset,)
+        self.last = [-1, []] if last is None else last  # [index, texts] of the last split
 
     @classmethod
     def spell(cls, values: np.ndarray) -> "_JsonTexts":
@@ -471,16 +491,20 @@ class _JsonTexts:
 
     def view(self, offset: int = 0, negated: bool = False) -> "_JsonTexts":
         return _JsonTexts(self.chunks, self.chunk_rows, self.size, self.offset + offset,
-                          self.negated != negated)
+                          self.negated != negated, self.last)
+
+    def _split(self, index: int) -> list[str]:
+        """The texts of chunk ``index``."""
+        if self.last[0] != index:
+            self.last[:] = index, self.chunks[index].split("\n")
+        return self.last[1]
 
     def __getitem__(self, block: slice) -> np.ndarray:
         start, stop, _ = block.indices(self.shape[0])
         start, stop = start + self.offset, max(start, stop) + self.offset
         rows, texts = self.chunk_rows, []
         for index in range(start // rows, -(-stop // rows)):
-            # Texts lo..hi - 1 of the chunk, split off no further than needed.
-            lo, hi = max(start - index * rows, 0), min(stop - index * rows, rows)
-            texts += self.chunks[index].split("\n", hi)[lo:hi]
+            texts += self._split(index)[max(start - index * rows, 0):stop - index * rows]
         if self.negated:
             texts = [
                 t[1:] if t[0] == "-" else _NEGATED_WORDS[t] if t[0] == '"' else "-" + t
@@ -546,8 +570,9 @@ def _hull_entry(curve: RocCurve) -> dict:
     return {"auc": auc(curve), "vertices": vertices}
 
 
-# roc and hull compute every curve, band and hull first, so all that can
-# fail has run before the first byte goes out. Then they write the SVG, and
+# roc and hull compute every curve, band and hull first, and check both
+# output paths, so all that can fail has run before the first byte goes
+# out (a write can still fail midway). Then they write the SVG, and
 # then the report, whose metric entries are built one at a time as the
 # encoder reaches them: no two metrics' texts, nor the SVG's and the
 # report's, are alive at once.
@@ -571,6 +596,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         findings[metric] = metric_findings
         series.append(SvgSeries(metric, curve, band))
 
+    _check_outputs(args.svg, args.out)
     if args.svg:
         _emit([render_roc_svg(series)], args.svg)
     results = {"metrics": {s.name: _Deferred(_roc_entry, s.curve, s.band) for s in series}}
@@ -690,6 +716,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull(curves)
     findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
+    _check_outputs(args.svg, args.out)
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
         _emit([render_roc_svg(series, hull=hull)], args.svg)

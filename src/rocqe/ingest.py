@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -97,15 +96,45 @@ def _number(text: str) -> Optional[float]:
         return None
 
 
+def _floats(texts: list[str], marked: bool) -> np.ndarray:
+    """The values that texts spell; with ``marked``, NaN for missing markers.
+
+    Raises ValueError for a text that is neither.
+    """
+    if marked:
+        texts = ["nan" if t in MISSING_MARKERS else t for t in texts]
+    # numpy reads a str element with Python's float parser.
+    return np.array(texts, dtype=np.float64)
+
+
 def _line_blocks(handle: TextIO) -> Iterator[list[str]]:
     """The lines of an open text file, about ``_BLOCK_CHARS`` characters at a time."""
     try:
         yield from iter(partial(handle.readlines, _BLOCK_CHARS), [])
     except UnicodeDecodeError as exc:
-        raise IngestError(
-            f"{handle.name} is not UTF-8 text: cannot decode byte "
-            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
-        ) from None
+        raise _not_utf8(handle, exc) from None
+
+
+def _text_blocks(handle: TextIO) -> Iterator[str]:
+    """An open text file, about ``_BLOCK_CHARS`` characters at a time, in whole lines.
+
+    Every block ends in ``"\\n"``; one is added to a last line without it.
+    """
+    try:
+        for text in iter(partial(handle.read, _BLOCK_CHARS), ""):
+            if text[-1] != "\n":
+                text += handle.readline()
+            yield text if text[-1] == "\n" else text + "\n"
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(handle, exc) from None
+
+
+def _not_utf8(handle: TextIO, exc: UnicodeDecodeError) -> IngestError:
+    """The error for an open file that is not UTF-8 text."""
+    return IngestError(
+        f"{handle.name} is not UTF-8 text: cannot decode byte "
+        f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+    )
 
 
 def _scan(
@@ -138,50 +167,8 @@ def _scan(
     start = 1
     with open(path, encoding="utf-8-sig") as handle:
         for block in _line_blocks(handle):
-            at = np.arange(start, start + len(block))
-            start += len(block)
-            tabs = list(map(str.count, block, repeat("\t")))
-            found = []
-            if set(tabs) != {1}:
-                found += [
-                    (number, line.rstrip("\n"), f"expected 2 tab-separated fields, got {tab + 1}")
-                    for number, line, tab in zip(at.tolist(), block, tabs)
-                    if tab != 1 and not line.isspace()
-                ]
-                rows = np.array(tabs) == 1
-                block, at = list(compress(block, rows)), at[rows]
-            fields = "".join(block).replace("\n", "\t").split("\t")
-            block_keys = list(map(str.strip, fields[0 : 2 * len(block) : 2]))
-            texts = list(map(str.strip, fields[1 : 2 * len(block) : 2]))
-            if header and at.size and at[0] == 1 and _number(texts[0]) is None:
-                del block[0], block_keys[0], texts[0]  # header row
-                at = at[1:]
-            spelled = (
-                texts if MISSING_MARKERS.isdisjoint(texts)
-                else ["nan" if t in MISSING_MARKERS else t for t in texts]
-            )
-            try:
-                # numpy reads a str element with Python's float parser.
-                parsed = np.array(spelled, dtype=np.float64)
-            except ValueError:
-                parsed = None
-            if parsed is None or "" in block_keys:
-                parsed = list(map(_number, texts))
-                notes = [
-                    None if key and value is not None
-                    else "" if not (key or text)  # a whitespace-only line
-                    else "empty segment id" if not key
-                    else f"unparsable value {text!r}"
-                    for key, text, value in zip(block_keys, texts, parsed)
-                ]
-                found += [
-                    (number, line.rstrip("\n"), note)
-                    for number, line, note in zip(at.tolist(), block, notes)
-                    if note
-                ]
-                rows = np.array([note is None for note in notes], dtype=bool)
-                block_keys, parsed = list(compress(block_keys, rows)), list(compress(parsed, rows))
-                at = at[rows]
+            first, start = start, start + len(block)
+            block_keys, parsed, at, found = _block_rows(block, first, header)
             if shared and block_keys == known[matched : matched + len(block_keys)]:
                 matched += len(block_keys)
             else:
@@ -191,13 +178,64 @@ def _scan(
             values.append(np.array(parsed, dtype=np.float64))
             numbers.append(at)
             malformed += len(found)
-            # The field-count problems were found before the others.
-            problems += sorted(found)[: MAX_WARNINGS - len(problems)]
+            problems += found[: MAX_WARNINGS - len(problems)]
     if shared:
         keys = known if matched == len(known) else known[:matched]
     column = np.concatenate(values)
     column[~np.isfinite(column)] = math.nan
     return keys, column, np.concatenate(numbers), problems, malformed
+
+
+def _block_rows(
+    block: list[str], first: int, header: bool
+) -> tuple[list[str], list, np.ndarray, list[tuple[int, str, str]]]:
+    """Classify a block of lines, numbered from ``first``, line by line.
+
+    Returns (keys, values, numbers, found): the stripped key, value and line
+    number of every row in the block, the value NaN when missing (but not
+    yet when not finite); and (line number, line text, message) of every
+    malformed line, in line order. The grammar is ``_scan``'s.
+    """
+    at = np.arange(first, first + len(block))
+    tabs = list(map(str.count, block, repeat("\t")))
+    found = []
+    if set(tabs) != {1}:
+        found += [
+            (number, line.rstrip("\n"), f"expected 2 tab-separated fields, got {tab + 1}")
+            for number, line, tab in zip(at.tolist(), block, tabs)
+            if tab != 1 and not line.isspace()
+        ]
+        rows = np.array(tabs) == 1
+        block, at = list(compress(block, rows)), at[rows]
+    fields = "".join(block).replace("\n", "\t").split("\t")
+    keys = list(map(str.strip, fields[0 : 2 * len(block) : 2]))
+    texts = list(map(str.strip, fields[1 : 2 * len(block) : 2]))
+    if header and at.size and at[0] == 1 and _number(texts[0]) is None:
+        del block[0], keys[0], texts[0]  # header row
+        at = at[1:]
+    try:
+        parsed = _floats(texts, not MISSING_MARKERS.isdisjoint(texts))
+    except ValueError:
+        parsed = None
+    if parsed is None or "" in keys:
+        parsed = list(map(_number, texts))
+        notes = [
+            None if key and value is not None
+            else "" if not (key or text)  # a whitespace-only line
+            else "empty segment id" if not key
+            else f"unparsable value {text!r}"
+            for key, text, value in zip(keys, texts, parsed)
+        ]
+        found += [
+            (number, line.rstrip("\n"), note)
+            for number, line, note in zip(at.tolist(), block, notes)
+            if note
+        ]
+        rows = np.array([note is None for note in notes], dtype=bool)
+        keys, parsed = list(compress(keys, rows)), list(compress(parsed, rows))
+        at = at[rows]
+    # The field-count problems were found before the others.
+    return keys, parsed, at, sorted(found)
 
 
 def _first_repeat(keys: list[str]) -> Optional[int]:
@@ -323,21 +361,80 @@ def _join(
     return records, int(missing_gold.sum()), int(missing_score.sum())
 
 
-def _read_system_column(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `system<TAB>score` file: (systems, values) columns in line order.
+def _read_system(path: str, system: str) -> tuple[np.ndarray, set[str]]:
+    """Read a `system<TAB>score` file for one system: (values, systems).
 
-    Line order within a system is the segment order; the first malformed line
+    ``values`` are ``system``'s in line order, NaN where missing or not
+    finite; ``systems`` holds every system name in the file. Line order
+    within a system is the segment order; the first malformed line anywhere
     is a hard error because positional alignment cannot survive dropped
-    lines. There is no header line. A missing value is NaN.
+    lines. There is no header line.
+
+    Every line is checked, but only ``system``'s values are kept. A block
+    that fails ``_checked_values``'s cheap checks is classified line by
+    line, as ``_scan`` does, and its first malformed line raises.
     """
-    systems, values, _, problems, _ = _scan(path, header=False)
-    if problems:
-        number, line, message = problems[0]
-        if line.count("\t") == 1:
-            message = f"unparsable row {line!r}"
-        raise IngestError(f"{path} line {number}: {message}")
-    # Interned, the column holds one string per system instead of one per line.
-    return np.array(list(map(sys.intern, systems)), dtype=object), values
+    values: list[np.ndarray] = [np.zeros(0)]
+    systems: set[str] = set()
+    start = 1
+    with open(path, encoding="utf-8-sig") as handle:
+        for text in _text_blocks(handle):
+            first, start = start, start + text.count("\n")
+            checked = _checked_values(system, text)
+            if checked is None:
+                block = [line + "\n" for line in text.split("\n")[:-1]]
+                keys, parsed, _, found = _block_rows(block, first, header=False)
+                if found:
+                    number, line, message = found[0]
+                    if line.count("\t") == 1:
+                        message = f"unparsable row {line!r}"
+                    raise IngestError(f"{path} line {number}: {message}")
+                checked = np.array(_of(system, keys, parsed), dtype=np.float64), set(keys)
+            values.append(checked[0])
+            systems |= checked[1]
+    column = np.concatenate(values)
+    column[~np.isfinite(column)] = math.nan
+    return column, systems
+
+
+# Deletes every ASCII character but tab and newline: a block of lines that
+# are ASCII and hold one tab each translates to "\t\n" per line.
+_SEPARATORS = dict.fromkeys(c for c in range(128) if c not in (ord("\t"), ord("\n")))
+
+
+def _checked_values(system: str, text: str) -> Optional[tuple[np.ndarray, set[str]]]:
+    """``system``'s values in a block of lines, and the block's system names.
+
+    None unless the block is ASCII, every line holds one tab, every
+    distinct key is non-empty and unpadded, and every distinct value text
+    is a missing marker or a number. Texts that are mostly distinct are
+    converted in line order, all of them; otherwise each distinct text is
+    converted once to check it, and ``system``'s texts are converted again.
+    A missing value is NaN.
+    """
+    if text.translate(_SEPARATORS) != "\t\n" * text.count("\n"):
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    keys, texts = fields[0:-1:2], fields[1::2]
+    names, distinct = set(keys), set(texts)
+    if not all(name and name == name.strip() for name in names):
+        return None
+    marked = not MISSING_MARKERS.isdisjoint(distinct)
+    in_order = 2 * len(distinct) > len(texts)
+    try:
+        parsed = _floats(texts if in_order else list(distinct), marked)
+    except ValueError:
+        return None
+    if system not in names:
+        return np.zeros(0), names
+    if in_order:
+        return parsed if len(names) == 1 else parsed[[key == system for key in keys]], names
+    return _floats(texts if len(names) == 1 else _of(system, keys, texts), marked), names
+
+
+def _of(system: str, keys: list[str], items: list) -> list:
+    """The items whose key is ``system``, in order."""
+    return [item for key, item in zip(keys, items) if key == system]
 
 
 def _wmt_gold_path(root_dir: str, testset: str, language_pair: str) -> str:
@@ -389,21 +486,18 @@ def parse_wmt_layout(
             f"available metrics: {available}"
         )
 
-    gold_systems, gold = _read_once(gold_reads, _read_system_column, gold_path)
-    metric_systems, score = _read_system_column(metric_path)
-    in_metric = metric_systems == system
-    if not in_metric.any():
+    gold, gold_systems = _read_once(gold_reads, _read_system, gold_path, system)
+    score, metric_systems = _read_system(metric_path, system)
+    if system not in metric_systems:
         raise IngestError(
             f"system {system!r} not in {metric_path}; available systems: "
-            f"{sorted(set(metric_systems.tolist()))}"
+            f"{sorted(metric_systems)}"
         )
-    in_gold = gold_systems == system
-    if not in_gold.any():
+    if system not in gold_systems:
         raise IngestError(
             f"system {system!r} has no gold scores in {gold_path}; systems "
-            f"with gold: {sorted(set(gold_systems.tolist()))}"
+            f"with gold: {sorted(gold_systems)}"
         )
-    gold, score = gold[in_gold], score[in_metric]
     if gold.size != score.size:
         raise IngestError(
             f"length mismatch for system {system!r}: {gold.size} gold "

@@ -354,6 +354,13 @@ UNREADABLE = {
     "gold is a directory": lambda tmp: (["roc", "--gold", str(tmp), *SCORES], str(tmp)),
     "out is a directory": lambda tmp: (["roc", *BASE, "--out", str(tmp)], str(tmp)),
     "svg is a directory": lambda tmp: (["roc", *BASE, "--svg", str(tmp)], str(tmp)),
+    "out is a directory after a good svg": lambda tmp: (
+        ["roc", *BASE, "--svg", str(tmp / "ok.svg"), "--out", str(tmp)], str(tmp)
+    ),
+    "out directory missing after a good svg": lambda tmp: (
+        ["hull", *BASE, *RISKB, "--svg", str(tmp / "ok.svg"), "--out", str(tmp / "no" / "r.json")],
+        str(tmp / "no" / "r.json"),
+    ),
     "scores not UTF-8": lambda tmp: (
         ["roc", *GOLD, "--scores", f"m={_not_utf8(tmp / 's.tsv')}"], str(tmp / "s.tsv")
     ),
@@ -368,25 +375,39 @@ UNREADABLE = {
 }
 
 
-# The UNREADABLE cases whose file is an output.
-UNWRITABLE = ("out is a directory", "svg is a directory")
+# The UNREADABLE cases whose file is an output, and the reason printed.
+UNWRITABLE = {
+    "out is a directory": "Is a directory",
+    "svg is a directory": "Is a directory",
+    "out is a directory after a good svg": "Is a directory",
+    "out directory missing after a good svg": "No such file or directory",
+}
+
+
+def _files_under(directory) -> list[str]:
+    return sorted(
+        os.path.relpath(os.path.join(parent, name), directory)
+        for parent, _, names in os.walk(directory) for name in names
+    )
 
 
 @pytest.mark.parametrize("case", list(UNREADABLE))
 def test_unreadable_file_exits_two(case, tmp_path):
     """A file that cannot be opened, read or decoded is an input or output error,
-    named, not a traceback."""
+    named, not a traceback, and the run writes no file."""
     argv, path = UNREADABLE[case](tmp_path)
+    inputs = _files_under(tmp_path)
     run = subprocess.run(
         [sys.executable, "-m", "rocqe.cli", *argv],
         cwd=ROOT, capture_output=True, text=True, check=False,
     )
     assert run.returncode == 2, run.stderr
     if case in UNWRITABLE:
-        assert run.stderr == f"output error: {path}: Is a directory\n"
+        assert run.stderr == f"output error: {path}: {UNWRITABLE[case]}\n"
     else:
         assert run.stderr.startswith("input error: ") and path in run.stderr
     assert "Traceback" not in run.stderr
+    assert _files_under(tmp_path) == inputs
 
 
 def test_closed_stdout_is_an_output_error():

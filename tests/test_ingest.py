@@ -18,7 +18,7 @@ from rocqe import (
     to_dataset,
 )
 import rocqe.ingest as ingest_module
-from rocqe.ingest import MAX_WARNINGS, _read_system_column
+from rocqe.ingest import MAX_WARNINGS, _read_system
 import helpers
 from helpers import records_of, segments_of, traced_peak
 
@@ -373,7 +373,8 @@ class TestSharedGoldReads:
                 assert _parsed(parse_wmt_layout, *args, gold_reads=gold_reads) == _parsed(
                     parse_wmt_layout, *args
                 )
-        assert len(gold_reads) == 1
+                # One gold read per system: its second metric adds none.
+                assert [key[-1] for key in gold_reads] == ["sysX", "sysY"][: 1 + (system == "sysY")]
 
 
 class TestToDataset:
@@ -740,33 +741,47 @@ class TestColumnarIngestDifferential:
         with pytest.raises(IngestError, match=want):
             parse_canonical_tsv(malformed_first, scores, "m", strict=strict)
 
-    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_wmt_reader_matches_the_oracle(self, tmp_path, monkeypatch, block_chars):
         if block_chars is not None:
             monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
         rng = np.random.default_rng(409 + (block_chars or 0))
-        for trial in range(150):
+        # Values and lines that a block's checks on its distinct keys and
+        # texts must hand to the line-by-line classification; "\u0661" is
+        # a digit float() reads, but not ASCII.
+        clean_values = _CLEAN_VALUES + (" NA ", "1_0", "Infinity", "1e999", "\u0661")
+        blank = ["", " \t "]
+        malformed = ["x", "\tx", "a\tb\tc", "sysA\n0.5\tsysA\t0.3"]  # the last: 0 tabs, then 2
+        # Files whose last line has no line end.
+        texts = ["sysA\t1\nx", "sysA\t1\nsysB", "sysA\t1\nsysB\t2", "x", "sysA\t1\n \t "]
+        for _ in range(150):
             systems = ["sysA", "sysB", " sysC "][: int(rng.integers(1, 4))]
             clean = rng.random() < 0.5
+            values = clean_values if clean else _VALUES + clean_values[len(_CLEAN_VALUES):]
+            extras = blank if clean else blank + malformed
             lines = []
             for _ in range(int(rng.integers(1, 15))):
                 system = systems[int(rng.integers(len(systems)))]
-                values = _CLEAN_VALUES if clean else _VALUES
                 lines.append(f"{system}\t{values[int(rng.integers(len(values)))]}")
-                if not clean and rng.random() < 0.1:
-                    lines.append(["", "x", "\tx", "a\tb\tc"][int(rng.integers(4))])
+                if rng.random() < 0.1:
+                    lines.append(extras[int(rng.integers(len(extras)))])
             text = "\r\n".join(lines) + "\n" * (rng.random() < 0.7)
-            text = "\ufeff" * (rng.random() < 0.3) + text
+            texts.append("\ufeff" * (rng.random() < 0.3) + text)
+        for trial, text in enumerate(texts):
             path = tmp_path / f"w{trial}.score"
             path.write_text(text, encoding="utf-8")
-            got = _outcome(_read_system_column, str(path))
             want = _outcome(helpers.read_system_column, str(path))
-            if got[0] == "ok":
-                sequences = {}
-                for system, value in zip(*(column.tolist() for column in got[1])):
-                    sequences.setdefault(system, []).append(None if math.isnan(value) else value)
-                got = ("ok", sequences)
-            assert got == want, trial
+            if want[0] == "ok":
+                want = ("ok", {k: [repr(v) for v in seq] for k, seq in want[1].items()})
+            for system in ("sysA", "sysB", "sysC", "sysZ"):
+                got = _outcome(_read_system, str(path), system)
+                if got[0] == "ok":
+                    column, names = got[1]
+                    assert names == set(want[1]), trial
+                    got = [repr(None if math.isnan(v) else v) for v in column.tolist()]
+                    assert got == want[1].get(system, []), (trial, system)
+                else:
+                    assert got == want, (trial, system)
 
     def test_to_dataset_over_shuffled_records_matches_the_oracle(self):
         rng = np.random.default_rng(410)

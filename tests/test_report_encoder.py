@@ -266,6 +266,28 @@ class TestRows:
         assert texts.view(1, negated=True)[slice(8, 12)].tolist() == ["-9.0"]
         assert len(spelled) == 10
 
+    def test_a_pass_splits_each_chunk_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", 4)
+        texts = cli._JsonTexts.spell(np.arange(10.0))
+        reads = []
+
+        class Chunks(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return list.__getitem__(self, index)
+
+        texts.chunks = Chunks(texts.chunks)
+        # As in a roc entry: the vertex rows read the thresholds and their
+        # negation, and the PR rows read them from row 1 on, so each of
+        # their blocks straddles two chunks.
+        vertices = _Rows(x=texts, neg_x=texts.view(negated=True))
+        pr_points = _Rows(x=texts.view(1), n=np.arange(9))
+        assert _to_json({"a": vertices, "b": pr_points}) == reference_json({
+            "a": _row_dicts({"x": np.arange(10.0), "neg_x": -np.arange(10.0)}),
+            "b": _row_dicts({"x": np.arange(1.0, 10.0), "n": np.arange(9)}),
+        })
+        assert reads == [0, 1, 2, 0, 1, 2]
+
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError, match="one length"):
             _Rows(a=np.zeros(2), b=np.zeros(3))
