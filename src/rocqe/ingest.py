@@ -107,38 +107,41 @@ def _floats(texts: list[str], marked: bool) -> np.ndarray:
     return np.array(texts, dtype=np.float64)
 
 
-def _line_blocks(handle: TextIO) -> Iterator[list[str]]:
-    """The lines of an open text file, about ``_BLOCK_CHARS`` characters at a time."""
-    try:
-        yield from iter(partial(handle.readlines, _BLOCK_CHARS), [])
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(handle, exc) from None
-
-
-def _text_blocks(handle: TextIO) -> Iterator[str]:
+def _text_blocks(handle: TextIO) -> Iterator[tuple[int, str]]:
     """An open text file, about ``_BLOCK_CHARS`` characters at a time, in whole lines.
 
-    Every block ends in ``"\\n"``; one is added to a last line without it.
+    Yields (first, text): the number of the block's first line, and the
+    block, which ends in ``"\\n"``; one is added to a last line without it.
     """
+    first = 1
     try:
         for text in iter(partial(handle.read, _BLOCK_CHARS), ""):
             if text[-1] != "\n":
                 text += handle.readline()
-            yield text if text[-1] == "\n" else text + "\n"
+            text = text if text[-1] == "\n" else text + "\n"
+            yield first, text
+            first += text.count("\n")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(handle, exc) from None
+        raise IngestError(
+            f"{handle.name} is not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
-def _not_utf8(handle: TextIO, exc: UnicodeDecodeError) -> IngestError:
-    """The error for an open file that is not UTF-8 text."""
-    return IngestError(
-        f"{handle.name} is not UTF-8 text: cannot decode byte "
-        f"0x{exc.object[exc.start]:02x} ({exc.reason})"
-    )
+# Deletes every ASCII character but tab and newline: a block of lines that
+# are ASCII and hold one tab each translates to "\t\n" per line.
+_SEPARATORS = dict.fromkeys(c for c in range(128) if c not in (ord("\t"), ord("\n")))
+
+
+def _block_fields(text: str) -> Optional[list[str]]:
+    """A block's fields in line order, then ""; None unless each line is ASCII with one tab."""
+    if text.translate(_SEPARATORS) != "\t\n" * text.count("\n"):
+        return None
+    return text.replace("\n", "\t").split("\t")
 
 
 def _scan(
-    path: str, header: bool, known: Optional[list[str]] = None
+    path: str, known: Optional[list[str]] = None
 ) -> tuple[list[str], np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
     """Read a `key<TAB>value` file once, a block of lines at a time.
 
@@ -149,8 +152,8 @@ def _scan(
     end a line, a leading UTF-8 byte order mark is dropped and
     whitespace-only lines are ignored. A row is one tab between a non-empty
     key and a number or missing marker; its value is NaN when missing or not
-    finite. Any other line is malformed, except that with ``header`` line 1
-    is skipped when its value is neither.
+    finite. Any other line is malformed, except that line 1 is skipped as a
+    header when its value is neither.
 
     While the file's keys equal the leading keys of ``known``, they are
     only counted, not kept, and ``keys`` is ``known`` itself (or the
@@ -164,11 +167,9 @@ def _scan(
     numbers: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     problems: list[tuple[int, str, str]] = []
     malformed = 0
-    start = 1
     with open(path, encoding="utf-8-sig") as handle:
-        for block in _line_blocks(handle):
-            first, start = start, start + len(block)
-            block_keys, parsed, at, found = _block_rows(block, first, header)
+        for first, text in _text_blocks(handle):
+            block_keys, parsed, at, found = _block_rows(text, first, header=True)
             if shared and block_keys == known[matched : matched + len(block_keys)]:
                 matched += len(block_keys)
             else:
@@ -187,32 +188,34 @@ def _scan(
 
 
 def _block_rows(
-    block: list[str], first: int, header: bool
+    text: str, first: int, header: bool
 ) -> tuple[list[str], list, np.ndarray, list[tuple[int, str, str]]]:
-    """Classify a block of lines, numbered from ``first``, line by line.
+    """Classify a block of lines from ``_text_blocks``, numbered from ``first``.
 
     Returns (keys, values, numbers, found): the stripped key, value and line
     number of every row in the block, the value NaN when missing (but not
     yet when not finite); and (line number, line text, message) of every
-    malformed line, in line order. The grammar is ``_scan``'s.
+    malformed line, in line order. The grammar is ``_scan``'s; with
+    ``header``, line 1 may be a header. A block that ``_block_fields`` splits
+    whole is not split line by line.
     """
-    at = np.arange(first, first + len(block))
-    tabs = list(map(str.count, block, repeat("\t")))
+    at = np.arange(first, first + text.count("\n"))
     found = []
-    if set(tabs) != {1}:
+    fields = _block_fields(text)
+    if fields is None:
+        lines = text.split("\n")[:-1]
+        tabs = list(map(str.count, lines, repeat("\t")))
         found += [
-            (number, line.rstrip("\n"), f"expected 2 tab-separated fields, got {tab + 1}")
-            for number, line, tab in zip(at.tolist(), block, tabs)
-            if tab != 1 and not line.isspace()
+            (number, line, f"expected 2 tab-separated fields, got {tab + 1}")
+            for number, line, tab in zip(at.tolist(), lines, tabs)
+            if tab != 1 and line.strip()
         ]
         rows = np.array(tabs) == 1
-        block, at = list(compress(block, rows)), at[rows]
-    fields = "".join(block).replace("\n", "\t").split("\t")
-    keys = list(map(str.strip, fields[0 : 2 * len(block) : 2]))
-    texts = list(map(str.strip, fields[1 : 2 * len(block) : 2]))
-    if header and at.size and at[0] == 1 and _number(texts[0]) is None:
-        del block[0], keys[0], texts[0]  # header row
-        at = at[1:]
+        fields, at = "\t".join(compress(lines, rows)).split("\t"), at[rows]
+    if header and at.size and at[0] == 1 and _number(fields[1].strip()) is None:
+        fields, at = fields[2:], at[1:]  # header row
+    keys = list(map(str.strip, fields[0 : 2 * at.size : 2]))
+    texts = list(map(str.strip, fields[1 : 2 * at.size : 2]))
     try:
         parsed = _floats(texts, not MISSING_MARKERS.isdisjoint(texts))
     except ValueError:
@@ -227,8 +230,8 @@ def _block_rows(
             for key, text, value in zip(keys, texts, parsed)
         ]
         found += [
-            (number, line.rstrip("\n"), note)
-            for number, line, note in zip(at.tolist(), block, notes)
+            (number, f"{key}\t{text}", note)
+            for number, key, text, note in zip(at.tolist(), fields[0::2], fields[1::2], notes)
             if note
         ]
         rows = np.array([note is None for note in notes], dtype=bool)
@@ -260,7 +263,7 @@ def _read_two_column(
     before, free of repeats; when this file has the same keys, ``keys`` is
     that list.
     """
-    keys, values, numbers, problems, malformed = _scan(path, header=True, known=known)
+    keys, values, numbers, problems, malformed = _scan(path, known=known)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
     # Strictly increasing keys cannot repeat, nor can known's. The order
     # check stops at the first descent, so a shuffled file pays almost
@@ -376,14 +379,11 @@ def _read_system(path: str, system: str) -> tuple[np.ndarray, set[str]]:
     """
     values: list[np.ndarray] = [np.zeros(0)]
     systems: set[str] = set()
-    start = 1
     with open(path, encoding="utf-8-sig") as handle:
-        for text in _text_blocks(handle):
-            first, start = start, start + text.count("\n")
+        for first, text in _text_blocks(handle):
             checked = _checked_values(system, text)
             if checked is None:
-                block = [line + "\n" for line in text.split("\n")[:-1]]
-                keys, parsed, _, found = _block_rows(block, first, header=False)
+                keys, parsed, _, found = _block_rows(text, first, header=False)
                 if found:
                     number, line, message = found[0]
                     if line.count("\t") == 1:
@@ -397,11 +397,6 @@ def _read_system(path: str, system: str) -> tuple[np.ndarray, set[str]]:
     return column, systems
 
 
-# Deletes every ASCII character but tab and newline: a block of lines that
-# are ASCII and hold one tab each translates to "\t\n" per line.
-_SEPARATORS = dict.fromkeys(c for c in range(128) if c not in (ord("\t"), ord("\n")))
-
-
 def _checked_values(system: str, text: str) -> Optional[tuple[np.ndarray, set[str]]]:
     """``system``'s values in a block of lines, and the block's system names.
 
@@ -412,9 +407,9 @@ def _checked_values(system: str, text: str) -> Optional[tuple[np.ndarray, set[st
     converted once to check it, and ``system``'s texts are converted again.
     A missing value is NaN.
     """
-    if text.translate(_SEPARATORS) != "\t\n" * text.count("\n"):
+    fields = _block_fields(text)
+    if fields is None:
         return None
-    fields = text.replace("\n", "\t").split("\t")
     keys, texts = fields[0:-1:2], fields[1::2]
     names, distinct = set(keys), set(texts)
     if not all(name and name == name.strip() for name in names):

@@ -497,7 +497,7 @@ def _random_tsv(rng, path, ids, clean):
 class TestColumnarIngestDifferential:
     """The columnar reader and join against the line-by-line oracle."""
 
-    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
     @pytest.mark.parametrize("strict", [False, True])
     def test_random_files_match_the_oracle(self, tmp_path, monkeypatch, block_chars, strict):
         if block_chars is not None:
@@ -610,16 +610,24 @@ class TestColumnarIngestDifferential:
         # A second id list and the join's column copies peaked near 19.5 MB here.
         assert rise <= 12.5 * 2**20, rise
 
-    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_clean_files_are_read_in_whole_columns(self, tmp_path, monkeypatch, block_chars):
         if block_chars is not None:
             monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
+        # Every block of a clean ASCII file is split whole, never counted
+        # line by line.
+        split = []
+        block_fields = ingest_module._block_fields
+        monkeypatch.setattr(
+            ingest_module, "_block_fields",
+            lambda text: split.append(block_fields(text)) or split[-1],
+        )
         path = tmp_path / "f.tsv"
         for text in ("id\tscore\na\t1.5\nb\tNone\n", "\ufeffa\t1.5\r\nb\tnan", "a\t 1.5 \rb\t\n"):
             path.write_text(text, encoding="utf-8", newline="")
-            keys, values, numbers, problems, malformed = ingest_module._scan(
-                str(path), header=True
-            )
+            split.clear()
+            keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
+            assert split and None not in split, text
             assert keys == ["a", "b"]
             assert values[0] == 1.5 and math.isnan(values[1])
             assert numbers.tolist() == ([2, 3] if text.startswith("id") else [1, 2])
@@ -632,14 +640,12 @@ class TestColumnarIngestDifferential:
         }
         for text, want in irregular.items():
             path.write_text(text, encoding="utf-8")
-            keys, values, numbers, problems, malformed = ingest_module._scan(
-                str(path), header=True
-            )
+            keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
             assert problems == want and malformed == len(want), text
             assert keys == (["a", "b"] if not want else ["a"])
             assert numbers.tolist() == ([1, 3] if not want else [1])
 
-    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_scanner_line_grammar(self, tmp_path, monkeypatch, block_chars):
         if block_chars is not None:
             monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
@@ -648,9 +654,7 @@ class TestColumnarIngestDifferential:
             "  \nid\tscore\n\t\n \t \na\t1\nb\tx\nc\n\n d\t-2 \ne\tinf\nf\t3",
             encoding="utf-8", newline="",
         )
-        keys, values, numbers, problems, malformed = ingest_module._scan(
-            str(path), header=True
-        )
+        keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
         # A header is possible on line 1 only; lone tabs are blank lines; the
         # unterminated last line is a row; problems come in line order.
         assert keys == ["a", "d", "e", "f"]
@@ -664,8 +668,9 @@ class TestColumnarIngestDifferential:
         assert malformed == 3
         # Every value spelling reads as Python's float() reads it. A block of
         # good values, with no missing marker, is read by the one numpy
-        # parse, so ``_number`` is never called; one bad spelling among good
-        # values must make that parse fail, and only its line is reported.
+        # parse, so ``_number`` reads only line 1's value, to tell a header
+        # from a row; one bad spelling among good values must make that
+        # parse fail, and only its line is reported.
         good = ["1_000", "٣", "１.５", "infinity", "-Infinity", "1e500", "-0", ".5", "5.",
                 "+0.0", "NaN", "-nan", "1e-400", "0001", "\u20031.5\xa0", "9" * 400]
         bad = ["1__0", "_1", "1_", "0x1p3", "nan(123)", "1e", "1.2.3", "0b1", "1,5", "½",
@@ -684,12 +689,12 @@ class TestColumnarIngestDifferential:
                 lines.insert(middle, f"bad\t{wrong}")
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             spelled.clear()
-            keys, values, _, problems, malformed = ingest_module._scan(str(path), header=False)
+            keys, values, _, problems, malformed = ingest_module._scan(str(path))
             assert keys == [f"k{i:02d}" for i in range(len(good))]
             np.testing.assert_array_equal(values, expected)
             assert np.signbit(values).tolist() == np.signbit(expected).tolist()
             if wrong is None:
-                assert spelled == [] and problems == [] and malformed == 0
+                assert spelled == [good[0]] and problems == [] and malformed == 0
             else:
                 assert wrong in spelled
                 assert problems == [
@@ -697,7 +702,7 @@ class TestColumnarIngestDifferential:
                 ]
                 assert malformed == 1
 
-    @pytest.mark.parametrize("block_chars", [None, 7])
+    @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_scanner_keeps_the_first_problems_and_counts_all(
         self, tmp_path, monkeypatch, block_chars
     ):
@@ -705,7 +710,7 @@ class TestColumnarIngestDifferential:
             monkeypatch.setattr(ingest_module, "_BLOCK_CHARS", block_chars)
         lines = [["a\tx", "b", "\t1"][i % 3] for i in range(3 * MAX_WARNINGS)]
         path = _write(tmp_path / "f.tsv", ["k\t1"] + lines)
-        keys, _, _, problems, malformed = ingest_module._scan(path, header=True)
+        keys, _, _, problems, malformed = ingest_module._scan(path)
         assert keys == ["k"] and malformed == 3 * MAX_WARNINGS
         assert [number for number, _, _ in problems] == list(range(2, MAX_WARNINGS + 2))
         assert problems[:3] == [

@@ -1,17 +1,28 @@
-"""README's "Python API" code block runs as written."""
+"""README's "Python API" section: its code block runs as written, and its
+error table matches the code."""
 
+import builtins
 import os
 import re
 import shutil
 
+import pytest
+
+import rocqe
+from rocqe import cli
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _api_section() -> str:
+    """README's "Python API" section."""
+    with open(README, encoding="utf-8") as fh:
+        return fh.read().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _api_block() -> str:
     """The first ``python`` code block under README's "Python API" heading."""
-    with open(README, encoding="utf-8") as fh:
-        section = fh.read().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", _api_section(), re.S).group(1)
 
 
 def test_python_api_block_runs(tmp_path, monkeypatch, capsys, sample10_paths):
@@ -27,3 +38,27 @@ def test_python_api_block_runs(tmp_path, monkeypatch, capsys, sample10_paths):
     assert printed[0] == repr(23 / 48)  # the AUC of the worked example
     assert printed[2].startswith("DecisionReport(scenario=<Scenario.REVIEW_BUDGET")
     assert printed[5] == "0.5"  # the column-built dataset
+
+
+def _documented_errors() -> list[tuple[str, str, int]]:
+    """(exception, base class, CLI exit code) per row of the section's error table."""
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| [^|]+ \| (\d) \|$", _api_section(), re.M)
+    return [(name, base, int(code)) for name, base, code in rows]
+
+
+def test_error_table_lists_the_exported_exceptions():
+    documented = {name for name, _, _ in _documented_errors()}
+    assert documented == {name for name in rocqe.__all__ if name.endswith("Error")}
+
+
+@pytest.mark.parametrize("name, base, code", _documented_errors())
+def test_documented_errors_have_their_base_and_exit_code(monkeypatch, capsys, name, base, code):
+    error = getattr(rocqe, name)
+    assert error.__bases__ == (getattr(builtins, base),)
+
+    def fail(args):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "cmd_table", fail)
+    assert cli.main(["table", "--gold", "g.tsv", "--scores", "m=s.tsv"]) == code
+    assert capsys.readouterr().err.endswith(": x\n")
