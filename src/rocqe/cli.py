@@ -11,15 +11,10 @@ Exit codes: 0 success, 2 input or output error, 3 degenerate data, 4 config erro
 from __future__ import annotations
 
 import argparse
-import errno
-import functools
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 # No rocqe command calls a BLAS routine, but the OpenBLAS that numpy bundles
 # starts a worker thread per extra CPU when numpy loads, and those workers
@@ -37,7 +32,6 @@ from .bootstrap import (
 )
 from .decision import (
     ClassRatio,
-    QeRocTable,
     TradeOff,
     check_review_efficacy,
     check_review_fraction,
@@ -59,13 +53,15 @@ from .ingest import (
 from .model import (
     Dataset,
     DegenerateClassError,
-    Label,
     NonFiniteScoreError,
     Orientation,
 )
+from .report import (
+    Deferred, JsonTexts, OutputError, Rows, check_outputs, emit, fields_of, json_chunks,
+    table_chunks,
+)
 from .roc import GroundTruthMismatchError, RocCurve, auc, build_roc, convex_hull, pr_points
 from .svgplot import SvgSeries, render_roc_svg
-from .texts import fixed2_texts, join_rows, repr_texts, run_texts
 
 SCHEMA_VERSION = 1
 
@@ -229,193 +225,6 @@ def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
             )
 
 
-_INDENT = "  "
-_ROWS_PER_BLOCK = 1024
-
-
-class _Rows:
-    """A list of same-keyed dicts handed to the encoder as columns.
-
-    Encodes exactly like ``[{key: column[i] for key in columns} for i ...]``
-    but spells each run of equal neighbours in a column once instead of
-    visiting every cell. A column is numeric or ``_JsonTexts``.
-    """
-
-    def __init__(self, **columns: np.ndarray) -> None:
-        self.columns = {
-            key: col if isinstance(col, _JsonTexts) else np.asarray(col)
-            for key, col in columns.items()
-        }
-        shapes = {col.shape for col in self.columns.values()}
-        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-            raise ValueError("row columns must be 1-d arrays of one length")
-
-
-class _Deferred(functools.partial):
-    """A report value the encoder builds when it reaches it: ``_Deferred(f, *args)``.
-
-    Encodes as ``f(*args)`` would, but the built value is dropped once it
-    is written, so a report holds only one such value's texts at a time.
-    """
-
-
-def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return f'"{value!r}"'  # "nan", "inf" or "-inf"
-
-
-def _array_texts(values: np.ndarray) -> list[str]:
-    """JSON text of every element of a 1-d numeric array."""
-    texts = repr_texts(values)
-    if values.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[i] = _float_text(float(values[i]))
-    return texts
-
-
-def _json_column(column, block: slice) -> np.ndarray:
-    """JSON texts of one block of a ``_Rows`` column, as an object array."""
-    if isinstance(column, _JsonTexts):
-        return column[block]
-    return run_texts(column[block], _array_texts)
-
-
-def _encode(obj, level: int) -> Iterator[str]:
-    """JSON text of ``obj`` in pieces, nested ``level`` deep in the report.
-
-    The text matches ``json.dumps(..., sort_keys=True, indent=2)`` with
-    enums given by value, dataclass instances as the dict of their fields,
-    numpy scalars and arrays as Python numbers and lists, tuples as lists,
-    dict keys through ``str``, and NaN/+-inf written as the strings "nan",
-    "inf" and "-inf".
-    """
-    if isinstance(obj, Enum):
-        obj = obj.value
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        obj = _fields(obj)
-    if isinstance(obj, dict):
-        items = {str(key): value for key, value in obj.items()}
-        separator = "{"
-        for key in sorted(items):
-            yield separator + _newline(level + 1) + encode_basestring_ascii(key) + ": "
-            yield from _encode(items[key], level + 1)
-            separator = ","
-        yield "{}" if not items else _newline(level) + "}"
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iuf":
-        yield _bracket("[", run_texts(obj, _array_texts).tolist(), "]", level)
-    elif isinstance(obj, np.ndarray):
-        yield from _encode(obj.tolist(), level)
-    elif isinstance(obj, (list, tuple)):
-        separator = "["
-        for value in obj:
-            yield separator + _newline(level + 1)
-            yield from _encode(value, level + 1)
-            separator = ","
-        yield "[]" if not obj else _newline(level) + "]"
-    elif isinstance(obj, _Deferred):
-        yield from _encode(obj(), level)
-    elif isinstance(obj, _Rows):
-        # A row is the dict text with every value left open; the texts
-        # before each value are shared by all rows.
-        keys = sorted(obj.columns)
-        heads = ["{" + _newline(level + 2)] + ["," + _newline(level + 2)] * (len(keys) - 1)
-        heads = [head + encode_basestring_ascii(key) + ": " for head, key in zip(heads, keys)]
-        size = next((col.shape[0] for col in obj.columns.values()), 0)
-        separator = "["
-        # Rows go out in blocks, so only one block's cell texts are alive.
-        for start in range(0, size, _ROWS_PER_BLOCK):
-            block = slice(start, start + _ROWS_PER_BLOCK)
-            pieces: list = []
-            for head, key in zip(heads, keys):
-                pieces += [head, _json_column(obj.columns[key], block)]
-            pieces.append(_newline(level + 1) + "}")
-            yield separator + _newline(level + 1)
-            yield join_rows(pieces, between="," + _newline(level + 1))
-            separator = ","
-        yield "[]" if not size else _newline(level) + "]"
-    else:
-        yield _leaf_text(obj)
-
-
-def _fields(obj) -> dict:
-    """A dataclass instance's fields by name, values as they are (not copied)."""
-    return {field.name: getattr(obj, field.name) for field in fields(obj)}
-
-
-def _leaf_text(obj) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_text(float(obj))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _newline(level: int) -> str:
-    return "\n" + _INDENT * level
-
-
-def _bracket(opening: str, items: list[str], closing: str, level: int) -> str:
-    """A JSON list or object around already-encoded items."""
-    if not items:
-        return opening + closing
-    inner = "," + _newline(level + 1)
-    return opening + _newline(level + 1) + inner.join(items) + _newline(level) + closing
-
-
-def _json_chunks(document) -> Iterator[str]:
-    """The report text of ``document`` in pieces, newline-terminated."""
-    yield from _encode(document, 0)
-    yield "\n"
-
-
-class _OutputError(Exception):
-    """An output file, or stdout, could not be opened or written."""
-
-
-def _check_outputs(*paths: Optional[str]) -> None:
-    """Refuse an output path that is a directory, or whose directory does not exist.
-
-    A command that writes more than one file calls this before it opens
-    the first, so a path that cannot be opened leaves no file behind.
-    """
-    for path in filter(None, paths):
-        if os.path.isdir(path):
-            raise _OutputError(f"{path}: {os.strerror(errno.EISDIR)}")
-        try:
-            # With a trailing separator, stat fails unless it names a directory.
-            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
-        except OSError as exc:
-            raise _OutputError(f"{path}: {exc.strerror}") from None
-
-
-def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
-    """Write ``chunks`` to ``out_path``, or to stdout when there is none."""
-    try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-    except OSError as exc:
-        if not out_path and sys.stdout is sys.__stdout__:
-            # The interpreter flushes stdout again at exit; with stdout on the
-            # null device, the text still buffered there cannot fail a second time.
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-        raise _OutputError(f"{out_path or 'stdout'}: {exc.strerror or exc}") from None
-
-
 def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
                  seed: Optional[int], results: dict, findings: dict) -> Iterator[str]:
     config = {
@@ -450,80 +259,15 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
         "notes": list(loaded.notes),
         "results": results,
     }
-    return _json_chunks(document)
+    return json_chunks(document)
 
 
-# The JSON strings for non-finite floats, and those of their negations.
-_NEGATED_WORDS = {'"inf"': '"-inf"', '"-inf"': '"inf"', '"nan"': '"nan"'}
+def _vertex_rows(curve: RocCurve, thresholds: JsonTexts, tpr) -> Rows:
+    """One row per vertex; ``thresholds`` are the curve's threshold texts.
 
-
-class _JsonTexts:
-    """A ``_Rows`` column of JSON texts spelled beforehand, handed out by block.
-
-    ``_JsonTexts.spell(x)`` spells the texts of a 1-d numeric array x once,
-    ``_ROWS_PER_BLOCK`` at a time, and keeps each such chunk as one
-    ``"\\n"``-joined str; a block of rows is split out of the one or two
-    chunks it covers. The last chunk split is kept, shared by every view,
-    so a pass over the rows splits each chunk once. ``view`` gives the same
-    texts from a row ``offset`` on, and with ``negated`` the column -x:
-    ``repr(-x)`` is ``repr(x)`` with the leading minus toggled, so negated
-    texts need no spelling.
+    ``tpr`` is ``curve.tpr`` or its ``JsonTexts``.
     """
-
-    def __init__(self, chunks: list[str], chunk_rows: int, size: int,
-                 offset: int = 0, negated: bool = False, last: Optional[list] = None) -> None:
-        self.chunks = chunks
-        self.chunk_rows = chunk_rows
-        self.size = size  # texts in the chunks
-        self.offset = offset
-        self.negated = negated
-        self.shape = (size - offset,)
-        self.last = [-1, []] if last is None else last  # [index, texts] of the last split
-
-    @classmethod
-    def spell(cls, values: np.ndarray) -> "_JsonTexts":
-        rows = _ROWS_PER_BLOCK
-        chunks = [
-            "\n".join(run_texts(values[start:start + rows], _array_texts).tolist())
-            for start in range(0, values.size, rows)
-        ]
-        return cls(chunks, rows, values.size)
-
-    def view(self, offset: int = 0, negated: bool = False) -> "_JsonTexts":
-        return _JsonTexts(self.chunks, self.chunk_rows, self.size, self.offset + offset,
-                          self.negated != negated, self.last)
-
-    def _split(self, index: int) -> list[str]:
-        """The texts of chunk ``index``."""
-        if self.last[0] != index:
-            self.last[:] = index, self.chunks[index].split("\n")
-        return self.last[1]
-
-    def __getitem__(self, block: slice) -> np.ndarray:
-        start, stop, _ = block.indices(self.shape[0])
-        start, stop = start + self.offset, max(start, stop) + self.offset
-        rows, texts = self.chunk_rows, []
-        for index in range(start // rows, -(-stop // rows)):
-            texts += self._split(index)[max(start - index * rows, 0):stop - index * rows]
-        if self.negated:
-            texts = [
-                t[1:] if t[0] == "-" else _NEGATED_WORDS[t] if t[0] == '"' else "-" + t
-                for t in texts
-            ]
-        return np.array(texts, dtype=object)
-
-
-def _threshold_texts(curve: RocCurve) -> _JsonTexts:
-    """JSON texts of the curve's canonical thresholds, spelled once."""
-    return _JsonTexts.spell(curve.thresholds)
-
-
-def _vertex_rows(curve: RocCurve, thresholds: _JsonTexts, tpr) -> _Rows:
-    """One row per vertex; ``thresholds`` is the curve's ``_threshold_texts``.
-
-    ``tpr`` is ``curve.tpr`` or its ``_JsonTexts``.
-    """
-    return _Rows(
+    return Rows(
         fpr=curve.fpr,
         tpr=tpr,
         threshold=thresholds,
@@ -537,14 +281,14 @@ def _vertex_rows(curve: RocCurve, thresholds: _JsonTexts, tpr) -> _Rows:
     )
 
 
-def _pr_rows(curve: RocCurve, thresholds: _JsonTexts, tpr: _JsonTexts) -> _Rows:
+def _pr_rows(curve: RocCurve, thresholds: JsonTexts, tpr: JsonTexts) -> Rows:
     """One row per PR point, from the curve's vertex texts.
 
     Every vertex but the origin flags a segment, so the PR points are
     vertices 1..V: their thresholds are the vertex thresholds and their
     recall is the vertex ``tpr``, both read from vertex 1 on.
     """
-    return _Rows(
+    return Rows(
         recall=tpr.view(offset=1),
         precision=pr_points(curve).precision,
         threshold=thresholds.view(offset=1),
@@ -553,20 +297,20 @@ def _pr_rows(curve: RocCurve, thresholds: _JsonTexts, tpr: _JsonTexts) -> _Rows:
 
 def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
     """One metric's ``roc`` report entry."""
-    thresholds, tpr = _threshold_texts(curve), _JsonTexts.spell(curve.tpr)
+    thresholds, tpr = JsonTexts.spell(curve.thresholds), JsonTexts.spell(curve.tpr)
     return {
         "auc": auc(curve),
         "vertices": _vertex_rows(curve, thresholds, tpr),
         "pr_points": _pr_rows(curve, thresholds, tpr),
         "band": (
-            {**_fields(band), **_fields(band_width_summary(band))} if band is not None else None
+            {**fields_of(band), **fields_of(band_width_summary(band))} if band is not None else None
         ),
     }
 
 
 def _hull_entry(curve: RocCurve) -> dict:
     """One metric's ``hull`` report entry."""
-    vertices = _vertex_rows(curve, _threshold_texts(curve), curve.tpr)
+    vertices = _vertex_rows(curve, JsonTexts.spell(curve.thresholds), curve.tpr)
     return {"auc": auc(curve), "vertices": vertices}
 
 
@@ -596,11 +340,11 @@ def cmd_roc(args: argparse.Namespace) -> int:
         findings[metric] = metric_findings
         series.append(SvgSeries(metric, curve, band))
 
-    _check_outputs(args.svg, args.out)
+    check_outputs(args.svg, args.out)
     if args.svg:
-        _emit([render_roc_svg(series)], args.svg)
-    results = {"metrics": {s.name: _Deferred(_roc_entry, s.curve, s.band) for s in series}}
-    _emit(_report_json("roc", args, loaded, seed, results, findings), args.out)
+        emit([render_roc_svg(series)], args.svg)
+    results = {"metrics": {s.name: Deferred(_roc_entry, s.curve, s.band) for s in series}}
+    emit(_report_json("roc", args, loaded, seed, results, findings), args.out)
     return 0
 
 
@@ -610,52 +354,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     loaded = _load(args)
     metric = loaded.metrics[0]
     table = qe_roc_table(loaded.datasets[metric])
-    _emit(_table_chunks(table), args.out)
+    emit(table_chunks(table), args.out)
     return 0
-
-
-def _table_chunks(table: QeRocTable) -> Iterator[str]:
-    """The TSV text of a QE-ROC table in pieces, endpoint rows included.
-
-    Lines go out in blocks of table rows, so only one block's columns and
-    text are alive at a time.
-    """
-    p, n = table.p_count, table.n_count
-    top, bottom = table.endpoints
-    truths = np.array([Label.NEGATIVE.value, Label.POSITIVE.value], dtype=object)
-    yield "segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr\n"
-    yield _table_lines(p, n, "-", "-", [top], [0], [0])
-    for start in range(0, table.tp.size, _ROWS_PER_BLOCK):
-        block = slice(start, start + _ROWS_PER_BLOCK)
-        yield _table_lines(
-            p, n,
-            table.segment_ids[block],
-            truths[table.is_positive[block].astype(np.intp)],
-            table.raw_scores[block],
-            table.tp[block],
-            table.fp[block],
-        )
-    yield _table_lines(p, n, "-", "-", [bottom], [p], [n])
-
-
-def _table_lines(p: int, n: int, ids, labels, scores, tp, fp) -> str:
-    """Table lines of row columns; ``ids`` and ``labels`` may be one shared text.
-
-    Rows of one tie group share their counts and rates, so each run of
-    equal neighbours in a column is spelled once.
-    """
-    scores, tp, fp = np.asarray(scores), np.asarray(tp), np.asarray(fp)
-    return join_rows([
-        ids, "\t",
-        labels, "\t",
-        run_texts(scores, repr_texts), "\t",
-        run_texts(tp, repr_texts), "\t",
-        run_texts(p - tp, repr_texts), "\t",
-        run_texts(fp, repr_texts), "\t",
-        run_texts(n - fp, repr_texts), "\t",
-        run_texts(tp / p, fixed2_texts), "\t",
-        run_texts(fp / n, fixed2_texts), "\n",
-    ])
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -701,7 +401,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         results["optimal"] = optimal_threshold(dataset.roc_curve, trade_off, ratio)
 
     findings = {metric: check_sample(dataset)}
-    _emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)
+    emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)
     return 0
 
 
@@ -716,16 +416,16 @@ def cmd_hull(args: argparse.Namespace) -> int:
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull(curves)
     findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
-    _check_outputs(args.svg, args.out)
+    check_outputs(args.svg, args.out)
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
-        _emit([render_roc_svg(series, hull=hull)], args.svg)
+        emit([render_roc_svg(series, hull=hull)], args.svg)
 
     results = {
         "hull": {"vertices": hull.vertices},
-        "metrics": {m: _Deferred(_hull_entry, c) for m, c in curves},
+        "metrics": {m: Deferred(_hull_entry, c) for m, c in curves},
     }
-    _emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
+    emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
     return 0
 
 
@@ -759,7 +459,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         results["metrics"][metric] = entry
         findings[metric] = metric_findings
 
-    _emit(_report_json("diagnose", args, loaded, seed, results, findings), args.out)
+    emit(_report_json("diagnose", args, loaded, seed, results, findings), args.out)
     return 0
 
 
@@ -853,7 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IngestError, OSError, NonFiniteScoreError, GroundTruthMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except _OutputError as exc:
+    except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     except DegenerateClassError as exc:

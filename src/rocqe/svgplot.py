@@ -14,7 +14,7 @@ import numpy as np
 
 from .bootstrap import ConfidenceBand
 from .roc import RocCurve, RocHull
-from .texts import fixed2_texts, join_rows, run_texts
+from .report import fixed2_texts, join_rows, run_texts
 
 WIDTH = 640
 HEIGHT = 640

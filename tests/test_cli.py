@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -12,10 +13,13 @@ import pytest
 
 import rocqe.bootstrap as bootstrap_module
 import rocqe.cli as cli_module
+import rocqe.decision as decision_module
 import rocqe.ingest as ingest_module
+import rocqe.report as report_module
 import rocqe.svgplot as svgplot_module
 from rocqe import (
-    STRICT_ANY_ERROR, Dataset, IngestError, Label, Orientation, ScoredSegment, build_roc,
+    STRICT_ANY_ERROR, BootstrapConfig, Dataset, IngestError, Label, Orientation, ScoredSegment,
+    build_roc, confidence_band,
 )
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
@@ -350,6 +354,20 @@ def _wmt_with_bad_metric(tmp_path) -> str:
 
 # Each case: a tmp_path -> (argv, the path the error must name).
 UNREADABLE = {
+    "gold missing": lambda tmp: (
+        ["roc", "--gold", str(tmp / "no.tsv"), *SCORES, "--out", str(tmp / "r.json")],
+        str(tmp / "no.tsv"),
+    ),
+    "scores missing": lambda tmp: (
+        ["table", *GOLD, "--scores", f"m={tmp / 'no.tsv'}", "--out", str(tmp / "t.tsv")],
+        str(tmp / "no.tsv"),
+    ),
+    "WMT metric missing": lambda tmp: (
+        ["roc", "--wmt-root", "tests/fixtures/wmt_mini", "--lang-pair", "zh-en",
+         "--testset", "wmt23", "--system", "sysX", "--scores", "nosuch",
+         "--out", str(tmp / "r.json")],
+        "nosuch.seg.score",
+    ),
     "scores is a directory": lambda tmp: (["roc", *GOLD, "--scores", f"m={tmp}"], str(tmp)),
     "gold is a directory": lambda tmp: (["roc", "--gold", str(tmp), *SCORES], str(tmp)),
     "out is a directory": lambda tmp: (["roc", *BASE, "--out", str(tmp)], str(tmp)),
@@ -360,6 +378,13 @@ UNREADABLE = {
     "out directory missing after a good svg": lambda tmp: (
         ["hull", *BASE, *RISKB, "--svg", str(tmp / "ok.svg"), "--out", str(tmp / "no" / "r.json")],
         str(tmp / "no" / "r.json"),
+    ),
+    "svg directory missing before a good out": lambda tmp: (
+        ["roc", *BASE, "--svg", str(tmp / "no" / "p.svg"), "--out", str(tmp / "r.json")],
+        str(tmp / "no" / "p.svg"),
+    ),
+    "table out directory missing": lambda tmp: (
+        ["table", *BASE, "--out", str(tmp / "no" / "t.tsv")], str(tmp / "no" / "t.tsv")
     ),
     "scores not UTF-8": lambda tmp: (
         ["roc", *GOLD, "--scores", f"m={_not_utf8(tmp / 's.tsv')}"], str(tmp / "s.tsv")
@@ -381,6 +406,25 @@ UNWRITABLE = {
     "svg is a directory": "Is a directory",
     "out is a directory after a good svg": "Is a directory",
     "out directory missing after a good svg": "No such file or directory",
+    "svg directory missing before a good out": "No such file or directory",
+    "table out directory missing": "No such file or directory",
+}
+
+
+# Flags the parser or a command refuses: each case is argv and the start
+# of what stderr must say. Every case also names an --out and an --svg.
+CONFIG_ERRORS = {
+    "bootstrap not an integer": (["roc", *BASE, "--bootstrap", "x"], "usage: rocqe roc"),
+    "unknown flag": (["roc", *BASE, "--bogus"], "usage: rocqe"),
+    "unknown command": (["nosuch"], "usage: rocqe"),
+    "scenario out of range": (["scenario", *BASE, "--scenario", "3"], "usage: rocqe scenario"),
+    "unknown cutoff": (["roc", *BASE, "--cutoff", "bogus"], "config error: unknown cutoff"),
+    "confidence above one": (["roc", *BASE, "--confidence", "1.5"], "config error: "),
+    "scores without a metric name": (["roc", *GOLD, "--scores", "x.tsv"], "config error: --scores"),
+    "no workers": (["roc", *BASE, "--workers", "0"], "config error: workers"),
+    "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
+    "table with two metrics": (["table", *BASE, *RISKB], "config error: the table command"),
+    "hull with one metric": (["hull", *BASE], "config error: the hull command"),
 }
 
 
@@ -397,10 +441,7 @@ def test_unreadable_file_exits_two(case, tmp_path):
     named, not a traceback, and the run writes no file."""
     argv, path = UNREADABLE[case](tmp_path)
     inputs = _files_under(tmp_path)
-    run = subprocess.run(
-        [sys.executable, "-m", "rocqe.cli", *argv],
-        cwd=ROOT, capture_output=True, text=True, check=False,
-    )
+    run = _run_child(argv)
     assert run.returncode == 2, run.stderr
     if case in UNWRITABLE:
         assert run.stderr == f"output error: {path}: {UNWRITABLE[case]}\n"
@@ -408,6 +449,27 @@ def test_unreadable_file_exits_two(case, tmp_path):
         assert run.stderr.startswith("input error: ") and path in run.stderr
     assert "Traceback" not in run.stderr
     assert _files_under(tmp_path) == inputs
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_refused_flags_exit_four(case, tmp_path):
+    """A flag the run refuses is a config error, not a traceback, and the run writes no file."""
+    argv, prefix = CONFIG_ERRORS[case]
+    outputs = ["--out", str(tmp_path / "r.json"), "--svg", str(tmp_path / "p.svg")]
+    run = _run_child([*argv, *outputs])
+    assert run.returncode == 4, run.stderr
+    assert run.stderr.startswith(prefix), run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+    assert _files_under(tmp_path) == []
+
+
+def _run_child(argv) -> subprocess.CompletedProcess:
+    """``python -m rocqe.cli argv`` from the repository root, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "rocqe.cli", *argv],
+        cwd=ROOT, capture_output=True, text=True, check=False,
+    )
 
 
 def test_closed_stdout_is_an_output_error():
@@ -824,6 +886,76 @@ class TestWmtMode:
         assert set(doc["results"]["metrics"]) == {"metricA", "metricB"}
 
 
+def _bench_spans(monkeypatch):
+    """``bench/spans.py``, the benchmark's tracer, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(ROOT, "bench", "spans.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    """The benchmark times each layer by wrapping the names it lists on
+    ``rocqe.cli`` (and ``map_replicates`` on ``rocqe.decision``). A call
+    that moved to another module would time as zero, so each command must
+    still reach its layers through the names the tracer wraps."""
+
+    WMT = [
+        "--wmt-root", "tests/fixtures/wmt_mini", "--lang-pair", "zh-en", "--testset", "wmt23",
+        "--system", "sysY", "--scores", "metricA", "--scores", "metricB",
+    ]
+    READ = {"parse_canonical_tsv", "to_dataset"}
+    # Each command form and the wrapped names it must call.
+    COMMANDS = {
+        "roc": (["roc", *BASE, "--bootstrap", "20", "--svg", "{tmp}/roc.svg"], READ | {
+            "build_roc", "auc", "pr_points", "confidence_band", "band_width_summary",
+            "check_sample", "check_band", "render_roc_svg"}),
+        "hull": (["hull", *WMT, "--svg", "{tmp}/hull.svg"], {
+            "parse_wmt_layout", "to_dataset", "build_roc", "auc", "convex_hull",
+            "check_sample", "render_roc_svg"}),
+        "table": (["table", *BASE], READ | {"qe_roc_table"}),
+        "scenario1": (["scenario", *BASE, "--scenario", "1", "--x", "0.3", "--bootstrap", "20",
+                       "--trade-off", "1:10"], READ | {
+            "scenario1_residual_risk", "optimal_threshold", "check_sample", "map_replicates"}),
+        "scenario2": (["scenario", *BASE, "--scenario", "2", "--y", "10", "--bootstrap", "20",
+                       "--trade-off", "1:10"], READ | {
+            "scenario2_required_effort", "optimal_threshold", "check_sample", "map_replicates"}),
+        "diagnose": (["diagnose", *BASE, "--bootstrap", "20"], READ | {
+            "confidence_band", "band_width_summary", "check_sample", "check_band"}),
+    }
+
+    def test_the_commands_cover_every_wrapped_name(self, monkeypatch):
+        spans = _bench_spans(monkeypatch)
+        wrapped = [attr for attr, _, _ in (*spans.CLI_TARGETS, *spans.DECISION_TARGETS)]
+        assert set().union(*(names for _, names in self.COMMANDS.values())) == set(wrapped)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_calls_its_wrapped_names(self, command, tmp_path, capsys, monkeypatch):
+        spans = _bench_spans(monkeypatch)
+        called = set()
+
+        def counting(module, attr):
+            original = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                called.add(attr)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module, targets in ((cli_module, spans.CLI_TARGETS),
+                                (decision_module, spans.DECISION_TARGETS)):
+            for attr, _, _ in targets:
+                monkeypatch.setattr(module, attr, counting(module, attr))
+        argv, expected = self.COMMANDS[command]
+        code, _, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+        assert code == 0, err
+        assert called == expected
+
+
 def _loaded(datasets):
     return LoadedInputs(
         metrics=list(datasets), datasets=dict(datasets), ingest_reports={},
@@ -959,25 +1091,29 @@ class TestReportMemory:
             argv += ["--scores", f"{name}={path}"]
         return argv
 
-    @pytest.mark.parametrize("command", ["roc", "hull"])
-    def test_one_metric_texts_alive_at_a_time(self, command, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, spelled_per_entry", [("roc", 2), ("hull", 1)])
+    def test_one_metric_texts_alive_at_a_time(self, command, spelled_per_entry, tmp_path,
+                                              capsys, monkeypatch):
         svg = tmp_path / "plot.svg"
         spelled = []
-        original = cli_module._threshold_texts
+        original = report_module.JsonTexts.spell
 
-        def spy(curve):
+        def spy(values):
+            # A roc entry spells its thresholds and tpr, a hull entry its thresholds.
+            entry = len(spelled) // spelled_per_entry
             assert svg.stat().st_size > 0, "report texts were spelled before the SVG went out"
-            assert all(ref() is None for ref in spelled), "an earlier metric's texts are alive"
-            texts = original(curve)
+            earlier = spelled[:entry * spelled_per_entry]
+            assert all(ref() is None for ref in earlier), "an earlier metric's texts are alive"
+            texts = original(values)
             spelled.append(weakref.ref(texts))
             return texts
 
-        monkeypatch.setattr(cli_module, "_threshold_texts", spy)
+        monkeypatch.setattr(report_module.JsonTexts, "spell", spy)
         argv = [command, *self._three_metrics(tmp_path), "--svg", str(svg)]
         if command == "roc":
             argv += ["--bootstrap", "20"]
         doc = run_json(argv, capsys)
-        assert len(spelled) == 3
+        assert len(spelled) == 3 * spelled_per_entry
         assert sorted(doc["results"]["metrics"]) == ["a", "b", "c"]
 
     def test_roc_entry_holds_no_whole_curve_list_of_texts(self):
@@ -988,22 +1124,36 @@ class TestReportMemory:
         curve = build_roc(Dataset.from_columns(ids, scores, positive, Orientation.HIGHER_IS_BETTER))
         assert curve.thresholds.size == 100_001
         curve.fpr, curve.tpr  # cached before the measurement, as the SVG leaves them
-        entry = cli_module._Deferred(cli_module._roc_entry, curve, None)
-        size, rise = traced_peak(lambda: sum(map(len, cli_module._encode(entry, 0))))
+        entry = report_module.Deferred(cli_module._roc_entry, curve, None)
+        size, rise = traced_peak(lambda: sum(map(len, report_module._encode(entry, 0))))
         # The texts of one column, as a list, are about 7.6 MB here; spelling
         # the thresholds that way and PR recall apart peaked near 12.8 MB.
         assert rise <= 8.5 * 2**20, rise
         assert size > 100_000 * 200
 
+    def test_band_lists_are_written_in_blocks(self):
+        rng = np.random.default_rng(70_000)
+        positive = rng.random(100_000) < 0.25
+        scores = rng.normal(size=100_000) + positive
+        dataset = Dataset.from_columns(np.arange(100_000).astype(str), scores, positive)
+        band = confidence_band(dataset, BootstrapConfig(iterations=10, seed=1))
+        assert band.fpr_grid.size >= 70_000
+        entry = cli_module._roc_entry(build_roc(dataset), band)["band"]
+        size, rise = traced_peak(lambda: sum(map(len, report_module._encode(entry, 0))))
+        # The grid's four lists are about 7 MB of text; spelling each list
+        # whole peaked near 9 MB.
+        assert size > 4 * 70_000 * 10
+        assert rise < 2**20, rise
+
     def test_pr_rows_read_the_vertex_texts(self, sample10, monkeypatch):
         spelled = []
-        original = cli_module._JsonTexts.spell
+        original = report_module.JsonTexts.spell
 
         def spy(values):
             spelled.append(values)
             return original(values)
 
-        monkeypatch.setattr(cli_module._JsonTexts, "spell", spy)
+        monkeypatch.setattr(report_module.JsonTexts, "spell", spy)
         curve = build_roc(sample10)
         entry = cli_module._roc_entry(curve, None)
         # Thresholds and tpr are spelled once each; the PR rows read them

@@ -21,8 +21,8 @@ from rocqe import (
     scenario1_residual_risk,
     scenario2_required_effort,
 )
-import rocqe.cli as cli_module
 import rocqe.decision as decision_module
+import rocqe.report as report_module
 from rocqe.bootstrap import nearest_rank_interval
 import helpers
 from helpers import assert_close, make_dataset, random_dataset, traced_peak
@@ -87,7 +87,7 @@ class TestQeRocTable:
     def test_endpoints_for_higher_better(self, sample10):
         table = qe_roc_table(sample10)
         assert table.endpoints == (-math.inf, math.inf)
-        lines = "".join(cli_module._table_chunks(table)).splitlines()
+        lines = "".join(report_module.table_chunks(table)).splitlines()
         assert lines[1] == "-\t-\t-inf\t0\t6\t0\t4\t0.00\t0.00"
         assert lines[-1] == "-\t-\tinf\t6\t0\t4\t0\t1.00\t1.00"
 
@@ -184,18 +184,18 @@ class TestTableTextDifferential:
     @pytest.mark.parametrize("block", [None, 1, 2, 3, 7])
     def test_matches_row_by_row_formatting(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(cli_module, "_ROWS_PER_BLOCK", block)
+            monkeypatch.setattr(report_module, "_ROWS_PER_BLOCK", block)
         rng = np.random.default_rng(413)
         for trial in range(200):
             ds = _shuffled_dataset(rng)
-            got = "".join(cli_module._table_chunks(qe_roc_table(ds)))
+            got = "".join(report_module.table_chunks(qe_roc_table(ds)))
             assert got == helpers.table_tsv(ds), trial
             # Renamed to strictly increasing ids, as ``to_dataset`` leaves them.
             renamed = Dataset.from_columns(
                 [f"r{i:02d}" for i in range(ds.total)], ds.raw_scores, ds.is_positive,
                 ds.orientation,
             )
-            got = "".join(cli_module._table_chunks(qe_roc_table(renamed)))
+            got = "".join(report_module.table_chunks(qe_roc_table(renamed)))
             assert got == helpers.table_tsv(renamed), trial
 
 

@@ -1,5 +1,5 @@
-"""README's "Python API" section: its code block runs as written, and its
-error table matches the code."""
+"""README's "Python API" section: its code block runs as written, its
+error table matches the code, and it names every public name."""
 
 import builtins
 import os
@@ -38,6 +38,16 @@ def test_python_api_block_runs(tmp_path, monkeypatch, capsys, sample10_paths):
     assert printed[0] == repr(23 / 48)  # the AUC of the worked example
     assert printed[2].startswith("DecisionReport(scenario=<Scenario.REVIEW_BUDGET")
     assert printed[5] == "0.5"  # the column-built dataset
+
+
+def test_every_public_name_is_documented():
+    section = _api_section()
+    block = _api_block()
+    # A name counts where the code block uses it, or where prose starts a
+    # code span with it (`name`, `name(...)`, `name.attr`).
+    named = set(re.findall(r"\b[A-Za-z_]\w*", block))
+    named |= set(re.findall(r"`([A-Za-z_]\w*)", section.replace(block, "")))
+    assert sorted(set(rocqe.__all__) - named) == []
 
 
 def _documented_errors() -> list[tuple[str, str, int]]:

@@ -1,4 +1,4 @@
-"""The CLI's one-pass report encoder against the stdlib-encoder oracle."""
+"""The one-pass report encoder against the stdlib-encoder oracle."""
 
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ from rocqe import (
     Label,
     Orientation,
     Scenario,
+    band_width_summary,
     build_roc,
     confidence_band,
     convex_hull,
 )
-from rocqe import cli
-from rocqe.cli import _json_chunks, _Rows
-from rocqe.texts import run_texts
+from rocqe import report
+from rocqe.report import Rows, json_chunks
 from helpers import reference_json, sample10_dataset
 
 LEAVES = [
@@ -42,7 +42,7 @@ LEAVES = [
 
 
 def _to_json(document) -> str:
-    return "".join(_json_chunks(document))
+    return "".join(json_chunks(document))
 
 
 def _same(document) -> None:
@@ -150,7 +150,12 @@ class TestDataclasses:
 
     def test_fields_are_not_copied(self):
         band = confidence_band(sample10_dataset(), BootstrapConfig(iterations=20))
-        assert cli._fields(band)["lower_tpr"] is band.lower_tpr
+        assert report.fields_of(band)["lower_tpr"] is band.lower_tpr
+
+
+def _band_entry(band) -> dict:
+    """A band as a roc entry writes it: its fields and its width summary."""
+    return {**report.fields_of(band), **report.fields_of(band_width_summary(band))}
 
 
 def _row_dicts(columns: dict) -> list[dict]:
@@ -176,7 +181,7 @@ class TestRows:
     )
     def test_rows_match_list_of_dicts(self, columns):
         for level_wrap in (lambda x: x, lambda x: {"outer": {"inner": x}}, lambda x: [x, 1]):
-            assert _to_json(level_wrap(_Rows(**columns))) == reference_json(
+            assert _to_json(level_wrap(Rows(**columns))) == reference_json(
                 level_wrap(_row_dicts(columns))
             )
 
@@ -189,29 +194,32 @@ class TestRows:
             hit = rng.random(size) < 0.2
             values[hit] = rng.choice(specials, size=int(hit.sum()))
             columns = {"v": values, "n": rng.integers(-(2**40), 2**40, size=size)}
-            assert _to_json({"rows": _Rows(**columns)}) == reference_json(
+            assert _to_json({"rows": Rows(**columns)}) == reference_json(
                 {"rows": _row_dicts(columns)}
             )
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_rows_split_across_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+        monkeypatch.setattr(report, "_ROWS_PER_BLOCK", block)
         columns = {
             "v": np.array([math.inf, 0.5, -0.0, math.nan, 2.0, 3.5, -math.inf]),
             "n": np.arange(7),
         }
         for size in (0, 1, 6, 7):
             part = {key: col[:size] for key, col in columns.items()}
-            assert _to_json({"rows": _Rows(**part), "after": 1}) == reference_json(
-                {"rows": _row_dicts(part), "after": 1}
+            lists = {"v": part["v"], "f32": part["v"].astype(np.float32), "n": part["n"]}
+            assert _to_json({"rows": Rows(**part), "lists": lists, "after": 1}) == reference_json(
+                {"rows": _row_dicts(part), "lists": lists, "after": 1}
             )
+        band = confidence_band(sample10_dataset(), BootstrapConfig(iterations=20, seed=4))
+        _same({"band": _band_entry(band), "after": 1})
 
     @pytest.mark.parametrize("block", [None, 1, 2, 7])
     def test_runs_are_bit_exact(self, block, monkeypatch):
         # Runs of equal neighbours are spelled once; 0.0 and -0.0 compare
         # equal as values but must keep their own texts.
         if block is not None:
-            monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+            monkeypatch.setattr(report, "_ROWS_PER_BLOCK", block)
         values = [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, math.nan, math.nan, 0.5, 0.5, 0.5,
                   -0.0, math.inf, math.inf, -math.inf, -0.0, 0.0]
         columns = {
@@ -222,7 +230,7 @@ class TestRows:
         }
         for size in (1, 2, 3, 8, 17):
             part = {key: col[:size] for key, col in columns.items()}
-            assert _to_json({"rows": _Rows(**part)}) == reference_json(
+            assert _to_json({"rows": Rows(**part)}) == reference_json(
                 {"rows": _row_dicts(part)}
             )
         assert _to_json(columns["f32"]) == reference_json(columns["f32"])
@@ -230,17 +238,17 @@ class TestRows:
     @pytest.mark.parametrize("block", [None, 1, 2, 7])
     def test_ready_and_negated_text_columns(self, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", block)
+            monkeypatch.setattr(report, "_ROWS_PER_BLOCK", block)
         values = np.array([math.inf, 3.5, 1e-300, 5e-324, 0.0, -0.0, -0.0, -2.0, -1e22,
                            math.nan, -math.inf])
         for size in (0, 1, 6, 11):
-            texts = cli._JsonTexts.spell(values[:size])
+            texts = report.JsonTexts.spell(values[:size])
             # Written in the blocks the texts were spelled in, and in others.
-            for rows_per_block in (cli._ROWS_PER_BLOCK, 3):
-                monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows_per_block)
+            for rows_per_block in (report._ROWS_PER_BLOCK, 3):
+                monkeypatch.setattr(report, "_ROWS_PER_BLOCK", rows_per_block)
                 for offset in range(min(size, 2) + 1):
                     # A text column first: the row count is read off its shape.
-                    rows = _Rows(
+                    rows = Rows(
                         neg_x=texts.view(offset, negated=True),
                         x=texts.view(offset),
                         twice=texts.view(negated=True).view(offset, negated=True),
@@ -251,15 +259,15 @@ class TestRows:
                     assert _to_json({"rows": rows}) == reference_json({"rows": _row_dicts(part)})
 
     def test_text_columns_are_spelled_once_in_joined_chunks(self, monkeypatch):
-        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", 4)
-        spelled, original = [], cli._array_texts
+        monkeypatch.setattr(report, "_ROWS_PER_BLOCK", 4)
+        spelled, original = [], report._array_texts
 
         def spell(values):
             spelled.extend(values.tolist())
             return original(values)
 
-        monkeypatch.setattr(cli, "_array_texts", spell)
-        texts = cli._JsonTexts.spell(np.arange(10.0))
+        monkeypatch.setattr(report, "_array_texts", spell)
+        texts = report.JsonTexts.spell(np.arange(10.0))
         assert spelled == list(np.arange(10.0))
         assert texts.chunks == ["0.0\n1.0\n2.0\n3.0", "4.0\n5.0\n6.0\n7.0", "8.0\n9.0"]
         assert texts.view(1)[slice(2, 6)].tolist() == ["3.0", "4.0", "5.0", "6.0"]
@@ -267,8 +275,8 @@ class TestRows:
         assert len(spelled) == 10
 
     def test_a_pass_splits_each_chunk_once(self, monkeypatch):
-        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", 4)
-        texts = cli._JsonTexts.spell(np.arange(10.0))
+        monkeypatch.setattr(report, "_ROWS_PER_BLOCK", 4)
+        texts = report.JsonTexts.spell(np.arange(10.0))
         reads = []
 
         class Chunks(list):
@@ -280,8 +288,8 @@ class TestRows:
         # As in a roc entry: the vertex rows read the thresholds and their
         # negation, and the PR rows read them from row 1 on, so each of
         # their blocks straddles two chunks.
-        vertices = _Rows(x=texts, neg_x=texts.view(negated=True))
-        pr_points = _Rows(x=texts.view(1), n=np.arange(9))
+        vertices = Rows(x=texts, neg_x=texts.view(negated=True))
+        pr_points = Rows(x=texts.view(1), n=np.arange(9))
         assert _to_json({"a": vertices, "b": pr_points}) == reference_json({
             "a": _row_dicts({"x": np.arange(10.0), "neg_x": -np.arange(10.0)}),
             "b": _row_dicts({"x": np.arange(1.0, 10.0), "n": np.arange(9)}),
@@ -290,17 +298,17 @@ class TestRows:
 
     def test_columns_must_share_one_length(self):
         with pytest.raises(ValueError, match="one length"):
-            _Rows(a=np.zeros(2), b=np.zeros(3))
+            Rows(a=np.zeros(2), b=np.zeros(3))
 
     def test_non_numeric_column_rejected(self):
-        # Only _JsonTexts pass as ready text; a bare object column is not trusted.
+        # Only JsonTexts pass as ready text; a bare object column is not trusted.
         for column in (
             np.array(["a", "b"]),
             np.array(["1", "2"], dtype=object),
             np.array([1.5, "x"], dtype=object),
         ):
             with pytest.raises(TypeError):
-                _to_json(_Rows(name=column))
+                _to_json(Rows(name=column))
 
 
 class _Entry(dict):
@@ -311,18 +319,18 @@ class TestDeferred:
     @pytest.mark.parametrize("value", [{"b": [1, 2.5, None], "a": np.array([0.5, math.nan])}, [], 3])
     def test_encodes_like_its_value(self, value):
         for wrap in (lambda x: x, lambda x: {"outer": {"inner": x}}, lambda x: [x, 1]):
-            assert _to_json(wrap(cli._Deferred(lambda: value))) == reference_json(wrap(value))
+            assert _to_json(wrap(report.Deferred(lambda: value))) == reference_json(wrap(value))
 
     def test_built_in_key_order_and_dropped_once_written(self):
         built = []
 
         def build(name):
             assert all(ref() is None for _, ref in built), "an earlier entry is alive"
-            entry = _Entry(name=name, rows=_Rows(x=np.arange(3)))
+            entry = _Entry(name=name, rows=Rows(x=np.arange(3)))
             built.append((name, weakref.ref(entry)))
             return entry
 
-        document = {name: cli._Deferred(build, name) for name in ("c", "a", "b")}
+        document = {name: report.Deferred(build, name) for name in ("c", "a", "b")}
         assert not built
         rows = _row_dicts({"x": np.arange(3)})
         assert _to_json(document) == reference_json(
