@@ -13,55 +13,85 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
-
-# No rocqe command calls a BLAS routine, but the OpenBLAS that numpy bundles
-# starts a worker thread per extra CPU when numpy loads, and those workers
-# spin on the CPU while they wait for work that never comes. One thread keeps
-# a short CLI run from paying for them; no result depends on it. A value the
-# user set wins, and a program that imported numpy first keeps its pool.
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .bootstrap import (
-    BootstrapConfig, ConfidenceBand, band_width_summary, check_confidence, confidence_band,
-)
-from .decision import (
-    ClassRatio,
-    TradeOff,
-    check_review_efficacy,
-    check_review_fraction,
-    check_tolerable_errors,
-    optimal_threshold,
-    qe_roc_table,
-    scenario1_residual_risk,
-    scenario2_required_effort,
-)
-from .diagnostics import REPRESENTATIVENESS_NOTE, check_band, check_sample
-from .groundtruth import LENIENT, STRICT_ANY_ERROR, SeverityCutoff
-from .ingest import (
-    IngestError,
-    IngestReport,
-    parse_canonical_tsv,
-    parse_wmt_layout,
-    to_dataset,
-)
-from .model import (
-    Dataset,
-    DegenerateClassError,
-    NonFiniteScoreError,
-    Orientation,
-)
-from .report import (
-    Deferred, JsonTexts, OutputError, Rows, check_outputs, emit, fields_of, json_chunks,
-    table_chunks,
-)
-from .roc import GroundTruthMismatchError, RocCurve, auc, build_roc, convex_hull, pr_points
-from .svgplot import SvgSeries, render_roc_svg
+
+
+def _library() -> dict:
+    """Import numpy and the rocqe modules the commands use, and return the imported names.
+
+    Nothing at module top imports them, so ``--version``, ``--help`` and a
+    flag that argparse refuses are answered from the standard library alone.
+    ``main`` binds these names as module globals once the flags are parsed,
+    and ``__getattr__`` binds them the first time outside code reads one.
+    """
+    # No rocqe command calls a BLAS routine, but the OpenBLAS that numpy bundles
+    # starts a worker thread per extra CPU when numpy loads, and those workers
+    # spin on the CPU while they wait for work that never comes. One thread keeps
+    # a short CLI run from paying for them; no result depends on it. A value the
+    # user set wins, and a program that imported numpy first keeps its pool.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+    import numpy as np
+
+    from .bootstrap import (
+        BootstrapConfig, ConfidenceBand, band_width_summary, check_confidence, confidence_band,
+    )
+    from .decision import (
+        ClassRatio,
+        TradeOff,
+        check_review_efficacy,
+        check_review_fraction,
+        check_tolerable_errors,
+        optimal_threshold,
+        qe_roc_table,
+        scenario1_residual_risk,
+        scenario2_required_effort,
+    )
+    from .diagnostics import REPRESENTATIVENESS_NOTE, check_band, check_sample
+    from .groundtruth import LENIENT, STRICT_ANY_ERROR, SeverityCutoff
+    from .ingest import (
+        IngestError,
+        IngestReport,
+        parse_canonical_tsv,
+        parse_wmt_layout,
+        to_dataset,
+        wmt_files,
+    )
+    from .model import (
+        Dataset,
+        DegenerateClassError,
+        NonFiniteScoreError,
+        Orientation,
+    )
+    from .report import (
+        Deferred, JsonTexts, OutputError, Rows, check_outputs, emit, fields_of, json_chunks,
+        table_chunks,
+    )
+    from .roc import GroundTruthMismatchError, RocCurve, auc, build_roc, convex_hull, pr_points
+    from .svgplot import SvgSeries, render_roc_svg
+    return locals()
+
+
+def _bind_library() -> None:
+    """Make the library names module globals; a name already set (a wrapper) wins."""
+    for name, value in _library().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """Bind the library names the first time outside code reads one (PEP 562).
+
+    Any other name loads nothing. That includes every dunder: the import
+    system probes for ``__path__`` on ``from rocqe.cli import main``.
+    """
+    if name in _library.__code__.co_varnames:
+        _bind_library()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -128,14 +158,14 @@ def _bootstrap_config(args: argparse.Namespace, seed: int) -> Optional[Bootstrap
     return config
 
 
-@dataclass
-class LoadedInputs:
+class LoadedInputs(NamedTuple):
     metrics: list[str]
     datasets: dict[str, Dataset]
     ingest_reports: dict[str, IngestReport]
     orientations: dict[str, Orientation]
     cutoff: SeverityCutoff
     notes: list[str]
+    inputs: tuple[str, ...]  # every file the run read; no output may name one
 
 
 def _load(args: argparse.Namespace) -> LoadedInputs:
@@ -181,16 +211,19 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
     # The first parse reads the gold file and keeps its columns here; the
     # others take them from here.
     gold_reads: dict = {}
+    inputs: list[str] = []
     for metric, source in score_map.items():
         if wmt_mode:
             records, report = parse_wmt_layout(
                 args.wmt_root, args.lang_pair, args.testset, args.system, metric,
                 gold_reads=gold_reads,
             )
+            inputs.extend(wmt_files(args.wmt_root, args.lang_pair, args.testset, metric))
         else:
             records, report = parse_canonical_tsv(
                 args.gold, source, metric, strict=args.strict, gold_reads=gold_reads
             )
+            inputs.extend((args.gold, source))
         reports[metric] = report
         datasets[metric] = to_dataset(records, cutoff, orientations[metric], metric)
     return LoadedInputs(
@@ -200,6 +233,7 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
         orientations=orientations,
         cutoff=cutoff,
         notes=[],
+        inputs=tuple(inputs),
     )
 
 
@@ -340,7 +374,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         findings[metric] = metric_findings
         series.append(SvgSeries(metric, curve, band))
 
-    check_outputs(args.svg, args.out)
+    check_outputs([args.svg, args.out], loaded.inputs)
     if args.svg:
         emit([render_roc_svg(series)], args.svg)
     results = {"metrics": {s.name: Deferred(_roc_entry, s.curve, s.band) for s in series}}
@@ -354,6 +388,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     loaded = _load(args)
     metric = loaded.metrics[0]
     table = qe_roc_table(loaded.datasets[metric])
+    check_outputs([args.out], loaded.inputs)
     emit(table_chunks(table), args.out)
     return 0
 
@@ -401,6 +436,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         results["optimal"] = optimal_threshold(dataset.roc_curve, trade_off, ratio)
 
     findings = {metric: check_sample(dataset)}
+    check_outputs([args.out], loaded.inputs)
     emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)
     return 0
 
@@ -416,7 +452,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull(curves)
     findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
-    check_outputs(args.svg, args.out)
+    check_outputs([args.svg, args.out], loaded.inputs)
     if args.svg:
         series = [SvgSeries(m, c) for m, c in curves]
         emit([render_roc_svg(series, hull=hull)], args.svg)
@@ -459,11 +495,13 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         results["metrics"][metric] = entry
         findings[metric] = metric_findings
 
+    check_outputs([args.out], loaded.inputs)
     emit(_report_json("diagnose", args, loaded, seed, results, findings), args.out)
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, *, resampling: bool, svg: bool) -> None:
+    """Input and output flags, plus the resampling flags and ``--svg`` where the command uses them."""
     parser.add_argument("--gold", help="gold TSV: segment_id<TAB>mqm_score")
     parser.add_argument(
         "--scores",
@@ -485,15 +523,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="strict, lenient, or custom:<t>[:inclusive] (default: strict)",
     )
     parser.add_argument("--strict", action="store_true", help="malformed input lines are fatal")
-    parser.add_argument("--bootstrap", type=int, default=None, metavar="B",
-                        help="bootstrap iterations (band/CI computed when set)")
-    parser.add_argument("--confidence", type=float, default=0.95)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: ROCQE_SEED env var, then 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="has no effect; kept for compatibility (must be >= 1)")
+    if resampling:
+        parser.add_argument("--bootstrap", type=int, default=None, metavar="B",
+                            help="bootstrap iterations (band/CI computed when set)")
+        parser.add_argument("--confidence", type=float, default=0.95)
+        parser.add_argument("--seed", type=int, default=None,
+                            help="RNG seed (fallback: ROCQE_SEED env var, then 0)")
+        parser.add_argument("--workers", type=int, default=1,
+                            help="has no effect; kept for compatibility (must be >= 1)")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
-    parser.add_argument("--svg", default=None, help="SVG plot path")
+    if svg:
+        parser.add_argument("--svg", default=None, help="SVG plot path")
     parser.add_argument("--wmt-root", default=None, help="root of a WMT-style score tree")
     parser.add_argument("--lang-pair", default=None)
     parser.add_argument("--testset", default=None)
@@ -510,15 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     roc = sub.add_parser("roc", help="curves, AUC, optional confidence bands")
-    _add_common_flags(roc)
+    _add_common_flags(roc, resampling=True, svg=True)
     roc.set_defaults(func=cmd_roc)
 
     table = sub.add_parser("table", help="per-segment QE-ROC table as TSV")
-    _add_common_flags(table)
+    _add_common_flags(table, resampling=False, svg=False)
     table.set_defaults(func=cmd_table)
 
     scenario = sub.add_parser("scenario", help="review-policy decision analyses")
-    _add_common_flags(scenario)
+    _add_common_flags(scenario, resampling=True, svg=False)
     scenario.add_argument("--scenario", type=int, choices=(1, 2), required=True)
     scenario.add_argument("--x", type=float, default=None,
                           help="scenario 1: reviewable fraction of segments, in (0, 1]")
@@ -535,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.set_defaults(func=cmd_scenario)
 
     hull = sub.add_parser("hull", help="combined envelope over several metrics")
-    _add_common_flags(hull)
+    _add_common_flags(hull, resampling=True, svg=True)
     hull.set_defaults(func=cmd_hull)
 
     diagnose = sub.add_parser("diagnose", help="sample and band validity checks")
-    _add_common_flags(diagnose)
+    _add_common_flags(diagnose, resampling=True, svg=False)
     diagnose.set_defaults(func=cmd_diagnose)
 
     return parser
@@ -548,6 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind_library()
     try:
         return args.func(args)
     except (IngestError, OSError, NonFiniteScoreError, GroundTruthMismatchError) as exc:

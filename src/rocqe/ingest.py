@@ -432,7 +432,8 @@ def _of(system: str, keys: list[str], items: list) -> list:
     return [item for key, item in zip(keys, items) if key == system]
 
 
-def _wmt_gold_path(root_dir: str, testset: str, language_pair: str) -> str:
+def wmt_files(root_dir: str, language_pair: str, testset: str, metric: str) -> tuple[str, str]:
+    """The gold and score files that ``parse_wmt_layout`` reads for ``metric``."""
     base = os.path.join(root_dir, testset, "human-scores")
     candidates = [
         os.path.join(base, f"{language_pair}.mqm.merged.seg.score"),
@@ -440,7 +441,9 @@ def _wmt_gold_path(root_dir: str, testset: str, language_pair: str) -> str:
     ]
     for path in candidates:
         if os.path.exists(path):
-            return path
+            return path, os.path.join(
+                root_dir, testset, "metric-scores", language_pair, f"{metric}.seg.score"
+            )
     raise IngestError(
         f"no MQM gold file for {language_pair} under {base}; looked for "
         + " and ".join(os.path.basename(c) for c in candidates)
@@ -467,9 +470,8 @@ def parse_wmt_layout(
     ``gold_reads`` shares one read of the gold file between the parses of
     one run, as in ``parse_canonical_tsv``.
     """
-    gold_path = _wmt_gold_path(root_dir, testset, language_pair)
-    metric_dir = os.path.join(root_dir, testset, "metric-scores", language_pair)
-    metric_path = os.path.join(metric_dir, f"{metric}.seg.score")
+    gold_path, metric_path = wmt_files(root_dir, language_pair, testset, metric)
+    metric_dir = os.path.dirname(metric_path)
     if not os.path.exists(metric_path):
         available = sorted(
             name[: -len(".seg.score")]

@@ -328,13 +328,25 @@ class OutputError(Exception):
     """An output file, or stdout, could not be opened or written."""
 
 
-def check_outputs(*paths: Optional[str]) -> None:
-    """Refuse an output path that is a directory, or whose directory does not exist.
+def _same_file(path: str, other: str) -> bool:
+    """Whether writing ``path`` would replace ``other``; a device such as
+    ``os.devnull`` holds nothing to replace."""
+    try:
+        return os.path.samefile(path, other) and os.path.isfile(path)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(path) == os.path.realpath(other)
 
-    A command that writes more than one file calls this before it opens
-    the first, so a path that cannot be opened leaves no file behind.
+
+def check_outputs(outputs: Sequence[Optional[str]], inputs: Sequence[str]) -> None:
+    """Refuse an output path that cannot be opened or names a file the run reads or writes.
+
+    A path is refused when it is a directory, when its directory does not
+    exist, or when it names one of ``inputs`` or an earlier output. A
+    command calls this before it opens its first output, so a refused path
+    leaves every file as it was.
     """
-    for path in filter(None, paths):
+    outputs = [path for path in outputs if path]
+    for i, path in enumerate(outputs):
         if os.path.isdir(path):
             raise OutputError(f"{path}: {os.strerror(errno.EISDIR)}")
         try:
@@ -342,6 +354,10 @@ def check_outputs(*paths: Optional[str]) -> None:
             os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
         except OSError as exc:
             raise OutputError(f"{path}: {exc.strerror}") from None
+        for role, others in (("input", inputs), ("output", outputs[:i])):
+            for other in others:
+                if _same_file(path, other):
+                    raise OutputError(f"{path}: same file as {role} {other}")
 
 
 def emit(chunks: Iterable[str], out_path: Optional[str]) -> None:

@@ -235,7 +235,9 @@ class TestExitCodes:
     ):
         if seed_env is not None:
             monkeypatch.setenv("ROCQE_SEED", seed_env)
-        outputs = ["--out", str(tmp_path / "report"), "--svg", str(tmp_path / "plot.svg")]
+        outputs = ["--out", str(tmp_path / "report")]
+        if argv[0] in SVG_COMMANDS:
+            outputs += ["--svg", str(tmp_path / "plot.svg")]
         code, out, err = run_cli([*argv, "--gold", gold, *outputs], capsys)
         assert code == 4, err
         assert "config error" in err
@@ -346,10 +348,15 @@ def _not_utf8(path) -> str:
     return str(path)
 
 
-def _wmt_with_bad_metric(tmp_path) -> str:
+def _wmt_tree(tmp_path):
+    """A copy of the wmt_mini tree, at ``tmp_path / "wmt"``."""
     root = tmp_path / "wmt"
     shutil.copytree(os.path.join(ROOT, "tests", "fixtures", "wmt_mini"), root)
-    return _not_utf8(root / "wmt23" / "metric-scores" / "zh-en" / "metricA.seg.score")
+    return root
+
+
+def _wmt_with_bad_metric(tmp_path) -> str:
+    return _not_utf8(_wmt_tree(tmp_path) / "wmt23" / "metric-scores" / "zh-en" / "metricA.seg.score")
 
 
 # Each case: a tmp_path -> (argv, the path the error must name).
@@ -400,7 +407,49 @@ UNREADABLE = {
 }
 
 
-# The UNREADABLE cases whose file is an output, and the reason printed.
+def _copy_case(command, *flags, wmt=False):
+    """A case that reads copies of fixtures in its directory: sample10 as
+    ``g.tsv`` and ``s.tsv``, or with ``wmt`` the wmt_mini tree as ``wmt``.
+    ``{tmp}`` in ``flags`` stands for the directory; the last flag is the
+    path the error must name."""
+    def case(tmp):
+        if wmt:
+            inputs = ["--wmt-root", str(_wmt_tree(tmp)), "--lang-pair", "zh-en",
+                      "--testset", "wmt23", "--system", "sysX",
+                      "--scores", "metricA", "--scores", "metricB"]
+        else:
+            shutil.copy(os.path.join(ROOT, GOLD[1]), tmp / "g.tsv")
+            shutil.copy(os.path.join(ROOT, SCORES[1].split("=", 1)[1]), tmp / "s.tsv")
+            inputs = ["--gold", str(tmp / "g.tsv"), "--scores", f"m={tmp / 's.tsv'}"]
+        argv = [command, *inputs, *(flag.format(tmp=tmp) for flag in flags)]
+        return argv, argv[-1]
+    return case
+
+
+def _out_links_to_scores(tmp):
+    os.symlink(tmp / "s.tsv", tmp / "link.tsv")
+    return _copy_case("roc", "--out", "{tmp}/link.tsv")(tmp)
+
+
+UNREADABLE.update({
+    "table out is the gold file": _copy_case("table", "--out", "{tmp}/g.tsv"),
+    "scenario out is the gold file": _copy_case(
+        "scenario", "--scenario", "1", "--x", "0.5", "--out", "{tmp}/g.tsv"),
+    "roc svg is the gold file": _copy_case("roc", "--svg", "{tmp}/g.tsv"),
+    "roc out is a link to the scores file": _out_links_to_scores,
+    "svg and out name one file": lambda tmp: (
+        ["roc", *BASE, "--svg", str(tmp / "x"), "--out", str(tmp / "x")], str(tmp / "x")
+    ),
+    "hull svg is a WMT score file": _copy_case(
+        "hull", "--out", "{tmp}/r.json",
+        "--svg", "{tmp}/wmt/wmt23/metric-scores/zh-en/metricB.seg.score", wmt=True),
+    "diagnose out is the WMT gold file": _copy_case(
+        "diagnose", "--out", "{tmp}/wmt/wmt23/human-scores/zh-en.mqm.merged.seg.score", wmt=True),
+})
+
+
+# The UNREADABLE cases whose file is an output, and the reason printed
+# (``{tmp}`` stands for the case's directory).
 UNWRITABLE = {
     "out is a directory": "Is a directory",
     "svg is a directory": "Is a directory",
@@ -408,11 +457,21 @@ UNWRITABLE = {
     "out directory missing after a good svg": "No such file or directory",
     "svg directory missing before a good out": "No such file or directory",
     "table out directory missing": "No such file or directory",
+    "table out is the gold file": "same file as input {tmp}/g.tsv",
+    "scenario out is the gold file": "same file as input {tmp}/g.tsv",
+    "roc svg is the gold file": "same file as input {tmp}/g.tsv",
+    "roc out is a link to the scores file": "same file as input {tmp}/s.tsv",
+    "svg and out name one file": "same file as output {tmp}/x",
+    "hull svg is a WMT score file":
+        "same file as input {tmp}/wmt/wmt23/metric-scores/zh-en/metricB.seg.score",
+    "diagnose out is the WMT gold file":
+        "same file as input {tmp}/wmt/wmt23/human-scores/zh-en.mqm.merged.seg.score",
 }
 
 
-# Flags the parser or a command refuses: each case is argv and the start
-# of what stderr must say. Every case also names an --out and an --svg.
+# Flags the parser or a command refuses: each case is argv (``{tmp}``
+# stands for the case's directory) and the start of what stderr must say.
+# Every case also names an --out, and an --svg when its command takes one.
 CONFIG_ERRORS = {
     "bootstrap not an integer": (["roc", *BASE, "--bootstrap", "x"], "usage: rocqe roc"),
     "unknown flag": (["roc", *BASE, "--bogus"], "usage: rocqe"),
@@ -425,14 +484,28 @@ CONFIG_ERRORS = {
     "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
     "table with two metrics": (["table", *BASE, *RISKB], "config error: the table command"),
     "hull with one metric": (["hull", *BASE], "config error: the hull command"),
+    "table with --bootstrap": (["table", *BASE, "--bootstrap", "1"], "usage: rocqe"),
+    "table with --confidence": (["table", *BASE, "--confidence", "5"], "usage: rocqe"),
+    "table with --workers": (["table", *BASE, "--workers", "0"], "usage: rocqe"),
+    "table with --seed": (["table", *BASE, "--seed", "-3"], "usage: rocqe"),
+    "table with --svg": (["table", *BASE, "--svg", "{tmp}/t.svg"], "usage: rocqe"),
+    "scenario with --svg": (["scenario", *BASE, "--scenario", "1", "--x", "0.5", "--svg", "{tmp}/s.svg"],
+                            "usage: rocqe"),
+    "diagnose with --svg": (["diagnose", *BASE, "--svg", "{tmp}/d.svg"], "usage: rocqe"),
 }
 
+SVG_COMMANDS = {"roc", "hull"}
 
-def _files_under(directory) -> list[str]:
-    return sorted(
-        os.path.relpath(os.path.join(parent, name), directory)
-        for parent, _, names in os.walk(directory) for name in names
-    )
+
+def _files_under(directory) -> dict[str, bytes]:
+    """Every file under ``directory`` by relative path, with its bytes."""
+    files = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, directory)] = handle.read()
+    return files
 
 
 @pytest.mark.parametrize("case", list(UNREADABLE))
@@ -444,7 +517,8 @@ def test_unreadable_file_exits_two(case, tmp_path):
     run = _run_child(argv)
     assert run.returncode == 2, run.stderr
     if case in UNWRITABLE:
-        assert run.stderr == f"output error: {path}: {UNWRITABLE[case]}\n"
+        reason = UNWRITABLE[case].format(tmp=tmp_path)
+        assert run.stderr == f"output error: {path}: {reason}\n"
     else:
         assert run.stderr.startswith("input error: ") and path in run.stderr
     assert "Traceback" not in run.stderr
@@ -455,13 +529,22 @@ def test_unreadable_file_exits_two(case, tmp_path):
 def test_refused_flags_exit_four(case, tmp_path):
     """A flag the run refuses is a config error, not a traceback, and the run writes no file."""
     argv, prefix = CONFIG_ERRORS[case]
-    outputs = ["--out", str(tmp_path / "r.json"), "--svg", str(tmp_path / "p.svg")]
-    run = _run_child([*argv, *outputs])
+    outputs = ["--out", str(tmp_path / "r.json")]
+    if argv[0] in SVG_COMMANDS:
+        outputs += ["--svg", str(tmp_path / "p.svg")]
+    run = _run_child([*(arg.format(tmp=tmp_path) for arg in argv), *outputs])
     assert run.returncode == 4, run.stderr
     assert run.stderr.startswith(prefix), run.stderr
     assert "Traceback" not in run.stderr
     assert run.stdout == ""
-    assert _files_under(tmp_path) == []
+    assert _files_under(tmp_path) == {}
+
+
+def test_outputs_may_share_a_device():
+    """Only a regular file can be replaced, so both outputs may go to the null device."""
+    run = _run_child(["roc", *BASE, "--svg", os.devnull, "--out", os.devnull])
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 def _run_child(argv) -> subprocess.CompletedProcess:
@@ -960,7 +1043,7 @@ def _loaded(datasets):
     return LoadedInputs(
         metrics=list(datasets), datasets=dict(datasets), ingest_reports={},
         orientations={m: ds.orientation for m, ds in datasets.items()},
-        cutoff=STRICT_ANY_ERROR, notes=[],
+        cutoff=STRICT_ANY_ERROR, notes=[], inputs=(),
     )
 
 

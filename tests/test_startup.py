@@ -32,6 +32,70 @@ def _run(code: str, **env: str) -> str:
     return _python("-c", code, **env)
 
 
+def _imports(*args: str) -> tuple[int, set[str]]:
+    """The exit status of ``python -X importtime *args`` and the modules it imported."""
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], cwd=ROOT, capture_output=True, text=True,
+        check=False,
+    )
+    lines = [line for line in run.stderr.splitlines() if line.startswith("import time:")]
+    return run.returncode, {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+# What the CLI must not import before it needs the library: numpy, the
+# rocqe modules the commands use, and the stdlib modules dataclasses brings.
+HEAVY = ("numpy", "dataclasses", "inspect")
+
+
+def _heavy(modules: set[str]) -> list[str]:
+    return sorted(
+        name for name in modules
+        if name.split(".")[0] in HEAVY or (name.startswith("rocqe.") and name != "rocqe.cli")
+    )
+
+
+@pytest.mark.parametrize("args, status", [
+    (["-c", "import rocqe.cli"], 0),
+    (["-m", "rocqe.cli", "--version"], 0),
+    (["-m", "rocqe.cli", "roc", "--help"], 0),
+    (["-m", "rocqe.cli", "roc", "--bootstrap", "x"], 4),
+    (["-m", "rocqe.cli", "table", "--svg", "t.svg"], 4),
+    (["-c", "from rocqe.cli import main; main(['--version'])"], 0),
+], ids=["import", "version", "help", "bad flag", "flag the command lacks", "main version"])
+def test_cli_answers_without_the_library(args, status):
+    code, modules = _imports(*args)
+    assert code == status
+    assert "argparse" in modules
+    assert _heavy(modules) == []
+
+
+def test_reading_a_library_name_loads_the_library():
+    code = """
+import sys, rocqe.cli as cli
+build_roc = cli.build_roc
+import rocqe.roc
+print(build_roc is rocqe.roc.build_roc, cli.np is sys.modules["numpy"])
+"""
+    assert _run(code) == "True True\n"
+
+
+def test_unknown_cli_attribute_raises_and_loads_nothing():
+    code = """
+import sys, rocqe.cli as cli
+for name in ("no_such_name", "__no_such_dunder__"):
+    try:
+        getattr(cli, name)
+    except AttributeError as exc:
+        print(exc)
+print("numpy" in sys.modules)
+"""
+    assert _run(code) == (
+        "module 'rocqe.cli' has no attribute 'no_such_name'\n"
+        "module 'rocqe.cli' has no attribute '__no_such_dunder__'\n"
+        "False\n"
+    )
+
+
 def test_import_rocqe_does_not_load_numpy():
     assert _run("import sys, rocqe; print('numpy' in sys.modules)") == "False\n"
 
@@ -74,7 +138,7 @@ print(hasattr(rocqe, "no_such_name"))
 def test_cli_runs_numpy_with_one_openblas_thread():
     code = """
 import os
-from rocqe.cli import main
+from rocqe.cli import main, np
 print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
 """
     assert _run(code) == "1 1\n"
