@@ -105,6 +105,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(4)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it refuses an argument it does not take with its own usage.
+
+    Left to argparse, such an argument reaches the top-level parser, which
+    shows the usage of ``rocqe`` instead of the command's flags.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
+
 def _parse_cutoff(text: str) -> SeverityCutoff:
     if text == "strict":
         return STRICT_ANY_ERROR
@@ -240,7 +254,7 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
 def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
     """Re-join datasets onto the ids every metric scored (hull needs one ground truth)."""
     first, *others = (loaded.datasets[metric].ids for metric in loaded.metrics)
-    if all(np.array_equal(ids, first) for ids in others):
+    if all(ids is first or np.array_equal(ids, first) for ids in others):
         return  # every id is shared, and nothing is dropped
     common = set.intersection(*(set(ds.ids.tolist()) for ds in loaded.datasets.values()))
     if not common:
@@ -547,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         "translation quality-estimation scores.",
     )
     parser.add_argument("--version", action="version", version=f"rocqe {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     roc = sub.add_parser("roc", help="curves, AUC, optional confidence bands")
     _add_common_flags(roc, resampling=True, svg=True)

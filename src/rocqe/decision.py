@@ -18,7 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
-from .model import Dataset, _frozen, _read_only, _strictly_increasing, require_both_classes
+from .model import (
+    Dataset, _frozen, _id_column, _read_only, _strictly_increasing, require_both_classes,
+)
 from .roc import RocCurve, _upper_hull, raw_threshold
 
 
@@ -26,10 +28,11 @@ from .roc import RocCurve, _upper_hull, raw_threshold
 class QeRocTable:
     """Per-segment ROC bookkeeping, sorted from the worst score to the best.
 
-    Held as read-only row columns: ``segment_ids``, ``is_positive`` and
-    ``raw_scores`` per segment, and each row's tie-group counts ``tp`` and
-    ``fp``. ``endpoints`` holds the raw scores of the two theoretical rows
-    that flag nothing and everything; their counts are (0, 0) and (P, N).
+    Held as read-only row columns: ``segment_ids`` (an ``_id_column``),
+    ``is_positive`` and ``raw_scores`` per segment, and each row's
+    tie-group counts ``tp`` and ``fp``. ``endpoints`` holds the raw scores
+    of the two theoretical rows that flag nothing and everything; their
+    counts are (0, 0) and (P, N).
     """
 
     segment_ids: np.ndarray
@@ -42,9 +45,9 @@ class QeRocTable:
     n_count: int
 
     def __post_init__(self) -> None:
-        for name in ("segment_ids", "is_positive", "raw_scores", "tp", "fp"):
-            dtype = object if name == "segment_ids" else None
-            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        object.__setattr__(self, "segment_ids", _id_column(self.segment_ids))
+        for name in ("is_positive", "raw_scores", "tp", "fp"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.tp.size == 0:
             raise ValueError("a table needs at least one data row")
         if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
@@ -67,7 +70,7 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         # Dataset order is id order, as ``to_dataset`` leaves it.
         order = np.argsort(ranking.group, kind="stable")
     else:
-        by_id = sorted(range(ids.size), key=ids.tolist().__getitem__)
+        by_id = np.argsort(ids, kind="stable")
         # Each row's place in the stable id sort: distinct, so equal ids
         # keep their dataset order.
         id_place = np.empty(ids.size, dtype=np.intp)

@@ -19,7 +19,9 @@ from typing import Callable, Iterator, Optional, TextIO
 import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
-from .model import Dataset, Orientation, _frozen, _read_only, _strictly_increasing
+from .model import (
+    ID_DTYPE, Dataset, Orientation, _frozen, _id_column, _read_only, _strictly_increasing,
+)
 
 # Values that mean "no score here" in either column, besides non-finite
 # numerics. Conventions vary across metric dumps; these are the observed ones.
@@ -40,12 +42,12 @@ class IngestError(ValueError):
 class CanonicalRecords:
     """Joined records for one metric, held as columns.
 
-    ``ids``, ``mqm_scores`` and ``scores`` are read-only arrays, one entry
-    per record, every value present and finite.
+    ``ids`` (an ``_id_column``), ``mqm_scores`` and ``scores`` are
+    read-only arrays, one entry per record, every value present and finite.
     """
 
     def __init__(self, metric: str, ids, mqm_scores, scores) -> None:
-        ids = _read_only(ids, object)
+        ids = _id_column(ids)
         mqm_scores = _read_only(mqm_scores, np.float64)
         scores = _read_only(scores, np.float64)
         if not (ids.ndim == 1 and ids.shape == mqm_scores.shape == scores.shape):
@@ -141,8 +143,8 @@ def _block_fields(text: str) -> Optional[list[str]]:
 
 
 def _scan(
-    path: str, known: Optional[list[str]] = None
-) -> tuple[list[str], np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
+    path: str, known: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
     """Read a `key<TAB>value` file once, a block of lines at a time.
 
     Returns (keys, values, numbers, problems, malformed): the key, value and
@@ -155,12 +157,13 @@ def _scan(
     finite. Any other line is malformed, except that line 1 is skipped as a
     header when its value is neither.
 
-    While the file's keys equal the leading keys of ``known``, they are
-    only counted, not kept, and ``keys`` is ``known`` itself (or the
-    prefix of it they equal): a file keyed like ``known`` costs no second
-    key list.
+    ``keys`` is a read-only ``_id_column``; each block's keys become a
+    column block as soon as the block is split. While the file's keys
+    equal the leading keys of the column ``known``, they are only
+    compared, not kept, and ``keys`` is ``known`` itself (or the prefix of
+    it they equal): a file keyed like ``known`` costs no second key column.
     """
-    keys: list[str] = []
+    keys: list[np.ndarray] = [np.zeros(0, dtype=ID_DTYPE)]
     # Keys read so far that equal known's; only counted while ``shared``.
     shared, matched = known is not None, 0
     values: list[np.ndarray] = [np.zeros(0)]  # an empty file has empty columns
@@ -170,21 +173,24 @@ def _scan(
     with open(path, encoding="utf-8-sig") as handle:
         for first, text in _text_blocks(handle):
             block_keys, parsed, at, found = _block_rows(text, first, header=True)
-            if shared and block_keys == known[matched : matched + len(block_keys)]:
-                matched += len(block_keys)
+            block = _id_column(block_keys)
+            if shared and np.array_equal(block, known[matched : matched + block.size]):
+                matched += block.size
             else:
                 if shared:
-                    keys, shared = known[:matched], False
-                keys += block_keys
+                    keys, shared = [known[:matched]], False
+                keys.append(block)
             values.append(np.array(parsed, dtype=np.float64))
             numbers.append(at)
             malformed += len(found)
             problems += found[: MAX_WARNINGS - len(problems)]
-    if shared:
-        keys = known if matched == len(known) else known[:matched]
+    if shared and matched == known.size:
+        ids = known
+    else:
+        ids = _frozen(np.concatenate([known[:matched]] if shared else keys))
     column = np.concatenate(values)
     column[~np.isfinite(column)] = math.nan
-    return keys, column, np.concatenate(numbers), problems, malformed
+    return ids, column, np.concatenate(numbers), problems, malformed
 
 
 def _block_rows(
@@ -250,26 +256,24 @@ def _first_repeat(keys: list[str]) -> Optional[int]:
 
 
 def _read_two_column(
-    path: str, strict: bool, known: Optional[list[str]] = None
-) -> tuple[list[str], np.ndarray, int, list[str]]:
+    path: str, strict: bool, known: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, int, list[str]]:
     """Read a `key<TAB>value` file: (keys, values, malformed_count, warnings).
 
     Line 1 is a header when its value is neither numeric nor a missing
     marker. Duplicate keys are always a hard error; malformed lines are
     skipped, or raised in strict mode, where the first of the two in line
     order raises. Only the first ``MAX_WARNINGS`` malformed lines get a
-    warning; ``malformed_count`` counts them all. Keys come in line order;
-    a missing value is NaN. ``known`` is the key list of a file read
-    before, free of repeats; when this file has the same keys, ``keys`` is
-    that list.
+    warning; ``malformed_count`` counts them all. Keys come in line order,
+    as an ``_id_column``; a missing value is NaN. ``known`` is the key
+    column of a file read before, free of repeats; when this file has the
+    same keys, ``keys`` is that column.
     """
     keys, values, numbers, problems, malformed = _scan(path, known=known)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
-    # Strictly increasing keys cannot repeat, nor can known's. The order
-    # check stops at the first descent, so a shuffled file pays almost
-    # nothing for it.
+    # Strictly increasing keys cannot repeat, nor can known's.
     repeat_at = (
-        None if keys is known or _strictly_increasing(keys) else _first_repeat(keys)
+        None if keys is known or _strictly_increasing(keys) else _first_repeat(keys.tolist())
     )
     if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
         raise IngestError(
@@ -313,19 +317,22 @@ def parse_canonical_tsv(
     gold_ids, gold, gold_bad, gold_notes = _read_once(
         gold_reads, _read_two_column, gold_path, strict
     )
-    # A score file keyed like the gold file shares its key list.
+    # A score file keyed like the gold file shares its key column.
     score_ids, score, score_bad, score_notes = _read_two_column(
         scores_path, strict, known=gold_ids
     )
     if score_ids is gold_ids:
         ids = gold_ids
         if not _strictly_increasing(ids):
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            ids, gold, score = [ids[i] for i in order], gold[order], score[order]
+            order = np.argsort(ids, kind="stable")
+            ids, gold, score = ids[order], gold[order], score[order]
     else:
-        ids = sorted(set(gold_ids).union(score_ids))
-        gold = _values_at(ids, gold_ids, gold)
-        score = _values_at(ids, score_ids, score)
+        gold_keys, score_keys = gold_ids.tolist(), score_ids.tolist()
+        keys = sorted(set(gold_keys).union(score_keys))
+        gold = _values_at(keys, gold_keys, gold)
+        score = _values_at(keys, score_keys, score)
+        ids = _id_column(keys)
+        del keys, gold_keys, score_keys
     del gold_ids, score_ids
     records, missing_gold, missing_score = _join(metric, ids, gold, score)
 
@@ -350,14 +357,17 @@ def _values_at(ids: list[str], keys: list[str], values: np.ndarray) -> np.ndarra
 
 
 def _join(
-    metric: str, ids: list[str], gold: np.ndarray, score: np.ndarray
+    metric: str, ids: np.ndarray, gold: np.ndarray, score: np.ndarray
 ) -> tuple[CanonicalRecords, int, int]:
-    """(records, missing gold, missing score) of aligned columns; NaN is missing."""
+    """(records, missing gold, missing score) of aligned columns; NaN is missing.
+
+    With nothing missing, the records hold ``ids`` itself, frozen.
+    """
     missing_gold = np.isnan(gold)
     missing_score = np.isnan(score) & ~missing_gold
-    columns = (np.array(ids, dtype=object), gold, score)
+    columns = (ids, gold, score)
     if missing_gold.any() or missing_score.any():
-        kept = np.flatnonzero(~(missing_gold | missing_score))
+        kept = ~(missing_gold | missing_score)
         columns = tuple(column[kept] for column in columns)
     # The columns are the records' own from here: frozen, not copied again.
     records = CanonicalRecords(metric, *map(_frozen, columns))
@@ -501,7 +511,7 @@ def parse_wmt_layout(
             f"scores vs {score.size} {metric} scores"
         )
 
-    ids = [f"{testset}:{system}:{i}" for i in range(gold.size)]
+    ids = _read_once(gold_reads, _wmt_ids, testset, system, gold.size)
     records, missing_gold, missing_score = _join(metric, ids, gold, score)
     report = IngestReport(
         total_lines=gold.size,
@@ -511,6 +521,11 @@ def parse_wmt_layout(
         skipped_malformed=0,
     )
     return records, report
+
+
+def _wmt_ids(testset: str, system: str, size: int) -> np.ndarray:
+    """The synthetic ids ``{testset}:{system}:{i}``, ``i`` from 0 to ``size - 1``, as a column."""
+    return _id_column([f"{testset}:{system}:{i}" for i in range(size)])
 
 
 def to_dataset(
@@ -536,7 +551,7 @@ def to_dataset(
     ids, mqm, scores = records.ids, records.mqm_scores, records.scores
     if not _strictly_increasing(ids):
         order = np.argsort(ids, kind="stable")
-        ids, mqm, scores = ids[order], mqm[order], scores[order]
+        ids, mqm, scores = _frozen(ids[order]), mqm[order], scores[order]
     repeats = np.flatnonzero(ids[1:] == ids[:-1])
     # The record at a repeated id is rejected before it is labelled.
     repeated = int(repeats[0]) + 1 if repeats.size else ids.size

@@ -9,11 +9,9 @@ if and only if their canonical scores are value-equal, so 0.0 and -0.0 tie.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -117,6 +115,12 @@ def require_both_classes(p_count: int, n_count: int, what: str) -> None:
 # (id, label) pairs per block fed to ``Dataset.fingerprint``'s hash.
 _PAIRS_PER_HASH_BLOCK = 4096
 
+# Segment ids are held as one column of this dtype: an id of up to 15
+# UTF-8 bytes is stored inline in its 16-byte slot, a longer one in the
+# array's own arena, and no Python ``str`` exists until an item is read.
+# ``coerce=False`` refuses anything that is not already a string.
+ID_DTYPE = np.dtypes.StringDType(coerce=False)
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -137,9 +141,35 @@ def _read_only(values, dtype=None) -> np.ndarray:
     return _frozen(np.array(values, dtype=dtype))
 
 
-def _strictly_increasing(keys: list[str]) -> bool:
-    """Whether ``keys`` are sorted and free of repeats; stops at the first descent."""
-    return all(map(operator.lt, keys, islice(keys, 1, None)))
+def _id_column(ids) -> np.ndarray:
+    """``ids`` as a read-only id column; ValueError for an id that is not a ``str``.
+
+    Ids are read as Python strings and stored as ``ID_DTYPE``, unless one
+    holds a NUL: numpy compares ``StringDType`` items only up to the first
+    NUL both hold at one place, so such ids are kept as an object column
+    of ``str``, which compare whole. Every id column therefore sorts and
+    compares as its Python strings do. A read-only ``ID_DTYPE`` array that
+    owns its data is taken as it is, unread: it is a column this function
+    returned, or a copy or selection of one, so it holds no NUL.
+    """
+    if isinstance(ids, np.ndarray):
+        if ids.dtype == ID_DTYPE and ids.base is None and not ids.flags.writeable:
+            return ids
+        if ids.dtype.kind not in "OTU":
+            raise ValueError(f"segment ids must be strings, not {ids.dtype}")
+        ids = ids.tolist()
+    else:
+        ids = list(ids)
+    try:
+        nul = "\x00" in "".join(ids)
+    except TypeError:
+        raise ValueError("segment ids must be strings") from None
+    return _frozen(np.array(ids, dtype=object if nul else ID_DTYPE))
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether the id column ``keys`` is sorted and free of repeats."""
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 class Dataset:
@@ -147,6 +177,7 @@ class Dataset:
 
     ``ids``, ``raw_scores``, ``risk_scores`` and ``is_positive`` are
     read-only arrays with one entry per segment, in dataset order;
+    ``ids`` is an ``_id_column``, whose items read back as ``str``.
     ``p_count``/``n_count`` match the label tallies. Segment ids are
     opaque; uniqueness is an ingestion concern, and resampled datasets may
     legitimately repeat ids.
@@ -160,7 +191,7 @@ class Dataset:
     def __init__(self, ids, raw_scores, risk_scores, is_positive, p_count: int, n_count: int,
                  orientation: Orientation = Orientation.HIGHER_IS_WORSE) -> None:
         """Store the columns read-only after checking them, as one vectorised pass."""
-        ids = _read_only(ids, object)
+        ids = _id_column(ids)
         raw = _read_only(raw_scores, np.float64)
         risk = _read_only(risk_scores, np.float64)
         positive = _read_only(is_positive, bool)

@@ -474,7 +474,9 @@ UNWRITABLE = {
 # Every case also names an --out, and an --svg when its command takes one.
 CONFIG_ERRORS = {
     "bootstrap not an integer": (["roc", *BASE, "--bootstrap", "x"], "usage: rocqe roc"),
-    "unknown flag": (["roc", *BASE, "--bogus"], "usage: rocqe"),
+    "unknown flag": (["roc", *BASE, "--bogus"], "usage: rocqe roc [-h]"),
+    "unknown flag before the command": (["--bogus", "roc", *BASE], "usage: rocqe [-h] [--version]"),
+    "stray argument": (["hull", *BASE, *RISKB, "extra"], "usage: rocqe hull [-h]"),
     "unknown command": (["nosuch"], "usage: rocqe"),
     "scenario out of range": (["scenario", *BASE, "--scenario", "3"], "usage: rocqe scenario"),
     "unknown cutoff": (["roc", *BASE, "--cutoff", "bogus"], "config error: unknown cutoff"),
@@ -484,14 +486,16 @@ CONFIG_ERRORS = {
     "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
     "table with two metrics": (["table", *BASE, *RISKB], "config error: the table command"),
     "hull with one metric": (["hull", *BASE], "config error: the hull command"),
-    "table with --bootstrap": (["table", *BASE, "--bootstrap", "1"], "usage: rocqe"),
-    "table with --confidence": (["table", *BASE, "--confidence", "5"], "usage: rocqe"),
-    "table with --workers": (["table", *BASE, "--workers", "0"], "usage: rocqe"),
-    "table with --seed": (["table", *BASE, "--seed", "-3"], "usage: rocqe"),
-    "table with --svg": (["table", *BASE, "--svg", "{tmp}/t.svg"], "usage: rocqe"),
+    "table with --bootstrap": (["table", *BASE, "--bootstrap", "1"], "usage: rocqe table [-h]"),
+    "table with --confidence": (["table", *BASE, "--confidence", "5"], "usage: rocqe table [-h]"),
+    "table with --workers": (["table", *BASE, "--workers", "0"], "usage: rocqe table [-h]"),
+    "table with --seed": (["table", *BASE, "--seed", "-3"], "usage: rocqe table [-h]"),
+    "table with --svg": (["table", *BASE, "--svg", "{tmp}/t.svg"], "usage: rocqe table [-h]"),
     "scenario with --svg": (["scenario", *BASE, "--scenario", "1", "--x", "0.5", "--svg", "{tmp}/s.svg"],
-                            "usage: rocqe"),
-    "diagnose with --svg": (["diagnose", *BASE, "--svg", "{tmp}/d.svg"], "usage: rocqe"),
+                            "usage: rocqe scenario [-h]"),
+    "diagnose with --svg": (["diagnose", *BASE, "--svg", "{tmp}/d.svg"],
+                            "usage: rocqe diagnose [-h]"),
+    "roc with --scenario": (["roc", *BASE, "--scenario", "1"], "usage: rocqe roc [-h]"),
 }
 
 SVG_COMMANDS = {"roc", "hull"}
@@ -1048,6 +1052,15 @@ def _loaded(datasets):
 
 
 class TestRestrictToCommonIds:
+    def test_one_id_column_is_kept_without_comparing_ids(self, sample10, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ids were compared")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        loaded = _loaded({"m1": sample10, "m2": sample10})
+        _restrict_to_common_ids(loaded)
+        assert loaded.datasets == {"m1": sample10, "m2": sample10} and loaded.notes == []
+
     def test_partial_overlap_drops_and_notes(self):
         first = Dataset.from_columns(["d", "a", "b", "c"], [4.0, 1.0, 2.0, 3.0],
                                      [True, False, True, False])

@@ -23,6 +23,7 @@ from rocqe import (
 )
 import rocqe.decision as decision_module
 import rocqe.report as report_module
+from rocqe.model import ID_DTYPE
 from rocqe.bootstrap import nearest_rank_interval
 import helpers
 from helpers import assert_close, make_dataset, random_dataset, traced_peak
@@ -57,6 +58,10 @@ def _table_rows(table):
 
 
 class TestQeRocTable:
+    def test_segment_ids_are_a_read_only_string_column(self, sample10):
+        table = qe_roc_table(sample10)
+        assert table.segment_ids.dtype == ID_DTYPE and not table.segment_ids.flags.writeable
+
     def test_sample10_rows(self, sample10):
         table = qe_roc_table(sample10)
         assert _table_rows(table) == SAMPLE10_ROWS

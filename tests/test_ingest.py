@@ -19,6 +19,7 @@ from rocqe import (
 )
 import rocqe.ingest as ingest_module
 from rocqe.ingest import MAX_WARNINGS, _read_system
+from rocqe.model import ID_DTYPE
 import helpers
 from helpers import records_of, segments_of, traced_peak
 
@@ -374,7 +375,57 @@ class TestSharedGoldReads:
                     parse_wmt_layout, *args
                 )
                 # One gold read per system: its second metric adds none.
-                assert [key[-1] for key in gold_reads] == ["sysX", "sysY"][: 1 + (system == "sysY")]
+                reads = [key[-1] for key in gold_reads if key[0] is ingest_module._read_system]
+                assert reads == ["sysX", "sysY"][: 1 + (system == "sysY")]
+
+
+class TestIdColumn:
+    """Segment ids are one read-only string column from the reader to the dataset."""
+
+    def test_records_and_dataset_hold_the_string_column(self, sample10_paths):
+        records, _ = parse_canonical_tsv(*sample10_paths, "metric")
+        ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "metric")
+        for ids in (records.ids, ds.ids):
+            assert ids.dtype == ID_DTYPE and not ids.flags.writeable
+        assert ds.ids.tolist() == sorted(str(i) for i in range(1, 11))
+
+    def test_metrics_keyed_like_the_gold_file_share_its_id_column(self, tmp_path):
+        gold = _write(tmp_path / "g.tsv", ["id\tmqm", "a\t-1.0", "b\t0.0", "c\t0.0"])
+        first = _write(tmp_path / "s1.tsv", ["a\t0.9", "b\t0.1", "c\t0.5"])
+        second = _write(tmp_path / "s2.tsv", ["id\tscore", "a\t0.3", "b\t0.2", "c\t0.4"])
+        gold_reads = {}
+        parsed = [parse_canonical_tsv(gold, path, m, gold_reads=gold_reads)[0]
+                  for m, path in (("m1", first), ("m2", second))]
+        datasets = [to_dataset(r, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, r.metric)
+                    for r in parsed]
+        assert parsed[0].ids is parsed[1].ids is datasets[0].ids is datasets[1].ids
+        assert parsed[0].ids.tolist() == ["a", "b", "c"]
+
+    def test_wmt_ids_are_built_once_per_run(self, wmt_root):
+        gold_reads = {}
+        parsed = [parse_wmt_layout(wmt_root, "zh-en", "wmt23", "sysY", m, gold_reads=gold_reads)[0]
+                  for m in ("metricA", "metricB")]
+        assert parsed[0].ids is parsed[1].ids
+        assert parsed[0].ids.dtype == ID_DTYPE
+        assert parsed[0].ids.tolist() == [f"wmt23:sysY:{i}" for i in range(4)]
+
+    def test_ids_holding_a_nul_compare_as_python_strings(self, tmp_path):
+        # numpy's StringDType compares only up to a NUL both items hold at
+        # one place, so "x\x001" and "x\x002" would look equal.
+        keys = ["x\x002", "x\x001", "x", "x\x00", "x\x0012"]
+        gold = _write(tmp_path / "g.tsv", [f"{k}\t{-1.0 * (i % 2)}" for i, k in enumerate(keys)])
+        scores = _write(tmp_path / "s.tsv", [f"{k}\t{0.1 * i}" for i, k in enumerate(keys)])
+        records, report = parse_canonical_tsv(gold, scores, "m")
+        ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
+        assert report.accepted == len(keys)
+        assert ds.ids.tolist() == sorted(keys)
+        shuffled = _write(tmp_path / "t.tsv", [f"{k}\t{0.1 * i}" for i, k in enumerate(keys[::-1])])
+        records, _ = parse_canonical_tsv(gold, shuffled, "m")
+        assert records.ids.tolist() == sorted(keys)
+        repeated = _write(tmp_path / "r.tsv", [f"{k}\t0.5" for k in ["x\x001", "x\x002", "x\x001"]])
+        with pytest.raises(IngestError) as raised:
+            parse_canonical_tsv(gold, repeated, "m")
+        assert str(raised.value).endswith("line 3: duplicate segment id 'x\\x001'")
 
 
 class TestToDataset:
@@ -610,6 +661,28 @@ class TestColumnarIngestDifferential:
         # A second id list and the join's column copies peaked near 19.5 MB here.
         assert rise <= 12.5 * 2**20, rise
 
+    def test_parse_and_label_hold_no_string_per_id(self, tmp_path):
+        size = 100_000
+        rng = np.random.default_rng(100_003)
+        ids = [f"s{i:06d}" for i in range(size)]
+        positive = rng.random(size) < 0.4
+        gold = _write(tmp_path / "g.tsv", ["segment_id\tmqm_score"] + [
+            f"{sid}\t{-1.0 if flag else 0.0}" for sid, flag in zip(ids, positive.tolist())
+        ])
+        scores = _write(tmp_path / "s.tsv", ["segment_id\tscore"] + [
+            f"{sid}\t{value!r}" for sid, value in zip(ids, rng.normal(size=size).tolist())
+        ])
+
+        def load():
+            records, _ = parse_canonical_tsv(gold, scores, "m")
+            return to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
+
+        ds, rise = traced_peak(load)
+        assert ds.ids.dtype == ID_DTYPE and ds.ids.tolist() == ids
+        # With a str and an object-array slot per id, the rise was 10.1 MB here;
+        # with the 16-byte id column it was 6.2 MB.
+        assert rise <= 8 * 2**20, rise
+
     @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_clean_files_are_read_in_whole_columns(self, tmp_path, monkeypatch, block_chars):
         if block_chars is not None:
@@ -628,7 +701,7 @@ class TestColumnarIngestDifferential:
             split.clear()
             keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
             assert split and None not in split, text
-            assert keys == ["a", "b"]
+            assert keys.tolist() == ["a", "b"]
             assert values[0] == 1.5 and math.isnan(values[1])
             assert numbers.tolist() == ([2, 3] if text.startswith("id") else [1, 2])
             assert problems == [] and malformed == 0
@@ -642,7 +715,7 @@ class TestColumnarIngestDifferential:
             path.write_text(text, encoding="utf-8")
             keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
             assert problems == want and malformed == len(want), text
-            assert keys == (["a", "b"] if not want else ["a"])
+            assert keys.tolist() == (["a", "b"] if not want else ["a"])
             assert numbers.tolist() == ([1, 3] if not want else [1])
 
     @pytest.mark.parametrize("block_chars", [None, 7, 60])
@@ -657,7 +730,7 @@ class TestColumnarIngestDifferential:
         keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
         # A header is possible on line 1 only; lone tabs are blank lines; the
         # unterminated last line is a row; problems come in line order.
-        assert keys == ["a", "d", "e", "f"]
+        assert keys.tolist() == ["a", "d", "e", "f"]
         assert values[[0, 1, 3]].tolist() == [1.0, -2.0, 3.0] and math.isnan(values[2])
         assert numbers.tolist() == [5, 9, 10, 11]
         assert problems == [
@@ -690,7 +763,7 @@ class TestColumnarIngestDifferential:
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             spelled.clear()
             keys, values, _, problems, malformed = ingest_module._scan(str(path))
-            assert keys == [f"k{i:02d}" for i in range(len(good))]
+            assert keys.tolist() == [f"k{i:02d}" for i in range(len(good))]
             np.testing.assert_array_equal(values, expected)
             assert np.signbit(values).tolist() == np.signbit(expected).tolist()
             if wrong is None:
@@ -711,7 +784,7 @@ class TestColumnarIngestDifferential:
         lines = [["a\tx", "b", "\t1"][i % 3] for i in range(3 * MAX_WARNINGS)]
         path = _write(tmp_path / "f.tsv", ["k\t1"] + lines)
         keys, _, _, problems, malformed = ingest_module._scan(path)
-        assert keys == ["k"] and malformed == 3 * MAX_WARNINGS
+        assert keys.tolist() == ["k"] and malformed == 3 * MAX_WARNINGS
         assert [number for number, _, _ in problems] == list(range(2, MAX_WARNINGS + 2))
         assert problems[:3] == [
             (2, "a\tx", "unparsable value 'x'"),
@@ -726,7 +799,7 @@ class TestColumnarIngestDifferential:
         monkeypatch.setattr(ingest_module, "_first_repeat", refuse)
         path = _write(tmp_path / "s.tsv", ["id\tscore", "a\t1", "b\t2", "c\tNA"])
         keys, values, malformed, _ = ingest_module._read_two_column(path, strict=True)
-        assert keys == ["a", "b", "c"] and malformed == 0
+        assert keys.tolist() == ["a", "b", "c"] and malformed == 0
         sorted_repeat = _write(tmp_path / "r.tsv", ["a\t1", "b\t2", "b\t3"])
         with pytest.raises(AssertionError, match="hashed"):
             ingest_module._read_two_column(sorted_repeat, strict=False)

@@ -15,7 +15,7 @@ from rocqe import (
     rates,
 )
 import rocqe.model as model_module
-from rocqe.model import require_both_classes
+from rocqe.model import ID_DTYPE, require_both_classes
 import helpers
 
 
@@ -172,6 +172,36 @@ class TestColumnarDataset:
     def test_fingerprint_of_nothing(self):
         empty = Dataset.from_columns([], [], [])
         assert empty.fingerprint == helpers.fingerprint(empty)
+
+
+class TestIdColumn:
+    def test_ids_are_a_read_only_string_column(self, sample10):
+        assert sample10.ids.dtype == ID_DTYPE and not sample10.ids.flags.writeable
+        assert all(type(item) is str for item in sample10.ids.tolist())
+        assert type(sample10.ids[0]) is str
+
+    @pytest.mark.parametrize("ids", [
+        [1, 2], np.array([1, 2]), np.array([0.5, 1.5]), [b"a", b"b"], ["a", None],
+        np.array(["a", 2], dtype=object),
+    ], ids=["ints", "int array", "float array", "bytes", "None", "object array"])
+    def test_ids_that_are_not_strings_are_refused(self, ids):
+        with pytest.raises(ValueError, match="segment ids must be strings"):
+            Dataset.from_columns(ids, [1.0, 2.0], [True, False])
+
+    def test_ids_holding_a_nul_sort_and_compare_as_python_strings(self):
+        ids = ["x\x002", "x\x001", "x", "x\x00"]
+        ds = Dataset.from_columns(ids, [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
+        assert ds.ids.tolist() == ids
+        assert not model_module._strictly_increasing(ds.ids)
+        assert model_module._strictly_increasing(ds.ids[np.argsort(ds.ids, kind="stable")])
+        assert ds != Dataset.from_columns(["x\x002", "x\x003", "x", "x\x00"],
+                                          [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
+        assert ds.fingerprint == helpers.fingerprint(ds)
+        # A string column made outside the package is read too, not trusted.
+        for dtype in (ID_DTYPE, np.dtypes.StringDType()):
+            given = Dataset.from_columns(np.array(ids, dtype=dtype), [1.0, 2.0, 3.0, 4.0],
+                                         [True, False, True, False])
+            assert given == ds and given.ids.dtype == object
 
 
 class TestRequireBothClasses:

@@ -102,11 +102,71 @@ def _write_wmt_tree(directory: str) -> None:
             handle.write("\r\n".join(lines) + "\r\n")
 
 
+UNICODE_SIZE = 600
+
+
+def _unicode_id(i: int) -> str:
+    """Segment id ``i`` in one of six forms, by ``i % 6``.
+
+    ASCII, accented, short CJK (all of at most 15 UTF-8 bytes), a long
+    ASCII and a long CJK id (more than 15 bytes), and one with a NUL inside.
+    """
+    forms = (
+        f"seg{i:04d}",
+        f"café-{i}",
+        f"翻訳{i}",
+        f"segment-with-a-long-name-{i:04d}",
+        f"長い識別子の例{i}",
+        f"nul\x00{i}",
+    )
+    return forms[i % len(forms)]
+
+
+def _write_unicode(directory: str) -> None:
+    """A seeded canonical set whose ids are not all short ASCII.
+
+    Besides ``_unicode_id``'s forms, the gold file holds ``tail`` and
+    ``tail\x00`` (ids that differ by a trailing NUL), an emoji and ``Z``,
+    in shuffled order, with a few ``NA`` values. ``qe`` (higher-better,
+    1 decimal, so ties are heavy) is shuffled against the gold file, lacks
+    about 5% of its ids (never these four) and scores ids the gold file
+    lacks. ``rank``
+    (higher-worse integers) is keyed like the gold file, line for line.
+    """
+    rng = np.random.default_rng(SYNTH_SEED + 2)
+    special = ["tail", "tail\x00", "\U0001F600", "Z"]
+    ids = [_unicode_id(i) for i in range(UNICODE_SIZE)] + special
+    ids = [ids[i] for i in rng.permutation(len(ids)).tolist()]
+    penalties = np.array([0.0, 0.0, 0.0, -0.1, -1.0, -5.0, -25.0])
+    gold = rng.choice(penalties, size=len(ids))
+    positive = gold < 0
+    gold_texts = [repr(v) for v in gold.tolist()]
+    for i in rng.choice(len(ids), size=6, replace=False).tolist():
+        gold_texts[i] = "NA"
+    qe = np.round(rng.normal(0.0, 1.0, size=len(ids)) - 0.8 * positive, 1)
+    rank = np.clip(np.round(rng.normal(50.0, 15.0, size=len(ids)) + 12.0 * positive), 0, 100)
+    drawn = (rng.random(len(ids)) >= 0.05).tolist()
+    kept = [keep or key in special for key, keep in zip(ids, drawn)]
+    qe_rows = [(key, repr(v)) for key, v, keep in zip(ids, qe.tolist(), kept) if keep]
+    qe_rows += [(f"extra-ü{i}", repr(float(i % 3))) for i in range(10)]
+    qe_rows = [qe_rows[i] for i in rng.permutation(len(qe_rows)).tolist()]
+    files = {
+        "unicode.gold.tsv": ("mqm_score", list(zip(ids, gold_texts))),
+        "unicode.qe.tsv": ("score", qe_rows),
+        "unicode.rank.tsv": ("score", [(key, repr(v)) for key, v in zip(ids, rank.tolist())]),
+    }
+    for name, (header, rows) in files.items():
+        lines = [f"segment_id\t{header}"] + [f"{key}\t{value}" for key, value in rows]
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="module")
 def synthetic_dir(tmp_path_factory) -> str:
     directory = str(tmp_path_factory.mktemp("synth2k"))
     _write_synthetic(directory)
     _write_wmt_tree(directory)
+    _write_unicode(directory)
     return directory
 
 
@@ -143,6 +203,14 @@ TREE_ONE = TREE + ["--scores", "qe"]
 TREE_HULL = TREE + ["--scores", "qe", "--scores", "rank"]
 TREE_CASES = ("scenario1-replicate", "scenario2", "hull", "table")
 
+UNICODE = [
+    "--gold", "unicode.gold.tsv",
+    "--scores", "qe=unicode.qe.tsv",
+    "--orientation", "qe=higher-better",
+]
+UNICODE_HULL = UNICODE + ["--scores", "rank=unicode.rank.tsv"]
+UNICODE_CASES = ("roc-b200-w1", "table", "hull")
+
 
 def _cases(prefix: str, one: list[str], hull: list[str]) -> dict[str, list[str]]:
     return {
@@ -178,6 +246,11 @@ CASES = {
         for name, argv in _cases("wmt_tree", TREE_ONE, TREE_HULL).items()
         if name.split("/")[1] in TREE_CASES
     },
+    **{
+        name: argv
+        for name, argv in _cases("unicode", UNICODE, UNICODE_HULL).items()
+        if name.split("/")[1] in UNICODE_CASES
+    },
 }
 
 DIGESTS = {
@@ -209,6 +282,9 @@ DIGESTS = {
     "synth2k/scenario1-replicate": "44d0ecded3b21e90ca689a5e91c59d08c9e66f72519e40e3959c2233ef729c1d",
     "synth2k/scenario2": "71420bc14b1fb14f4653aeab3b01c5e420c29b8c1bceefcce4b736ff777f3b34",
     "synth2k/table": "2dad83885520445afe6d441cfe7845275dec2a6a1c7b14a1af19abfe6fa554ed",
+    "unicode/hull": "721502f161720c0e3d726490b19e505f770f88929cd1f585702ab1a7860562e4",
+    "unicode/roc-b200-w1": "dd359e1d4ff8eb6f85021db0573d6905aae36c96215abc85eaf59d9d41ca547f",
+    "unicode/table": "a416713cdca0114d0dbac8251fceaf946e89cc78e9369f8cb456f0a392a786a4",
     "wmt_mini/diagnose": "778ba1a05224508fc6e8fb6aac8febd673fd84ab57ccf98473492432675a7c4a",
     "wmt_mini/hull": "793eabb512c52991de59c91431561605dfe89b8aac96aeeee33ec22380d70fa8",
     "wmt_mini/hull-svg": "793eabb512c52991de59c91431561605dfe89b8aac96aeeee33ec22380d70fa8",
@@ -232,7 +308,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_digest_is_frozen(name, synthetic_dir, tmp_path, monkeypatch, capsys):
-    generated = name.startswith(("synth2k/", "wmt_tree/"))
+    generated = name.startswith(("synth2k/", "wmt_tree/", "unicode/"))
     monkeypatch.chdir(synthetic_dir if generated else FIXTURES)
     monkeypatch.delenv("ROCQE_SEED", raising=False)
     svg = str(tmp_path / "plot.svg")

@@ -60,8 +60,11 @@ def _heavy(modules: set[str]) -> list[str]:
     (["-m", "rocqe.cli", "roc", "--help"], 0),
     (["-m", "rocqe.cli", "roc", "--bootstrap", "x"], 4),
     (["-m", "rocqe.cli", "table", "--svg", "t.svg"], 4),
+    (["-m", "rocqe.cli", "table", "--gold", "g.tsv", "--scores", "m=s.tsv", "--svg", "x.svg"], 4),
+    (["-m", "rocqe.cli", "--bogus", "roc"], 4),
     (["-c", "from rocqe.cli import main; main(['--version'])"], 0),
-], ids=["import", "version", "help", "bad flag", "flag the command lacks", "main version"])
+], ids=["import", "version", "help", "bad flag", "flag the command lacks",
+        "flag the command lacks, after inputs", "flag before the command", "main version"])
 def test_cli_answers_without_the_library(args, status):
     code, modules = _imports(*args)
     assert code == status
