@@ -55,6 +55,7 @@ def _library() -> dict:
     from .ingest import (
         IngestError,
         IngestReport,
+        _merge,
         parse_canonical_tsv,
         parse_wmt_layout,
         to_dataset,
@@ -253,15 +254,16 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
 
 def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
     """Re-join datasets onto the ids every metric scored (hull needs one ground truth)."""
-    first, *others = (loaded.datasets[metric].ids for metric in loaded.metrics)
-    if all(ids is first or np.array_equal(ids, first) for ids in others):
+    columns = [loaded.datasets[metric].ids for metric in loaded.metrics]
+    if all(ids is columns[0] or np.array_equal(ids, columns[0]) for ids in columns[1:]):
         return  # every id is shared, and nothing is dropped
-    common = set.intersection(*(set(ds.ids.tolist()) for ds in loaded.datasets.values()))
-    if not common:
+    ids, slots = _merge(columns)
+    common = np.logical_and.reduce([np.bincount(s, minlength=ids.size) > 0 for s in slots])
+    if not common.any():
         raise IngestError("no segment ids are shared by every metric")
-    for metric in loaded.metrics:
+    for metric, s in zip(loaded.metrics, slots):
         ds = loaded.datasets[metric]
-        kept = np.fromiter(map(common.__contains__, ds.ids.tolist()), bool, ds.total)
+        kept = common[s]
         dropped = ds.total - int(kept.sum())
         if dropped:
             loaded.notes.append(

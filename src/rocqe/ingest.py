@@ -247,18 +247,22 @@ def _block_rows(
     return keys, parsed, at, sorted(found)
 
 
-def _first_repeat(keys: list[str]) -> Optional[int]:
-    """Index of the first key equal to an earlier one, or None."""
-    if len(set(keys)) == len(keys):
-        return None
-    seen: set[str] = set()
-    return next(i for i, key in enumerate(keys) if key in seen or seen.add(key))  # add is None
+def _merge(columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(ids, slots): the distinct ids of id columns, sorted and read-only, and per
+    column the index in ``ids`` of each item; from one stable sort of the columns joined."""
+    joined = np.concatenate(columns)
+    order = np.argsort(joined, kind="stable")
+    ranked = joined[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    slots = np.empty_like(order)
+    slots[order] = np.cumsum(new) - 1
+    return _frozen(ranked[new]), np.split(slots, np.cumsum([c.size for c in columns[:-1]]))
 
 
 def _read_two_column(
     path: str, strict: bool, known: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, int, list[str]]:
-    """Read a `key<TAB>value` file: (keys, values, malformed_count, warnings).
+) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, list]], int, list[str]]:
+    """Read a `key<TAB>value` file: (keys, values, order, malformed_count, warnings).
 
     Line 1 is a header when its value is neither numeric nor a missing
     marker. Duplicate keys are always a hard error; malformed lines are
@@ -267,21 +271,25 @@ def _read_two_column(
     warning; ``malformed_count`` counts them all. Keys come in line order,
     as an ``_id_column``; a missing value is NaN. ``known`` is the key
     column of a file read before, free of repeats; when this file has the
-    same keys, ``keys`` is that column.
+    same keys, ``keys`` is that column. ``order`` is ``_merge([known, keys])``
+    (``[keys]`` without ``known``): one sort checks for repeats and joins.
+    It is None when keys are ``known``, or strictly increasing with no ``known``.
     """
     keys, values, numbers, problems, malformed = _scan(path, known=known)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
-    # Strictly increasing keys cannot repeat, nor can known's.
-    repeat_at = (
-        None if keys is known or _strictly_increasing(keys) else _first_repeat(keys.tolist())
-    )
+    order = repeat_at = None
+    if keys is not known and (known is not None or not _strictly_increasing(keys)):
+        order = _merge([keys] if known is None else [known, keys])
+        if np.bincount(order[1][-1]).max(initial=0) > 1:  # a repeat: find its first line
+            firsts = np.unique(order[1][-1], return_index=True)[1]
+            repeat_at = int(np.setdiff1d(np.arange(keys.size), firsts)[0])
     if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
         raise IngestError(
             f"{path} line {numbers[repeat_at]}: duplicate segment id {keys[repeat_at]!r}"
         )
     if strict and problems:
         raise IngestError(notes[0])
-    return keys, values, malformed, notes
+    return keys, values, order, malformed, notes
 
 
 def _read_once(gold_reads: Optional[dict], read: Callable, *args):
@@ -306,35 +314,23 @@ def parse_canonical_tsv(
 
     The join is inner: a record is accepted only when both sides carry a
     usable value. Missing gold takes precedence over missing score in the
-    accounting when both are absent. Output is sorted by segment id, so the
-    result does not depend on input line order.
+    accounting when both are absent. Records come in strictly increasing
+    id order, so the result does not depend on input line order.
 
     ``gold_reads``, a dict (empty at first) passed to every parse of one
-    run, lets them share one read of the gold file: the first parse keeps
-    the gold columns it read there, and the others take them from there.
-    Results, reports and errors are those of separate parses.
+    run, lets them share one read of the gold file, its id order, and the
+    id column of parses that accept the same ids. Results, reports and
+    errors are those of separate parses.
     """
-    gold_ids, gold, gold_bad, gold_notes = _read_once(
+    gold_keys, gold, gold_order, gold_bad, gold_notes = _read_once(
         gold_reads, _read_two_column, gold_path, strict
     )
-    # A score file keyed like the gold file shares its key column.
-    score_ids, score, score_bad, score_notes = _read_two_column(
-        scores_path, strict, known=gold_ids
+    # A score file keyed like the gold file shares its key column and order.
+    _, score, score_order, score_bad, score_notes = _read_two_column(
+        scores_path, strict, known=gold_keys
     )
-    if score_ids is gold_ids:
-        ids = gold_ids
-        if not _strictly_increasing(ids):
-            order = np.argsort(ids, kind="stable")
-            ids, gold, score = ids[order], gold[order], score[order]
-    else:
-        gold_keys, score_keys = gold_ids.tolist(), score_ids.tolist()
-        keys = sorted(set(gold_keys).union(score_keys))
-        gold = _values_at(keys, gold_keys, gold)
-        score = _values_at(keys, score_keys, score)
-        ids = _id_column(keys)
-        del keys, gold_keys, score_keys
-    del gold_ids, score_ids
-    records, missing_gold, missing_score = _join(metric, ids, gold, score)
+    ids, slots = score_order or gold_order or (gold_keys, [None])
+    records, missing_gold, missing_score = _join(metric, ids, gold, score, slots, gold_reads)
 
     warnings = (gold_notes + score_notes)[:MAX_WARNINGS]
     if gold_bad + score_bad > len(warnings):
@@ -350,19 +346,19 @@ def parse_canonical_tsv(
     return records, report
 
 
-def _values_at(ids: list[str], keys: list[str], values: np.ndarray) -> np.ndarray:
-    """``values`` (one per key) read at ``ids``; NaN where a key is absent."""
-    lookup = dict(zip(keys, values.tolist()))
-    return np.fromiter(map(lookup.get, ids, repeat(math.nan)), np.float64, len(ids))
-
-
 def _join(
-    metric: str, ids: np.ndarray, gold: np.ndarray, score: np.ndarray
+    metric: str, ids: np.ndarray, gold: np.ndarray, score: np.ndarray, slots: list,
+    gold_reads: Optional[dict],
 ) -> tuple[CanonicalRecords, int, int]:
-    """(records, missing gold, missing score) of aligned columns; NaN is missing.
+    """(records, missing gold, missing score) of gold and score values; NaN is missing.
 
-    With nothing missing, the records hold ``ids`` itself, frozen.
-    """
+    ``slots`` place the gold and the score values (the last slots) in a NaN
+    column per id; [None] leaves them, aligned with ``ids``. The records hold
+    ``ids`` itself if nothing is missing, or the run's first accepted ids if equal."""
+    if slots[0] is not None:
+        placed = np.full(ids.size, math.nan), np.full(ids.size, math.nan)
+        placed[0][slots[0]], placed[1][slots[-1]] = gold, score
+        gold, score = placed
     missing_gold = np.isnan(gold)
     missing_score = np.isnan(score) & ~missing_gold
     columns = (ids, gold, score)
@@ -370,7 +366,11 @@ def _join(
         kept = ~(missing_gold | missing_score)
         columns = tuple(column[kept] for column in columns)
     # The columns are the records' own from here: frozen, not copied again.
-    records = CanonicalRecords(metric, *map(_frozen, columns))
+    ids, gold, score = map(_frozen, columns)
+    shared = ids if gold_reads is None else gold_reads.setdefault("accepted ids", ids)
+    if shared is not ids and np.array_equal(shared, ids):
+        ids = shared
+    records = CanonicalRecords(metric, ids, gold, score)
     return records, int(missing_gold.sum()), int(missing_score.sum())
 
 
@@ -477,8 +477,8 @@ def parse_wmt_layout(
     Both files hold `system<TAB>score` lines, segment order within a system.
     Segments get synthetic ids `{testset}:{system}:{i}` with i counting from
     0 in file order; gold and metric sequences must have equal length.
-    ``gold_reads`` shares one read of the gold file between the parses of
-    one run, as in ``parse_canonical_tsv``.
+    Records come in id order; ``gold_reads`` shares reads between the
+    parses of one run, as in ``parse_canonical_tsv``.
     """
     gold_path, metric_path = wmt_files(root_dir, language_pair, testset, metric)
     metric_dir = os.path.dirname(metric_path)
@@ -511,8 +511,8 @@ def parse_wmt_layout(
             f"scores vs {score.size} {metric} scores"
         )
 
-    ids = _read_once(gold_reads, _wmt_ids, testset, system, gold.size)
-    records, missing_gold, missing_score = _join(metric, ids, gold, score)
+    ids, slots = _read_once(gold_reads, _wmt_ids, testset, system, gold.size)
+    records, missing_gold, missing_score = _join(metric, ids, gold, score, slots, gold_reads)
     report = IngestReport(
         total_lines=gold.size,
         accepted=records.ids.size,
@@ -523,9 +523,9 @@ def parse_wmt_layout(
     return records, report
 
 
-def _wmt_ids(testset: str, system: str, size: int) -> np.ndarray:
-    """The synthetic ids ``{testset}:{system}:{i}``, ``i`` from 0 to ``size - 1``, as a column."""
-    return _id_column([f"{testset}:{system}:{i}" for i in range(size)])
+def _wmt_ids(testset: str, system: str, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``_merge`` of the synthetic ids ``{testset}:{system}:{i}``, ``i`` from 0 to ``size - 1``."""
+    return _merge([_id_column([f"{testset}:{system}:{i}" for i in range(size)])])
 
 
 def to_dataset(

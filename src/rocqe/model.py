@@ -119,6 +119,9 @@ _PAIRS_PER_HASH_BLOCK = 4096
 # UTF-8 bytes is stored inline in its 16-byte slot, a longer one in the
 # array's own arena, and no Python ``str`` exists until an item is read.
 # ``coerce=False`` refuses anything that is not already a string.
+# Sort it only with ``kind="stable"`` or ``np.lexsort``: numpy 2.4.6's default
+# sort crashes on a few hundred repeated ids. ``np.isin``, ``intersect1d`` and
+# ``union1d`` are out too; ``hasobject`` makes ``isin`` compare every pair.
 ID_DTYPE = np.dtypes.StringDType(coerce=False)
 
 
@@ -324,9 +327,8 @@ class Dataset:
         tails = (f"\x1f{Label.NEGATIVE.value}\x1e", f"\x1f{Label.POSITIVE.value}\x1e")
         ids, positive = self.ids, self.is_positive
         if not _strictly_increasing(ids):
-            pairs = list(zip(ids.tolist(), map(tails.__getitem__, positive.tolist())))
-            order = sorted(range(ids.size), key=pairs.__getitem__)
-            del pairs
+            # By id, then by tail: a positive's tail sorts first.
+            order = np.lexsort((~positive, ids))
             ids, positive = ids[order], positive[order]
         digest = hashlib.sha256()
         # Hashed a block of pairs at a time, so no whole-dataset text is built.

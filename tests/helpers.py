@@ -553,6 +553,38 @@ def to_dataset(records, cutoff, orientation: Orientation, metric: str) -> Datase
     return Dataset.from_segments(segments, orientation)
 
 
+def load_common(
+    gold_path: str, score_paths: dict[str, str], cutoff, orientations: dict[str, Orientation]
+) -> tuple[dict[str, Dataset], dict[str, IngestReport], list[str]]:
+    """A multi-metric run's inputs, as ``hull`` loads them, through sets and dicts.
+
+    Each metric is parsed and labelled alone by the oracles above; then
+    every dataset keeps only the ids that every metric's dataset holds,
+    found as a set intersection, and a metric that loses rows gets a note.
+    Returns (datasets, reports, notes), each in metric order.
+    """
+    datasets, reports = {}, {}
+    for metric, path in score_paths.items():
+        records, reports[metric] = parse_canonical_tsv(gold_path, path, metric)
+        datasets[metric] = to_dataset(records, cutoff, orientations[metric], metric)
+    common = set.intersection(*(set(ds.ids.tolist()) for ds in datasets.values()))
+    if not common:
+        raise IngestError("no segment ids are shared by every metric")
+    notes = []
+    for metric, ds in datasets.items():
+        kept = [i for i, sid in enumerate(ds.ids.tolist()) if sid in common]
+        if len(kept) < ds.total:
+            notes.append(
+                f"{metric}: {ds.total - len(kept)} segments without "
+                "scores from every metric were dropped for comparability"
+            )
+            datasets[metric] = Dataset.from_columns(
+                [ds.ids[i] for i in kept], [ds.raw_scores[i] for i in kept],
+                [ds.is_positive[i] for i in kept], ds.orientation,
+            )
+    return datasets, reports, notes
+
+
 def fingerprint(dataset: Dataset) -> str:
     """SHA-256 over the sorted (segment_id, label) pairs, fed pair by pair."""
     h = hashlib.sha256()

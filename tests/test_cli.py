@@ -18,16 +18,21 @@ import rocqe.ingest as ingest_module
 import rocqe.report as report_module
 import rocqe.svgplot as svgplot_module
 from rocqe import (
-    STRICT_ANY_ERROR, BootstrapConfig, Dataset, IngestError, Label, Orientation, ScoredSegment,
-    build_roc, confidence_band,
+    STRICT_ANY_ERROR, BootstrapConfig, CanonicalRecords, Dataset, IngestError, Label, Orientation,
+    ScoredSegment, build_roc, confidence_band, to_dataset,
 )
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
 from rocqe.roc import RocCurve, RocVertex
 from rocqe.svgplot import SvgSeries, render_roc_svg
-from helpers import exact_auc, traced_peak
+from helpers import exact_auc, fingerprint, load_common, traced_peak
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The cli helpers these tests call directly (``_load``,
+# ``_restrict_to_common_ids``) read the library names as module globals,
+# which ``main`` binds; bind them here, whichever test runs first.
+cli_module._bind_library()
 
 GOLD = ["--gold", "tests/fixtures/sample10.gold.tsv"]
 SCORES = ["--scores", "metric=tests/fixtures/sample10.scores.tsv"]
@@ -1083,7 +1088,7 @@ class TestRestrictToCommonIds:
         _restrict_to_common_ids(loaded)
         assert loaded.datasets["m1"] is sample10 and loaded.notes == []
 
-    def test_equal_id_columns_build_no_sets(self, monkeypatch):
+    def test_equal_id_columns_skip_the_merge(self, monkeypatch):
         ids = [f"s{i}" for i in range(5)]
         datasets = {
             f"m{k}": Dataset.from_columns(ids, np.arange(5.0) * k, np.arange(5) % 2 == 0)
@@ -1091,9 +1096,9 @@ class TestRestrictToCommonIds:
         }
 
         def refuse(*args):
-            raise AssertionError("equal id columns were hashed into sets")
+            raise AssertionError("equal id columns were sorted and merged")
 
-        monkeypatch.setattr(cli_module, "set", refuse, raising=False)
+        monkeypatch.setattr(cli_module, "_merge", refuse)
         loaded = _loaded(datasets)
         _restrict_to_common_ids(loaded)
         assert loaded.datasets == datasets and loaded.notes == []
@@ -1124,6 +1129,116 @@ class TestRestrictToCommonIds:
         )
         assert doc["notes"] == [
             "m1: 1 segments without scores from every metric were dropped for comparability"
+        ]
+
+
+class TestMultiMetricOracle:
+    """``_load`` and ``_restrict_to_common_ids`` against the set and dict join."""
+
+    def test_random_runs_match_the_oracle(self, tmp_path):
+        rng = np.random.default_rng(2501)
+        pool = [f"s{i}" for i in range(24)] + ["x", "x\x00", "x\x001", "x\x002", "é"]
+        mqm_texts = ("-5.0", "-1.0", "0.0", "-0.0", "NA")
+        outcomes = set()
+        for trial in range(60):
+            gold_ids = list(rng.permutation(pool)[: int(rng.integers(2, len(pool) + 1))])
+            gold = tmp_path / f"g{trial}.tsv"
+            gold.write_text("".join(
+                f"{sid}\t{mqm_texts[int(rng.integers(len(mqm_texts)))]}\n" for sid in gold_ids
+            ))
+            score_paths, flags = {}, []
+            for k in range(int(rng.integers(2, 5))):
+                kind = rng.random()
+                if kind < 0.3:
+                    ids = gold_ids  # keyed line for line like the unsorted gold file
+                elif kind < 0.6:
+                    ids = list(rng.permutation(gold_ids))
+                else:  # missing and extra ids
+                    ids = list(rng.permutation(pool)[: int(rng.integers(1, len(pool) + 1))])
+                path = tmp_path / f"m{k}_{trial}.tsv"
+                path.write_text("".join(
+                    f"{sid}\t{'NA' if rng.random() < 0.1 else round(rng.normal(), 2)}\n"
+                    for sid in ids
+                ))
+                score_paths[f"m{k}"] = str(path)
+                flags += ["--scores", f"m{k}={path}"]
+                if rng.random() < 0.5:
+                    flags += ["--orientation", f"m{k}=higher-better"]
+            args = cli_module.build_parser().parse_args(["hull", "--gold", str(gold), *flags])
+            orientations = {
+                m: Orientation.HIGHER_IS_BETTER if f"{m}=higher-better" in flags
+                else Orientation.HIGHER_IS_WORSE
+                for m in score_paths
+            }
+
+            def loaded():
+                inputs = cli_module._load(args)
+                _restrict_to_common_ids(inputs)
+                return inputs.datasets, inputs.ingest_reports, inputs.notes
+
+            got = _columns(loaded)
+            want = _columns(load_common, str(gold), score_paths, STRICT_ANY_ERROR, orientations)
+            assert got == want, trial
+            outcomes.add(got[0] if got[0] == "raised" else bool(got[1][2]))
+        # Runs that dropped ids, runs that dropped none, and failed runs all occurred.
+        assert outcomes == {True, False, "raised"}
+
+
+def _columns(load, *args):
+    """What a multi-metric load gave, as plain values, or what it raised."""
+    try:
+        datasets, reports, notes = load(*args)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return "raised", (type(exc), str(exc))
+    columns = {
+        m: (ds.ids.tolist(), [repr(x) for x in ds.raw_scores.tolist()],
+            ds.is_positive.tolist(), ds.orientation)
+        for m, ds in datasets.items()
+    }
+    return "ok", (list(columns.items()), list(reports.items()), notes)
+
+
+class TestRepeatedIdColumns:
+    """Each id sort on 5,000 ids that each repeat.
+
+    numpy 2.4.6's default-kind sort of a ``StringDType`` column crashes the
+    process from a few hundred repeated ids, so these fail loudly if an id
+    path drops ``kind="stable"`` or ``np.lexsort``.
+    """
+
+    IDS = [f"seg{i:07d}" for i in range(5000)]
+
+    def test_table_and_fingerprint(self):
+        ids = self.IDS * 2
+        ds = Dataset.from_columns(ids, np.arange(len(ids)) % 7, np.arange(len(ids)) % 3 == 0)
+        table = decision_module.qe_roc_table(ds)
+        rows = sorted(range(len(ids)), key=lambda i: (-ds.risk_scores[i], ids[i]))
+        assert table.segment_ids.tolist() == [ids[i] for i in rows]
+        assert table.is_positive.tolist() == [bool(ds.is_positive[i]) for i in rows]
+        assert ds.fingerprint == fingerprint(ds)
+
+    def test_to_dataset_names_the_first_repeat(self):
+        ids = self.IDS[::-1] + self.IDS
+        records = CanonicalRecords("m", ids, [-1.0] * len(ids), [0.5] * len(ids))
+        with pytest.raises(IngestError, match="^duplicate segment id 'seg0000000'$"):
+            to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, "m")
+
+    def test_reader_names_the_first_repeated_line(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("".join(f"{sid}\t0.5\n" for sid in self.IDS[::-1] + self.IDS))
+        with pytest.raises(IngestError, match="line 5001: duplicate segment id 'seg0000000'$"):
+            ingest_module._read_two_column(str(path), strict=False)
+
+    def test_restrict_to_common_ids(self):
+        first = Dataset.from_columns(self.IDS * 2, np.arange(10000.0), np.arange(10000) % 2 == 0)
+        kept = self.IDS[::-2]
+        second = Dataset.from_columns(kept, np.arange(2500.0), np.arange(2500) % 3 == 0)
+        loaded = _loaded({"m1": first, "m2": second})
+        _restrict_to_common_ids(loaded)
+        assert loaded.datasets["m1"].ids.tolist() == [i for i in self.IDS * 2 if i in set(kept)]
+        assert loaded.datasets["m2"] is second
+        assert loaded.notes == [
+            "m1: 5000 segments without scores from every metric were dropped for comparability"
         ]
 
 

@@ -401,6 +401,43 @@ class TestIdColumn:
         assert parsed[0].ids is parsed[1].ids is datasets[0].ids is datasets[1].ids
         assert parsed[0].ids.tolist() == ["a", "b", "c"]
 
+    def test_metrics_keyed_like_an_unsorted_gold_file_share_one_id_column(self, tmp_path):
+        gold = _write(tmp_path / "g.tsv", ["c\t0.0", "a\t-1.0", "d\tNA", "b\t0.0"])
+        keyed = {m: _write(tmp_path / f"{m}.tsv", [f"{k}\t0.{i}" for i, k in enumerate("cadb")])
+                 for m in ("m1", "m2")}
+        # Same ids in another order, and one the gold file lacks.
+        keyed["m3"] = _write(tmp_path / "m3.tsv", ["e\t0.9", "b\t0.1", "a\t0.2", "c\t0.3"])
+        gold_reads = {}
+        parsed = [parse_canonical_tsv(gold, path, m, gold_reads=gold_reads)[0]
+                  for m, path in keyed.items()]
+        datasets = [to_dataset(r, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, r.metric)
+                    for r in parsed]
+        ids = parsed[0].ids
+        assert all(r.ids is ids for r in parsed) and all(ds.ids is ids for ds in datasets)
+        assert ids.tolist() == ["a", "b", "c"]
+
+    def test_wmt_metrics_share_one_id_column(self, tmp_path):
+        # 25 segments: "wmt23:sysA:10" sorts before "wmt23:sysA:2", so the
+        # ids are not in line order; the missing gold value drops one.
+        root = tmp_path / "tree"
+        human, scores = root / "wmt23" / "human-scores", root / "wmt23" / "metric-scores" / "zh-en"
+        os.makedirs(human)
+        os.makedirs(scores)
+        _write(human / "zh-en.mqm.seg.score",
+               [f"sysA\t{'None' if i == 7 else -float(i % 3)}" for i in range(25)])
+        for metric in ("m1", "m2", "m3"):
+            _write(scores / f"{metric}.seg.score", [f"sysA\t{i * 7 % 25}" for i in range(25)])
+        gold_reads = {}
+        parsed = [parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", m, gold_reads=gold_reads)[0]
+                  for m in ("m1", "m2", "m3")]
+        datasets = [to_dataset(r, STRICT_ANY_ERROR, Orientation.HIGHER_IS_WORSE, r.metric)
+                    for r in parsed]
+        ids = parsed[0].ids
+        assert all(r.ids is ids for r in parsed) and all(ds.ids is ids for ds in datasets)
+        assert ids.tolist() == sorted(f"wmt23:sysA:{i}" for i in range(25) if i != 7)
+        alone = parse_wmt_layout(str(root), "zh-en", "wmt23", "sysA", "m2")[0]
+        assert _record_rows(records_of(alone)) == _record_rows(records_of(parsed[1]))
+
     def test_wmt_ids_are_built_once_per_run(self, wmt_root):
         gold_reads = {}
         parsed = [parse_wmt_layout(wmt_root, "zh-en", "wmt23", "sysY", m, gold_reads=gold_reads)[0]
@@ -792,16 +829,19 @@ class TestColumnarIngestDifferential:
             (4, "\t1", "empty segment id"),
         ]
 
-    def test_sorted_keys_skip_the_duplicate_set(self, tmp_path, monkeypatch):
-        def refuse(keys):
-            raise AssertionError("strictly increasing keys were hashed")
+    def test_sorted_keys_skip_the_sort(self, tmp_path, monkeypatch):
+        def refuse(columns):
+            raise AssertionError("strictly increasing keys were sorted")
 
-        monkeypatch.setattr(ingest_module, "_first_repeat", refuse)
+        monkeypatch.setattr(ingest_module, "_merge", refuse)
         path = _write(tmp_path / "s.tsv", ["id\tscore", "a\t1", "b\t2", "c\tNA"])
-        keys, values, malformed, _ = ingest_module._read_two_column(path, strict=True)
-        assert keys.tolist() == ["a", "b", "c"] and malformed == 0
+        keys, values, order, malformed, _ = ingest_module._read_two_column(path, strict=True)
+        assert keys.tolist() == ["a", "b", "c"] and order is None and malformed == 0
+        # A score file keyed like the gold file is not sorted either.
+        records, _ = parse_canonical_tsv(path, path, "m")
+        assert records.ids.tolist() == ["a", "b"]
         sorted_repeat = _write(tmp_path / "r.tsv", ["a\t1", "b\t2", "b\t3"])
-        with pytest.raises(AssertionError, match="hashed"):
+        with pytest.raises(AssertionError, match="sorted"):
             ingest_module._read_two_column(sorted_repeat, strict=False)
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -905,8 +945,9 @@ class TestCanonicalRecords:
         with pytest.raises(IngestError, match="no usable records for metric 'other' after skips"):
             to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "other")
 
-    def test_wmt_records_keep_file_order(self, wmt_root):
+    def test_wmt_records_come_in_id_order(self, wmt_root):
         records, _ = parse_wmt_layout(wmt_root, "zh-en", "wmt23", "sysX", "metricA")
         assert isinstance(records, CanonicalRecords)
         ds = to_dataset(records, STRICT_ANY_ERROR, Orientation.HIGHER_IS_BETTER, "metricA")
+        assert ds.ids is records.ids
         assert ds.ids.tolist() == sorted(records.ids.tolist())
