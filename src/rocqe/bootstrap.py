@@ -31,7 +31,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .model import Dataset, require_both_classes
+from .model import Dataset, _check_columns, _read_only, require_both_classes
 from .roc import count_auc
 
 T = TypeVar("T")
@@ -57,14 +57,19 @@ class BootstrapConfig:
         if self.iterations < 2:
             raise ValueError(f"iterations must be >= 2, got {self.iterations}")
         check_confidence(self.confidence)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 def check_confidence(confidence: float) -> None:
     """Raise ValueError unless the confidence level lies strictly between 0 and 1."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless the seed is a 64-bit unsigned integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def fpr_grid(n_count: int) -> np.ndarray:
@@ -232,8 +237,10 @@ class ConfidenceBand:
     degenerate_replicates: int
 
     def __post_init__(self) -> None:
-        for arr in (self.fpr_grid, self.lower_tpr, self.upper_tpr, self.point_tpr):
-            arr.flags.writeable = False
+        columns = {name: _read_only(getattr(self, name), np.float64)
+                   for name in ("fpr_grid", "lower_tpr", "upper_tpr", "point_tpr")}
+        _check_columns(**columns)
+        self.__dict__.update(columns)
         if not np.all(self.lower_tpr <= self.upper_tpr):
             raise ValueError("band is inverted: lower_tpr exceeds upper_tpr somewhere")
         if not self.auc_interval[0] <= self.auc_interval[1]:
@@ -329,13 +336,13 @@ def confidence_band(
     aucs = np.sort(np.array([r[0] for r in results]))
     degenerate_count = sum(1 for r in results if r[1])
     # The filled rows are sorted, the n_hi largest last.
-    lower = buffer[k_lo - 1].copy()
-    upper = buffer[filled - n_hi].copy()
+    lower = buffer[k_lo - 1]
+    upper = buffer[filled - n_hi]
 
     ranking = dataset.ranking
     tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
     return ConfidenceBand(
-        fpr_grid=grid.copy(),
+        fpr_grid=grid,
         lower_tpr=lower,
         upper_tpr=upper,
         point_tpr=_grid_tpr(tp, fp, p, n, grid, first_at),

@@ -37,7 +37,8 @@ def _library() -> dict:
     import numpy as np
 
     from .bootstrap import (
-        BootstrapConfig, ConfidenceBand, band_width_summary, check_confidence, confidence_band,
+        BootstrapConfig, ConfidenceBand, band_width_summary, check_confidence, check_seed,
+        confidence_band,
     )
     from .decision import (
         ClassRatio,
@@ -163,14 +164,13 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _bootstrap_config(args: argparse.Namespace, seed: int) -> Optional[BootstrapConfig]:
     """The resampling config, or None without --bootstrap; every flag is checked either way."""
-    config = None
-    if args.bootstrap is None:
-        check_confidence(args.confidence)
-    else:
-        config = BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
+    check_confidence(args.confidence)
+    check_seed(seed)
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
-    return config
+    if args.bootstrap is None:
+        return None
+    return BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
 
 
 class LoadedInputs(NamedTuple):
@@ -321,9 +321,7 @@ def _vertex_rows(curve: RocCurve, thresholds: JsonTexts, tpr) -> Rows:
         fpr=curve.fpr,
         tpr=tpr,
         threshold=thresholds,
-        threshold_raw=thresholds.view(
-            negated=curve.orientation is Orientation.HIGHER_IS_BETTER
-        ),
+        threshold_raw=thresholds.view(negated=curve.orientation.negates),
         tp=curve.tp,
         fn=curve.p_count - curve.tp,
         fp=curve.fp,

@@ -19,9 +19,10 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
 from .model import (
-    Dataset, _frozen, _id_column, _read_only, _strictly_increasing, require_both_classes,
+    Dataset, _check_columns, _frozen, _id_column, _read_only, _strictly_increasing,
+    require_both_classes,
 )
-from .roc import RocCurve, _upper_hull, raw_threshold
+from .roc import RocCurve, _upper_hull
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +46,11 @@ class QeRocTable:
     n_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segment_ids", _id_column(self.segment_ids))
+        columns = {"segment_ids": _id_column(self.segment_ids)}
         for name in ("is_positive", "raw_scores", "tp", "fp"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            columns[name] = _read_only(getattr(self, name))
+        _check_columns(**columns)
+        self.__dict__.update(columns)
         if self.tp.size == 0:
             raise ValueError("a table needs at least one data row")
         if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
@@ -76,8 +79,7 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     return QeRocTable(
         *(_frozen(column[order]) for column in (ids, dataset.is_positive, dataset.raw_scores)),
         _frozen(tp[group]), _frozen(fp[group]),
-        (raw_threshold(math.inf, dataset.orientation),
-         raw_threshold(-math.inf, dataset.orientation)),
+        (dataset.orientation.flip(math.inf), dataset.orientation.flip(-math.inf)),
         p, n,
     )
 
@@ -234,6 +236,8 @@ def scenario1_residual_risk(
     """
     check_review_fraction(review_fraction_x)
     check_review_efficacy(review_efficacy)
+    if ci_method not in ("replicate", "band"):
+        raise ValueError(f"unknown ci_method {ci_method!r}; use replicate or band")
     require_both_classes(
         dataset.p_count, dataset.n_count, "review-budget analysis is undefined"
     )
@@ -261,7 +265,7 @@ def scenario1_residual_risk(
             values = np.sort(np.array(map_replicates(dataset, bootstrap, run)))
             ci = nearest_rank_interval(values, bootstrap.confidence)
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
-        elif ci_method == "band":
+        else:
             band = confidence_band(dataset, bootstrap)
             fpr_here = float(curve.fpr[idx])
             tpr_lo = float(np.interp(fpr_here, band.fpr_grid, band.lower_tpr))
@@ -271,8 +275,6 @@ def scenario1_residual_risk(
             hi = 100.0 * p * (1.0 - review_efficacy * tpr_lo) / total
             ci = (max(lo, 0.0), min(hi, 100.0))
             notes.append("ci covers residual_fn_per_100 (band limits method)")
-        else:
-            raise ValueError(f"unknown ci_method {ci_method!r}; use replicate or band")
     return _report(Scenario.REVIEW_BUDGET, curve, idx, review_efficacy, ci, notes)
 
 
@@ -382,7 +384,7 @@ def _report(
         notes = (*notes, f"review efficacy: {efficacy!r}")
     return DecisionReport(
         scenario=scenario,
-        threshold_raw=raw_threshold(canonical, curve.orientation),
+        threshold_raw=curve.orientation.flip(canonical),
         threshold_canonical=canonical,
         review_fraction=(tp + fp) / total,
         residual_fn_per_100=_residual_per_100(tp, curve.p_count, total, efficacy),

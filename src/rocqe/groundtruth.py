@@ -38,14 +38,6 @@ class SeverityCutoff:
             )
 
     @classmethod
-    def strict_any_error(cls) -> "SeverityCutoff":
-        return cls(0.0, inclusive=False, name="strict")
-
-    @classmethod
-    def lenient(cls) -> "SeverityCutoff":
-        return cls(-5.0, inclusive=True, name="lenient")
-
-    @classmethod
     def custom(cls, threshold: float, inclusive: bool = False) -> "SeverityCutoff":
         return cls(float(threshold), inclusive=inclusive)
 
@@ -54,8 +46,8 @@ class SeverityCutoff:
         return f"{self.name} (positive iff score {op} {self.threshold:g})"
 
 
-STRICT_ANY_ERROR = SeverityCutoff.strict_any_error()
-LENIENT = SeverityCutoff.lenient()
+STRICT_ANY_ERROR = SeverityCutoff(0.0, inclusive=False, name="strict")
+LENIENT = SeverityCutoff(-5.0, inclusive=True, name="lenient")
 
 
 def label(mqm_score: float, cutoff: SeverityCutoff) -> Label:

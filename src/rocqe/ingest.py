@@ -20,7 +20,8 @@ import numpy as np
 
 from .groundtruth import SeverityCutoff, label, label_positive
 from .model import (
-    ID_DTYPE, Dataset, Orientation, _frozen, _id_column, _read_only, _strictly_increasing,
+    ID_DTYPE, Dataset, Orientation, _check_columns, _frozen, _id_column, _read_only,
+    _strictly_increasing,
 )
 
 # Values that mean "no score here" in either column, besides non-finite
@@ -50,8 +51,7 @@ class CanonicalRecords:
         ids = _id_column(ids)
         mqm_scores = _read_only(mqm_scores, np.float64)
         scores = _read_only(scores, np.float64)
-        if not (ids.ndim == 1 and ids.shape == mqm_scores.shape == scores.shape):
-            raise ValueError("ids, mqm_scores and scores must be 1-d arrays of one length")
+        _check_columns(ids=ids, mqm_scores=mqm_scores, scores=scores)
         if not (np.isfinite(mqm_scores).all() and np.isfinite(scores).all()):
             raise ValueError("canonical records hold finite values only")
         self.__dict__.update(metric=metric, ids=ids, mqm_scores=mqm_scores, scores=scores)

@@ -40,7 +40,7 @@ class Orientation(Enum):
 
     HIGHER_IS_WORSE: larger score means worse translation (more likely positive).
     HIGHER_IS_BETTER: larger score means better translation; such scores are
-    negated to obtain the canonical risk score.
+    negated (by ``flip``, the one owner of that rule) to obtain the risk score.
     """
 
     HIGHER_IS_WORSE = "higher-worse"
@@ -56,6 +56,14 @@ class Orientation(Enum):
             f"{' or '.join(m.value for m in cls)}"
         )
 
+    @property
+    def negates(self) -> bool:
+        return self is Orientation.HIGHER_IS_BETTER
+
+    def flip(self, value):
+        """``value`` (a float or an array) from raw to canonical scale, or back: one map."""
+        return -value if self.negates else value
+
 
 def canonicalize(
     raw_score: float, orientation: Orientation, segment_id: Optional[str] = None
@@ -69,9 +77,7 @@ def canonicalize(
     if not math.isfinite(raw_score):
         where = f" for segment {segment_id!r}" if segment_id is not None else ""
         raise NonFiniteScoreError(f"non-finite score {raw_score!r}{where}")
-    if orientation is Orientation.HIGHER_IS_BETTER:
-        return -raw_score
-    return raw_score
+    return orientation.flip(raw_score)
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,14 @@ def _read_only(values, dtype=None) -> np.ndarray:
     return _frozen(np.array(values, dtype=dtype))
 
 
+def _check_columns(**columns) -> None:
+    """Raise ValueError, naming ``columns``, unless their shapes are 1-d and equal."""
+    shapes = {column.shape for column in columns.values()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        *rest, last = columns
+        raise ValueError(f"{', '.join(rest)} and {last} must be 1-d arrays of one length")
+
+
 def _id_column(ids) -> np.ndarray:
     """``ids`` as a read-only id column; ValueError for an id that is not a ``str``.
 
@@ -198,10 +212,7 @@ class Dataset:
         raw = _read_only(raw_scores, np.float64)
         risk = _read_only(risk_scores, np.float64)
         positive = _read_only(is_positive, bool)
-        if not (ids.ndim == 1 and ids.shape == raw.shape == risk.shape == positive.shape):
-            raise ValueError(
-                "ids, raw_scores, risk_scores and is_positive must be 1-d arrays of one length"
-            )
+        _check_columns(ids=ids, raw_scores=raw, risk_scores=risk, is_positive=positive)
         finite = np.isfinite(raw) & np.isfinite(risk)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -213,8 +224,7 @@ class Dataset:
                 f"class counts (P={p_count}, N={n_count}) do not match "
                 f"labels (P={p}, N={n})"
             )
-        expected = -raw if orientation is Orientation.HIGHER_IS_BETTER else raw
-        canonical = expected == risk
+        canonical = orientation.flip(raw) == risk
         if not canonical.all():
             first = int(np.argmin(canonical))
             raise ValueError(
@@ -261,7 +271,7 @@ class Dataset:
     ) -> "Dataset":
         """A dataset from parallel columns; risk scores and class counts are derived."""
         raw = _read_only(raw_scores, np.float64)
-        risk = _frozen(-raw) if orientation is Orientation.HIGHER_IS_BETTER else raw
+        risk = _frozen(orientation.flip(raw))
         positive = _read_only(is_positive, bool)
         p = int(np.count_nonzero(positive))
         return cls(ids, raw, risk, positive, p, positive.size - p, orientation)
@@ -337,6 +347,11 @@ class Dataset:
             labels = map(tails.__getitem__, positive[block].tolist())
             digest.update("".join(map(str.__add__, ids[block].tolist(), labels)).encode("utf-8"))
         return digest.hexdigest()
+
+
+def _same_ground_truth(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold one multiset of (segment_id, label) pairs."""
+    return a.fingerprint == b.fingerprint
 
 
 class Ranking:

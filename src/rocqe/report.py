@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Label
+from .model import Label, _check_columns
 
 _INDENT = "  "
 _ROWS_PER_BLOCK = 1024
@@ -95,9 +95,7 @@ class Rows:
             key: col if isinstance(col, JsonTexts) else np.asarray(col)
             for key, col in columns.items()
         }
-        shapes = {col.shape for col in self.columns.values()}
-        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-            raise ValueError("row columns must be 1-d arrays of one length")
+        _check_columns(**self.columns)
 
 
 class Deferred(functools.partial):

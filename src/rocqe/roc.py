@@ -21,7 +21,10 @@ from .model import (
     Dataset,
     DegenerateClassError,
     Orientation,
+    _check_columns,
     _frozen,
+    _read_only,
+    _same_ground_truth,
     rates,
     require_both_classes,
 )
@@ -29,13 +32,6 @@ from .model import (
 
 class GroundTruthMismatchError(ValueError):
     """Raised when curves built over different ground truths are combined."""
-
-
-def raw_threshold(canonical: float, orientation: Orientation) -> float:
-    """Map a canonical threshold back to the raw score scale."""
-    if orientation is Orientation.HIGHER_IS_BETTER:
-        return -canonical
-    return canonical
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,7 @@ class RocCurve:
     score present since flagging is inclusive. Thresholds strictly decrease,
     fpr and tpr never decrease, and consecutive vertices never coincide.
     ``dataset`` is the Dataset the curve was built over. ``vertices`` builds
-    the per-vertex objects, and ``fingerprint`` hashes the dataset, on first
-    access.
+    the per-vertex objects on first access.
     """
 
     thresholds: np.ndarray
@@ -82,19 +77,15 @@ class RocCurve:
     orientation: Orientation = Orientation.HIGHER_IS_WORSE
 
     def __post_init__(self) -> None:
-        thresholds = _frozen(np.array(self.thresholds, dtype=np.float64))
-        tp, fp = np.array(self.tp), np.array(self.fp)
+        thresholds = _read_only(self.thresholds, np.float64)
+        tp, fp = _read_only(self.tp), _read_only(self.fp)
         for name, counts in (("tp", tp), ("fp", fp)):
             if counts.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integer counts, got {counts.dtype}")
         # Signed, so that a decreasing step cannot wrap round in np.diff.
-        tp = _frozen(tp.astype(np.int64, copy=False))
-        fp = _frozen(fp.astype(np.int64, copy=False))
-        if not (thresholds.ndim == 1 and thresholds.shape == tp.shape == fp.shape):
-            raise ValueError("thresholds, tp and fp must be 1-d arrays of one length")
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "tp", tp)
-        object.__setattr__(self, "fp", fp)
+        tp, fp = _read_only(tp, np.int64), _read_only(fp, np.int64)
+        _check_columns(thresholds=thresholds, tp=tp, fp=fp)
+        self.__dict__.update(thresholds=thresholds, tp=tp, fp=fp)
         if self.p_count <= 0 or self.n_count <= 0:
             raise DegenerateClassError(
                 f"a curve needs both classes, got P={self.p_count}, N={self.n_count}"
@@ -118,11 +109,6 @@ class RocCurve:
             pair = int(np.argmax(bad.any(axis=0)))
             raise ValueError(_CURVE_RULES[int(np.argmax(bad[:, pair]))])
 
-    @property
-    def fingerprint(self) -> str:
-        """``Dataset.fingerprint`` of the curve's dataset."""
-        return self.dataset.fingerprint
-
     @cached_property
     def fpr(self) -> np.ndarray:
         return _frozen(self.fp / self.n_count)
@@ -134,9 +120,7 @@ class RocCurve:
     @cached_property
     def thresholds_raw(self) -> np.ndarray:
         """Thresholds on the raw score scale, vertex for vertex."""
-        if self.orientation is Orientation.HIGHER_IS_BETTER:
-            return _frozen(-self.thresholds)
-        return self.thresholds
+        return _frozen(self.orientation.flip(self.thresholds))
 
     @cached_property
     def vertices(self) -> tuple[RocVertex, ...]:
@@ -226,7 +210,6 @@ class RocHull:
     vertices: tuple[HullVertex, ...]
     p_count: int
     n_count: int
-    fingerprint: str
 
     @property
     def fpr(self) -> np.ndarray:
@@ -288,9 +271,9 @@ def _merged_corners(curves: Sequence[RocCurve]) -> tuple[np.ndarray, ...]:
 def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
     """Upper convex hull of the named curves' vertices, exact on integer counts.
 
-    All curves must share one ground truth (class counts and dataset
-    fingerprint). The hull starts at the origin and keeps no collinear
-    middle vertex. When several systems attain the same point, the one with
+    All curves must share one ground truth: equal class counts, over
+    datasets that hold the same (segment_id, label) pairs. The hull starts
+    at the origin and keeps no collinear middle vertex. When several systems attain the same point, the one with
     fewer curve vertices wins, then the lexicographically smaller name; the
     rule is arbitrary but deterministic.
     """
@@ -304,7 +287,7 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
         if (
             curve.p_count != first.p_count
             or curve.n_count != first.n_count
-            or curve.fingerprint != first.fingerprint
+            or not _same_ground_truth(curve.dataset, first.dataset)
         ):
             raise GroundTruthMismatchError(
                 f"curve {name!r} was built over a different ground truth than "
@@ -323,9 +306,9 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
         name, curve = ranked[k]
         threshold = float(curve.thresholds[i])
         vertices.append(
-            HullVertex(f / n, t / p, name, threshold, raw_threshold(threshold, curve.orientation))
+            HullVertex(f / n, t / p, name, threshold, curve.orientation.flip(threshold))
         )
-    return RocHull(tuple(vertices), p, n, first.fingerprint)
+    return RocHull(tuple(vertices), p, n)
 
 
 class PrPoints(NamedTuple):

@@ -27,7 +27,7 @@ from rocqe import (
 )
 from rocqe.bootstrap import fpr_grid, nearest_rank
 from rocqe.ingest import MAX_WARNINGS
-from rocqe.roc import HullVertex, RocHull, raw_threshold
+from rocqe.roc import HullVertex, RocHull
 
 # The worked 10-segment example: (segment_id, raw QE score, has_error).
 # Scores are higher-is-better; six segments carry errors.
@@ -232,7 +232,7 @@ def reference_convex_hull(curves) -> RocHull:
             *(column[chosen].tolist() for column in (fp, tp, source, thresholds, raw))
         )
     )
-    return RocHull(vertices, p, n, first.fingerprint)
+    return RocHull(vertices, p, n)
 
 
 def exact_pick(curve, trade_off, ratio=None) -> int:
@@ -609,7 +609,7 @@ def table_tsv(dataset: Dataset) -> str:
             f"\t{n - fp_g}\t{tp_g / p:.2f}\t{fp_g / n:.2f}"
         )
 
-    lines.append(row_line("-", "-", raw_threshold(math.inf, dataset.orientation), 0, 0))
+    lines.append(row_line("-", "-", dataset.orientation.flip(math.inf), 0, 0))
     group = 0
     for seg in segments:
         if seg.risk_score != thresholds[group]:
@@ -618,7 +618,7 @@ def table_tsv(dataset: Dataset) -> str:
             row_line(seg.segment_id, seg.label.value, seg.raw_score,
                      int(tp[group]), int(fp[group]))
         )
-    lines.append(row_line("-", "-", raw_threshold(-math.inf, dataset.orientation), p, n))
+    lines.append(row_line("-", "-", dataset.orientation.flip(-math.inf), p, n))
     return "\n".join(lines) + "\n"
 
 

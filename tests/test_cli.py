@@ -219,6 +219,7 @@ class TestExitCodes:
                 None,
                 id="roc-confidence",
             ),
+            pytest.param(["diagnose", *SCORES], "-3", id="diagnose-seed-env-without-bootstrap"),
             pytest.param(
                 ["diagnose", *SCORES, "--bootstrap", "1"], None, id="diagnose-iterations"
             ),
@@ -488,6 +489,9 @@ CONFIG_ERRORS = {
     "confidence above one": (["roc", *BASE, "--confidence", "1.5"], "config error: "),
     "scores without a metric name": (["roc", *GOLD, "--scores", "x.tsv"], "config error: --scores"),
     "no workers": (["roc", *BASE, "--workers", "0"], "config error: workers"),
+    "negative seed": (["roc", *BASE, "--seed", "-1"], "config error: seed"),
+    "seed past 64 bits": (["hull", *BASE, *RISKB, "--seed", "18446744073709551616"],
+                          "config error: seed"),
     "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
     "table with two metrics": (["table", *BASE, *RISKB], "config error: the table command"),
     "hull with one metric": (["hull", *BASE], "config error: the hull command"),

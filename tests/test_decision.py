@@ -320,14 +320,10 @@ class TestScenario1:
         assert 0.0 <= lo <= hi <= 100.0
         assert any("band" in note for note in report.notes)
 
-    def test_unknown_ci_method_rejected(self, sample10):
+    @pytest.mark.parametrize("bootstrap", [None, BootstrapConfig(iterations=10, seed=0)])
+    def test_unknown_ci_method_rejected(self, sample10, bootstrap):
         with pytest.raises(ValueError, match="ci_method"):
-            scenario1_residual_risk(
-                sample10,
-                0.3,
-                bootstrap=BootstrapConfig(iterations=10, seed=0),
-                ci_method="exact",
-            )
+            scenario1_residual_risk(sample10, 0.3, bootstrap=bootstrap, ci_method="exact")
 
     def test_ci_is_deterministic(self, sample10):
         cfg = BootstrapConfig(iterations=100, seed=9)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from rocqe import (
+    CanonicalRecords,
+    ConfidenceBand,
     ConfusionCounts,
     Dataset,
     DegenerateClassError,
     Label,
     NonFiniteScoreError,
     Orientation,
+    QeRocTable,
+    RocCurve,
     ScoredSegment,
     canonicalize,
     rates,
@@ -27,6 +31,24 @@ class TestOrientation:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown orientation"):
             Orientation.parse("sideways")
+
+    def test_flip_higher_worse_is_identity(self):
+        assert not Orientation.HIGHER_IS_WORSE.negates
+        assert Orientation.HIGHER_IS_WORSE.flip(1.5) == 1.5
+        assert Orientation.HIGHER_IS_WORSE.flip(math.inf) == math.inf
+
+    def test_flip_higher_better_negates(self):
+        assert Orientation.HIGHER_IS_BETTER.negates
+        assert Orientation.HIGHER_IS_BETTER.flip(-93.0) == 93.0
+        assert Orientation.HIGHER_IS_BETTER.flip(math.inf) == -math.inf
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_flip_is_its_own_inverse_on_arrays(self, orientation):
+        values = np.array([-0.0, 0.0, 1.5, -93.0, math.inf])
+        once = orientation.flip(values)
+        assert np.array_equal(np.signbit(once), np.signbit(values) ^ orientation.negates)
+        again = orientation.flip(once)
+        assert np.array_equal(again, values) and np.array_equal(np.signbit(again), np.signbit(values))
 
 
 class TestCanonicalize:
@@ -269,3 +291,58 @@ class TestTieSemantics:
         a = canonicalize(0.1 + 0.2, Orientation.HIGHER_IS_WORSE)
         b = canonicalize(0.3, Orientation.HIGHER_IS_WORSE)
         assert a != b
+
+
+# Every constructor that takes parallel columns, with three aligned list columns each.
+_SMALL = Dataset.from_columns(["a", "b", "c"], [3.0, 2.0, 1.0], [True, False, False])
+COLUMN_CONSTRUCTORS = {
+    "CanonicalRecords": (
+        lambda c: CanonicalRecords("m", c["ids"], c["mqm"], c["scores"]),
+        {"ids": ["a", "b", "c"], "mqm": [-1.0, 0.0, 0.0], "scores": [3.0, 2.0, 1.0]},
+    ),
+    "Dataset": (
+        lambda c: Dataset(c["ids"], c["raw"], c["risk"], c["positive"], 1, 2),
+        {"ids": ["a", "b", "c"], "raw": [3.0, 2.0, 1.0], "risk": [3.0, 2.0, 1.0],
+         "positive": [True, False, False]},
+    ),
+    "QeRocTable": (
+        lambda c: QeRocTable(c["ids"], c["positive"], c["raw"], c["tp"], c["fp"],
+                             (math.inf, -math.inf), 1, 2),
+        {"ids": ["a", "b", "c"], "positive": [True, False, False], "raw": [3.0, 2.0, 1.0],
+         "tp": [1, 1, 1], "fp": [0, 1, 2]},
+    ),
+    "RocCurve": (
+        lambda c: RocCurve(c["thresholds"], c["tp"], c["fp"], 1, 2, _SMALL),
+        {"thresholds": [math.inf, 3.0, 2.0, 1.0], "tp": [0, 1, 1, 1], "fp": [0, 0, 1, 2]},
+    ),
+    "ConfidenceBand": (
+        lambda c: ConfidenceBand(c["grid"], c["lower"], c["upper"], c["point"],
+                                 0.5, (0.4, 0.6), 0.95, 10, 0, 0),
+        {"grid": [0.0, 0.5, 1.0], "lower": [0.0, 0.4, 1.0], "upper": [0.5, 1.0, 1.0],
+         "point": [0.25, 0.75, 1.0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("constructor", list(COLUMN_CONSTRUCTORS))
+class TestColumnRule:
+    """One rule for parallel columns: 1-d, one length, held read-only without freezing the caller's."""
+
+    def test_misaligned_columns_raise_the_one_message(self, constructor):
+        build, columns = COLUMN_CONSTRUCTORS[constructor]
+        for name in columns:
+            with pytest.raises(ValueError, match="must be 1-d arrays of one length$"):
+                build({**columns, name: columns[name][:-1]})
+
+    def test_list_columns_are_accepted(self, constructor):
+        build, columns = COLUMN_CONSTRUCTORS[constructor]
+        built = build(columns)
+        held = [value for value in vars(built).values() if isinstance(value, np.ndarray)]
+        assert len(held) == len(columns)
+        assert not any(column.flags.writeable for column in held)
+
+    def test_caller_arrays_stay_writeable(self, constructor):
+        build, columns = COLUMN_CONSTRUCTORS[constructor]
+        arrays = {name: np.array(values) for name, values in columns.items()}
+        build(arrays)
+        assert all(array.flags.writeable for array in arrays.values())
