@@ -339,14 +339,13 @@ def confidence_band(
     lower = buffer[k_lo - 1]
     upper = buffer[filled - n_hi]
 
-    ranking = dataset.ranking
-    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+    curve = dataset.roc_curve
     return ConfidenceBand(
         fpr_grid=grid,
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=_grid_tpr(tp, fp, p, n, grid, first_at),
-        auc_point=count_auc(tp, fp),
+        point_tpr=_grid_tpr(curve.tp, curve.fp, p, n, grid, first_at),
+        auc_point=count_auc(curve.tp, curve.fp),
         auc_interval=nearest_rank_interval(aucs, config.confidence),
         confidence=config.confidence,
         iterations=config.iterations,

@@ -187,13 +187,10 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
     """Resolve config, parse inputs, and label everything."""
     cutoff = _parse_cutoff(args.cutoff)
     wmt_mode = args.wmt_root is not None
+    wmt_flags = (args.lang_pair, args.testset, args.system)
     if wmt_mode:
-        needed = {"lang_pair": args.lang_pair, "testset": args.testset, "system": args.system}
-        missing = [k for k, v in needed.items() if v is None]
-        if missing:
-            raise ValueError(
-                "--wmt-root needs --lang-pair, --testset and --system"
-            )
+        if None in wmt_flags:
+            raise ValueError("--wmt-root needs --lang-pair, --testset and --system")
         if args.gold is not None:
             raise ValueError("--gold does not apply in --wmt-root mode")
         if any("=" in s for s in args.scores):
@@ -208,6 +205,8 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
     else:
         if args.gold is None:
             raise ValueError("--gold is required (or use --wmt-root)")
+        if wmt_flags != (None, None, None):
+            raise ValueError("--lang-pair, --testset and --system apply only in --wmt-root mode")
         score_map = _parse_assignments(args.scores, "--scores")
     if not score_map:
         raise ValueError("at least one --scores entry is required")
@@ -270,7 +269,7 @@ def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
                 f"{metric}: {dropped} segments without "
                 "scores from every metric were dropped for comparability"
             )
-            loaded.datasets[metric] = Dataset.from_columns(
+            loaded.datasets[metric] = Dataset(
                 ds.ids[kept], ds.raw_scores[kept], ds.is_positive[kept], ds.orientation
             )
 
@@ -413,10 +412,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.scenario == 1:
         if args.x is None:
             raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
+        if args.y is not None:
+            raise ValueError("--y does not apply to scenario 1")
         check_review_fraction(args.x)
     else:
         if args.y is None:
             raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
+        for flag, value in (("--x", args.x), ("--ci-method", args.ci_method)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to scenario 2")
         check_tolerable_errors(args.y)
     check_review_efficacy(args.review_efficacy)
     if args.class_ratio is not None and args.trade_off is None:
@@ -435,7 +439,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             args.x,
             review_efficacy=args.review_efficacy,
             bootstrap=config,
-            ci_method=args.ci_method,
+            ci_method=args.ci_method or "replicate",
         )
     else:
         report = scenario2_required_effort(
@@ -584,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="assumed error:clean ratio (default: observed)")
     scenario.add_argument("--review-efficacy", type=float, default=1.0,
                           help="fraction of reviewed errors actually fixed, in (0, 1]")
-    scenario.add_argument("--ci-method", choices=("replicate", "band"),
-                          default="replicate")
+    scenario.add_argument("--ci-method", choices=("replicate", "band"), default=None,
+                          help="scenario 1: CI by re-running per replicate or from the "
+                          "band (default: replicate)")
     scenario.set_defaults(func=cmd_scenario)
 
     hull = sub.add_parser("hull", help="combined envelope over several metrics")

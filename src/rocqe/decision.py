@@ -75,10 +75,10 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     else:
         order = np.lexsort((ids, ranking.group))
     group = ranking.group[order]
-    tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+    curve = dataset.roc_curve
     return QeRocTable(
         *(_frozen(column[order]) for column in (ids, dataset.is_positive, dataset.raw_scores)),
-        _frozen(tp[group]), _frozen(fp[group]),
+        _frozen(curve.tp[group]), _frozen(curve.fp[group]),
         (dataset.orientation.flip(math.inf), dataset.orientation.flip(-math.inf)),
         p, n,
     )

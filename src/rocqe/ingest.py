@@ -559,4 +559,4 @@ def to_dataset(
         label(mqm.item(i), cutoff)  # warns about the positive MQM score
     if repeats.size:
         raise IngestError(f"duplicate segment id {ids[repeated]!r}")
-    return Dataset.from_columns(ids, scores, label_positive(mqm, cutoff), orientation)
+    return Dataset(ids, scores, label_positive(mqm, cutoff), orientation)

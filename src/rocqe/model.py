@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -192,53 +192,34 @@ def _strictly_increasing(keys: np.ndarray) -> bool:
 class Dataset:
     """Scored segments for one QE score column, held as columns.
 
-    ``ids``, ``raw_scores``, ``risk_scores`` and ``is_positive`` are
-    read-only arrays with one entry per segment, in dataset order;
-    ``ids`` is an ``_id_column``, whose items read back as ``str``.
-    ``p_count``/``n_count`` match the label tallies. Segment ids are
-    opaque; uniqueness is an ingestion concern, and resampled datasets may
-    legitimately repeat ids.
-
-    ``Dataset(ids, raw_scores, risk_scores, is_positive, p_count, n_count,
-    orientation)`` checks every column against the others; ``from_columns``
-    derives the risk scores and class counts, and ``from_segments`` takes
-    them from ``ScoredSegment`` objects.
+    ``Dataset(ids, raw_scores, is_positive, orientation)`` takes the columns
+    nothing else gives: read-only arrays with one entry per segment, in
+    dataset order; ``ids`` is an ``_id_column``, whose items read back as
+    ``str``. ``risk_scores`` (``orientation.flip(raw_scores)``) and
+    ``p_count``/``n_count`` are derived from them. Segment ids are opaque;
+    uniqueness is an ingestion concern, and resampled datasets may
+    legitimately repeat ids. ``from_segments`` takes the columns from
+    ``ScoredSegment`` objects.
     """
 
-    def __init__(self, ids, raw_scores, risk_scores, is_positive, p_count: int, n_count: int,
+    def __init__(self, ids, raw_scores, is_positive,
                  orientation: Orientation = Orientation.HIGHER_IS_WORSE) -> None:
         """Store the columns read-only after checking them, as one vectorised pass."""
         ids = _id_column(ids)
         raw = _read_only(raw_scores, np.float64)
-        risk = _read_only(risk_scores, np.float64)
         positive = _read_only(is_positive, bool)
-        _check_columns(ids=ids, raw_scores=raw, risk_scores=risk, is_positive=positive)
-        finite = np.isfinite(raw) & np.isfinite(risk)
+        _check_columns(ids=ids, raw_scores=raw, is_positive=positive)
+        finite = np.isfinite(raw)
         if not finite.all():
             first = int(np.argmin(finite))
             raise NonFiniteScoreError(f"non-finite score for segment {ids[first]!r}")
         p = int(np.count_nonzero(positive))
-        n = positive.size - p
-        if (p, n) != (p_count, n_count):
-            raise ValueError(
-                f"class counts (P={p_count}, N={n_count}) do not match "
-                f"labels (P={p}, N={n})"
-            )
-        canonical = orientation.flip(raw) == risk
-        if not canonical.all():
-            first = int(np.argmin(canonical))
-            raise ValueError(
-                f"segment {ids[first]!r}: risk score {risk[first].item()!r} is not "
-                f"the canonical form of raw score {raw[first].item()!r} under "
-                f"{orientation.value}"
-            )
         self.__dict__.update(
             ids=ids,
             raw_scores=raw,
-            risk_scores=risk,
             is_positive=positive,
             p_count=p,
-            n_count=n,
+            n_count=positive.size - p,
             orientation=orientation,
         )
 
@@ -248,33 +229,20 @@ class Dataset:
         segments: Iterable[ScoredSegment],
         orientation: Orientation = Orientation.HIGHER_IS_WORSE,
     ) -> "Dataset":
+        """A dataset from segments; each ``risk_score`` must be ``orientation.flip(raw_score)``."""
         segs = tuple(segments)
-        positive = [s.label is Label.POSITIVE for s in segs]
-        p = sum(positive)
+        for s in segs:
+            if orientation.flip(s.raw_score) != s.risk_score:
+                raise ValueError(
+                    f"segment {s.segment_id!r}: risk score {s.risk_score!r} is not the "
+                    f"canonical form of raw score {s.raw_score!r} under {orientation.value}"
+                )
         return cls(
             [s.segment_id for s in segs],
             [s.raw_score for s in segs],
-            [s.risk_score for s in segs],
-            positive,
-            p,
-            len(segs) - p,
+            [s.label is Label.POSITIVE for s in segs],
             orientation,
         )
-
-    @classmethod
-    def from_columns(
-        cls,
-        ids: Sequence[str],
-        raw_scores: Sequence[float],
-        is_positive: Sequence[bool],
-        orientation: Orientation = Orientation.HIGHER_IS_WORSE,
-    ) -> "Dataset":
-        """A dataset from parallel columns; risk scores and class counts are derived."""
-        raw = _read_only(raw_scores, np.float64)
-        risk = _frozen(orientation.flip(raw))
-        positive = _read_only(is_positive, bool)
-        p = int(np.count_nonzero(positive))
-        return cls(ids, raw, risk, positive, p, positive.size - p, orientation)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
@@ -283,11 +251,9 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            (self.p_count, self.n_count, self.orientation)
-            == (other.p_count, other.n_count, other.orientation)
+            self.orientation is other.orientation
             and np.array_equal(self.ids, other.ids)
             and np.array_equal(self.raw_scores, other.raw_scores)
-            and np.array_equal(self.risk_scores, other.risk_scores)
             and np.array_equal(self.is_positive, other.is_positive)
         )
 
@@ -304,6 +270,10 @@ class Dataset:
         return self.p_count + self.n_count
 
     @cached_property
+    def risk_scores(self) -> np.ndarray:
+        return _frozen(self.orientation.flip(self.raw_scores))
+
+    @cached_property
     def positive_risks(self) -> np.ndarray:
         return _frozen(self.risk_scores[self.is_positive])
 
@@ -318,10 +288,10 @@ class Dataset:
 
     @cached_property
     def roc_curve(self) -> "RocCurve":
-        """The dataset's ``roc.build_roc`` curve, built once for the scenario reports."""
-        from .roc import build_roc  # roc imports this module
+        """The dataset's ROC curve, built once; ``roc.build_roc`` returns it."""
+        from .roc import RocCurve  # roc imports this module
 
-        return build_roc(self)
+        return RocCurve(self)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -442,10 +412,7 @@ def rates(c: ConfusionCounts) -> Rates:
     Requires at least one positive and one negative in the ground truth;
     rates against an empty class are undefined.
     """
-    if c.p == 0:
-        raise DegenerateClassError("no positive segments: TPR/FNR undefined")
-    if c.n == 0:
-        raise DegenerateClassError("no negative segments: FPR undefined")
+    require_both_classes(c.p, c.n, "rates against an empty class are undefined")
     tpr = c.tp / c.p
     fpr = c.fp / c.n
     fnr = 1.0 - tpr

@@ -9,7 +9,6 @@ between vertices is read as expected performance (linear interpolation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -19,11 +18,8 @@ import numpy as np
 from .model import (
     ConfusionCounts,
     Dataset,
-    DegenerateClassError,
     Orientation,
-    _check_columns,
     _frozen,
-    _read_only,
     _same_ground_truth,
     rates,
     require_both_classes,
@@ -57,57 +53,43 @@ class RocVertex:
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Ordered ROC vertices for one score column over one ground truth.
+    """The tie-aware ROC curve of one dataset, read off its ranking.
 
-    Held as parallel arrays, one entry per vertex: canonical ``thresholds``
-    and cumulative ``tp``/``fp`` counts. The first vertex is (0, 0) with a
-    +inf threshold (nothing flagged); the last is (1, 1), reached at the best
-    score present since flagging is inclusive. Thresholds strictly decrease,
-    fpr and tpr never decrease, and consecutive vertices never coincide.
-    ``dataset`` is the Dataset the curve was built over. ``vertices`` builds
-    the per-vertex objects on first access.
+    Held as parallel read-only arrays, one entry per vertex: the ranking's
+    canonical ``thresholds`` and cumulative ``tp``/``fp`` counts. Each tie
+    group contributes one vertex whose counts cover the whole group, so the
+    vertex count is the number of distinct scores plus the first vertex,
+    (0, 0) with a +inf threshold (nothing flagged); the last is (1, 1),
+    reached at the best score present since flagging is inclusive.
+    Thresholds strictly decrease, fpr and tpr never decrease, and
+    consecutive vertices never coincide. ``p_count``, ``n_count`` and
+    ``orientation`` are the dataset's. ``vertices`` builds the per-vertex
+    objects on first access.
     """
 
-    thresholds: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    p_count: int
-    n_count: int
     dataset: Dataset
-    orientation: Orientation = Orientation.HIGHER_IS_WORSE
 
     def __post_init__(self) -> None:
-        thresholds = _read_only(self.thresholds, np.float64)
-        tp, fp = _read_only(self.tp), _read_only(self.fp)
-        for name, counts in (("tp", tp), ("fp", fp)):
-            if counts.dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integer counts, got {counts.dtype}")
-        # Signed, so that a decreasing step cannot wrap round in np.diff.
-        tp, fp = _read_only(tp, np.int64), _read_only(fp, np.int64)
-        _check_columns(thresholds=thresholds, tp=tp, fp=fp)
-        self.__dict__.update(thresholds=thresholds, tp=tp, fp=fp)
-        if self.p_count <= 0 or self.n_count <= 0:
-            raise DegenerateClassError(
-                f"a curve needs both classes, got P={self.p_count}, N={self.n_count}"
-            )
-        if thresholds.size < 2:
-            raise ValueError("a curve needs at least the two endpoint vertices")
-        if (tp[0], fp[0]) != (0, 0) or thresholds[0] != math.inf:
-            raise ValueError("curve must start at (0, 0) with a +inf threshold")
-        if (tp[-1], fp[-1]) != (self.p_count, self.n_count):
-            raise ValueError("curve must end at (1, 1)")
-        d_tp, d_fp = np.diff(tp), np.diff(fp)
-        bad = np.stack(
-            [
-                (d_tp < 0) | (d_fp < 0),
-                (d_tp == 0) & (d_fp == 0),
-                ~(thresholds[1:] < thresholds[:-1]),
-            ]
+        dataset = self.dataset
+        require_both_classes(
+            dataset.p_count, dataset.n_count,
+            "the ROC curve is undefined for a single-class dataset",
         )
-        if bad.any():
-            # Report the first offending pair, and its first broken rule.
-            pair = int(np.argmax(bad.any(axis=0)))
-            raise ValueError(_CURVE_RULES[int(np.argmax(bad[:, pair]))])
+        ranking = dataset.ranking
+        tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+        self.__dict__.update(thresholds=ranking.thresholds, tp=_frozen(tp), fp=_frozen(fp))
+
+    @property
+    def p_count(self) -> int:
+        return self.dataset.p_count
+
+    @property
+    def n_count(self) -> int:
+        return self.dataset.n_count
+
+    @property
+    def orientation(self) -> Orientation:
+        return self.dataset.orientation
 
     @cached_property
     def fpr(self) -> np.ndarray:
@@ -138,33 +120,9 @@ class RocCurve:
         )
 
 
-_CURVE_RULES = (
-    "fpr and tpr must be non-decreasing along the curve",
-    "coincident consecutive vertices",
-    "thresholds must strictly decrease along the curve",
-)
-
-
 def build_roc(dataset: Dataset) -> RocCurve:
-    """Build the tie-aware ROC curve of a dataset.
-
-    Read off the dataset's ranking (worst score first): each tie group
-    contributes one vertex whose counts cover the whole group, so the vertex
-    count equals the number of distinct scores plus the (0, 0) origin.
-    """
-    p, n = dataset.p_count, dataset.n_count
-    require_both_classes(
-        p, n, "the ROC curve is undefined for a single-class dataset"
-    )
-    ranking = dataset.ranking
-    return RocCurve(
-        ranking.thresholds,
-        *ranking.counts(ranking.pos_group, ranking.neg_group),
-        p,
-        n,
-        dataset,
-        dataset.orientation,
-    )
+    """The tie-aware ROC curve of a dataset: ``dataset.roc_curve``, built once."""
+    return dataset.roc_curve
 
 
 def count_auc(tp: np.ndarray, fp: np.ndarray) -> float:

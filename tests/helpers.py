@@ -578,7 +578,7 @@ def load_common(
                 f"{metric}: {ds.total - len(kept)} segments without "
                 "scores from every metric were dropped for comparability"
             )
-            datasets[metric] = Dataset.from_columns(
+            datasets[metric] = Dataset(
                 [ds.ids[i] for i in kept], [ds.raw_scores[i] for i in kept],
                 [ds.is_positive[i] for i in kept], ds.orientation,
             )

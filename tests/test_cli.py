@@ -493,6 +493,15 @@ CONFIG_ERRORS = {
     "seed past 64 bits": (["hull", *BASE, *RISKB, "--seed", "18446744073709551616"],
                           "config error: seed"),
     "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
+    "wmt flags without --wmt-root": (["roc", *BASE, "--system", "sysX", "--lang-pair", "zh-en"],
+                                     "config error: --lang-pair, --testset and --system"),
+    "scenario 1 with y": (["scenario", *BASE, "--scenario", "1", "--x", "0.3", "--y", "5"],
+                          "config error: --y does not apply to scenario 1"),
+    "scenario 2 with x": (["scenario", *BASE, "--scenario", "2", "--y", "10", "--x", "0.3"],
+                          "config error: --x does not apply to scenario 2"),
+    "scenario 2 with --ci-method": (["scenario", *BASE, "--scenario", "2", "--y", "10",
+                                     "--ci-method", "band", "--bootstrap", "20"],
+                                    "config error: --ci-method does not apply to scenario 2"),
     "table with two metrics": (["table", *BASE, *RISKB], "config error: the table command"),
     "hull with one metric": (["hull", *BASE], "config error: the hull command"),
     "table with --bootstrap": (["table", *BASE, "--bootstrap", "1"], "usage: rocqe table [-h]"),
@@ -1071,10 +1080,9 @@ class TestRestrictToCommonIds:
         assert loaded.datasets == {"m1": sample10, "m2": sample10} and loaded.notes == []
 
     def test_partial_overlap_drops_and_notes(self):
-        first = Dataset.from_columns(["d", "a", "b", "c"], [4.0, 1.0, 2.0, 3.0],
-                                     [True, False, True, False])
-        second = Dataset.from_columns(["c", "b", "e"], [0.3, 0.2, 0.5], [False, True, True],
-                                      Orientation.HIGHER_IS_BETTER)
+        first = Dataset(["d", "a", "b", "c"], [4.0, 1.0, 2.0, 3.0], [True, False, True, False])
+        second = Dataset(["c", "b", "e"], [0.3, 0.2, 0.5], [False, True, True],
+                         Orientation.HIGHER_IS_BETTER)
         loaded = _loaded({"m1": first, "m2": second})
         _restrict_to_common_ids(loaded)
         kept1, kept2 = loaded.datasets["m1"], loaded.datasets["m2"]
@@ -1095,7 +1103,7 @@ class TestRestrictToCommonIds:
     def test_equal_id_columns_skip_the_merge(self, monkeypatch):
         ids = [f"s{i}" for i in range(5)]
         datasets = {
-            f"m{k}": Dataset.from_columns(ids, np.arange(5.0) * k, np.arange(5) % 2 == 0)
+            f"m{k}": Dataset(ids, np.arange(5.0) * k, np.arange(5) % 2 == 0)
             for k in range(3)
         }
 
@@ -1108,15 +1116,15 @@ class TestRestrictToCommonIds:
         assert loaded.datasets == datasets and loaded.notes == []
 
     def test_reordered_ids_drop_nothing(self):
-        first = Dataset.from_columns(["a", "b", "c"], [1.0, 2.0, 3.0], [True, False, True])
-        second = Dataset.from_columns(["c", "a", "b"], [0.3, 0.1, 0.2], [True, True, False])
+        first = Dataset(["a", "b", "c"], [1.0, 2.0, 3.0], [True, False, True])
+        second = Dataset(["c", "a", "b"], [0.3, 0.1, 0.2], [True, True, False])
         loaded = _loaded({"m1": first, "m2": second})
         _restrict_to_common_ids(loaded)
         assert loaded.datasets["m2"] is second and loaded.notes == []
 
     def test_disjoint_ids_raise_input_error(self):
-        first = Dataset.from_columns(["a"], [1.0], [True])
-        second = Dataset.from_columns(["b"], [1.0], [True])
+        first = Dataset(["a"], [1.0], [True])
+        second = Dataset(["b"], [1.0], [True])
         with pytest.raises(IngestError, match="no segment ids are shared"):
             _restrict_to_common_ids(_loaded({"m1": first, "m2": second}))
 
@@ -1214,7 +1222,7 @@ class TestRepeatedIdColumns:
 
     def test_table_and_fingerprint(self):
         ids = self.IDS * 2
-        ds = Dataset.from_columns(ids, np.arange(len(ids)) % 7, np.arange(len(ids)) % 3 == 0)
+        ds = Dataset(ids, np.arange(len(ids)) % 7, np.arange(len(ids)) % 3 == 0)
         table = decision_module.qe_roc_table(ds)
         rows = sorted(range(len(ids)), key=lambda i: (-ds.risk_scores[i], ids[i]))
         assert table.segment_ids.tolist() == [ids[i] for i in rows]
@@ -1234,9 +1242,9 @@ class TestRepeatedIdColumns:
             ingest_module._read_two_column(str(path), strict=False)
 
     def test_restrict_to_common_ids(self):
-        first = Dataset.from_columns(self.IDS * 2, np.arange(10000.0), np.arange(10000) % 2 == 0)
+        first = Dataset(self.IDS * 2, np.arange(10000.0), np.arange(10000) % 2 == 0)
         kept = self.IDS[::-2]
-        second = Dataset.from_columns(kept, np.arange(2500.0), np.arange(2500) % 3 == 0)
+        second = Dataset(kept, np.arange(2500.0), np.arange(2500) % 3 == 0)
         loaded = _loaded({"m1": first, "m2": second})
         _restrict_to_common_ids(loaded)
         assert loaded.datasets["m1"].ids.tolist() == [i for i in self.IDS * 2 if i in set(kept)]
@@ -1269,7 +1277,7 @@ class TestColumnarPath:
         with pytest.raises(AssertionError, match="ScoredSegment"):
             ScoredSegment("a", Label.POSITIVE, 1.0, 1.0)
         with pytest.raises(AssertionError, match="RocVertex"):
-            build_roc(Dataset.from_columns(["a", "b"], [1.0, 0.0], [True, False])).vertices
+            build_roc(Dataset(["a", "b"], [1.0, 0.0], [True, False])).vertices
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
 
@@ -1336,7 +1344,7 @@ class TestReportMemory:
         positive = rng.random(100_000) < 0.4
         scores = rng.normal(size=100_000) + positive
         ids = np.arange(100_000).astype(str)
-        curve = build_roc(Dataset.from_columns(ids, scores, positive, Orientation.HIGHER_IS_BETTER))
+        curve = build_roc(Dataset(ids, scores, positive, Orientation.HIGHER_IS_BETTER))
         assert curve.thresholds.size == 100_001
         curve.fpr, curve.tpr  # cached before the measurement, as the SVG leaves them
         entry = report_module.Deferred(cli_module._roc_entry, curve, None)
@@ -1350,7 +1358,7 @@ class TestReportMemory:
         rng = np.random.default_rng(70_000)
         positive = rng.random(100_000) < 0.25
         scores = rng.normal(size=100_000) + positive
-        dataset = Dataset.from_columns(np.arange(100_000).astype(str), scores, positive)
+        dataset = Dataset(np.arange(100_000).astype(str), scores, positive)
         band = confidence_band(dataset, BootstrapConfig(iterations=10, seed=1))
         assert band.fpr_grid.size >= 70_000
         entry = cli_module._roc_entry(build_roc(dataset), band)["band"]
@@ -1415,7 +1423,7 @@ class TestReportMemory:
         rng = np.random.default_rng(50_000)
         positive = rng.random(50_000) < 0.3
         scores = rng.normal(size=50_000) + positive
-        curve = build_roc(Dataset.from_columns(np.arange(50_000).astype(str), scores, positive))
+        curve = build_roc(Dataset(np.arange(50_000).astype(str), scores, positive))
         assert curve.thresholds.size == 50_001
         series = [SvgSeries("m", curve)]
         curve.fpr, curve.tpr  # cached before the measurement

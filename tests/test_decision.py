@@ -135,7 +135,7 @@ class TestQeRocTable:
         # Two decimals: long tie groups, whose rows go out in id order.
         raw = (rng.normal(size=size) + positive).round(2)
         ids = np.array([f"s{i:06d}" for i in range(size)], dtype=object)
-        ds = Dataset.from_columns(ids, raw, positive, Orientation.HIGHER_IS_BETTER)
+        ds = Dataset(ids, raw, positive, Orientation.HIGHER_IS_BETTER)
         ds.ranking  # built before the measurement
 
         def refuse(*args, **kwargs):
@@ -149,7 +149,7 @@ class TestQeRocTable:
         monkeypatch.undo()
         # The same rows as the id sort gives the dataset in shuffled order.
         order = rng.permutation(size)
-        shuffled = Dataset.from_columns(
+        shuffled = Dataset(
             ids[order], raw[order], positive[order], Orientation.HIGHER_IS_BETTER
         )
         want = qe_roc_table(shuffled)
@@ -196,7 +196,7 @@ class TestTableTextDifferential:
             got = "".join(report_module.table_chunks(qe_roc_table(ds)))
             assert got == helpers.table_tsv(ds), trial
             # Renamed to strictly increasing ids, as ``to_dataset`` leaves them.
-            renamed = Dataset.from_columns(
+            renamed = Dataset(
                 [f"r{i:02d}" for i in range(ds.total)], ds.raw_scores, ds.is_positive,
                 ds.orientation,
             )
@@ -434,7 +434,7 @@ class TestDecisionRule:
 
     def test_printed_residual_never_exceeds_a_typed_y(self):
         positive = np.arange(10_000) < 1_000
-        ds = Dataset.from_columns(
+        ds = Dataset(
             [f"s{i:05d}" for i in range(10_000)], np.arange(10_000, 0, -1.0), positive
         )
         report = scenario2_required_effort(ds, 9.99999999999)

@@ -13,7 +13,6 @@ from rocqe import (
     NonFiniteScoreError,
     Orientation,
     QeRocTable,
-    RocCurve,
     ScoredSegment,
     canonicalize,
     rates,
@@ -87,13 +86,10 @@ class TestScoredSegment:
 
 
 class TestDataset:
-    def test_tally_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="class counts"):
-            Dataset(["a"], [1.0], [1.0], [True], 0, 1)
-
     def test_risk_must_be_canonical(self):
+        seg = ScoredSegment("a", Label.POSITIVE, 1.0, 1.0)
         with pytest.raises(ValueError, match="canonical form"):
-            Dataset(["a"], [1.0], [1.0], [True], 1, 0, Orientation.HIGHER_IS_BETTER)
+            Dataset.from_segments([seg], Orientation.HIGHER_IS_BETTER)
 
     def test_from_segments_counts(self):
         segs = [
@@ -133,8 +129,8 @@ class TestDataset:
 
 
 class TestColumnarDataset:
-    def test_from_columns_derives_risk_and_counts(self):
-        ds = Dataset.from_columns(
+    def test_constructor_derives_risk_and_counts(self):
+        ds = Dataset(
             ["a", "b", "c"], [1.0, -0.0, 2.5], [True, False, True],
             Orientation.HIGHER_IS_BETTER,
         )
@@ -146,16 +142,16 @@ class TestColumnarDataset:
                 column[0] = column[1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_from_columns_rejects_non_finite(self, bad):
+    def test_constructor_rejects_non_finite(self, bad):
         with pytest.raises(NonFiniteScoreError, match="segment 'b'"):
-            Dataset.from_columns(["a", "b"], [1.0, bad], [True, False])
+            Dataset(["a", "b"], [1.0, bad], [True, False])
 
-    def test_from_columns_rejects_ragged_columns(self):
+    def test_constructor_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="one length"):
-            Dataset.from_columns(["a", "b"], [1.0], [True, False])
+            Dataset(["a", "b"], [1.0], [True, False])
 
     def test_equal_columns_make_equal_datasets(self, sample10):
-        again = Dataset.from_columns(
+        again = Dataset(
             sample10.ids, sample10.raw_scores, sample10.is_positive, sample10.orientation
         )
         assert again == sample10
@@ -186,13 +182,13 @@ class TestColumnarDataset:
             ids = [f"id{int(i)}" for i in rng.integers(0, max(size, 1), size=size)]
             ids = [sid + "é" if rng.random() < 0.1 else sid for sid in ids]
             for column in (ids, sorted(set(ids))):  # sorted ids skip the sort
-                ds = Dataset.from_columns(
+                ds = Dataset(
                     column, rng.normal(size=len(column)), rng.random(len(column)) < 0.5
                 )
                 assert ds.fingerprint == helpers.fingerprint(ds)
 
     def test_fingerprint_of_nothing(self):
-        empty = Dataset.from_columns([], [], [])
+        empty = Dataset([], [], [])
         assert empty.fingerprint == helpers.fingerprint(empty)
 
 
@@ -208,21 +204,21 @@ class TestIdColumn:
     ], ids=["ints", "int array", "float array", "bytes", "None", "object array"])
     def test_ids_that_are_not_strings_are_refused(self, ids):
         with pytest.raises(ValueError, match="segment ids must be strings"):
-            Dataset.from_columns(ids, [1.0, 2.0], [True, False])
+            Dataset(ids, [1.0, 2.0], [True, False])
 
     def test_ids_holding_a_nul_sort_and_compare_as_python_strings(self):
         ids = ["x\x002", "x\x001", "x", "x\x00"]
-        ds = Dataset.from_columns(ids, [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
+        ds = Dataset(ids, [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
         assert ds.ids.tolist() == ids
         assert not model_module._strictly_increasing(ds.ids)
         assert model_module._strictly_increasing(ds.ids[np.argsort(ds.ids, kind="stable")])
-        assert ds != Dataset.from_columns(["x\x002", "x\x003", "x", "x\x00"],
-                                          [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
+        assert ds != Dataset(["x\x002", "x\x003", "x", "x\x00"],
+                             [1.0, 2.0, 3.0, 4.0], [True, False, True, False])
         assert ds.fingerprint == helpers.fingerprint(ds)
         # A string column made outside the package is read too, not trusted.
         for dtype in (ID_DTYPE, np.dtypes.StringDType()):
-            given = Dataset.from_columns(np.array(ids, dtype=dtype), [1.0, 2.0, 3.0, 4.0],
-                                         [True, False, True, False])
+            given = Dataset(np.array(ids, dtype=dtype), [1.0, 2.0, 3.0, 4.0],
+                            [True, False, True, False])
             assert given == ds and given.ids.dtype == object
 
 
@@ -294,26 +290,20 @@ class TestTieSemantics:
 
 
 # Every constructor that takes parallel columns, with three aligned list columns each.
-_SMALL = Dataset.from_columns(["a", "b", "c"], [3.0, 2.0, 1.0], [True, False, False])
 COLUMN_CONSTRUCTORS = {
     "CanonicalRecords": (
         lambda c: CanonicalRecords("m", c["ids"], c["mqm"], c["scores"]),
         {"ids": ["a", "b", "c"], "mqm": [-1.0, 0.0, 0.0], "scores": [3.0, 2.0, 1.0]},
     ),
     "Dataset": (
-        lambda c: Dataset(c["ids"], c["raw"], c["risk"], c["positive"], 1, 2),
-        {"ids": ["a", "b", "c"], "raw": [3.0, 2.0, 1.0], "risk": [3.0, 2.0, 1.0],
-         "positive": [True, False, False]},
+        lambda c: Dataset(c["ids"], c["raw"], c["positive"]),
+        {"ids": ["a", "b", "c"], "raw": [3.0, 2.0, 1.0], "positive": [True, False, False]},
     ),
     "QeRocTable": (
         lambda c: QeRocTable(c["ids"], c["positive"], c["raw"], c["tp"], c["fp"],
                              (math.inf, -math.inf), 1, 2),
         {"ids": ["a", "b", "c"], "positive": [True, False, False], "raw": [3.0, 2.0, 1.0],
          "tp": [1, 1, 1], "fp": [0, 1, 2]},
-    ),
-    "RocCurve": (
-        lambda c: RocCurve(c["thresholds"], c["tp"], c["fp"], 1, 2, _SMALL),
-        {"thresholds": [math.inf, 3.0, 2.0, 1.0], "tp": [0, 1, 1, 1], "fp": [0, 0, 1, 2]},
     ),
     "ConfidenceBand": (
         lambda c: ConfidenceBand(c["grid"], c["lower"], c["upper"], c["point"],
