@@ -69,8 +69,8 @@ def _library() -> dict:
         Orientation,
     )
     from .report import (
-        Deferred, JsonTexts, OutputError, Rows, check_outputs, emit, fields_of, json_chunks,
-        table_chunks,
+        Deferred, DerivedColumn, JsonTexts, OutputError, Rows, check_outputs, emit, fields_of,
+        json_chunks, rate, table_chunks,
     )
     from .roc import GroundTruthMismatchError, RocCurve, auc, build_roc, convex_hull, pr_points
     from .svgplot import SvgSeries, render_roc_svg
@@ -314,17 +314,18 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
 def _vertex_rows(curve: RocCurve, thresholds: JsonTexts, tpr) -> Rows:
     """One row per vertex; ``thresholds`` are the curve's threshold texts.
 
-    ``tpr`` is ``curve.tpr`` or its ``JsonTexts``.
+    ``tpr`` is ``rate(curve.tp, P)`` or its texts; the rest is derived a block at a time.
     """
+    p, n = curve.p_count, curve.n_count
     return Rows(
-        fpr=curve.fpr,
+        fpr=rate(curve.fp, n),
         tpr=tpr,
         threshold=thresholds,
         threshold_raw=thresholds.view(negated=curve.orientation.negates),
         tp=curve.tp,
-        fn=curve.p_count - curve.tp,
+        fn=DerivedColumn(lambda tp: p - tp, curve.tp),
         fp=curve.fp,
-        tn=curve.n_count - curve.fp,
+        tn=DerivedColumn(lambda fp: n - fp, curve.fp),
     )
 
 
@@ -343,12 +344,13 @@ def _pr_rows(curve: RocCurve, thresholds: JsonTexts, tpr: JsonTexts) -> Rows:
 
 
 def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
-    """One metric's ``roc`` report entry."""
-    thresholds, tpr = JsonTexts.spell(curve.thresholds), JsonTexts.spell(curve.tpr)
+    """One metric's ``roc`` report entry; its PR rows are built when written."""
+    tpr = rate(curve.tp, curve.p_count)
+    thresholds, tpr = JsonTexts.spell(curve.thresholds), JsonTexts.spell(tpr)
     return {
         "auc": auc(curve),
         "vertices": _vertex_rows(curve, thresholds, tpr),
-        "pr_points": _pr_rows(curve, thresholds, tpr),
+        "pr_points": Deferred(_pr_rows, curve, thresholds, tpr),
         "band": (
             {**fields_of(band), **fields_of(band_width_summary(band))} if band is not None else None
         ),
@@ -357,7 +359,7 @@ def _roc_entry(curve: RocCurve, band: Optional[ConfidenceBand]) -> dict:
 
 def _hull_entry(curve: RocCurve) -> dict:
     """One metric's ``hull`` report entry."""
-    vertices = _vertex_rows(curve, JsonTexts.spell(curve.thresholds), curve.tpr)
+    vertices = _vertex_rows(curve, JsonTexts.spell(curve.thresholds), rate(curve.tp, curve.p_count))
     return {"auc": auc(curve), "vertices": vertices}
 
 

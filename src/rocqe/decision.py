@@ -10,6 +10,7 @@ whole tie group or none of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,43 +19,57 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, confidence_band, map_replicates, nearest_rank_interval
-from .model import (
-    Dataset, _check_columns, _frozen, _id_column, _read_only, _strictly_increasing,
-    require_both_classes,
-)
+from .model import Dataset, _frozen, _strictly_increasing, require_both_classes
 from .roc import RocCurve, _upper_hull
+
+
+def _row_column(index: int) -> property:
+    """A whole ``QeRocTable`` column: item ``index`` of ``gather()``, gathered once."""
+    return property(lambda table: table._columns[index])
 
 
 @dataclass(frozen=True, eq=False)
 class QeRocTable:
     """Per-segment ROC bookkeeping, sorted from the worst score to the best.
 
-    Held as read-only row columns: ``segment_ids`` (an ``_id_column``),
-    ``is_positive`` and ``raw_scores`` per segment, and each row's
-    tie-group counts ``tp`` and ``fp``. ``endpoints`` holds the raw scores
-    of the two theoretical rows that flag nothing and everything; their
-    counts are (0, 0) and (P, N).
+    Holds its ``dataset`` and ``order``, the dataset's row indices in table
+    order. ``gather(rows)`` reads the row columns of a block of table rows
+    off them: ``segment_ids``, ``is_positive`` and ``raw_scores`` per
+    segment, and each row's tie-group counts ``tp`` and ``fp``. The whole
+    columns, attributes of those names, are gathered on first access and
+    kept, as read-only arrays (``segment_ids`` is an ``_id_column``).
+    ``endpoints`` holds the raw scores of the two theoretical rows that
+    flag nothing and everything; their counts are (0, 0) and (P, N).
     """
 
-    segment_ids: np.ndarray
-    is_positive: np.ndarray
-    raw_scores: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    endpoints: tuple[float, float]
-    p_count: int
-    n_count: int
+    dataset: Dataset
+    order: np.ndarray
 
-    def __post_init__(self) -> None:
-        columns = {"segment_ids": _id_column(self.segment_ids)}
-        for name in ("is_positive", "raw_scores", "tp", "fp"):
-            columns[name] = _read_only(getattr(self, name))
-        _check_columns(**columns)
-        self.__dict__.update(columns)
-        if self.tp.size == 0:
-            raise ValueError("a table needs at least one data row")
-        if (self.tp[-1], self.fp[-1]) != (self.p_count, self.n_count):
-            raise ValueError("the last data row must sit at tpr = fpr = 1")
+    segment_ids = _row_column(0)
+    is_positive = _row_column(1)
+    raw_scores = _row_column(2)
+    tp = _row_column(3)
+    fp = _row_column(4)
+    p_count = property(lambda self: self.dataset.p_count)
+    n_count = property(lambda self: self.dataset.n_count)
+
+    def gather(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """``segment_ids, is_positive, raw_scores, tp, fp`` of the table rows ``rows``."""
+        ds, order = self.dataset, self.order[rows]
+        group = ds.ranking.group[order]
+        curve = ds.roc_curve
+        return (
+            ds.ids[order], ds.is_positive[order], ds.raw_scores[order],
+            curve.tp[group], curve.fp[group],
+        )
+
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(_frozen, self.gather()))
+
+    @property
+    def endpoints(self) -> tuple[float, float]:
+        return self.dataset.orientation.flip(math.inf), self.dataset.orientation.flip(-math.inf)
 
 
 def qe_roc_table(dataset: Dataset) -> QeRocTable:
@@ -65,23 +80,15 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
     scoring worse than or equal to this row's score; how does that split the
     ground truth?
     """
-    p, n = dataset.p_count, dataset.n_count
-    require_both_classes(p, n, "the QE-ROC table is undefined")
-    ids = dataset.ids
+    require_both_classes(dataset.p_count, dataset.n_count, "the QE-ROC table is undefined")
     ranking = dataset.ranking
     # Rows in id order skip the lexsort, about a fifth of a 100k table's time.
-    if _strictly_increasing(ids):
+    if _strictly_increasing(dataset.ids):
         order = np.argsort(ranking.group, kind="stable")
     else:
-        order = np.lexsort((ids, ranking.group))
-    group = ranking.group[order]
-    curve = dataset.roc_curve
-    return QeRocTable(
-        *(_frozen(column[order]) for column in (ids, dataset.is_positive, dataset.raw_scores)),
-        _frozen(curve.tp[group]), _frozen(curve.fp[group]),
-        (dataset.orientation.flip(math.inf), dataset.orientation.flip(-math.inf)),
-        p, n,
-    )
+        order = np.lexsort((dataset.ids, ranking.group))
+    dataset.roc_curve  # the rows' counts, built before any row is read
+    return QeRocTable(dataset, _frozen(order))
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,7 @@ def scenario1_residual_risk(
             notes.append("ci covers residual_fn_per_100 (replicate percentile method)")
         else:
             band = confidence_band(dataset, bootstrap)
-            fpr_here = float(curve.fpr[idx])
+            fpr_here = int(curve.fp[idx]) / curve.n_count
             tpr_lo = float(np.interp(fpr_here, band.fpr_grid, band.lower_tpr))
             tpr_hi = float(np.interp(fpr_here, band.fpr_grid, band.upper_tpr))
             # residual errors = P - efficacy * TP = P * (1 - efficacy * tpr)

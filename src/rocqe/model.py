@@ -195,11 +195,11 @@ class Dataset:
     ``Dataset(ids, raw_scores, is_positive, orientation)`` takes the columns
     nothing else gives: read-only arrays with one entry per segment, in
     dataset order; ``ids`` is an ``_id_column``, whose items read back as
-    ``str``. ``risk_scores`` (``orientation.flip(raw_scores)``) and
-    ``p_count``/``n_count`` are derived from them. Segment ids are opaque;
-    uniqueness is an ingestion concern, and resampled datasets may
-    legitimately repeat ids. ``from_segments`` takes the columns from
-    ``ScoredSegment`` objects.
+    ``str``. ``p_count``/``n_count`` are derived from them, and
+    ``risk_scores`` (``orientation.flip(raw_scores)``) on each access.
+    Segment ids are opaque; uniqueness is an ingestion concern, and
+    resampled datasets may legitimately repeat ids. ``from_segments``
+    takes the columns from ``ScoredSegment`` objects.
     """
 
     def __init__(self, ids, raw_scores, is_positive,
@@ -269,7 +269,7 @@ class Dataset:
     def total(self) -> int:
         return self.p_count + self.n_count
 
-    @cached_property
+    @property
     def risk_scores(self) -> np.ndarray:
         return _frozen(self.orientation.flip(self.raw_scores))
 
@@ -320,8 +320,17 @@ class Dataset:
 
 
 def _same_ground_truth(a: Dataset, b: Dataset) -> bool:
-    """Whether two datasets hold one multiset of (segment_id, label) pairs."""
-    return a.fingerprint == b.fingerprint
+    """Whether two datasets hold one multiset of (segment_id, label) pairs: equal
+    in dataset order (ids shared, as the CLI's are, or equal), or sorted."""
+    if a.total != b.total:
+        return False
+    same_ids = a.ids is b.ids or np.array_equal(a.ids, b.ids)
+    if same_ids and np.array_equal(a.is_positive, b.is_positive):
+        return True
+    a_order, b_order = (np.lexsort((~ds.is_positive, ds.ids)) for ds in (a, b))
+    return np.array_equal(a.ids[a_order], b.ids[b_order]) and np.array_equal(
+        a.is_positive[a_order], b.is_positive[b_order]
+    )
 
 
 class Ranking:
@@ -331,8 +340,8 @@ class Ranking:
     distinct risks from the worst down. Value-equal risks share a group, so
     0.0 and -0.0 do, and a group is named by the risk of its last member in
     dataset order. ``thresholds[g]`` is that name (+inf for the origin);
-    ``group``, ``pos_group`` and ``neg_group`` give the group of every
-    segment, positive and negative, in dataset order.
+    ``group`` gives every segment's group in dataset order; ``pos_group`` and
+    ``neg_group``, built on first use, those of the positives and negatives.
     """
 
     def __init__(self, risk_scores: np.ndarray, is_positive: np.ndarray) -> None:
@@ -347,8 +356,15 @@ class Ranking:
         last = np.maximum.reduceat(order, np.flatnonzero(first))
         self.thresholds = _frozen(np.concatenate(([math.inf], risk_scores[last])))
         self.group = _frozen(group)
-        self.pos_group = _frozen(group[is_positive])
-        self.neg_group = _frozen(group[~is_positive])
+        self.is_positive = is_positive
+
+    @cached_property
+    def pos_group(self) -> np.ndarray:
+        return _frozen(self.group[self.is_positive])
+
+    @cached_property
+    def neg_group(self) -> np.ndarray:
+        return _frozen(self.group[~self.is_positive])
 
     def counts(
         self, pos_groups: np.ndarray, neg_groups: np.ndarray

@@ -87,15 +87,33 @@ class Rows:
 
     Encodes exactly like ``[{key: column[i] for key in columns} for i ...]``
     but spells each run of equal neighbours in a column once instead of
-    visiting every cell. A column is numeric or ``JsonTexts``.
+    visiting every cell. A column is numeric, ``DerivedColumn`` or ``JsonTexts``.
     """
 
     def __init__(self, **columns: np.ndarray) -> None:
         self.columns = {
-            key: col if isinstance(col, JsonTexts) else np.asarray(col)
+            key: col if isinstance(col, (JsonTexts, DerivedColumn)) else np.asarray(col)
             for key, col in columns.items()
         }
         _check_columns(**self.columns)
+
+
+class DerivedColumn:
+    """A column never held whole: ``DerivedColumn(fn, *columns)[block]`` is
+    ``fn(*(c[block] for c in columns))``, for an elementwise ``fn`` of 1-d
+    columns of one length."""
+
+    def __init__(self, fn: Callable[..., np.ndarray], *columns: np.ndarray) -> None:
+        self.fn, self.columns = fn, columns
+        self.shape, self.size = columns[0].shape, columns[0].size
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self.fn(*(column[block] for column in self.columns))
+
+
+def rate(counts: np.ndarray, total: int) -> DerivedColumn:
+    """The rate ``counts / total`` (a curve's fpr or tpr), derived a block at a time."""
+    return DerivedColumn(lambda block: block / total, counts)
 
 
 class Deferred(functools.partial):
@@ -113,14 +131,14 @@ _NEGATED_WORDS = {'"inf"': '"-inf"', '"-inf"': '"inf"', '"nan"': '"nan"'}
 class JsonTexts:
     """A ``Rows`` column of JSON texts spelled beforehand, handed out by block.
 
-    ``JsonTexts.spell(x)`` spells the texts of a 1-d numeric array x once,
-    ``_ROWS_PER_BLOCK`` at a time, and keeps each such chunk as one
-    ``"\\n"``-joined str; a block of rows is split out of the one or two
-    chunks it covers. The last chunk split is kept, shared by every view,
-    so a pass over the rows splits each chunk once. ``view`` gives the same
-    texts from a row ``offset`` on, and with ``negated`` the column -x:
-    ``repr(-x)`` is ``repr(x)`` with the leading minus toggled, so negated
-    texts need no spelling.
+    ``JsonTexts.spell(x)`` spells the texts of a 1-d numeric array or
+    ``DerivedColumn`` x once, ``_ROWS_PER_BLOCK`` at a time, and keeps each
+    such chunk as one ``"\\n"``-joined str; a block of rows is split out of
+    the one or two chunks it covers. The last chunk split is kept, shared
+    by every view, so a pass over the rows splits each chunk once. ``view``
+    gives the same texts from a row ``offset`` on, and with ``negated`` the
+    column -x: ``repr(-x)`` is ``repr(x)`` with the leading minus toggled,
+    so negated texts need no spelling.
     """
 
     def __init__(self, chunks: list[str], chunk_rows: int, size: int,
@@ -134,7 +152,7 @@ class JsonTexts:
         self.last = [-1, []] if last is None else last  # [index, texts] of the last split
 
     @classmethod
-    def spell(cls, values: np.ndarray) -> "JsonTexts":
+    def spell(cls, values: Union[np.ndarray, DerivedColumn]) -> "JsonTexts":
         rows = _ROWS_PER_BLOCK
         chunks = [
             "\n".join(run_texts(values[start:start + rows], _array_texts).tolist())
@@ -182,7 +200,7 @@ def _array_texts(values: np.ndarray) -> list[str]:
 
 
 def _json_column(column, block: slice) -> np.ndarray:
-    """JSON texts of one block of a numeric or ``JsonTexts`` column, as an object array."""
+    """JSON texts of one block of a ``Rows`` column, as an object array."""
     if isinstance(column, JsonTexts):
         return column[block]
     return run_texts(column[block], _array_texts)
@@ -239,7 +257,7 @@ def _list_blocks(pieces: list, size: int, level: int) -> Iterator[str]:
     """A JSON list of ``size`` items, written ``_ROWS_PER_BLOCK`` items at a time.
 
     Each item is the concatenation of ``pieces``: texts shared by every
-    item, and numeric or ``JsonTexts`` columns of one entry per item.
+    item, and ``Rows`` columns of one entry per item.
     """
     separator = "["
     for start in range(0, size, _ROWS_PER_BLOCK):
@@ -283,22 +301,16 @@ def json_chunks(document) -> Iterator[str]:
 
 
 def table_chunks(table) -> Iterator[str]:
-    """The TSV text of a ``QeRocTable`` in pieces, endpoint rows included."""
+    """The TSV text of a ``QeRocTable`` in pieces, endpoint rows included; the
+    rows are gathered a block at a time."""
     p, n = table.p_count, table.n_count
     top, bottom = table.endpoints
     truths = np.array([Label.NEGATIVE.value, Label.POSITIVE.value], dtype=object)
     yield "segment_id\tground_truth\tscore\ttp\tfn\tfp\ttn\ttpr\tfpr\n"
     yield _table_lines(p, n, "-", "-", [top], [0], [0])
-    for start in range(0, table.tp.size, _ROWS_PER_BLOCK):
-        block = slice(start, start + _ROWS_PER_BLOCK)
-        yield _table_lines(
-            p, n,
-            table.segment_ids[block],
-            truths[table.is_positive[block].astype(np.intp)],
-            table.raw_scores[block],
-            table.tp[block],
-            table.fp[block],
-        )
+    for start in range(0, table.order.size, _ROWS_PER_BLOCK):
+        ids, positive, raw, tp, fp = table.gather(slice(start, start + _ROWS_PER_BLOCK))
+        yield _table_lines(p, n, ids, truths[positive.astype(np.intp)], raw, tp, fp)
     yield _table_lines(p, n, "-", "-", [bottom], [p], [n])
 
 

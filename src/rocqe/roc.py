@@ -75,8 +75,8 @@ class RocCurve:
             dataset.p_count, dataset.n_count,
             "the ROC curve is undefined for a single-class dataset",
         )
-        ranking = dataset.ranking
-        tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+        ranking, positive = dataset.ranking, dataset.is_positive
+        tp, fp = ranking.counts(ranking.group[positive], ranking.group[~positive])
         self.__dict__.update(thresholds=ranking.thresholds, tp=_frozen(tp), fp=_frozen(fp))
 
     @property
@@ -282,9 +282,10 @@ def pr_points(curve: RocCurve) -> PrPoints:
 
     The (0, 0) origin flags nothing, leaving precision undefined; that point
     is skipped rather than given a made-up value. Every later vertex flags
-    a segment, so the points are vertices 1..V: ``recall`` and
-    ``threshold`` are read-only views of the curve's ``tpr`` and
-    ``thresholds``.
+    a segment, so the points are vertices 1..V: ``recall`` is their
+    ``tp / P`` and ``threshold`` a read-only view of the curve's
+    ``thresholds``. Nothing is cached on the curve.
     """
     tp = curve.tp[1:]
-    return PrPoints(curve.tpr[1:], _frozen(tp / (tp + curve.fp[1:])), curve.thresholds[1:])
+    recall, precision = _frozen(tp / curve.p_count), _frozen(tp / (tp + curve.fp[1:]))
+    return PrPoints(recall, precision, curve.thresholds[1:])

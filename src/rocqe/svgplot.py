@@ -14,7 +14,7 @@ import numpy as np
 
 from .bootstrap import ConfidenceBand
 from .roc import RocCurve, RocHull
-from .report import fixed2_texts, join_rows, run_texts
+from .report import fixed2_texts, join_rows, rate, run_texts
 
 WIDTH = 640
 HEIGHT = 640
@@ -45,12 +45,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _polyline(fprs: Sequence[float], tprs: Sequence[float]) -> str:
+def _polyline(fprs, tprs) -> str:
     # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
     # Points are spelled and joined a block at a time, so only one block's
-    # texts are alive beside the finished block strings.
-    fprs = np.asarray(fprs, dtype=np.float64)
-    tprs = np.asarray(tprs, dtype=np.float64)
+    # texts are alive beside the finished block strings. The rates are float64
+    # arrays, or DerivedColumns computed a block at a time.
     blocks = []
     for start in range(0, fprs.size, _POINTS_PER_BLOCK):
         xs = MARGIN + fprs[start:start + _POINTS_PER_BLOCK] * (WIDTH - 2 * MARGIN)
@@ -121,8 +120,10 @@ def render_roc_svg(
                 f'<polygon points="{_band_polygon(item.band)}" fill="{color}" '
                 'fill-opacity="0.15" stroke="none"/>'
             )
+        curve = item.curve
+        fpr, tpr = rate(curve.fp, curve.n_count), rate(curve.tp, curve.p_count)
         parts.append(
-            f'<polyline points="{_polyline(item.curve.fpr, item.curve.tpr)}" fill="none" '
+            f'<polyline points="{_polyline(fpr, tpr)}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'
         )
 

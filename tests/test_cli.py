@@ -711,7 +711,7 @@ class TestRocCommand:
             f"{_fmt(_x(f))},{_fmt(_y(t))}" for f, t in zip(fpr.tolist(), tpr.tolist())
         )
         assert _polyline(fpr, tpr) == expected
-        assert _polyline([], []) == ""
+        assert _polyline(np.empty(0), np.empty(0)) == ""
 
 
 class TestTableCommand:
@@ -1346,13 +1346,14 @@ class TestReportMemory:
         ids = np.arange(100_000).astype(str)
         curve = build_roc(Dataset(ids, scores, positive, Orientation.HIGHER_IS_BETTER))
         assert curve.thresholds.size == 100_001
-        curve.fpr, curve.tpr  # cached before the measurement, as the SVG leaves them
         entry = report_module.Deferred(cli_module._roc_entry, curve, None)
         size, rise = traced_peak(lambda: sum(map(len, report_module._encode(entry, 0))))
         # The texts of one column, as a list, are about 7.6 MB here; spelling
-        # the thresholds that way and PR recall apart peaked near 12.8 MB.
-        assert rise <= 8.5 * 2**20, rise
+        # the thresholds that way and PR recall apart peaked near 12.8 MB,
+        # and whole fpr, tpr, fn, tn and precision columns near 8.5 MB.
+        assert rise <= 7 * 2**20, rise
         assert size > 100_000 * 200
+        assert "fpr" not in vars(curve) and "tpr" not in vars(curve)
 
     def test_band_lists_are_written_in_blocks(self):
         rng = np.random.default_rng(70_000)
@@ -1382,8 +1383,10 @@ class TestReportMemory:
         # Thresholds and tpr are spelled once each; the PR rows read them
         # from vertex 1 on.
         assert len(spelled) == 2
-        assert spelled[0] is curve.thresholds and spelled[1] is curve.tpr
-        vertices, points = entry["vertices"].columns, entry["pr_points"].columns
+        thresholds, tpr = (values[:] for values in spelled)
+        assert np.array_equal(thresholds, curve.thresholds)
+        assert tpr.tolist() == [tp / curve.p_count for tp in curve.tp.tolist()]
+        vertices, points = entry["vertices"].columns, entry["pr_points"]().columns
         for pr_key, vertex_key in (("recall", "tpr"), ("threshold", "threshold")):
             assert points[pr_key].chunks is vertices[vertex_key].chunks
             assert points[pr_key].offset == 1
@@ -1426,10 +1429,21 @@ class TestReportMemory:
         curve = build_roc(Dataset(np.arange(50_000).astype(str), scores, positive))
         assert curve.thresholds.size == 50_001
         series = [SvgSeries("m", curve)]
-        curve.fpr, curve.tpr  # cached before the measurement
         svg, rise = traced_peak(render_roc_svg, series)
         assert isinstance(svg, str)
         assert rise <= 2 * len(svg) + 1.5 * 2**20, (rise, len(svg))
+
+    def test_svg_derives_the_rates_a_block_at_a_time(self):
+        rng = np.random.default_rng(100_003)
+        positive = rng.random(100_000) < 0.4
+        scores = rng.normal(size=100_000) + positive
+        curve = build_roc(Dataset(np.arange(100_000).astype(str), scores, positive))
+        assert curve.thresholds.size == 100_001
+        svg, rise = traced_peak(render_roc_svg, [SvgSeries("m", curve)])
+        # Whole fpr and tpr columns, cached on the curve, rose by about 4.2 MB here.
+        assert rise <= 3 * 2**20, rise
+        assert "fpr" not in vars(curve) and "tpr" not in vars(curve)
+        assert len(svg) > 100_000 * 12
 
 
 def _as_json(reports: dict) -> dict:

@@ -12,7 +12,6 @@ from rocqe import (
     Label,
     NonFiniteScoreError,
     Orientation,
-    QeRocTable,
     ScoredSegment,
     canonicalize,
     rates,
@@ -298,12 +297,6 @@ COLUMN_CONSTRUCTORS = {
     "Dataset": (
         lambda c: Dataset(c["ids"], c["raw"], c["positive"]),
         {"ids": ["a", "b", "c"], "raw": [3.0, 2.0, 1.0], "positive": [True, False, False]},
-    ),
-    "QeRocTable": (
-        lambda c: QeRocTable(c["ids"], c["positive"], c["raw"], c["tp"], c["fp"],
-                             (math.inf, -math.inf), 1, 2),
-        {"ids": ["a", "b", "c"], "positive": [True, False, False], "raw": [3.0, 2.0, 1.0],
-         "tp": [1, 1, 1], "fp": [0, 1, 2]},
     ),
     "ConfidenceBand": (
         lambda c: ConfidenceBand(c["grid"], c["lower"], c["upper"], c["point"],

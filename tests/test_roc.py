@@ -21,6 +21,7 @@ from rocqe import (
 import rocqe.decision as decision_module
 import rocqe.roc as roc_module
 from rocqe.decision import TradeOff, optimal_threshold
+from rocqe.model import ID_DTYPE
 from helpers import (
     assert_close,
     brute_force_counts,
@@ -60,12 +61,17 @@ class TestBuildRoc:
             assert v.threshold == thr
             assert v.threshold_raw == raw
 
-    def test_only_the_hull_hashes_the_dataset(self, sample10):
-        curve = build_roc(sample10)
-        curve.vertices, curve.thresholds_raw  # the curve's lazy parts, built
-        assert "fingerprint" not in vars(sample10)
-        convex_hull([("a", curve)])
-        assert "fingerprint" in vars(sample10)
+    def test_the_hull_hashes_nothing(self, sample10):
+        # One dataset, one sharing its id column, and one in reverse order.
+        ids, raw, positive = sample10.ids, sample10.raw_scores, sample10.is_positive
+        datasets = [
+            sample10,
+            Dataset(ids, raw + 1.0, positive, sample10.orientation),
+            Dataset(ids[::-1], raw[::-1], positive[::-1], sample10.orientation),
+        ]
+        assert datasets[1].ids is ids
+        convex_hull([(f"m{k}", build_roc(ds)) for k, ds in enumerate(datasets)])
+        assert not any("fingerprint" in vars(ds) for ds in datasets)
 
     def test_sample10_counts_at_93(self, sample10):
         curve = build_roc(sample10)
@@ -383,22 +389,36 @@ class TestConvexHull:
         with pytest.raises(GroundTruthMismatchError):
             convex_hull([("a", build_roc(sample10)), ("b", build_roc(other))])
 
-    def test_swapped_labels_with_equal_class_counts_rejected(self):
-        ids, scores = ["a", "b", "c", "d"], [4.0, 3.0, 2.0, 1.0]
+    # A NUL in an id makes the id column an object array of str.
+    @pytest.mark.parametrize("tail", ["", "\x00x"], ids=["strings", "nul"])
+    def test_swapped_labels_with_equal_class_counts_rejected(self, tail):
+        ids, scores = [f"a{tail}", "b", "c", "d"], [4.0, 3.0, 2.0, 1.0]
         one = Dataset(ids, scores, [True, False, True, False])
         two = Dataset(ids, scores, [False, True, True, False])
+        assert one.ids.dtype == (object if tail else ID_DTYPE)
         with pytest.raises(GroundTruthMismatchError):
             convex_hull([("a", build_roc(one)), ("b", build_roc(two))])
 
-    def test_same_pairs_in_another_order_with_repeated_ids_accepted(self):
-        ids, positive = ["b", "a", "b", "c", "a"], [True, False, False, True, True]
+    @pytest.mark.parametrize("tail", ["", "\x00x"], ids=["strings", "nul"])
+    def test_same_pairs_in_another_order_with_repeated_ids_accepted(self, tail):
+        ids = [f"b{tail}", "a", f"b{tail}", "c", "a"]
+        positive = [True, False, False, True, True]
         one = Dataset(ids, [5.0, 4.0, 3.0, 2.0, 1.0], positive)
         order = [4, 2, 0, 3, 1]
         two = Dataset(
             [ids[i] for i in order], [1.0, 2.0, 3.0, 4.0, 5.0], [positive[i] for i in order]
         )
+        assert one.ids.dtype == (object if tail else ID_DTYPE)
         hull = convex_hull([("a", build_roc(one)), ("b", build_roc(two))])
         assert (hull.p_count, hull.n_count) == (3, 2)
+        if tail:
+            # Ids that differ only after their NUL are other ids.
+            other = Dataset(
+                [i.replace("\x00x", "\x00y") for i in two.ids.tolist()],
+                two.raw_scores, two.is_positive,
+            )
+            with pytest.raises(GroundTruthMismatchError):
+                convex_hull([("a", build_roc(one)), ("b", build_roc(other))])
 
     def test_duplicate_names_rejected(self, sample10):
         curve = build_roc(sample10)
@@ -482,7 +502,6 @@ class TestHullAgainstReference:
             scores = rng.normal(size=size) + positive * (0.5 + 0.3 * k)
             curve = build_roc(Dataset(ids, scores, positive))
             assert curve.fp.size == size + 1
-            curve.dataset.fingerprint  # hashed before the measurement
             curves.append((f"m{k}", curve))
         hull, peak = traced_peak(convex_hull, curves)
         # Merging all five columns of every vertex peaked near 25 MB here.

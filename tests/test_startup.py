@@ -108,6 +108,21 @@ def test_cli_import_does_not_load_hashlib():
     assert _run(code) == "False False\n"
 
 
+@pytest.mark.parametrize("command", ["hull", "roc", "table"])
+def test_commands_that_draw_no_resample_load_no_openssl(command, tmp_path):
+    # The hull compares ground truths without hashing them, and roc and
+    # table without --bootstrap never load numpy.random.
+    scores = ["--scores", "a=tests/fixtures/sample10.scores.tsv"]
+    if command == "hull":
+        scores += ["--scores", "b=tests/fixtures/sample10.riskb.tsv"]
+    code, modules = _imports(
+        "-m", "rocqe.cli", command, "--gold", "tests/fixtures/sample10.gold.tsv", *scores,
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert "_hashlib" not in modules and "hashlib" not in modules
+
+
 def test_star_import_binds_each_name_to_its_submodule_object():
     code = """
 from importlib import import_module
