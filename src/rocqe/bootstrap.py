@@ -7,15 +7,17 @@ independent RNG substream derived from (seed, replicate index), and results
 are aggregated in index order, so output is byte-identical for a fixed seed.
 
 A replicate is never re-sorted, nor compacted. It draws members of the
-original sample, so ``Dataset.ranking`` already knows their tie groups, and
-``Ranking.counts`` turns the drawn members' groups into cumulative
-counts at every group of the ranking: a group absent from the resample
-repeats the vertex before it. A repeated vertex is a zero-width, zero-rise
-step, which no statistic here can tell from a missing one, so the counts
-are used as they are. Nor is a curve searched: every fpr is an integer
-count over N, so each run of equal fp covers a range of FPR grid points
-that a per-band table of first grid points gives. Its AUC is read off the
-same integer counts by ``roc.count_auc``.
+original sample, so ``Dataset.ranking`` already knows their tie groups,
+and ``Ranking.counts`` turns the drawn members' groups into cumulative
+counts at every group of the ranking, as it turned the sample's own into
+the ranking's ``tp`` and ``fp``, which the point curve reads. A group
+absent from the resample repeats the vertex before it. A repeated vertex
+is a zero-width, zero-rise step, which no statistic here can tell from a
+missing one, so the counts are used as they are. Nor is a curve
+searched: every fpr is an integer count over N, so each run of equal fp
+covers a range of FPR grid points that a per-band table of first grid
+points gives. Its AUC is read off the same integer counts by
+``roc.count_auc``.
 
 The band reads two order statistics per grid column, so it keeps only the
 rows they read plus one chunk of fresh replicate rows: its memory is
@@ -123,8 +125,8 @@ def map_replicates(
     require_both_classes(
         dataset.p_count, dataset.n_count, "stratified resampling is undefined"
     )
-    ranking = dataset.ranking
-    pos, neg = ranking.pos_group, ranking.neg_group
+    ranking, positive = dataset.ranking, dataset.is_positive
+    pos, neg = ranking.group[positive], ranking.group[~positive]
     return [
         stat_fn(*ranking.counts(*_draw(pos, neg, replicate_rng(config.seed, index))))
         for index in range(config.iterations)
@@ -339,13 +341,13 @@ def confidence_band(
     lower = buffer[k_lo - 1]
     upper = buffer[filled - n_hi]
 
-    curve = dataset.roc_curve
+    ranking = dataset.ranking
     return ConfidenceBand(
         fpr_grid=grid,
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=_grid_tpr(curve.tp, curve.fp, p, n, grid, first_at),
-        auc_point=count_auc(curve.tp, curve.fp),
+        point_tpr=_grid_tpr(ranking.tp, ranking.fp, p, n, grid, first_at),
+        auc_point=count_auc(ranking.tp, ranking.fp),
         auc_interval=nearest_rank_interval(aucs, config.confidence),
         confidence=config.confidence,
         iterations=config.iterations,

@@ -453,7 +453,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     results: dict = {"metric": metric, "decision": report}
     if trade_off is not None:
-        results["optimal"] = optimal_threshold(dataset.roc_curve, trade_off, ratio)
+        results["optimal"] = optimal_threshold(RocCurve(dataset), trade_off, ratio)
 
     findings = {metric: check_sample(dataset)}
     check_outputs([args.out], loaded.inputs)

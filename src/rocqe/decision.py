@@ -55,12 +55,11 @@ class QeRocTable:
 
     def gather(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
         """``segment_ids, is_positive, raw_scores, tp, fp`` of the table rows ``rows``."""
-        ds, order = self.dataset, self.order[rows]
-        group = ds.ranking.group[order]
-        curve = ds.roc_curve
+        ds, ranking, order = self.dataset, self.dataset.ranking, self.order[rows]
+        group = ranking.group[order]
         return (
             ds.ids[order], ds.is_positive[order], ds.raw_scores[order],
-            curve.tp[group], curve.fp[group],
+            ranking.tp[group], ranking.fp[group],
         )
 
     @functools.cached_property
@@ -87,7 +86,6 @@ def qe_roc_table(dataset: Dataset) -> QeRocTable:
         order = np.argsort(ranking.group, kind="stable")
     else:
         order = np.lexsort((dataset.ids, ranking.group))
-    dataset.roc_curve  # the rows' counts, built before any row is read
     return QeRocTable(dataset, _frozen(order))
 
 
@@ -257,7 +255,7 @@ def scenario1_residual_risk(
         idx = _pick_largest_within_capacity(tp, fp, capacity)
         return _residual_per_100(int(tp[idx]), p, total, review_efficacy)
 
-    curve = dataset.roc_curve
+    curve = RocCurve(dataset)
     idx = _pick_largest_within_capacity(curve.tp, curve.fp, capacity)
     notes = [f"review capacity: {capacity} of {total} segments"]
     if idx == 0:
@@ -314,7 +312,7 @@ def scenario2_required_effort(
         idx, _ = _pick_smallest_meeting_budget(tp, needed)
         return float(tp[idx] + fp[idx]) / total
 
-    curve = dataset.roc_curve
+    curve = RocCurve(dataset)
     idx, attained = _pick_smallest_meeting_budget(curve.tp, needed)
     budget = tolerable_fn_per_100_y / 100.0 * total
     notes = [f"error budget: {budget!r} missed errors in {total} segments"]

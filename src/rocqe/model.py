@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .roc import RocCurve
 
 
 class DegenerateClassError(ValueError):
@@ -283,15 +280,8 @@ class Dataset:
 
     @cached_property
     def ranking(self) -> "Ranking":
-        """The dataset's tie groups, ranked once and shared by every consumer."""
-        return Ranking(self.risk_scores, self.is_positive)
-
-    @cached_property
-    def roc_curve(self) -> "RocCurve":
-        """The dataset's ROC curve, built once; ``roc.build_roc`` returns it."""
-        from .roc import RocCurve  # roc imports this module
-
-        return RocCurve(self)
+        """The dataset's sweep, ranked once and shared by every consumer."""
+        return Ranking(self)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -333,54 +323,51 @@ def _same_ground_truth(a: Dataset, b: Dataset) -> bool:
     )
 
 
+def _tie_groups(risk_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Ranking``'s read-only ``thresholds`` and ``group``, from one sort of ``risk_scores``."""
+    # Nothing below depends on the order the sort leaves ties in, so it
+    # need not be stable (a stable sort is about five times slower).
+    order = np.argsort(-risk_scores)
+    ranked = risk_scores[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first)
+    last = np.maximum.reduceat(order, np.flatnonzero(first))
+    return _frozen(np.concatenate(([math.inf], risk_scores[last]))), _frozen(group)
+
+
 class Ranking:
-    """Tie groups of one dataset, from one sort of its canonical risks.
+    """One dataset's sweep: tie groups from one sort of its risks, and its curve counts.
 
     Group 0 is the origin, which flags nothing; groups 1, 2, ... hold the
     distinct risks from the worst down. Value-equal risks share a group, so
     0.0 and -0.0 do, and a group is named by the risk of its last member in
     dataset order. ``thresholds[g]`` is that name (+inf for the origin);
-    ``group`` gives every segment's group in dataset order; ``pos_group`` and
-    ``neg_group``, built on first use, those of the positives and negatives.
+    ``group`` gives every segment's group in dataset order; ``tp`` and
+    ``fp`` are the dataset's own ``counts``. All are read-only, and
+    ``Ranking(dataset)`` keeps no reference to the dataset.
     """
 
-    def __init__(self, risk_scores: np.ndarray, is_positive: np.ndarray) -> None:
-        # Nothing below depends on the order the sort leaves ties in, so it
-        # need not be stable (a stable sort is about five times slower).
-        order = np.argsort(-risk_scores)
-        ranked = risk_scores[order]
-        first = np.ones(ranked.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        group = np.empty_like(order)
-        group[order] = np.cumsum(first)
-        last = np.maximum.reduceat(order, np.flatnonzero(first))
-        self.thresholds = _frozen(np.concatenate(([math.inf], risk_scores[last])))
-        self.group = _frozen(group)
-        self.is_positive = is_positive
+    def __init__(self, dataset: Dataset) -> None:
+        # Counted once the sort's temporaries and the risk column it read are freed.
+        self.thresholds, self.group = _tie_groups(dataset.risk_scores)
+        tp, fp = self.counts(self.group[dataset.is_positive], self.group[~dataset.is_positive])
+        self.tp, self.fp = _frozen(tp), _frozen(fp)
 
-    @cached_property
-    def pos_group(self) -> np.ndarray:
-        return _frozen(self.group[self.is_positive])
-
-    @cached_property
-    def neg_group(self) -> np.ndarray:
-        return _frozen(self.group[~self.is_positive])
-
-    def counts(
-        self, pos_groups: np.ndarray, neg_groups: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def counts(self, positives: np.ndarray, negatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative (tp, fp) at the origin and at every group.
 
-        ``pos_groups`` and ``neg_groups`` are the groups of any multiset of
-        positives and negatives: the dataset's own (``pos_group``,
-        ``neg_group``) give its ROC curve counts, since every group holds
-        one of its members; a bootstrap resample's give the replicate's.
-        Counts are int64, one per group, origin first, worst group next; a
-        group holding no member of the multiset repeats the counts before it.
+        ``positives`` and ``negatives`` are the groups of any multiset of
+        positives and negatives: the dataset's own give its ROC curve
+        counts (``tp``, ``fp``), since every group holds one of its
+        members; a bootstrap resample's give the replicate's. Counts are
+        int64, one per group, origin first, worst group next; a group
+        holding no member of the multiset repeats the counts before it.
         """
         size = self.thresholds.size
-        tp = np.bincount(pos_groups, minlength=size)
-        fp = np.bincount(neg_groups, minlength=size)
+        tp = np.bincount(positives, minlength=size)
+        fp = np.bincount(negatives, minlength=size)
         return tp.cumsum(out=tp), fp.cumsum(out=fp)
 
 

@@ -53,11 +53,12 @@ class RocVertex:
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
-    """The tie-aware ROC curve of one dataset, read off its ranking.
+    """The tie-aware ROC curve of one dataset: a view of its ranking.
 
     Held as parallel read-only arrays, one entry per vertex: the ranking's
-    canonical ``thresholds`` and cumulative ``tp``/``fp`` counts. Each tie
-    group contributes one vertex whose counts cover the whole group, so the
+    canonical ``thresholds`` and cumulative ``tp``/``fp`` counts, shared,
+    not copied, so building a curve counts nothing. Each tie group
+    contributes one vertex whose counts cover the whole group, so the
     vertex count is the number of distinct scores plus the first vertex,
     (0, 0) with a +inf threshold (nothing flagged); the last is (1, 1),
     reached at the best score present since flagging is inclusive.
@@ -75,9 +76,8 @@ class RocCurve:
             dataset.p_count, dataset.n_count,
             "the ROC curve is undefined for a single-class dataset",
         )
-        ranking, positive = dataset.ranking, dataset.is_positive
-        tp, fp = ranking.counts(ranking.group[positive], ranking.group[~positive])
-        self.__dict__.update(thresholds=ranking.thresholds, tp=_frozen(tp), fp=_frozen(fp))
+        ranking = dataset.ranking
+        self.__dict__.update(thresholds=ranking.thresholds, tp=ranking.tp, fp=ranking.fp)
 
     @property
     def p_count(self) -> int:
@@ -121,8 +121,8 @@ class RocCurve:
 
 
 def build_roc(dataset: Dataset) -> RocCurve:
-    """The tie-aware ROC curve of a dataset: ``dataset.roc_curve``, built once."""
-    return dataset.roc_curve
+    """The tie-aware ROC curve of a dataset, read off ``dataset.ranking``."""
+    return RocCurve(dataset)
 
 
 def count_auc(tp: np.ndarray, fp: np.ndarray) -> float:
@@ -229,8 +229,8 @@ def _merged_corners(curves: Sequence[RocCurve]) -> tuple[np.ndarray, ...]:
 def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
     """Upper convex hull of the named curves' vertices, exact on integer counts.
 
-    All curves must share one ground truth: equal class counts, over
-    datasets that hold the same (segment_id, label) pairs. The hull starts
+    All curves must share one ground truth: datasets that hold the same
+    (segment_id, label) pairs, and so equal class counts. The hull starts
     at the origin and keeps no collinear middle vertex. When several systems attain the same point, the one with
     fewer curve vertices wins, then the lexicographically smaller name; the
     rule is arbitrary but deterministic.
@@ -242,11 +242,7 @@ def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
         raise ValueError(f"duplicate curve names: {names}")
     first = curves[0][1]
     for name, curve in curves:
-        if (
-            curve.p_count != first.p_count
-            or curve.n_count != first.n_count
-            or not _same_ground_truth(curve.dataset, first.dataset)
-        ):
+        if not _same_ground_truth(curve.dataset, first.dataset):
             raise GroundTruthMismatchError(
                 f"curve {name!r} was built over a different ground truth than "
                 f"{curves[0][0]!r}"

@@ -259,19 +259,21 @@ class TestCurveArrays:
             shuffle = rng.permutation(risks.size)
             ds = make_dataset(risks[shuffle], labels[shuffle])
             ranking = ds.ranking
-            tp, fp = ranking.counts(ranking.pos_group, ranking.neg_group)
+            tp, fp = ranking.tp, ranking.fp
             thresholds, ref_tp, ref_fp = tie_group_counts(ds.risk_scores, ds.is_positive)
             assert tp.dtype == fp.dtype == np.int64
             assert np.array_equal(tp, _with_origin(ref_tp))
             assert np.array_equal(fp, _with_origin(ref_fp))
             assert _same_bits(ranking.thresholds, np.concatenate(([math.inf], thresholds)))
             assert np.array_equal(ranking.thresholds[ranking.group], ds.risk_scores)
-            assert np.array_equal(ranking.pos_group, ranking.group[ds.is_positive])
-            assert np.array_equal(ranking.neg_group, ranking.group[~ds.is_positive])
+            recount = ranking.counts(ranking.group[ds.is_positive], ranking.group[~ds.is_positive])
+            assert np.array_equal(recount[0], tp) and np.array_equal(recount[1], fp)
+            assert not (tp.flags.writeable or fp.flags.writeable)
             curve = build_roc(ds)
             assert _same_bits(curve.thresholds, ranking.thresholds)
             assert np.array_equal(tp, curve.tp) and tp.dtype == curve.tp.dtype
             assert np.array_equal(fp, curve.fp) and fp.dtype == curve.fp.dtype
+            assert curve.tp is tp and curve.fp is fp  # a view: nothing is counted again
 
 
 def _scores(rng: np.random.Generator, kind: str, size: int) -> np.ndarray:
@@ -302,7 +304,7 @@ class TestGridRead:
             n = (1, int(rng.integers(2, 100)), int(rng.integers(100, 400)))[trial % 3]
             ds = _positives_first(_scores(rng, kind, p), _scores(rng, kind, n))
             ranking = ds.ranking
-            point = ranking.counts(ranking.pos_group, ranking.neg_group)
+            point = ranking.tp, ranking.fp
             config = BootstrapConfig(iterations=4, seed=trial)
             counts = [point] + map_replicates(ds, config, _counts)
             for intervals in (max(n, 100), 1, 7, n, 3 * n + 1):

@@ -23,7 +23,8 @@ from rocqe import (
 )
 from rocqe.cli import LoadedInputs, _restrict_to_common_ids, main
 from rocqe.ingest import parse_canonical_tsv, parse_wmt_layout
-from rocqe.roc import RocCurve, RocVertex
+from rocqe.model import Ranking
+from rocqe.roc import RocVertex
 from rocqe.svgplot import SvgSeries, render_roc_svg
 from helpers import exact_auc, fingerprint, load_common, traced_peak
 
@@ -776,17 +777,17 @@ class TestScenarioCommand:
         assert any("m = 0.5" in note for note in optimal["notes"])
 
     @pytest.mark.parametrize("scenario", [["1", "--x", "0.3"], ["2", "--y", "10"]])
-    def test_trade_off_builds_one_curve(self, scenario, capsys, monkeypatch):
-        built = []
-        original = RocCurve.__post_init__
+    def test_trade_off_ranks_once(self, scenario, capsys, monkeypatch):
+        ranked = []
+        original = Ranking.__init__
 
-        def counting(curve):
-            built.append(curve)
-            original(curve)
+        def counting(ranking, *args):
+            ranked.append(ranking)
+            original(ranking, *args)
 
-        monkeypatch.setattr(RocCurve, "__post_init__", counting)
+        monkeypatch.setattr(Ranking, "__init__", counting)
         run_json(["scenario", *BASE, "--scenario", *scenario, "--trade-off", "1:10"], capsys)
-        assert len(built) == 1
+        assert len(ranked) == 1
 
     def test_ci_attached_with_bootstrap(self, capsys):
         doc = run_json(

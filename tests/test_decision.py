@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from rocqe import (
 import rocqe.decision as decision_module
 import rocqe.report as report_module
 from rocqe.model import ID_DTYPE
-from rocqe.bootstrap import nearest_rank_interval
+from rocqe.bootstrap import confidence_band, nearest_rank_interval
 import helpers
 from helpers import assert_close, make_dataset, random_dataset, traced_peak
 
@@ -42,6 +44,31 @@ SAMPLE10_ROWS = [
     ("3", 100.0, 6, 0, 4, 0),
     ("7", 100.0, 6, 0, 4, 0),
 ]
+
+
+def test_a_dataset_and_its_analyses_are_freed_without_the_collector():
+    # A dataset's ranking, curves, table, band and reports refer to nothing
+    # that refers back, so dropping the last reference frees the dataset.
+    rng = np.random.default_rng(29)
+    ds = Dataset([f"s{i:02d}" for i in range(40)], rng.normal(size=40).round(1),
+                 np.arange(40) % 3 == 0)
+    config = BootstrapConfig(iterations=8, seed=1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        curve = build_roc(ds)
+        results = [
+            curve.vertices, qe_roc_table(ds).gather(), confidence_band(ds, config),
+            scenario1_residual_risk(ds, 0.3, bootstrap=config),
+            scenario2_required_effort(ds, 10.0, bootstrap=config),
+            optimal_threshold(curve, TradeOff(1.0, 10.0)),
+        ]
+        alive = weakref.ref(ds)
+        del ds, curve, results
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _table_rows(table):
@@ -137,7 +164,7 @@ class TestQeRocTable:
         raw = rng.normal(size=size) + positive
         ids = np.array([f"s{i:06d}" for i in range(size)])
         ds = Dataset(ids, raw, positive, Orientation.HIGHER_IS_BETTER)
-        ds.ranking, ds.roc_curve  # built before the measurement
+        ds.ranking  # built before the measurement, with the rows' counts
 
         def write():
             return sum(map(len, report_module.table_chunks(qe_roc_table(ds))))
@@ -474,7 +501,7 @@ class TestDecisionRule:
         for _ in range(20):
             ds = random_dataset(rng)
             total, p = ds.total, ds.p_count
-            curve = ds.roc_curve
+            curve = build_roc(ds)
             tp, fp = curve.tp.tolist(), curve.fp.tolist()
             replicates = [
                 (a.tolist(), b.tolist())

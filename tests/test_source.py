@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
@@ -29,3 +30,33 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules a module imports with ``from .x import``: at
+    module level, inside functions and under ``TYPE_CHECKING`` alike.
+    ``from . import name`` counts as an import of the package's ``__init__``."""
+    return {
+        node.module.split(".")[0] if node.module else "__init__"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_relative_imports_are_found_at_every_level():
+    source = (
+        "from typing import TYPE_CHECKING\nfrom . import __version__\n"
+        "if TYPE_CHECKING:\n    from .roc import RocCurve\n"
+        "def f():\n    from .model import Dataset\n"
+    )
+    assert relative_imports(source) == {"__init__", "roc", "model"}
+
+
+def test_no_module_imports_itself_through_others():
+    imports = {path.stem: relative_imports(path.read_text(encoding="utf-8"))
+               for path in SRC.glob("*.py")}
+    try:
+        TopologicalSorter(imports).prepare()
+    except CycleError as error:
+        # The sorter lists each module before one that imports it.
+        pytest.fail(f"import cycle: {' -> '.join(reversed(error.args[1]))}")
