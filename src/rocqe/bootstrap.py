@@ -33,7 +33,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .model import Dataset, _check_columns, _read_only, require_both_classes
+from .model import Dataset, _check_columns, _frozen, _read_only, require_both_classes
 from .roc import count_auc
 
 T = TypeVar("T")
@@ -78,9 +78,16 @@ def fpr_grid(n_count: int) -> np.ndarray:
     """The band's FPR grid: max(N, 100) equal intervals over [0, 1].
 
     It tracks the dataset's fpr resolution 1/N without getting coarse on
-    small samples.
+    small samples. Point k is k * (1 / intervals) and the last exactly
+    1.0, which is ``np.linspace(0.0, 1.0, intervals + 1)`` bit for bit; but
+    linspace returns a view, and this grid owns its data and is read-only,
+    so a band takes it as it is.
     """
-    return np.linspace(0.0, 1.0, max(n_count, MIN_GRID_INTERVALS) + 1)
+    intervals = max(n_count, MIN_GRID_INTERVALS)
+    grid = np.arange(intervals + 1, dtype=np.float64)
+    grid *= 1.0 / intervals
+    grid[-1] = 1.0
+    return _frozen(grid)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -342,11 +349,13 @@ def confidence_band(
     upper = buffer[filled - n_hi]
 
     ranking = dataset.ranking
+    # The grid and the point curve are owned and read-only, so the band keeps
+    # them as they are; lower and upper are rows of the buffer, so it copies them.
     return ConfidenceBand(
         fpr_grid=grid,
         lower_tpr=lower,
         upper_tpr=upper,
-        point_tpr=_grid_tpr(ranking.tp, ranking.fp, p, n, grid, first_at),
+        point_tpr=_frozen(_grid_tpr(ranking.tp, ranking.fp, p, n, grid, first_at)),
         auc_point=count_auc(ranking.tp, ranking.fp),
         auc_interval=nearest_rank_interval(aucs, config.confidence),
         confidence=config.confidence,

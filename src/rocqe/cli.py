@@ -371,6 +371,18 @@ def _hull_entry(curve: RocCurve) -> dict:
 # report's, are alive at once.
 
 
+def _roc_series(metric: str, dataset: Dataset,
+                config: Optional[BootstrapConfig]) -> tuple[SvgSeries, list]:
+    """One metric's curve and band, and its findings: all ``roc`` keeps of its dataset."""
+    curve = build_roc(dataset)
+    findings = check_sample(dataset)
+    band = None
+    if config is not None:
+        band = confidence_band(dataset, config)
+        findings.extend(check_band(band))
+    return SvgSeries(metric, curve, band), findings
+
+
 def cmd_roc(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = _bootstrap_config(args, seed)
@@ -379,15 +391,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
     findings: dict = {}
     series = []
     for metric in loaded.metrics:
-        dataset = loaded.datasets[metric]
-        curve = build_roc(dataset)
-        metric_findings = check_sample(dataset)
-        band = None
-        if config is not None:
-            band = confidence_band(dataset, config)
-            metric_findings.extend(check_band(band))
-        findings[metric] = metric_findings
-        series.append(SvgSeries(metric, curve, band))
+        # Taken out of ``loaded``, each dataset is freed once its metric is computed,
+        # so the outputs are written while no per-segment column is alive.
+        item, findings[metric] = _roc_series(metric, loaded.datasets.pop(metric), config)
+        series.append(item)
 
     check_outputs([args.svg, args.out], loaded.inputs)
     if args.svg:
@@ -470,7 +477,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
     _restrict_to_common_ids(loaded)
 
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
-    hull = convex_hull(curves)
+    hull = convex_hull([(m, loaded.datasets[m]) for m in loaded.metrics])
     findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
     check_outputs([args.svg, args.out], loaded.inputs)
     if args.svg:

@@ -184,11 +184,14 @@ def _scan(
             numbers.append(at)
             malformed += len(found)
             problems += found[: MAX_WARNINGS - len(problems)]
+    # Each list of blocks is dropped as soon as it is concatenated.
     if shared and matched == known.size:
         ids = known
     else:
         ids = _frozen(np.concatenate([known[:matched]] if shared else keys))
+    del keys
     column = np.concatenate(values)
+    del values
     column[~np.isfinite(column)] = math.nan
     return ids, column, np.concatenate(numbers), problems, malformed
 

@@ -326,14 +326,25 @@ def _same_ground_truth(a: Dataset, b: Dataset) -> bool:
 def _tie_groups(risk_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``Ranking``'s read-only ``thresholds`` and ``group``, from one sort of ``risk_scores``."""
     # Nothing below depends on the order the sort leaves ties in, so it
-    # need not be stable (a stable sort is about five times slower).
-    order = np.argsort(-risk_scores)
+    # need not be stable (a stable sort is about five times slower). The
+    # sort is ascending, so no negated copy of the risks is made: runs of
+    # equal risks are counted from the best and the groups numbered back
+    # from the worst. Each temporary is dropped as soon as it is dead.
+    order = np.argsort(risk_scores)
     ranked = risk_scores[order]
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
+    del ranked
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first)  # 1 for the best risks, G for the worst
+    del first
+    np.subtract(starts.size + 1, run, out=run)  # now the group: 1 for the worst
     group = np.empty_like(order)
-    group[order] = np.cumsum(first)
-    last = np.maximum.reduceat(order, np.flatnonzero(first))
+    group[order] = run
+    del run
+    # A group's last member in dataset order; a view that puts the worst first.
+    last = np.maximum.reduceat(order, starts)[::-1]
+    del order, starts
     return _frozen(np.concatenate(([math.inf], risk_scores[last]))), _frozen(group)
 
 

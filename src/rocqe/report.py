@@ -31,6 +31,8 @@ from .model import Label, _check_columns
 
 _INDENT = "  "
 _ROWS_PER_BLOCK = 1024
+# ``emit`` writes a longer chunk a slice of this many characters at a time.
+_CHARS_PER_WRITE = 1 << 16
 
 
 def run_texts(values: np.ndarray, spell: Callable[[np.ndarray], list[str]]) -> np.ndarray:
@@ -370,14 +372,30 @@ def check_outputs(outputs: Sequence[Optional[str]], inputs: Sequence[str]) -> No
                     raise OutputError(f"{path}: same file as {role} {other}")
 
 
+def _slices(chunks: Iterable[str]) -> Iterator[str]:
+    """``chunks``, each longer than ``_CHARS_PER_WRITE`` characters cut into slices.
+
+    A text stream encodes each write whole, so a slice, not a whole
+    document, is the most it holds as bytes. A slice ends between code
+    points, and UTF-8 encodes each code point alone, so the bytes written
+    are the same.
+    """
+    for chunk in chunks:
+        if len(chunk) <= _CHARS_PER_WRITE:
+            yield chunk
+        else:
+            for start in range(0, len(chunk), _CHARS_PER_WRITE):
+                yield chunk[start:start + _CHARS_PER_WRITE]
+
+
 def emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
     """Write ``chunks`` to ``out_path``, or to stdout when there is none."""
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
+                handle.writelines(_slices(chunks))
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(_slices(chunks))
             sys.stdout.flush()
     except OSError as exc:
         if not out_path and sys.stdout is sys.__stdout__:

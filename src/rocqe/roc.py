@@ -9,7 +9,7 @@ between vertices is read as expected performance (linear interpolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -53,43 +53,40 @@ class RocVertex:
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
-    """The tie-aware ROC curve of one dataset: a view of its ranking.
+    """The tie-aware ROC curve of one dataset: its vertices and class counts.
 
-    Held as parallel read-only arrays, one entry per vertex: the ranking's
-    canonical ``thresholds`` and cumulative ``tp``/``fp`` counts, shared,
-    not copied, so building a curve counts nothing. Each tie group
-    contributes one vertex whose counts cover the whole group, so the
-    vertex count is the number of distinct scores plus the first vertex,
-    (0, 0) with a +inf threshold (nothing flagged); the last is (1, 1),
-    reached at the best score present since flagging is inclusive.
-    Thresholds strictly decrease, fpr and tpr never decrease, and
-    consecutive vertices never coincide. ``p_count``, ``n_count`` and
+    ``RocCurve(dataset)`` reads the dataset's ranking and keeps no
+    reference to either. It holds parallel read-only arrays, one entry per
+    vertex: the ranking's canonical ``thresholds`` and cumulative
+    ``tp``/``fp`` counts, shared, not copied, so building a curve counts
+    nothing. Each tie group contributes one vertex whose counts cover the
+    whole group, so the vertex count is the number of distinct scores plus
+    the first vertex, (0, 0) with a +inf threshold (nothing flagged); the
+    last is (1, 1), reached at the best score present since flagging is
+    inclusive. Thresholds strictly decrease, fpr and tpr never decrease,
+    and consecutive vertices never coincide. ``p_count``, ``n_count`` and
     ``orientation`` are the dataset's. ``vertices`` builds the per-vertex
     objects on first access.
     """
 
-    dataset: Dataset
+    dataset: InitVar[Dataset]
+    thresholds: np.ndarray = field(init=False, repr=False)
+    tp: np.ndarray = field(init=False, repr=False)
+    fp: np.ndarray = field(init=False, repr=False)
+    p_count: int = field(init=False)
+    n_count: int = field(init=False)
+    orientation: Orientation = field(init=False)
 
-    def __post_init__(self) -> None:
-        dataset = self.dataset
+    def __post_init__(self, dataset: Dataset) -> None:
         require_both_classes(
             dataset.p_count, dataset.n_count,
             "the ROC curve is undefined for a single-class dataset",
         )
         ranking = dataset.ranking
-        self.__dict__.update(thresholds=ranking.thresholds, tp=ranking.tp, fp=ranking.fp)
-
-    @property
-    def p_count(self) -> int:
-        return self.dataset.p_count
-
-    @property
-    def n_count(self) -> int:
-        return self.dataset.n_count
-
-    @property
-    def orientation(self) -> Orientation:
-        return self.dataset.orientation
+        self.__dict__.update(
+            thresholds=ranking.thresholds, tp=ranking.tp, fp=ranking.fp,
+            p_count=dataset.p_count, n_count=dataset.n_count, orientation=dataset.orientation,
+        )
 
     @cached_property
     def fpr(self) -> np.ndarray:
@@ -226,26 +223,28 @@ def _merged_corners(curves: Sequence[RocCurve]) -> tuple[np.ndarray, ...]:
     return tuple(map(np.concatenate, zip(*merged)))
 
 
-def convex_hull(curves: Sequence[tuple[str, RocCurve]]) -> RocHull:
-    """Upper convex hull of the named curves' vertices, exact on integer counts.
+def convex_hull(datasets: Sequence[tuple[str, Dataset]]) -> RocHull:
+    """Upper convex hull of the named datasets' curves, exact on integer counts.
 
-    All curves must share one ground truth: datasets that hold the same
-    (segment_id, label) pairs, and so equal class counts. The hull starts
-    at the origin and keeps no collinear middle vertex. When several systems attain the same point, the one with
-    fewer curve vertices wins, then the lexicographically smaller name; the
-    rule is arbitrary but deterministic.
+    All datasets must share one ground truth: the same (segment_id, label)
+    pairs, and so equal class counts. Each curve is ``RocCurve(dataset)``,
+    a view of its ranking. The hull starts at the origin and keeps no
+    collinear middle vertex. When several systems attain the same point,
+    the one with fewer curve vertices wins, then the lexicographically
+    smaller name; the rule is arbitrary but deterministic.
     """
-    if not curves:
+    if not datasets:
         raise ValueError("need at least one curve")
-    names = [name for name, _ in curves]
+    names = [name for name, _ in datasets]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate curve names: {names}")
-    first = curves[0][1]
-    for name, curve in curves:
-        if not _same_ground_truth(curve.dataset, first.dataset):
+    curves = [(name, RocCurve(dataset)) for name, dataset in datasets]
+    first = datasets[0][1]
+    for name, dataset in datasets:
+        if not _same_ground_truth(dataset, first):
             raise GroundTruthMismatchError(
                 f"curve {name!r} was built over a different ground truth than "
-                f"{curves[0][0]!r}"
+                f"{names[0]!r}"
             )
 
     ranked = sorted(curves, key=lambda item: (item[1].thresholds.size, item[0]))

@@ -8,7 +8,7 @@ formatted with a fixed precision; nothing depends on locale or dict order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,25 +45,31 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _polyline(fprs, tprs) -> str:
-    # The same arithmetic as _x/_y and the same formatting as _fmt, per array.
-    # Points are spelled and joined a block at a time, so only one block's
-    # texts are alive beside the finished block strings. The rates are float64
-    # arrays, or DerivedColumns computed a block at a time.
-    blocks = []
+def _point_pieces(fprs, tprs) -> Iterator[str]:
+    """The texts of a ``points`` attribute: "x,y" per point, space-separated.
+
+    The same arithmetic as _x/_y and the same formatting as _fmt, per array.
+    Points are spelled and joined a block at a time, one piece per block
+    (and one per space between blocks), so only one block's texts are alive
+    beside the finished pieces. The rates are float64 arrays, or
+    DerivedColumns computed a block at a time.
+    """
     for start in range(0, fprs.size, _POINTS_PER_BLOCK):
         xs = MARGIN + fprs[start:start + _POINTS_PER_BLOCK] * (WIDTH - 2 * MARGIN)
         ys = HEIGHT - MARGIN - tprs[start:start + _POINTS_PER_BLOCK] * (HEIGHT - 2 * MARGIN)
-        blocks.append(join_rows(
-            [run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" "
-        ))
-    return " ".join(blocks)
+        if start:
+            yield " "
+        yield join_rows([run_texts(xs, fixed2_texts), ",", run_texts(ys, fixed2_texts)], between=" ")
 
 
-def _band_polygon(band: ConfidenceBand) -> str:
+def _polyline(fprs, tprs) -> str:
+    return "".join(_point_pieces(fprs, tprs))
+
+
+def _band_polygon(band: ConfidenceBand) -> Iterator[str]:
     xs = np.concatenate((band.fpr_grid, band.fpr_grid[::-1]))
     ys = np.concatenate((band.upper_tpr, band.lower_tpr[::-1]))
-    return _polyline(xs, ys)
+    return _point_pieces(xs, ys)
 
 
 def _axes() -> list[str]:
@@ -104,65 +110,67 @@ def render_roc_svg(
     series: Sequence[SvgSeries],
     hull: Optional[RocHull] = None,
 ) -> str:
-    """Render curves (plus optional bands and hull) as an SVG document."""
-    parts = [
+    """Render curves (plus optional bands and hull) as an SVG document.
+
+    The document is one join of its pieces, each line's followed by a
+    newline: the point texts go in as the blocks they were spelled in, so
+    no whole polyline is built and copied into its element.
+    """
+    pieces: list[str] = []
+
+    def line(*texts: str) -> None:
+        pieces.extend(texts)
+        pieces.append("\n")
+
+    for text in (
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-    ]
-    parts.extend(_axes())
+        *_axes(),
+    ):
+        line(text)
 
     for index, item in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
         if item.band is not None:
-            parts.append(
-                f'<polygon points="{_band_polygon(item.band)}" fill="{color}" '
-                'fill-opacity="0.15" stroke="none"/>'
-            )
+            line('<polygon points="', *_band_polygon(item.band),
+                 f'" fill="{color}" fill-opacity="0.15" stroke="none"/>')
         curve = item.curve
         fpr, tpr = rate(curve.fp, curve.n_count), rate(curve.tp, curve.p_count)
-        parts.append(
-            f'<polyline points="{_polyline(fpr, tpr)}" fill="none" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        line('<polyline points="', *_point_pieces(fpr, tpr),
+             f'" fill="none" stroke="{color}" stroke-width="2"/>')
 
     if hull is not None:
-        parts.append(
-            f'<polyline points="{_polyline(hull.fpr, hull.tpr)}" '
-            f'fill="none" stroke="{HULL_COLOR}" stroke-width="2" '
-            'stroke-dasharray="2,3"/>'
-        )
+        line('<polyline points="', *_point_pieces(hull.fpr, hull.tpr),
+             f'" fill="none" stroke="{HULL_COLOR}" stroke-width="2" stroke-dasharray="2,3"/>')
 
     legend_y = MARGIN + 16
     for index, item in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
         y = legend_y + 18 * index
-        parts.append(
+        line(
             f'<line x1="{WIDTH - MARGIN - 150}" y1="{y}" '
             f'x2="{WIDTH - MARGIN - 120}" y2="{y}" stroke="{color}" '
             'stroke-width="2"/>'
         )
-        parts.append(
+        line(
             f'<text x="{WIDTH - MARGIN - 112}" y="{y + 4}" font-size="12" '
             f'fill="#333333">{_escape(item.name)}</text>'
         )
     if hull is not None:
         y = legend_y + 18 * len(series)
-        parts.append(
+        line(
             f'<line x1="{WIDTH - MARGIN - 150}" y1="{y}" '
             f'x2="{WIDTH - MARGIN - 120}" y2="{y}" stroke="{HULL_COLOR}" '
             'stroke-width="2" stroke-dasharray="2,3"/>'
         )
-        parts.append(
+        line(
             f'<text x="{WIDTH - MARGIN - 112}" y="{y + 4}" font-size="12" '
             'fill="#333333">convex hull</text>'
         )
-
-    # The closing newline goes in the last part: adding it to the joined
-    # text would copy the whole document once more.
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    line("</svg>")
+    return "".join(pieces)
 
 
 def _escape(text: str) -> str:

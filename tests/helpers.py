@@ -154,8 +154,8 @@ def exact_auc(tp, fp) -> Fraction:
     )
 
 
-def exact_hull(curves) -> list[tuple[int, int, str, float]]:
-    """Brute-force upper hull of named curves over one ground truth, in Fractions.
+def exact_hull(datasets) -> list[tuple[int, int, str, float]]:
+    """Brute-force upper hull of named datasets' curves over one ground truth, in Fractions.
 
     Returns (fp, tp, source_system, threshold) per hull vertex, origin first.
     A point is a vertex when it lies strictly above every other point at its
@@ -164,6 +164,7 @@ def exact_hull(curves) -> list[tuple[int, int, str, float]]:
     curves share, the curve with fewer vertices, then the smaller name, is
     the source.
     """
+    curves = [(name, build_roc(dataset)) for name, dataset in datasets]
     p, n = curves[0][1].p_count, curves[0][1].n_count
     owner: dict[tuple[int, int], tuple[tuple[int, str], str, float]] = {}
     for name, curve in curves:
@@ -209,14 +210,15 @@ def monotone_chain(fp: list[int], tp: list[int]) -> list[int]:
     return hull
 
 
-def reference_convex_hull(curves) -> RocHull:
-    """Hull of named curves over one ground truth, merging every vertex of every curve.
+def reference_convex_hull(datasets) -> RocHull:
+    """Hull of named datasets' curves over one ground truth, merging every vertex of every curve.
 
     How ``roc.convex_hull`` worked before it merged only each curve's
     staircase corners: it concatenates all vertices with their thresholds
     on both scales, keeps each point's best-ranked entry and runs the full
     monotone chain over them.
     """
+    curves = [(name, build_roc(dataset)) for name, dataset in datasets]
     ranked = sorted(curves, key=lambda item: (item[1].thresholds.size, item[0]))
     fp, tp, thresholds, raw, source = map(np.concatenate, zip(*(
         (c.fp, c.tp, c.thresholds, c.thresholds_raw, np.full(c.fp.size, k))

@@ -339,16 +339,14 @@ def test_geometry_and_decision_properties():
                 for s, x in zip(segments_of(ds), rng.normal(size=ds.total))
             ]
         )
-        base = build_roc(
-            Dataset.from_segments(
-                [
-                    ScoredSegment(s.segment_id, s.label, s.risk_score, s.risk_score)
-                    for s in segments_of(ds)
-                ]
-            )
+        base_dataset = Dataset.from_segments(
+            [
+                ScoredSegment(s.segment_id, s.label, s.risk_score, s.risk_score)
+                for s in segments_of(ds)
+            ]
         )
-        rival_curve = build_roc(rival)
-        hull = convex_hull([("a", base), ("b", rival_curve)])
+        base, rival_curve = build_roc(base_dataset), build_roc(rival)
+        hull = convex_hull([("a", base_dataset), ("b", rival)])
         grid = np.linspace(0.0, 1.0, 21)
         hull_t = np.asarray(interp_tpr(hull.fpr, hull.tpr, grid))
         for member in (base, rival_curve):

@@ -58,6 +58,12 @@ class TestBootstrapConfig:
         assert grid.size == 251
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
+    @pytest.mark.parametrize("n", [0, 4, 99, 100, 101, 250, 12_345, 100_000])
+    def test_grid_is_linspace_bit_for_bit(self, n):
+        grid = fpr_grid(n)
+        expected = np.linspace(0.0, 1.0, grid.size)
+        assert grid.tobytes() == expected.tobytes()
+
     def test_grid_floors_at_hundred_intervals(self):
         assert fpr_grid(4).size == 101
 
@@ -560,6 +566,24 @@ class TestConfidenceBand:
         ds = make_dataset([1.0, 2.0], [True, True])
         with pytest.raises(DegenerateClassError):
             confidence_band(ds, BootstrapConfig(iterations=10, seed=0))
+
+
+    def test_the_band_keeps_the_arrays_it_made(self, sample10, monkeypatch):
+        # The grid and the point curve are the band's own: frozen, not copied.
+        made = {"fpr_grid": [], "_grid_tpr": []}
+        for name in made:
+            original = getattr(bootstrap_module, name)
+
+            def spy(*args, _original=original, _made=made[name], **kwargs):
+                _made.append(_original(*args, **kwargs))
+                return _made[-1]
+
+            monkeypatch.setattr(bootstrap_module, name, spy)
+        band = confidence_band(sample10, BootstrapConfig(iterations=20, seed=5))
+        assert band.point_tpr is made["_grid_tpr"][-1]
+        assert band.fpr_grid is made["fpr_grid"][-1]
+        for column in (band.fpr_grid, band.point_tpr):
+            assert column.base is None and not column.flags.writeable
 
 
 class TestBandValidation:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
@@ -1339,6 +1340,46 @@ class TestReportMemory:
         doc = run_json(argv, capsys)
         assert len(spelled) == 3 * spelled_per_entry
         assert sorted(doc["results"]["metrics"]) == ["a", "b", "c"]
+
+    def test_roc_writes_with_no_dataset_alive(self, tmp_path, capsys, monkeypatch):
+        datasets = []
+        to_dataset, check_outputs = cli_module.to_dataset, cli_module.check_outputs
+
+        def recording(*args, **kwargs):
+            dataset = to_dataset(*args, **kwargs)
+            datasets.append(weakref.ref(dataset))
+            return dataset
+
+        def checking(*args, **kwargs):
+            # The first step before any byte goes out.
+            assert len(datasets) == 3
+            assert all(ref() is None for ref in datasets), "a dataset is alive at write time"
+            return check_outputs(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "to_dataset", recording)
+        monkeypatch.setattr(cli_module, "check_outputs", checking)
+        argv = ["roc", *self._three_metrics(tmp_path), "--bootstrap", "20",
+                "--svg", str(tmp_path / "plot.svg")]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            doc = run_json(argv, capsys)
+        finally:
+            if enabled:
+                gc.enable()
+        assert sorted(doc["results"]["metrics"]) == ["a", "b", "c"]
+        assert all(doc["results"]["metrics"][m]["band"] for m in "abc")
+
+    def test_emit_copies_no_whole_chunk(self, tmp_path):
+        # A 4 MB chunk; a two-byte character ends the first slice and another
+        # begins the second.
+        size = report_module._CHARS_PER_WRITE
+        chunk = "x" * (size - 1) + "\u00e9\u00e9" + "y" * (4 * 2**20 - size - 1)
+        path = tmp_path / "out.txt"
+        _, rise = traced_peak(report_module.emit, [chunk], str(path))
+        # Encoding the chunk whole rose by about 4 MB here.
+        assert rise < 2**20, rise
+        assert path.read_bytes() == chunk.encode("utf-8")
 
     def test_roc_entry_holds_no_whole_curve_list_of_texts(self):
         rng = np.random.default_rng(100_000)

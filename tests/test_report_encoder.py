@@ -19,7 +19,6 @@ from rocqe import (
     Orientation,
     Scenario,
     band_width_summary,
-    build_roc,
     confidence_band,
     convex_hull,
 )
@@ -113,9 +112,8 @@ class TestContainers:
 def _result_objects() -> list:
     """One of each library result type the reports carry."""
     dataset = sample10_dataset()
-    curve = build_roc(dataset)
     band = confidence_band(dataset, BootstrapConfig(iterations=20, seed=4))
-    hull = convex_hull([("a", curve)])
+    hull = convex_hull([("a", dataset)])
     return [
         DecisionReport(Scenario.REVIEW_BUDGET, -math.inf, math.inf, 0.0, 60.0),
         DecisionReport(

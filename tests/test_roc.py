@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -70,7 +72,7 @@ class TestBuildRoc:
             Dataset(ids[::-1], raw[::-1], positive[::-1], sample10.orientation),
         ]
         assert datasets[1].ids is ids
-        convex_hull([(f"m{k}", build_roc(ds)) for k, ds in enumerate(datasets)])
+        convex_hull([(f"m{k}", ds) for k, ds in enumerate(datasets)])
         assert not any("fingerprint" in vars(ds) for ds in datasets)
 
     def test_sample10_counts_at_93(self, sample10):
@@ -315,14 +317,12 @@ class TestInterpTpr:
 class TestConvexHull:
     def test_concave_curve_is_its_own_hull(self):
         ds = make_dataset([4.0, 3.0, 2.0, 1.0], [True, True, False, False])
-        curve = build_roc(ds)
-        hull = convex_hull([("only", curve)])
+        hull = convex_hull([("only", ds)])
         assert [(v.fpr, v.tpr) for v in hull.vertices] == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         assert all(v.source_system == "only" for v in hull.vertices[1:])
 
     def test_identical_curves_pick_first_by_name(self, sample10):
-        curve = build_roc(sample10)
-        hull = convex_hull([("beta", curve), ("alpha", curve)])
+        hull = convex_hull([("beta", sample10), ("alpha", sample10)])
         assert all(v.source_system == "alpha" for v in hull.vertices if v.source_system)
 
     def test_hull_dominates_every_curve(self):
@@ -337,8 +337,9 @@ class TestConvexHull:
                 ]
             )
             # Same ids and labels, different scorer: hull must cover both.
-            a, b = build_roc(base_to_hw(base)), build_roc(other)
-            hull = convex_hull([("a", a), ("b", b)])
+            hw = base_to_hw(base)
+            hull = convex_hull([("a", hw), ("b", other)])
+            a, b = build_roc(hw), build_roc(other)
             grid = np.linspace(0, 1, 41)
             hull_t = interp_tpr(hull.fpr, hull.tpr, grid)
             for curve in (a, b):
@@ -348,16 +349,14 @@ class TestConvexHull:
         rng = np.random.default_rng(72)
         for _ in range(100):
             base = random_dataset(rng)
-            hull = convex_hull([("a", build_roc(base_to_hw(base)))])
+            hull = convex_hull([("a", base_to_hw(base))])
             f, t = hull.fpr, hull.tpr
             slopes = np.diff(t) / np.where(np.diff(f) == 0, np.nan, np.diff(f))
             finite = slopes[np.isfinite(slopes)]
             assert np.all(np.diff(finite) <= 1e-12)
 
     def test_crossing_curves_attribute_sources(self, sample10, riskb_dataset):
-        curve_a = build_roc(sample10)
-        curve_b = build_roc(riskb_dataset)
-        hull = convex_hull([("metricA", curve_a), ("metricB", curve_b)])
+        hull = convex_hull([("metricA", sample10), ("metricB", riskb_dataset)])
         at_zero = [v for v in hull.vertices if v.fpr == 0.0 and v.tpr > 0]
         assert at_zero and at_zero[0].source_system == "metricB"
         assert hull.vertices[-1].source_system == "metricA"
@@ -366,8 +365,8 @@ class TestConvexHull:
     def test_matches_exact_oracle_on_heavy_ties(self):
         rng = np.random.default_rng(2001)
         for _ in range(150):
-            curves = heavy_tie_curves(rng, int(rng.integers(10, 50)))
-            hull = convex_hull(curves)
+            datasets = heavy_tie_datasets(rng, int(rng.integers(10, 50)))
+            hull = convex_hull(datasets)
             p, n = hull.p_count, hull.n_count
             counts = [(round(v.fpr * n), round(v.tpr * p)) for v in hull.vertices]
             # Every vertex sits exactly on its counts, the origin first.
@@ -382,12 +381,12 @@ class TestConvexHull:
             assert [
                 (f, t, v.source_system, v.threshold)
                 for (f, t), v in zip(counts, hull.vertices)
-            ] == exact_hull(curves)
+            ] == exact_hull(datasets)
 
     def test_mismatched_ground_truth_rejected(self, sample10):
         other = make_dataset([1.0, 0.0], [True, False])
         with pytest.raises(GroundTruthMismatchError):
-            convex_hull([("a", build_roc(sample10)), ("b", build_roc(other))])
+            convex_hull([("a", sample10), ("b", other)])
 
     # A NUL in an id makes the id column an object array of str.
     @pytest.mark.parametrize("tail", ["", "\x00x"], ids=["strings", "nul"])
@@ -397,7 +396,7 @@ class TestConvexHull:
         two = Dataset(ids, scores, [False, True, True, False])
         assert one.ids.dtype == (object if tail else ID_DTYPE)
         with pytest.raises(GroundTruthMismatchError):
-            convex_hull([("a", build_roc(one)), ("b", build_roc(two))])
+            convex_hull([("a", one), ("b", two)])
 
     @pytest.mark.parametrize("tail", ["", "\x00x"], ids=["strings", "nul"])
     def test_same_pairs_in_another_order_with_repeated_ids_accepted(self, tail):
@@ -409,7 +408,7 @@ class TestConvexHull:
             [ids[i] for i in order], [1.0, 2.0, 3.0, 4.0, 5.0], [positive[i] for i in order]
         )
         assert one.ids.dtype == (object if tail else ID_DTYPE)
-        hull = convex_hull([("a", build_roc(one)), ("b", build_roc(two))])
+        hull = convex_hull([("a", one), ("b", two)])
         assert (hull.p_count, hull.n_count) == (3, 2)
         if tail:
             # Ids that differ only after their NUL are other ids.
@@ -418,12 +417,11 @@ class TestConvexHull:
                 two.raw_scores, two.is_positive,
             )
             with pytest.raises(GroundTruthMismatchError):
-                convex_hull([("a", build_roc(one)), ("b", build_roc(other))])
+                convex_hull([("a", one), ("b", other)])
 
     def test_duplicate_names_rejected(self, sample10):
-        curve = build_roc(sample10)
         with pytest.raises(ValueError, match="duplicate"):
-            convex_hull([("a", curve), ("a", curve)])
+            convex_hull([("a", sample10), ("a", sample10)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -442,15 +440,15 @@ class TestHullAgainstReference:
     """``convex_hull`` merges only corners; the reference merges every vertex."""
 
     @staticmethod
-    def _assert_same(curves):
-        hull, reference = convex_hull(curves), reference_convex_hull(curves)
+    def _assert_same(datasets):
+        hull, reference = convex_hull(datasets), reference_convex_hull(datasets)
         assert _spelled(hull) == _spelled(reference)
         assert (hull.p_count, hull.n_count) == (reference.p_count, reference.n_count)
 
     def test_heavy_ties(self):
         rng = np.random.default_rng(2004)
         for _ in range(80):
-            self._assert_same(heavy_tie_curves(rng, int(rng.integers(2, 400))))
+            self._assert_same(heavy_tie_datasets(rng, int(rng.integers(2, 400))))
 
     def test_signed_zeros_and_both_orientations(self):
         rng = np.random.default_rng(2005)
@@ -460,20 +458,19 @@ class TestHullAgainstReference:
             ids = [f"s{i:03d}" for i in range(size)]
             positive = rng.random(size) < 0.5
             positive[:2] = True, False
-            curves = [
-                (f"m{k}", build_roc(Dataset(
+            datasets = [
+                (f"m{k}", Dataset(
                     ids, rng.choice(levels[: int(rng.integers(2, 7))], size=size), positive,
                     (Orientation.HIGHER_IS_BETTER, Orientation.HIGHER_IS_WORSE)[k % 2],
-                )))
+                ))
                 for k in range(int(rng.integers(1, 5)))
             ]
-            self._assert_same(curves)
+            self._assert_same(datasets)
 
     def test_curves_that_share_points(self):
         rng = np.random.default_rng(2006)
         for _ in range(60):
-            (name, curve), *others = heavy_tie_curves(rng, int(rng.integers(4, 200)))
-            ds = curve.dataset
+            (name, ds), *others = heavy_tie_datasets(rng, int(rng.integers(4, 200)))
             # The same scores under other names and orientations, and with
             # a few segments moved: most vertices are shared.
             moved = ds.raw_scores.copy()
@@ -482,31 +479,31 @@ class TestHullAgainstReference:
             flipped = Dataset(
                 ds.ids, -ds.raw_scores, ds.is_positive, Orientation.HIGHER_IS_BETTER
             )
-            curves = [
-                (name, curve),
-                ("copy", build_roc(Dataset(ds.ids, ds.raw_scores, ds.is_positive))),
-                ("flipped", build_roc(flipped)),
-                ("moved", build_roc(Dataset(ds.ids, moved, ds.is_positive))),
+            datasets = [
+                (name, ds),
+                ("copy", Dataset(ds.ids, ds.raw_scores, ds.is_positive)),
+                ("flipped", flipped),
+                ("moved", Dataset(ds.ids, moved, ds.is_positive)),
                 *others,
             ]
-            self._assert_same(curves)
-            self._assert_same(curves[::-1])
+            self._assert_same(datasets)
+            self._assert_same(datasets[::-1])
 
     def test_three_hundred_thousand_vertices_in_bounded_memory(self):
         rng = np.random.default_rng(2007)
         size = 100_000
         ids = [f"s{i:06d}" for i in range(size)]
         positive = rng.random(size) < 0.4
-        curves = []
+        datasets = []
         for k in range(3):
             scores = rng.normal(size=size) + positive * (0.5 + 0.3 * k)
-            curve = build_roc(Dataset(ids, scores, positive))
-            assert curve.fp.size == size + 1
-            curves.append((f"m{k}", curve))
-        hull, peak = traced_peak(convex_hull, curves)
+            dataset = Dataset(ids, scores, positive)
+            assert build_roc(dataset).fp.size == size + 1
+            datasets.append((f"m{k}", dataset))
+        hull, peak = traced_peak(convex_hull, datasets)
         # Merging all five columns of every vertex peaked near 25 MB here.
         assert peak <= 8 * 2**20, peak
-        assert _spelled(hull) == _spelled(reference_convex_hull(curves))
+        assert _spelled(hull) == _spelled(reference_convex_hull(datasets))
 
 
 class TestStaircasePrefilter:
@@ -526,15 +523,16 @@ class TestStaircasePrefilter:
     def _hulls_and_picks(self, cases):
         return [
             (
-                convex_hull(curves).vertices,
-                [optimal_threshold(c, t) for _, c in curves for t in self.TRADE_OFFS],
+                convex_hull(datasets).vertices,
+                [optimal_threshold(build_roc(ds), t) for _, ds in datasets
+                 for t in self.TRADE_OFFS],
             )
-            for curves in cases
+            for datasets in cases
         ]
 
     def test_heavy_tie_multi_curve_inputs(self, monkeypatch):
         rng = np.random.default_rng(2002)
-        cases = [heavy_tie_curves(rng, int(rng.integers(2, 400))) for _ in range(60)]
+        cases = [heavy_tie_datasets(rng, int(rng.integers(2, 400))) for _ in range(60)]
         filtered = self._hulls_and_picks(cases)
         self._use_the_full_chain(monkeypatch)
         assert filtered == self._hulls_and_picks(cases)
@@ -544,13 +542,14 @@ class TestStaircasePrefilter:
         positive = rng.random(100_000) < 0.45
         scores = rng.normal(size=100_000) + positive
         ids = [f"s{i:06d}" for i in range(100_000)]
-        curve = build_roc(Dataset(ids, scores, positive))
+        dataset = Dataset(ids, scores, positive)
+        curve = build_roc(dataset)
         assert curve.fp.size == 100_001
         hull = roc_module._upper_hull(curve.fp, curve.tp)
         assert hull.tolist() == monotone_chain(curve.fp.tolist(), curve.tp.tolist())
-        filtered = self._hulls_and_picks([[("m", curve)]])
+        filtered = self._hulls_and_picks([[("m", dataset)]])
         self._use_the_full_chain(monkeypatch)
-        assert filtered == self._hulls_and_picks([[("m", curve)]])
+        assert filtered == self._hulls_and_picks([[("m", dataset)]])
 
 
 class TestPrPoints:
@@ -588,6 +587,31 @@ class TestRocCurveValidation:
                 column[0] = 1
 
 
+class TestCurveKeepsNoDataset:
+    def test_the_dataset_is_freed_and_the_curve_unchanged(self, sample10):
+        ds = Dataset(sample10.ids, sample10.raw_scores, sample10.is_positive,
+                     sample10.orientation)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            curve = build_roc(ds)
+            columns = (curve.thresholds, curve.tp, curve.fp)
+            before = [column.copy() for column in columns]
+            alive = weakref.ref(ds)
+            del ds
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert not hasattr(curve, "dataset")
+        assert all(np.array_equal(a, b) for a, b in zip(columns, before))
+        assert (curve.p_count, curve.n_count, curve.orientation) == (
+            6, 4, Orientation.HIGHER_IS_BETTER)
+        assert [(v.fpr, v.tpr, v.threshold, v.threshold_raw) for v in curve.vertices] == [
+            (fpr, tpr, thr, raw) for fpr, tpr, thr, raw in SAMPLE10_VERTICES
+        ]
+
+
 class TestLazyVertices:
     def test_vertices_match_arrays(self, sample10):
         curve = build_roc(sample10)
@@ -610,18 +634,18 @@ class TestLazyVertices:
             assert curve.tpr.tolist() == [tp / ds.p_count for tp in curve.tp.tolist()]
 
 
-def heavy_tie_curves(rng: np.random.Generator, size: int) -> list[tuple[str, RocCurve]]:
+def heavy_tie_datasets(rng: np.random.Generator, size: int) -> list[tuple[str, Dataset]]:
     """Three heavily tied integer scorers over one ground truth."""
     ids = [f"s{i:04d}" for i in range(size)]
     positive = np.zeros(size, dtype=bool)
     positive[: int(rng.integers(1, size))] = True
     rng.shuffle(positive)
-    curves = []
+    datasets = []
     for k in range(3):
         levels = int(rng.integers(2, max(3, size // 3)))
         scores = rng.integers(0, levels, size=size) + positive * rng.integers(0, 2, size=size)
-        curves.append((f"m{k}", build_roc(Dataset(ids, scores.astype(float), positive))))
-    return curves
+        datasets.append((f"m{k}", Dataset(ids, scores.astype(float), positive)))
+    return datasets
 
 
 def base_to_hw(dataset: Dataset) -> Dataset:
