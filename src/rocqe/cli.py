@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 
@@ -150,27 +150,26 @@ def _parse_assignments(entries: Sequence[str], flag: str) -> dict[str, str]:
     return out
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ROCQE_SEED")
-    if env is not None:
+def _resampling(args: argparse.Namespace) -> tuple[int, Optional[BootstrapConfig]]:
+    """The seed, and the resampling config or None without --bootstrap.
+
+    The seed is --seed, then the ``ROCQE_SEED`` environment variable, then
+    0. Every resampling flag is checked, with --bootstrap or without.
+    """
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("ROCQE_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"ROCQE_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
-def _bootstrap_config(args: argparse.Namespace, seed: int) -> Optional[BootstrapConfig]:
-    """The resampling config, or None without --bootstrap; every flag is checked either way."""
     check_confidence(args.confidence)
     check_seed(seed)
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
     if args.bootstrap is None:
-        return None
-    return BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
+        return seed, None
+    return seed, BootstrapConfig(iterations=args.bootstrap, confidence=args.confidence, seed=seed)
 
 
 class LoadedInputs(NamedTuple):
@@ -187,29 +186,16 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
     """Resolve config, parse inputs, and label everything."""
     cutoff = _parse_cutoff(args.cutoff)
     wmt_mode = args.wmt_root is not None
-    wmt_flags = (args.lang_pair, args.testset, args.system)
     if wmt_mode:
-        if None in wmt_flags:
-            raise ValueError("--wmt-root needs --lang-pair, --testset and --system")
-        if args.gold is not None:
-            raise ValueError("--gold does not apply in --wmt-root mode")
         if any("=" in s for s in args.scores):
-            raise ValueError(
-                "in --wmt-root mode, --scores entries are bare metric names"
-            )
+            raise ValueError("in --wmt-root mode, --scores entries are bare metric names")
         score_map = {}
         for name in args.scores:
             if name in score_map:
                 raise ValueError(f"duplicate --scores entry for {name!r}")
             score_map[name] = name
     else:
-        if args.gold is None:
-            raise ValueError("--gold is required (or use --wmt-root)")
-        if wmt_flags != (None, None, None):
-            raise ValueError("--lang-pair, --testset and --system apply only in --wmt-root mode")
         score_map = _parse_assignments(args.scores, "--scores")
-    if not score_map:
-        raise ValueError("at least one --scores entry is required")
 
     orientation_text = _parse_assignments(args.orientation, "--orientation")
     unknown = sorted(set(orientation_text) - set(score_map))
@@ -240,15 +226,8 @@ def _load(args: argparse.Namespace) -> LoadedInputs:
             inputs.extend((args.gold, source))
         reports[metric] = report
         datasets[metric] = to_dataset(records, cutoff, orientations[metric], metric)
-    return LoadedInputs(
-        metrics=list(score_map),
-        datasets=datasets,
-        ingest_reports=reports,
-        orientations=orientations,
-        cutoff=cutoff,
-        notes=[],
-        inputs=tuple(inputs),
-    )
+    return LoadedInputs(metrics=list(score_map), datasets=datasets, ingest_reports=reports,
+                        orientations=orientations, cutoff=cutoff, notes=[], inputs=tuple(inputs))
 
 
 def _restrict_to_common_ids(loaded: LoadedInputs) -> None:
@@ -285,16 +264,8 @@ def _report_json(command: str, args: argparse.Namespace, loaded: LoadedInputs,
         "confidence": args.confidence,
         "gold": args.gold,
         "scores": list(args.scores),
-        "wmt": (
-            {
-                "root": args.wmt_root,
-                "lang_pair": args.lang_pair,
-                "testset": args.testset,
-                "system": args.system,
-            }
-            if args.wmt_root
-            else None
-        ),
+        "wmt": {"root": args.wmt_root, "lang_pair": args.lang_pair, "testset": args.testset,
+                "system": args.system} if args.wmt_root else None,
     }
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -363,14 +334,6 @@ def _hull_entry(curve: RocCurve) -> dict:
     return {"auc": auc(curve), "vertices": vertices}
 
 
-# roc and hull compute every curve, band and hull first, and check both
-# output paths, so all that can fail has run before the first byte goes
-# out (a write can still fail midway). Then they write the SVG, and
-# then the report, whose metric entries are built one at a time as the
-# encoder reaches them: no two metrics' texts, nor the SVG's and the
-# report's, are alive at once.
-
-
 def _roc_series(metric: str, dataset: Dataset,
                 config: Optional[BootstrapConfig]) -> tuple[SvgSeries, list]:
     """One metric's curve and band, and its findings: all ``roc`` keeps of its dataset."""
@@ -383,9 +346,21 @@ def _roc_series(metric: str, dataset: Dataset,
     return SvgSeries(metric, curve, band), findings
 
 
-def cmd_roc(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    config = _bootstrap_config(args, seed)
+def _svg(series: list[SvgSeries], hull=None) -> Iterator[str]:
+    """The plot, rendered only when ``_write`` reaches it."""
+    yield render_roc_svg(series, hull=hull)
+
+
+# A command handler checks its values, reads its inputs and computes all
+# its results. It returns (the files it read, the report's chunks, and the
+# SVG's, for a command that takes --svg) for ``_write``. So all that can fail
+# has run before the first byte goes out (a write can still fail midway).
+# The report's metric entries are built one at a time as the encoder reaches
+# them: no two metrics' texts, nor the SVG's and the report's, are alive at once.
+
+
+def cmd_roc(args: argparse.Namespace):
+    seed, config = _resampling(args)
     loaded = _load(args)
 
     findings: dict = {}
@@ -396,105 +371,61 @@ def cmd_roc(args: argparse.Namespace) -> int:
         item, findings[metric] = _roc_series(metric, loaded.datasets.pop(metric), config)
         series.append(item)
 
-    check_outputs([args.svg, args.out], loaded.inputs)
-    if args.svg:
-        emit([render_roc_svg(series)], args.svg)
     results = {"metrics": {s.name: Deferred(_roc_entry, s.curve, s.band) for s in series}}
-    emit(_report_json("roc", args, loaded, seed, results, findings), args.out)
-    return 0
+    return loaded.inputs, _report_json("roc", args, loaded, seed, results, findings), _svg(series)
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    if len(args.scores) != 1:
-        raise ValueError("the table command takes exactly one --scores metric")
+def cmd_table(args: argparse.Namespace):
     loaded = _load(args)
-    metric = loaded.metrics[0]
-    table = qe_roc_table(loaded.datasets[metric])
-    check_outputs([args.out], loaded.inputs)
-    emit(table_chunks(table), args.out)
-    return 0
+    return loaded.inputs, table_chunks(qe_roc_table(loaded.datasets[loaded.metrics[0]]))
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    if len(args.scores) != 1:
-        raise ValueError("the scenario command takes exactly one --scores metric")
+def cmd_scenario(args: argparse.Namespace):
     if args.scenario == 1:
-        if args.x is None:
-            raise ValueError("scenario 1 needs --x (review fraction in (0, 1])")
-        if args.y is not None:
-            raise ValueError("--y does not apply to scenario 1")
         check_review_fraction(args.x)
     else:
-        if args.y is None:
-            raise ValueError("scenario 2 needs --y (tolerable errors per 100)")
-        for flag, value in (("--x", args.x), ("--ci-method", args.ci_method)):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to scenario 2")
         check_tolerable_errors(args.y)
     check_review_efficacy(args.review_efficacy)
-    if args.class_ratio is not None and args.trade_off is None:
-        raise ValueError("--class-ratio requires --trade-off")
     trade_off = TradeOff.parse(args.trade_off) if args.trade_off is not None else None
     ratio = ClassRatio.parse(args.class_ratio) if args.class_ratio else None
-    seed = _resolve_seed(args)
-    config = _bootstrap_config(args, seed)
+    seed, config = _resampling(args)
     loaded = _load(args)
     metric = loaded.metrics[0]
     dataset = loaded.datasets[metric]
 
     if args.scenario == 1:
-        report = scenario1_residual_risk(
-            dataset,
-            args.x,
-            review_efficacy=args.review_efficacy,
-            bootstrap=config,
-            ci_method=args.ci_method or "replicate",
-        )
+        report = scenario1_residual_risk(dataset, args.x, review_efficacy=args.review_efficacy,
+                                         bootstrap=config, ci_method=args.ci_method or "replicate")
     else:
-        report = scenario2_required_effort(
-            dataset,
-            args.y,
-            review_efficacy=args.review_efficacy,
-            bootstrap=config,
-        )
+        report = scenario2_required_effort(dataset, args.y, review_efficacy=args.review_efficacy,
+                                           bootstrap=config)
 
     results: dict = {"metric": metric, "decision": report}
     if trade_off is not None:
         results["optimal"] = optimal_threshold(RocCurve(dataset), trade_off, ratio)
 
     findings = {metric: check_sample(dataset)}
-    check_outputs([args.out], loaded.inputs)
-    emit(_report_json("scenario", args, loaded, seed, results, findings), args.out)
-    return 0
+    return loaded.inputs, _report_json("scenario", args, loaded, seed, results, findings)
 
 
-def cmd_hull(args: argparse.Namespace) -> int:
-    if len(args.scores) < 2:
-        raise ValueError("the hull command needs at least two --scores metrics")
-    seed = _resolve_seed(args)
-    _bootstrap_config(args, seed)  # the report's config records these flags
+def cmd_hull(args: argparse.Namespace):
+    seed, _ = _resampling(args)  # the report records the seed; --workers is checked
     loaded = _load(args)
     _restrict_to_common_ids(loaded)
 
     curves = [(m, build_roc(loaded.datasets[m])) for m in loaded.metrics]
     hull = convex_hull([(m, loaded.datasets[m]) for m in loaded.metrics])
     findings = {m: check_sample(loaded.datasets[m]) for m in loaded.metrics}
-    check_outputs([args.svg, args.out], loaded.inputs)
-    if args.svg:
-        series = [SvgSeries(m, c) for m, c in curves]
-        emit([render_roc_svg(series, hull=hull)], args.svg)
-
     results = {
         "hull": {"vertices": hull.vertices},
         "metrics": {m: Deferred(_hull_entry, c) for m, c in curves},
     }
-    emit(_report_json("hull", args, loaded, seed, results, findings), args.out)
-    return 0
+    report = _report_json("hull", args, loaded, seed, results, findings)
+    return loaded.inputs, report, _svg([SvgSeries(m, c) for m, c in curves], hull)
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    config = _bootstrap_config(args, seed)
+def cmd_diagnose(args: argparse.Namespace):
+    seed, config = _resampling(args)
     loaded = _load(args)
 
     results: dict = {"metrics": {}}
@@ -522,49 +453,130 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         results["metrics"][metric] = entry
         findings[metric] = metric_findings
 
-    check_outputs([args.out], loaded.inputs)
-    emit(_report_json("diagnose", args, loaded, seed, results, findings), args.out)
-    return 0
+    return loaded.inputs, _report_json("diagnose", args, loaded, seed, results, findings)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, resampling: bool, svg: bool) -> None:
-    """Input and output flags, plus the resampling flags and ``--svg`` where the command uses them."""
-    parser.add_argument("--gold", help="gold TSV: segment_id<TAB>mqm_score")
-    parser.add_argument(
-        "--scores",
-        action="append",
-        default=[],
-        metavar="METRIC=PATH",
-        help="score TSV per metric (bare metric name in --wmt-root mode); repeatable",
-    )
-    parser.add_argument(
-        "--orientation",
-        action="append",
-        default=[],
-        metavar="METRIC=DIR",
-        help="higher-better or higher-worse per metric (default: higher-worse)",
-    )
-    parser.add_argument(
-        "--cutoff",
-        default="strict",
-        help="strict, lenient, or custom:<t>[:inclusive] (default: strict)",
-    )
-    parser.add_argument("--strict", action="store_true", help="malformed input lines are fatal")
-    if resampling:
-        parser.add_argument("--bootstrap", type=int, default=None, metavar="B",
-                            help="bootstrap iterations (band/CI computed when set)")
-        parser.add_argument("--confidence", type=float, default=0.95)
-        parser.add_argument("--seed", type=int, default=None,
-                            help="RNG seed (fallback: ROCQE_SEED env var, then 0)")
-        parser.add_argument("--workers", type=int, default=1,
-                            help="has no effect; kept for compatibility (must be >= 1)")
-    parser.add_argument("--out", default=None, help="report path (default: stdout)")
-    if svg:
-        parser.add_argument("--svg", default=None, help="SVG plot path")
-    parser.add_argument("--wmt-root", default=None, help="root of a WMT-style score tree")
-    parser.add_argument("--lang-pair", default=None)
-    parser.add_argument("--testset", default=None)
-    parser.add_argument("--system", default=None)
+def _write(args: argparse.Namespace, inputs: Sequence[str], report: Iterator[str],
+           svg: Optional[Iterator[str]] = None) -> None:
+    """Write a run's outputs: the SVG to --svg when it is given, then the report to
+    --out or stdout. Every command writes through here. Both paths are checked
+    before the first is opened, and each output's text is made as it is written."""
+    outputs = [(args.svg, svg)] if args.svg else []
+    outputs.append((args.out, report))
+    check_outputs([path for path, _ in outputs], inputs)
+    for path, chunks in outputs:
+        emit(chunks, path)
+
+
+# The flag groups, each flag with its ``add_argument`` keywords. A command
+# that does not take a group reads each of its flags as the flag's default.
+_GROUPS = {
+    "input": (
+        ("--gold", dict(help="gold TSV: segment_id<TAB>mqm_score")),
+        ("--scores", dict(action="append", default=[], metavar="METRIC=PATH",
+                          help="score TSV per metric (bare metric name in --wmt-root mode); "
+                          "repeatable")),
+        ("--orientation", dict(action="append", default=[], metavar="METRIC=DIR",
+                               help="higher-better or higher-worse per metric "
+                               "(default: higher-worse)")),
+        ("--cutoff", dict(default="strict",
+                          help="strict, lenient, or custom:<t>[:inclusive] (default: strict)")),
+        ("--strict", dict(action="store_true", help="malformed input lines are fatal")),
+        ("--out", dict(help="report path (default: stdout)")),
+        ("--wmt-root", dict(help="root of a WMT-style score tree")),
+        ("--lang-pair", {}),
+        ("--testset", {}),
+        ("--system", {}),
+    ),
+    "resampling": (
+        ("--bootstrap", dict(type=int, metavar="B",
+                             help="bootstrap iterations (band/CI computed when set)")),
+        ("--confidence", dict(type=float, default=0.95)),
+        ("--seed", dict(type=int, help="RNG seed (fallback: ROCQE_SEED env var, then 0)")),
+    ),
+    "workers": (
+        ("--workers", dict(type=int, default=1,
+                           help="has no effect; kept for compatibility (must be >= 1)")),
+    ),
+    "svg": (("--svg", dict(help="SVG plot path")),),
+    "scenario": (
+        ("--scenario", dict(type=int, choices=(1, 2), required=True)),
+        ("--x", dict(type=float, help="scenario 1: reviewable fraction of segments, in (0, 1]")),
+        ("--y", dict(type=float, help="scenario 2: tolerable missed errors per 100 segments")),
+        ("--trade-off", dict(metavar="A:B", help="a missed errors cost as much as b false alarms")),
+        ("--class-ratio", dict(metavar="P:N",
+                               help="assumed error:clean ratio (default: observed)")),
+        ("--review-efficacy", dict(type=float, default=1.0,
+                                   help="fraction of reviewed errors actually fixed, in (0, 1]")),
+        ("--ci-method", dict(choices=("replicate", "band"),
+                             help="scenario 1: CI by re-running per replicate or from the band "
+                             "(default: replicate)")),
+    ),
+}
+
+# The refusals that depend on other flags, per group: (when, kind, flags,
+# message). Where ``when`` holds, a run that gives one of ``flags``
+# ("refuses") or lacks one ("needs") is a config error; ``{}`` in the
+# message names that flag.
+_RULES = {
+    "input": (
+        (lambda a: a.wmt_root is None, "needs", ("gold",),
+         "--gold is required (or use --wmt-root)"),
+        (lambda a: a.wmt_root is None, "refuses", ("lang_pair", "testset", "system"),
+         "--lang-pair, --testset and --system apply only in --wmt-root mode"),
+        (lambda a: a.wmt_root is not None, "needs", ("lang_pair", "testset", "system"),
+         "--wmt-root needs --lang-pair, --testset and --system"),
+        (lambda a: a.wmt_root is not None, "refuses", ("gold",),
+         "--gold does not apply in --wmt-root mode"),
+    ),
+    "scenario": (
+        (lambda a: a.scenario == 1, "needs", ("x",),
+         "scenario 1 needs --x (review fraction in (0, 1])"),
+        (lambda a: a.scenario == 1, "refuses", ("y",), "--y does not apply to scenario 1"),
+        (lambda a: a.scenario == 2, "needs", ("y",),
+         "scenario 2 needs --y (tolerable errors per 100)"),
+        (lambda a: a.scenario == 2, "refuses", ("x", "ci_method"),
+         "{} does not apply to scenario 2"),
+        (lambda a: a.trade_off is None, "refuses", ("class_ratio",),
+         "--class-ratio requires --trade-off"),
+    ),
+}
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], tuple]
+    help: str
+    groups: tuple[str, ...]  # the flag groups it takes
+    least: int  # --scores entries it needs
+    most: Optional[int] = None  # --scores entries it takes; None: no limit
+
+
+_COMMANDS = {
+    "roc": _Command(cmd_roc, "curves, AUC, optional confidence bands",
+                   ("input", "resampling", "workers", "svg"), 1),
+    "table": _Command(cmd_table, "per-segment QE-ROC table as TSV", ("input",), 1, 1),
+    "scenario": _Command(cmd_scenario, "review-policy decision analyses",
+                        ("input", "resampling", "workers", "scenario"), 1, 1),
+    "hull": _Command(cmd_hull, "combined envelope over several metrics",
+                    ("input", "workers", "svg"), 2),
+    "diagnose": _Command(cmd_diagnose, "sample and band validity checks",
+                        ("input", "resampling", "workers"), 1),
+}
+
+
+def _check_flags(name: str, args: argparse.Namespace) -> None:
+    """Refuse a --scores count the command does not take, then each rule of its groups."""
+    command = _COMMANDS[name]
+    if not command.least <= len(args.scores) <= (command.most or len(args.scores)):
+        raise ValueError(
+            f"the {name} command takes {'exactly' if command.most else 'at least'} "
+            f"{('one', 'two')[command.least - 1]} --scores metric{'s' * (command.least > 1)}"
+        )
+    for group in command.groups:
+        for when, kind, dests, message in _RULES.get(group, ()):
+            for dest in dests if when(args) else ():
+                if (getattr(args, dest) is None) == (kind == "needs"):
+                    raise ValueError(message.format("--" + dest.replace("_", "-")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,41 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rocqe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    roc = sub.add_parser("roc", help="curves, AUC, optional confidence bands")
-    _add_common_flags(roc, resampling=True, svg=True)
-    roc.set_defaults(func=cmd_roc)
-
-    table = sub.add_parser("table", help="per-segment QE-ROC table as TSV")
-    _add_common_flags(table, resampling=False, svg=False)
-    table.set_defaults(func=cmd_table)
-
-    scenario = sub.add_parser("scenario", help="review-policy decision analyses")
-    _add_common_flags(scenario, resampling=True, svg=False)
-    scenario.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    scenario.add_argument("--x", type=float, default=None,
-                          help="scenario 1: reviewable fraction of segments, in (0, 1]")
-    scenario.add_argument("--y", type=float, default=None,
-                          help="scenario 2: tolerable missed errors per 100 segments")
-    scenario.add_argument("--trade-off", default=None, metavar="A:B",
-                          help="a missed errors cost as much as b false alarms")
-    scenario.add_argument("--class-ratio", default=None, metavar="P:N",
-                          help="assumed error:clean ratio (default: observed)")
-    scenario.add_argument("--review-efficacy", type=float, default=1.0,
-                          help="fraction of reviewed errors actually fixed, in (0, 1]")
-    scenario.add_argument("--ci-method", choices=("replicate", "band"), default=None,
-                          help="scenario 1: CI by re-running per replicate or from the "
-                          "band (default: replicate)")
-    scenario.set_defaults(func=cmd_scenario)
-
-    hull = sub.add_parser("hull", help="combined envelope over several metrics")
-    _add_common_flags(hull, resampling=True, svg=True)
-    hull.set_defaults(func=cmd_hull)
-
-    diagnose = sub.add_parser("diagnose", help="sample and band validity checks")
-    _add_common_flags(diagnose, resampling=True, svg=False)
-    diagnose.set_defaults(func=cmd_diagnose)
-
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        for group, flags in _GROUPS.items():
+            for flag, options in flags:
+                if group in command.groups:
+                    command_parser.add_argument(flag, **options)
+                else:
+                    dest = flag[2:].replace("-", "_")
+                    command_parser.set_defaults(**{dest: options.get("default")})
     return parser
 
 
@@ -618,7 +604,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _bind_library()
     try:
-        return args.func(args)
+        _check_flags(args.command, args)
+        _write(args, *_COMMANDS[args.command].handler(args))
+        return 0
     except (IngestError, OSError, NonFiniteScoreError, GroundTruthMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -147,12 +147,13 @@ def _scan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str, str]], int]:
     """Read a `key<TAB>value` file once, a block of lines at a time.
 
-    Returns (keys, values, numbers, problems, malformed): the key, value and
-    line number of every row in line order; (line number, line text,
-    message) for the first ``MAX_WARNINGS`` malformed lines in line order;
-    and the count of all malformed lines. ``\\n``, ``\\r\\n`` and ``\\r`` all
-    end a line, a leading UTF-8 byte order mark is dropped and
-    whitespace-only lines are ignored. A row is one tab between a non-empty
+    Returns (keys, values, skipped, problems, malformed): the key and value
+    of every row in line order; the numbers of the lines that are not rows,
+    ascending, from which ``_row_line`` finds a row's line; (line number,
+    line text, message) for the first ``MAX_WARNINGS`` malformed lines in
+    line order; and the count of all malformed lines. ``\\n``, ``\\r\\n``
+    and ``\\r`` all end a line, a leading UTF-8 byte order mark is dropped
+    and whitespace-only lines are ignored. A row is one tab between a non-empty
     key and a number or missing marker; its value is NaN when missing or not
     finite. Any other line is malformed, except that line 1 is skipped as a
     header when its value is neither.
@@ -167,12 +168,12 @@ def _scan(
     # Keys read so far that equal known's; only counted while ``shared``.
     shared, matched = known is not None, 0
     values: list[np.ndarray] = [np.zeros(0)]  # an empty file has empty columns
-    numbers: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    skipped: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     problems: list[tuple[int, str, str]] = []
     malformed = 0
     with open(path, encoding="utf-8-sig") as handle:
         for first, text in _text_blocks(handle):
-            block_keys, parsed, at, found = _block_rows(text, first, header=True)
+            block_keys, parsed, block_skipped, found = _block_rows(text, first, header=True)
             block = _id_column(block_keys)
             if shared and np.array_equal(block, known[matched : matched + block.size]):
                 matched += block.size
@@ -181,7 +182,7 @@ def _scan(
                     keys, shared = [known[:matched]], False
                 keys.append(block)
             values.append(np.array(parsed, dtype=np.float64))
-            numbers.append(at)
+            skipped.append(block_skipped)
             malformed += len(found)
             problems += found[: MAX_WARNINGS - len(problems)]
     # Each list of blocks is dropped as soon as it is concatenated.
@@ -193,7 +194,15 @@ def _scan(
     column = np.concatenate(values)
     del values
     column[~np.isfinite(column)] = math.nan
-    return ids, column, np.concatenate(numbers), problems, malformed
+    return ids, column, np.concatenate(skipped), problems, malformed
+
+
+def _row_line(skipped: np.ndarray, rows):
+    """The line number of each row index in ``rows``; ``skipped`` is ``_scan``'s.
+
+    Row r follows every skipped line j (0-based) that has at most r rows before it.
+    """
+    return rows + 1 + np.searchsorted(skipped - np.arange(skipped.size), rows + 1, side="right")
 
 
 def _block_rows(
@@ -201,14 +210,15 @@ def _block_rows(
 ) -> tuple[list[str], list, np.ndarray, list[tuple[int, str, str]]]:
     """Classify a block of lines from ``_text_blocks``, numbered from ``first``.
 
-    Returns (keys, values, numbers, found): the stripped key, value and line
-    number of every row in the block, the value NaN when missing (but not
-    yet when not finite); and (line number, line text, message) of every
-    malformed line, in line order. The grammar is ``_scan``'s; with
-    ``header``, line 1 may be a header. A block that ``_block_fields`` splits
-    whole is not split line by line.
+    Returns (keys, values, skipped, found): the stripped key and value of
+    every row in the block, the value NaN when missing (but not yet when
+    not finite); the numbers of the block's lines that are not rows; and
+    (line number, line text, message) of every malformed line, in line
+    order. The grammar is ``_scan``'s; with ``header``, line 1 may be a
+    header. A block that ``_block_fields`` splits whole is not split line
+    by line.
     """
-    at = np.arange(first, first + text.count("\n"))
+    numbers = at = np.arange(first, first + text.count("\n"))
     found = []
     fields = _block_fields(text)
     if fields is None:
@@ -247,7 +257,7 @@ def _block_rows(
         keys, parsed = list(compress(keys, rows)), list(compress(parsed, rows))
         at = at[rows]
     # The field-count problems were found before the others.
-    return keys, parsed, at, sorted(found)
+    return keys, parsed, np.delete(numbers, at - first), sorted(found)
 
 
 def _merge(columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -278,7 +288,7 @@ def _read_two_column(
     (``[keys]`` without ``known``): one sort checks for repeats and joins.
     It is None when keys are ``known``, or strictly increasing with no ``known``.
     """
-    keys, values, numbers, problems, malformed = _scan(path, known=known)
+    keys, values, skipped, problems, malformed = _scan(path, known=known)
     notes = [f"{path} line {n}: {message}" for n, _, message in problems]
     order = repeat_at = None
     if keys is not known and (known is not None or not _strictly_increasing(keys)):
@@ -286,10 +296,10 @@ def _read_two_column(
         if np.bincount(order[1][-1]).max(initial=0) > 1:  # a repeat: find its first line
             firsts = np.unique(order[1][-1], return_index=True)[1]
             repeat_at = int(np.setdiff1d(np.arange(keys.size), firsts)[0])
-    if repeat_at is not None and not (strict and problems and problems[0][0] < numbers[repeat_at]):
-        raise IngestError(
-            f"{path} line {numbers[repeat_at]}: duplicate segment id {keys[repeat_at]!r}"
-        )
+    if repeat_at is not None:
+        line = int(_row_line(skipped, repeat_at))
+        if not (strict and problems and problems[0][0] < line):
+            raise IngestError(f"{path} line {line}: duplicate segment id {keys[repeat_at]!r}")
     if strict and problems:
         raise IngestError(notes[0])
     return keys, values, order, malformed, notes

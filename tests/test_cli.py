@@ -136,10 +136,14 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert f"config error: {message}" in err
 
-    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--confidence", "nan")])
-    def test_bad_bootstrap_flags_return_four_in_hull(self, flag, value, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "config error: workers must be >= 1"),
+        # hull resamples nothing, so it refuses the resampling flags.
+        ("--confidence", "nan", "usage: rocqe hull [-h]"),
+    ])
+    def test_bad_bootstrap_flags_return_four_in_hull(self, flag, value, message, capsys):
         code, out, err = run_cli(["hull", *GOLD, *SCORES, *RISKB, flag, value], capsys)
-        assert (code, out) == (4, "") and "config error" in err
+        assert (code, out) == (4, "") and err.startswith(message)
 
     def test_unknown_flag_returns_four(self, capsys):
         code, _, _ = run_cli(["roc", *BASE, "--frobnicate"], capsys)
@@ -226,14 +230,15 @@ class TestExitCodes:
                 ["diagnose", *SCORES, "--bootstrap", "1"], None, id="diagnose-iterations"
             ),
             pytest.param(
-                ["hull", *SCORES, *RISKB, "--bootstrap", "5", "--workers", "0"],
+                ["hull", *SCORES, *RISKB, "--workers", "0"],
                 None,
                 id="hull-workers",
             ),
             pytest.param(
-                ["hull", *SCORES, *RISKB, "--bootstrap", "10", "--confidence", "1.5"],
+                ["scenario", *SCORES, "--scenario", "2", "--y", "10", "--bootstrap", "10",
+                 "--confidence", "1.5"],
                 None,
-                id="hull-confidence",
+                id="scenario-confidence",
             ),
         ],
     )
@@ -492,7 +497,7 @@ CONFIG_ERRORS = {
     "scores without a metric name": (["roc", *GOLD, "--scores", "x.tsv"], "config error: --scores"),
     "no workers": (["roc", *BASE, "--workers", "0"], "config error: workers"),
     "negative seed": (["roc", *BASE, "--seed", "-1"], "config error: seed"),
-    "seed past 64 bits": (["hull", *BASE, *RISKB, "--seed", "18446744073709551616"],
+    "seed past 64 bits": (["diagnose", *BASE, "--seed", "18446744073709551616"],
                           "config error: seed"),
     "scenario 1 without x": (["scenario", *BASE, "--scenario", "1"], "config error: scenario 1"),
     "wmt flags without --wmt-root": (["roc", *BASE, "--system", "sysX", "--lang-pair", "zh-en"],
@@ -562,6 +567,114 @@ def test_refused_flags_exit_four(case, tmp_path):
     assert "Traceback" not in run.stderr
     assert run.stdout == ""
     assert _files_under(tmp_path) == {}
+
+
+# The flag groups each command takes besides the input flags, which all
+# take, as README states them; written out here, not read from rocqe.cli.
+COMMAND_GROUPS = {
+    "roc": {"resampling", "workers", "svg"},
+    "table": set(),
+    "scenario": {"resampling", "workers", "scenario"},
+    "hull": {"workers", "svg"},
+    "diagnose": {"resampling", "workers"},
+}
+# Every flag of each group, with a value a command that takes it accepts.
+GROUP_FLAGS = {
+    "resampling": [["--bootstrap", "5"], ["--confidence", "0.9"], ["--seed", "3"]],
+    "workers": [["--workers", "2"]],
+    "svg": [["--svg", "{tmp}/flag.svg"]],
+    "scenario": [["--scenario", "1"], ["--x", "0.3"], ["--y", "5"], ["--trade-off", "1:10"],
+                 ["--class-ratio", "1:5"], ["--review-efficacy", "0.5"], ["--ci-method", "band"]],
+}
+WMT_ONE = ["--wmt-root", "tests/fixtures/wmt_mini", "--lang-pair", "zh-en", "--testset", "wmt23",
+           "--system", "sysY", "--scores", "metricA"]
+
+
+def _command_argv(command, wmt=False):
+    """A run of ``command`` that succeeds, on sample10 or on the WMT tree."""
+    argv = [command, *(WMT_ONE if wmt else BASE)]
+    if command == "hull":
+        argv += ["--scores", "metricB"] if wmt else RISKB
+    if command == "scenario":
+        argv += ["--scenario", "1", "--x", "0.3"]
+    return argv
+
+
+def _without(argv, flag):
+    """``argv`` without ``flag`` and its value."""
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+def _conditional_refusals():
+    """(argv, the config error) for every refusal that hangs on another flag."""
+    scenario1 = _command_argv("scenario")
+    scenario2 = ["scenario", *BASE, "--scenario", "2", "--y", "10"]
+    cases = {
+        "scenario1-needs-x": (_without(scenario1, "--x"), "scenario 1 needs --x"),
+        "scenario1-refuses-y": ([*scenario1, "--y", "5"], "--y does not apply to scenario 1"),
+        "scenario2-needs-y": (_without(scenario2, "--y"), "scenario 2 needs --y"),
+        "scenario2-refuses-x": ([*scenario2, "--x", "0.3"], "--x does not apply to scenario 2"),
+        "scenario2-refuses-ci-method": ([*scenario2, "--ci-method", "band"],
+                                        "--ci-method does not apply to scenario 2"),
+        "scenario1-class-ratio-needs-trade-off": ([*scenario1, "--class-ratio", "1:5"],
+                                                  "--class-ratio requires --trade-off"),
+        "scenario2-class-ratio-needs-trade-off": ([*scenario2, "--class-ratio", "1:5"],
+                                                  "--class-ratio requires --trade-off"),
+    }
+    for command in COMMAND_GROUPS:
+        cases[f"{command}-needs-gold"] = (
+            _without(_command_argv(command), "--gold"), "--gold is required (or use --wmt-root)")
+        cases[f"{command}-wmt-refuses-gold"] = (
+            [*_command_argv(command, wmt=True), *GOLD], "--gold does not apply in --wmt-root mode")
+        for flag, value in (("--lang-pair", "zh-en"), ("--testset", "wmt23"), ("--system", "sysY")):
+            cases[f"{command}-{flag[2:]}-needs-wmt-root"] = (
+                [*_command_argv(command), flag, value],
+                "--lang-pair, --testset and --system apply only in --wmt-root mode")
+            cases[f"{command}-wmt-root-needs-{flag[2:]}"] = (
+                _without(_command_argv(command, wmt=True), flag),
+                "--wmt-root needs --lang-pair, --testset and --system")
+    return [pytest.param(argv, message, id=name) for name, (argv, message) in cases.items()]
+
+
+class TestCommandTable:
+    """Each command takes the flag groups README names and refuses the others,
+    and every refusal that hangs on another flag is a config error."""
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys):
+        """``argv`` with an --out, and an --svg for roc and hull, in ``tmp_path``."""
+        outputs = ["--out", str(tmp_path / "r.json")]
+        if argv[0] in SVG_COMMANDS:
+            outputs += ["--svg", str(tmp_path / "p.svg")]
+        return run_cli([*(arg.format(tmp=tmp_path) for arg in argv), *outputs], capsys)
+
+    @pytest.mark.parametrize("command", list(COMMAND_GROUPS))
+    def test_each_command_takes_its_groups(self, command, tmp_path, capsys):
+        argv = _command_argv(command)
+        for group in sorted(COMMAND_GROUPS[command]):
+            argv += GROUP_FLAGS[group][0]
+        assert self._run(argv, tmp_path, capsys) == (0, "", "")
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command}-{group}-{flag[0]}")
+        for command, taken in COMMAND_GROUPS.items()
+        for group, flags in GROUP_FLAGS.items() if group not in taken
+        for flag in flags
+    ])
+    def test_a_flag_of_a_group_it_does_not_take_is_refused(self, command, flag, tmp_path, capsys):
+        code, out, err = self._run([*_command_argv(command), *flag], tmp_path, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"usage: rocqe {command} [-h]")
+        assert f"error: unrecognized arguments: {flag[0]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", _conditional_refusals())
+    def test_each_conditional_refusal(self, argv, message, tmp_path, capsys):
+        code, out, err = self._run(argv, tmp_path, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"config error: {message}"), err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_may_share_a_device():

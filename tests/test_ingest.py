@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import warnings
@@ -28,6 +29,16 @@ def _write(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return str(path)
+
+
+def _row_lines(skipped, keys) -> list[int]:
+    """The line number of each of ``_scan``'s rows, mapped from the lines it
+    skipped, and checked against counting the lines it did not skip."""
+    lines = ingest_module._row_line(skipped, np.arange(keys.size)).tolist()
+    skipped = set(skipped.tolist())
+    not_skipped = (n for n in itertools.count(1) if n not in skipped)
+    assert lines == list(itertools.islice(not_skipped, keys.size))
+    return lines
 
 
 class TestParseCanonicalTsv:
@@ -736,11 +747,11 @@ class TestColumnarIngestDifferential:
         for text in ("id\tscore\na\t1.5\nb\tNone\n", "\ufeffa\t1.5\r\nb\tnan", "a\t 1.5 \rb\t\n"):
             path.write_text(text, encoding="utf-8", newline="")
             split.clear()
-            keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
+            keys, values, skipped, problems, malformed = ingest_module._scan(str(path))
             assert split and None not in split, text
             assert keys.tolist() == ["a", "b"]
             assert values[0] == 1.5 and math.isnan(values[1])
-            assert numbers.tolist() == ([2, 3] if text.startswith("id") else [1, 2])
+            assert _row_lines(skipped, keys) == ([2, 3] if text.startswith("id") else [1, 2])
             assert problems == [] and malformed == 0
         irregular = {
             "a\t1\n\nb\t2\n": [],  # a blank line is ignored, not a problem
@@ -750,10 +761,10 @@ class TestColumnarIngestDifferential:
         }
         for text, want in irregular.items():
             path.write_text(text, encoding="utf-8")
-            keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
+            keys, values, skipped, problems, malformed = ingest_module._scan(str(path))
             assert problems == want and malformed == len(want), text
             assert keys.tolist() == (["a", "b"] if not want else ["a"])
-            assert numbers.tolist() == ([1, 3] if not want else [1])
+            assert _row_lines(skipped, keys) == ([1, 3] if not want else [1])
 
     @pytest.mark.parametrize("block_chars", [None, 7, 60])
     def test_scanner_line_grammar(self, tmp_path, monkeypatch, block_chars):
@@ -764,12 +775,12 @@ class TestColumnarIngestDifferential:
             "  \nid\tscore\n\t\n \t \na\t1\nb\tx\nc\n\n d\t-2 \ne\tinf\nf\t3",
             encoding="utf-8", newline="",
         )
-        keys, values, numbers, problems, malformed = ingest_module._scan(str(path))
+        keys, values, skipped, problems, malformed = ingest_module._scan(str(path))
         # A header is possible on line 1 only; lone tabs are blank lines; the
         # unterminated last line is a row; problems come in line order.
         assert keys.tolist() == ["a", "d", "e", "f"]
         assert values[[0, 1, 3]].tolist() == [1.0, -2.0, 3.0] and math.isnan(values[2])
-        assert numbers.tolist() == [5, 9, 10, 11]
+        assert _row_lines(skipped, keys) == [5, 9, 10, 11]
         assert problems == [
             (2, "id\tscore", "unparsable value 'score'"),
             (6, "b\tx", "unparsable value 'x'"),

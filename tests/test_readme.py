@@ -69,6 +69,6 @@ def test_documented_errors_have_their_base_and_exit_code(monkeypatch, capsys, na
     def fail(args):
         raise error("x")
 
-    monkeypatch.setattr(cli, "cmd_table", fail)
+    monkeypatch.setattr(cli, "_load", fail)  # where `table` reads its inputs
     assert cli.main(["table", "--gold", "g.tsv", "--scores", "m=s.tsv"]) == code
     assert capsys.readouterr().err.endswith(": x\n")
